@@ -265,7 +265,8 @@ def _freeze(acc: dict) -> NormalForm:
 
 
 def _acc_add(acc: dict, monomial, coeff: Fraction) -> None:
-    acc[monomial] = acc.get(monomial, Fraction(0)) + coeff
+    prev = acc.get(monomial)
+    acc[monomial] = coeff if prev is None else prev + coeff
 
 
 def _mono_mul(m1, m2):
@@ -277,10 +278,12 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items(), key=lambda ae: _atom_sort_key(ae[0])))
 
 
-def nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
-    acc = dict(a.terms)
-    for m, c in b.terms:
-        _acc_add(acc, m, c)
+def nf_add(*forms: NormalForm) -> NormalForm:
+    """Sum of any number of normal forms, sorted once."""
+    acc: dict = {}
+    for f in forms:
+        for m, c in f.terms:
+            _acc_add(acc, m, c)
     return _freeze(acc)
 
 
@@ -295,6 +298,10 @@ def nf_scale(a: NormalForm, factor: Fraction) -> NormalForm:
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
+    if a.is_constant():
+        return nf_scale(b, a.constant_value())
+    if b.is_constant():
+        return nf_scale(a, b.constant_value())
     acc: dict = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
@@ -303,29 +310,42 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
 
 
 def nf_pow(a: NormalForm, exponent: int) -> NormalForm:
-    result = NormalForm((((), Fraction(1)),))
-    for _ in range(exponent):
-        result = nf_mul(result, a)
-    return result
+    """Binary powering, exponent >= 1."""
+    result = None
+    base = a
+    while True:
+        if exponent & 1:
+            result = base if result is None else nf_mul(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = nf_mul(base, base)
 
 
-_NF_ZERO = NormalForm(())
-_NF_ONE = NormalForm((((), Fraction(1)),))
+NF_ZERO = NormalForm(())
+NF_ONE = NormalForm((((), Fraction(1)),))
+
+
+def _trig_nf(kind: int, arg: NormalForm) -> NormalForm:
+    """sin(arg) or cos(arg) as a normal form; sin(0) = 0 and cos(0) = 1."""
+    if arg.is_zero():
+        return NF_ZERO if kind == _SIN else NF_ONE
+    monomial = (((kind, arg.terms), 1),)
+    return NormalForm(((monomial, Fraction(1)),))
 
 
 def normal_form(e: ScalarExpr) -> NormalForm:
     if isinstance(e, Const):
-        return NormalForm((((), e.value),)) if e.value != 0 else _NF_ZERO
+        return NormalForm((((), e.value),)) if e.value != 0 else NF_ZERO
     if isinstance(e, Symbol):
         return NormalForm(((((( _SYM, e.name), 1),), Fraction(1)),))
     if isinstance(e, Sum):
-        acc = _NF_ZERO
-        for t in e.terms:
-            acc = nf_add(acc, normal_form(t))
-        return acc
+        return nf_add(*(normal_form(t) for t in e.terms))
     if isinstance(e, Product):
-        acc = _NF_ONE
-        for f in e.factors:
+        if not e.factors:
+            return NF_ONE
+        acc = normal_form(e.factors[0])
+        for f in e.factors[1:]:
             acc = nf_mul(acc, normal_form(f))
         return acc
     if isinstance(e, Power):
@@ -333,15 +353,9 @@ def normal_form(e: ScalarExpr) -> NormalForm:
     if isinstance(e, Neg):
         return nf_neg(normal_form(e.arg))
     if isinstance(e, Sin):
-        arg = normal_form(e.arg)
-        if arg.is_zero():
-            return _NF_ZERO
-        return NormalForm(((((( _SIN, arg.terms), 1),), Fraction(1)),))
+        return _trig_nf(_SIN, normal_form(e.arg))
     if isinstance(e, Cos):
-        arg = normal_form(e.arg)
-        if arg.is_zero():
-            return _NF_ONE
-        return NormalForm(((((( _COS, arg.terms), 1),), Fraction(1)),))
+        return _trig_nf(_COS, normal_form(e.arg))
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
@@ -377,35 +391,38 @@ def normalize(e: ScalarExpr) -> ScalarExpr:
 # Differentiation (partial; any symbol other than the target is constant)
 
 
-def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
-    if isinstance(e, Const):
-        return Const(Fraction(0))
-    if isinstance(e, Symbol):
-        return Const(Fraction(1 if e.name == v else 0))
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, v) for t in e.terms))
-    if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            terms.append(Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:]))
-        return add_all(terms)
-    if isinstance(e, Power):
-        inner = _diff(e.base, v)
-        if e.exponent == 1:
-            return inner
-        return mul_all((Const(Fraction(e.exponent)), Power(e.base, e.exponent - 1), inner))
-    if isinstance(e, Sin):
-        return Product((Cos(e.arg), _diff(e.arg, v)))
-    if isinstance(e, Cos):
-        return Neg(Product((Sin(e.arg), _diff(e.arg, v))))
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, v))
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+def nf_diff(nf: NormalForm, v: str) -> NormalForm:
+    """Partial derivative taken monomial by monomial.
+
+    Symbol atoms follow the power rule; sin(u) and cos(u) follow the chain
+    rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.
+    """
+    acc: dict = {}
+    for m, c in nf.terms:
+        for i, (atom, e) in enumerate(m):
+            kind, payload = atom
+            if kind == _SYM and payload != v:
+                continue
+            rest = m[:i] + ((atom, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+            if kind == _SYM:
+                _acc_add(acc, rest, c * e)
+                continue
+            du = nf_diff(NormalForm(payload), v)
+            if du.is_zero():
+                continue
+            if kind == _SIN:
+                outer, sign = (_COS, payload), 1
+            else:
+                outer, sign = (_SIN, payload), -1
+            chain = nf_mul(NormalForm(((_mono_mul(rest, ((outer, 1),)), c * e * sign),)), du)
+            for mono, coeff in chain.terms:
+                _acc_add(acc, mono, coeff)
+    return _freeze(acc)
 
 
 def differentiate(e: ScalarExpr, v: str) -> ScalarExpr:
     """Exact partial derivative with respect to the coordinate ``v``."""
-    return normalize(_diff(e, v))
+    return from_normal(nf_diff(normal_form(e), v))
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +512,8 @@ class ZeroResult:
     certainty: str
 
 
-def _eval_terms(terms, bindings) -> float:
-    total = 0.0
+def _term_values(terms, bindings) -> list[float]:
+    values = []
     for m, c in terms:
         v = float(c)
         for (kind, payload), e in m:
@@ -507,32 +524,38 @@ def _eval_terms(terms, bindings) -> float:
             else:
                 base = math.cos(_eval_terms(payload, bindings))
             v *= base ** e
-        total += v
-    return total
+        values.append(v)
+    return values
 
 
-def is_zero(e: ScalarExpr, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
-    """Decide whether ``e`` vanishes identically.
+def _eval_terms(terms, bindings) -> float:
+    return sum(_term_values(terms, bindings))
+
+
+def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+    """Decide whether ``e`` (an expression or its normal form) vanishes identically.
 
     Exact verdicts come from the normal form alone.  Normal forms that
     contain trigonometric atoms are sampled at ``config.points`` points
     with every free symbol drawn uniformly from [low, high] using the
-    fixed seed; the verdict is then tagged probabilistic.
+    fixed seed; the verdict is then tagged probabilistic.  At each point
+    the value must stay within ``rel_tol`` times the sum of the absolute
+    term values there, so a small nonzero expression is not mistaken for
+    rounding error.
     """
-    nf = normal_form(e)
+    nf = e if isinstance(e, NormalForm) else normal_form(e)
     if nf.is_zero():
         return ZeroResult(True, EXACT)
     if not nf.has_trig():
         return ZeroResult(False, EXACT)
     rng = random.Random(config.seed)
     symbols = sorted(nf.free_symbols())
-    values = []
     for _ in range(config.points):
         bindings = {s: rng.uniform(config.low, config.high) for s in symbols}
-        values.append(_eval_terms(nf.terms, bindings))
-    scale = max(abs(v) for v in values) if values else 0.0
-    tol = config.rel_tol * (1.0 + scale)
-    return ZeroResult(all(abs(v) <= tol for v in values), PROBABILISTIC)
+        values = _term_values(nf.terms, bindings)
+        if abs(sum(values)) > config.rel_tol * sum(abs(v) for v in values):
+            return ZeroResult(False, PROBABILISTIC)
+    return ZeroResult(True, PROBABILISTIC)
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +576,7 @@ def nf_divide(num: NormalForm, den: NormalForm) -> NormalForm | None:
     if den.is_zero():
         raise DivisionError("division by zero normal form")
     if num.is_zero():
-        return _NF_ZERO
+        return NF_ZERO
     if den.is_constant():
         return nf_scale(num, 1 / den.constant_value())
     universe = sorted(
@@ -634,9 +657,9 @@ def _render_terms(terms) -> str:
     return "".join(parts)
 
 
-def render(e: ScalarExpr) -> str:
+def render(e: ScalarExpr | NormalForm) -> str:
     """Canonical textual form; re-parsing yields the same normal form."""
-    return _render_terms(normal_form(e).terms)
+    return _render_terms((e if isinstance(e, NormalForm) else normal_form(e)).terms)
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Basis forms are stored on strictly increasing multi-indices; every
 operation reduces to that canonical order with explicit permutation
-signs.  Coefficients are exact scalar expressions and zero normal forms
-are never stored.
+signs.  Coefficients are stored as normal forms (zero ones are never
+stored) and every operation maps normal forms to normal forms; canonical
+expression trees are a view built at the API boundary.
 """
 
 from __future__ import annotations
@@ -18,15 +19,22 @@ from .expr import (
     PROBABILISTIC,
     Const,
     DEFAULT_ZERO_TEST,
+    NF_ONE,
+    NF_ZERO,
+    NormalForm,
     ScalarExpr,
     ZeroResult,
     ZeroTestConfig,
-    add_all,
     as_expr,
-    differentiate,
     from_normal,
     is_zero,
+    nf_add,
+    nf_diff,
+    nf_mul,
+    nf_neg,
+    nf_scale,
     normal_form,
+    normalize,
     parse_expr,
     render,
     substitute,
@@ -105,21 +113,41 @@ class Space:
                      tuple(Fraction(g) for g in metric) if metric is not None else None)
 
 
-def _check_symbols(expr: ScalarExpr, space: Space, what: str) -> None:
+def _check_symbols(expr: ScalarExpr | NormalForm, space: Space, what: str) -> None:
     extra = expr.free_symbols() - set(space.symbols)
     if extra:
         raise GeometryError(f"{what} uses symbols {sorted(extra)} not declared in space '{space.name}'")
 
 
-class DiffForm:
-    """Degree-k form as a sparse map from increasing multi-indices."""
+def _checked_nf(value, space: Space, what: str) -> NormalForm:
+    """Normal form of an expression (or normal form) after checking its symbols."""
+    if isinstance(value, NormalForm):
+        _check_symbols(value, space, what)
+        return value
+    value = as_expr(value)
+    _check_symbols(value, space, what)
+    return normal_form(value)
 
-    __slots__ = ("space", "degree", "coeffs")
+
+def _sum_terms(acc: dict) -> dict:
+    """Collapse {index: [normal forms]} into {index: their sum}."""
+    return {K: terms[0] if len(terms) == 1 else nf_add(*terms) for K, terms in acc.items()}
+
+
+class DiffForm:
+    """Degree-k form as a sparse map from increasing multi-indices.
+
+    Coefficients (expressions, rationals or normal forms) are stored as
+    normal forms in ``nfs``; ``coeffs`` is the canonical-tree view of the
+    same map, built on first use.
+    """
+
+    __slots__ = ("space", "degree", "nfs", "_coeffs")
 
     def __init__(self, space: Space, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         if not 0 <= degree <= space.dim:
             raise DegreeError(f"degree {degree} out of range for dimension {space.dim}")
-        stored: dict[tuple[int, ...], ScalarExpr] = {}
+        stored: dict[tuple[int, ...], NormalForm] = {}
         for idx, raw in (coeffs or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
@@ -128,45 +156,48 @@ class DiffForm:
                 raise GeometryError(f"multi-index {idx} out of range")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise GeometryError(f"multi-index {idx} must be strictly increasing")
-            expr = as_expr(raw)
-            _check_symbols(expr, space, "coefficient")
-            nf = normal_form(expr)
-            if nf.is_zero():
-                continue
-            canonical = from_normal(nf)
-            if idx in stored:
-                canonical = from_normal(normal_form(stored[idx] + canonical))
-            stored[idx] = canonical
+            nf = _checked_nf(raw, space, "coefficient")
+            stored[idx] = nf_add(stored[idx], nf) if idx in stored else nf
         self.space = space
         self.degree = degree
-        self.coeffs = dict(sorted(stored.items()))
+        self.nfs = {idx: nf for idx, nf in sorted(stored.items()) if not nf.is_zero()}
+        self._coeffs = None
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], ScalarExpr]:
+        if self._coeffs is None:
+            self._coeffs = {idx: from_normal(nf) for idx, nf in self.nfs.items()}
+        return self._coeffs
+
     def get(self, idx: tuple[int, ...]) -> ScalarExpr:
         return self.coeffs.get(tuple(idx), Const(Fraction(0)))
+
+    def get_nf(self, idx: tuple[int, ...]) -> NormalForm:
+        return self.nfs.get(tuple(idx), NF_ZERO)
 
     def terms(self):
         return self.coeffs.items()
 
     @property
     def is_zero_form(self) -> bool:
-        return not self.coeffs
+        return not self.nfs
 
     def __eq__(self, other):
         if not isinstance(other, DiffForm):
             return NotImplemented
-        return (self.space, self.degree, self.coeffs) == (other.space, other.degree, other.coeffs)
+        return (self.space, self.degree, self.nfs) == (other.space, other.degree, other.nfs)
 
     def __hash__(self):
-        return hash((self.space, self.degree, tuple(self.coeffs.items())))
+        return hash((self.space, self.degree, tuple(self.nfs.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nfs:
             return f"DiffForm({self.space.name}, deg={self.degree}, 0)"
         body = " + ".join(
             f"[{render(c)}] d{'^'.join(self.space.coordinates[i] for i in idx)}" if idx else render(c)
-            for idx, c in self.coeffs.items()
+            for idx, c in self.nfs.items()
         )
         return f"DiffForm({self.space.name}, deg={self.degree}: {body})"
 
@@ -180,20 +211,20 @@ class DiffForm:
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
         self._require_same(other)
-        acc: dict[tuple[int, ...], ScalarExpr] = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            acc[idx] = acc[idx] + c if idx in acc else c
+        acc = dict(self.nfs)
+        for idx, c in other.nfs.items():
+            acc[idx] = nf_add(acc[idx], c) if idx in acc else c
         return DiffForm(self.space, self.degree, acc)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.space, self.degree, {i: -c for i, c in self.coeffs.items()})
+        return DiffForm(self.space, self.degree, {i: nf_neg(c) for i, c in self.nfs.items()})
 
     def __mul__(self, scalar) -> "DiffForm":
-        s = as_expr(scalar)
-        return DiffForm(self.space, self.degree, {i: s * c for i, c in self.coeffs.items()})
+        s = _checked_nf(scalar, self.space, "coefficient")
+        return DiffForm(self.space, self.degree, {i: nf_mul(s, c) for i, c in self.nfs.items()})
 
     __rmul__ = __mul__
 
@@ -201,38 +232,58 @@ class DiffForm:
         return DiffForm(self.space, self.degree, {i: fn(c) for i, c in self.coeffs.items()})
 
 
-@dataclass(frozen=True)
 class VectorField:
-    """Component array over a space's coordinates."""
+    """Component array over a space's coordinates.
 
-    space: Space
-    components: tuple[ScalarExpr, ...]
+    Components are stored as normal forms in ``nfs``; ``components`` is the
+    canonical-tree view, built on first use.
+    """
 
-    def __post_init__(self):
-        comps = tuple(from_normal(normal_form(as_expr(c))) for c in self.components)
-        if len(comps) != self.space.dim:
+    __slots__ = ("space", "nfs", "_components")
+
+    def __init__(self, space: Space, components):
+        nfs = tuple(_checked_nf(c, space, "component") for c in components)
+        if len(nfs) != space.dim:
             raise GeometryError("component count must equal the dimension")
-        for c in comps:
-            _check_symbols(c, self.space, "component")
-        object.__setattr__(self, "components", comps)
+        self.space = space
+        self.nfs = nfs
+        self._components = None
+
+    @property
+    def components(self) -> tuple[ScalarExpr, ...]:
+        if self._components is None:
+            self._components = tuple(from_normal(c) for c in self.nfs)
+        return self._components
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return (self.space, self.nfs) == (other.space, other.nfs)
+
+    def __hash__(self):
+        return hash((self.space, self.nfs))
+
+    def __repr__(self):
+        return f"VectorField({self.space.name}: [{', '.join(render(c) for c in self.nfs)}])"
 
     @property
     def is_zero(self) -> bool:
-        return all(normal_form(c).is_zero() for c in self.components)
+        return all(c.is_zero() for c in self.nfs)
 
     def apply_to(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative of a scalar along the field."""
-        terms = [c * differentiate(f, x) for c, x in zip(self.components, self.space.coordinates)]
-        return from_normal(normal_form(add_all(terms)))
+        f_nf = normal_form(f)
+        return from_normal(nf_add(*(nf_mul(c, nf_diff(f_nf, x))
+                                    for c, x in zip(self.nfs, self.space.coordinates))))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.space != other.space:
             raise SpaceMismatchError("fields live on different spaces")
-        return VectorField(self.space, tuple(a + b for a, b in zip(self.components, other.components)))
+        return VectorField(self.space, tuple(nf_add(a, b) for a, b in zip(self.nfs, other.nfs)))
 
     def __mul__(self, scalar) -> "VectorField":
-        s = as_expr(scalar)
-        return VectorField(self.space, tuple(s * c for c in self.components))
+        s = _checked_nf(scalar, self.space, "component")
+        return VectorField(self.space, tuple(nf_mul(s, c) for c in self.nfs))
 
     __rmul__ = __mul__
 
@@ -246,8 +297,7 @@ class VectorField:
 
 def coordinate_vector(space: Space, coord: str) -> VectorField:
     pos = space.position(coord)
-    comps = [Const(Fraction(1)) if i == pos else Const(Fraction(0)) for i in range(space.dim)]
-    return VectorField(space, tuple(comps))
+    return VectorField(space, tuple(NF_ONE if i == pos else NF_ZERO for i in range(space.dim)))
 
 
 def constant_form(space: Space, value=1) -> DiffForm:
@@ -330,16 +380,16 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     degree = a.degree + b.degree
     if degree > a.space.dim:
         raise DegreeError(f"wedge degree {degree} exceeds dimension {a.space.dim}")
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for I, ca in a.coeffs.items():
-        for J, cb in b.coeffs.items():
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    for I, ca in a.nfs.items():
+        for J, cb in b.nfs.items():
             merged = _merge_indices(I, J)
             if merged is None:
                 continue
             sign, K = merged
-            term = Const(Fraction(sign)) * ca * cb
-            acc[K] = acc[K] + term if K in acc else term
-    return DiffForm(a.space, degree, acc)
+            term = nf_mul(ca, cb)
+            acc.setdefault(K, []).append(term if sign > 0 else nf_neg(term))
+    return DiffForm(a.space, degree, _sum_terms(acc))
 
 
 def wedge_power(a: DiffForm, power: int) -> DiffForm:
@@ -352,19 +402,18 @@ def wedge_power(a: DiffForm, power: int) -> DiffForm:
 def exterior_derivative(a: DiffForm) -> DiffForm:
     if a.degree >= a.space.dim:
         raise DegreeError("exterior derivative of a top-degree form overflows the space")
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for I, c in a.coeffs.items():
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    for I, c in a.nfs.items():
         for pos, coord in enumerate(a.space.coordinates):
-            dc = differentiate(c, coord)
-            if normal_form(dc).is_zero():
-                continue
             inserted = _insert_index(pos, I)
             if inserted is None:
                 continue
+            dc = nf_diff(c, coord)
+            if dc.is_zero():
+                continue
             sign, K = inserted
-            term = Const(Fraction(sign)) * dc
-            acc[K] = acc[K] + term if K in acc else term
-    return DiffForm(a.space, a.degree + 1, acc)
+            acc.setdefault(K, []).append(dc if sign > 0 else nf_neg(dc))
+    return DiffForm(a.space, a.degree + 1, _sum_terms(acc))
 
 
 def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
@@ -372,17 +421,15 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
         raise SpaceMismatchError("interior product across different spaces")
     if a.degree == 0:
         raise DegreeError("interior product requires degree >= 1")
-    comp_nf = [normal_form(c) for c in v.components]
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for I, c in a.coeffs.items():
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    for I, c in a.nfs.items():
         for slot, pos in enumerate(I):
-            if comp_nf[pos].is_zero():
+            comp = v.nfs[pos]
+            if comp.is_zero():
                 continue
-            sign = -1 if slot % 2 else 1
-            K = I[:slot] + I[slot + 1:]
-            term = Const(Fraction(sign)) * v.components[pos] * c
-            acc[K] = acc[K] + term if K in acc else term
-    return DiffForm(a.space, a.degree - 1, acc)
+            term = nf_mul(comp, c)
+            acc.setdefault(I[:slot] + I[slot + 1:], []).append(nf_neg(term) if slot % 2 else term)
+    return DiffForm(a.space, a.degree - 1, _sum_terms(acc))
 
 
 def lie_derivative(v: VectorField, a: DiffForm) -> DiffForm:
@@ -416,7 +463,7 @@ class CoordMap:
         for c in target.coordinates:
             expr = as_expr(components[c])
             _check_symbols(expr, source, f"map component for '{c}'")
-            comps.append((c, from_normal(normal_form(expr))))
+            comps.append((c, normalize(expr)))
         object.__setattr__(self, "components", tuple(comps))
 
     def component(self, coord: str) -> ScalarExpr:
@@ -435,10 +482,10 @@ def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
     substitution = {name: expr for name, expr in phi.components}
     differentials: dict[int, DiffForm] = {}
     for pos, coord in enumerate(phi.target.coordinates):
-        u = phi.component(coord)
+        u = normal_form(phi.component(coord))
         differentials[pos] = DiffForm(
             phi.source, 1,
-            {(j,): differentiate(u, x) for j, x in enumerate(phi.source.coordinates)},
+            {(j,): nf_diff(u, x) for j, x in enumerate(phi.source.coordinates)},
         )
     total = DiffForm(phi.source, a.degree, {})
     for I, c in a.coeffs.items():
@@ -475,17 +522,16 @@ def hodge_star(a: DiffForm, metric: Iterable[Fraction] | None = None) -> DiffFor
     sqrt_det = _sqrt_fraction(det_abs)
     if sqrt_det is None:
         raise MetricError("metric determinant must be a perfect rational square for exact duality")
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
     everything = range(n)
-    for I, c in a.coeffs.items():
+    for I, c in a.nfs.items():
         J = tuple(i for i in everything if i not in I)
         sign = _permutation_sign(list(I) + list(J))
         factor = sqrt_det * Fraction(sign)
         for i in I:
             factor /= g[i]
-        term = Const(factor) * c
-        acc[J] = acc[J] + term if J in acc else term
-    return DiffForm(a.space, n - a.degree, acc)
+        acc.setdefault(J, []).append(nf_scale(c, factor))
+    return DiffForm(a.space, n - a.degree, _sum_terms(acc))
 
 
 # --------------------------------------------------------------------------
@@ -504,18 +550,16 @@ def reordered_space(space: Space, new_order: Iterable[str]) -> Space:
 
 def reorder_form(a: DiffForm, new_space: Space) -> DiffForm:
     position = {c: i for i, c in enumerate(new_space.coordinates)}
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for I, c in a.coeffs.items():
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    for I, c in a.nfs.items():
         mapped = [position[a.space.coordinates[i]] for i in I]
         sign = _permutation_sign(mapped)
-        key = tuple(sorted(mapped))
-        term = Const(Fraction(sign)) * c
-        acc[key] = acc[key] + term if key in acc else term
-    return DiffForm(new_space, a.degree, acc)
+        acc.setdefault(tuple(sorted(mapped)), []).append(c if sign > 0 else nf_neg(c))
+    return DiffForm(new_space, a.degree, _sum_terms(acc))
 
 
 def reorder_field(v: VectorField, new_space: Space) -> VectorField:
-    by_name = dict(zip(v.space.coordinates, v.components))
+    by_name = dict(zip(v.space.coordinates, v.nfs))
     return VectorField(new_space, tuple(by_name[c] for c in new_space.coordinates))
 
 
@@ -526,7 +570,7 @@ def reorder_field(v: VectorField, new_space: Space) -> VectorField:
 def form_is_zero(a: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
     certainty = EXACT
     value = True
-    for _idx, c in a.coeffs.items():
+    for c in a.nfs.values():
         res = is_zero(c, config)
         if res.certainty == PROBABILISTIC:
             certainty = PROBABILISTIC
@@ -540,8 +584,8 @@ def fields_equal(u: VectorField, v: VectorField, config: ZeroTestConfig = DEFAUL
         raise SpaceMismatchError("fields live on different spaces")
     certainty = EXACT
     value = True
-    for a, b in zip(u.components, v.components):
-        res = is_zero(a - b, config)
+    for a, b in zip(u.nfs, v.nfs):
+        res = is_zero(nf_add(a, nf_neg(b)), config)
         if res.certainty == PROBABILISTIC:
             certainty = PROBABILISTIC
         if not res.value:
@@ -552,7 +596,7 @@ def fields_equal(u: VectorField, v: VectorField, config: ZeroTestConfig = DEFAUL
 def serialize_form(a: DiffForm) -> list[dict]:
     return [
         {"index": [i + 1 for i in idx], "coeff": render(c)}
-        for idx, c in a.coeffs.items()
+        for idx, c in a.nfs.items()
     ]
 
 
@@ -566,7 +610,7 @@ def deserialize_form(space: Space, degree: int, data: list[dict]) -> DiffForm:
 
 
 def serialize_field(v: VectorField) -> list[str]:
-    return [render(c) for c in v.components]
+    return [render(c) for c in v.nfs]
 
 
 def deserialize_field(space: Space, data: list[str]) -> VectorField:

@@ -15,16 +15,20 @@ from typing import Iterable
 from .expr import (
     Const,
     DEFAULT_ZERO_TEST,
+    NF_ONE,
     NormalForm,
     ScalarExpr,
     Symbol,
     ZeroTestConfig,
-    add_all,
     as_expr,
-    differentiate,
     from_normal,
     is_zero,
+    nf_add,
+    nf_diff,
     nf_divide,
+    nf_mul,
+    nf_neg,
+    nf_scale,
     normal_form,
     render,
     substitute,
@@ -101,7 +105,7 @@ class Certificate:
         if not self.passed and self.residual is not None:
             if isinstance(self.residual, DiffForm):
                 out["residual"] = serialize_form(self.residual)
-            elif isinstance(self.residual, ScalarExpr):
+            elif isinstance(self.residual, (ScalarExpr, NormalForm)):
                 out["residual"] = render(self.residual)
             else:
                 out["residual"] = str(self.residual)
@@ -125,7 +129,8 @@ class LiouvilleSystem:
 
     ``params`` maps every declared parameter to an exact rational binding
     or None when it stays symbolic; bound values are substituted before
-    any certificate is evaluated.
+    any certificate is evaluated.  ``checks`` holds the certificates that
+    ``validate_system`` passed when the system was loaded from a file.
     """
 
     name: str
@@ -139,6 +144,7 @@ class LiouvilleSystem:
     params: dict[str, Fraction | None] = dc_field(default_factory=dict)
     base_split: tuple[int, tuple[str, str]] | None = None
     warnings: tuple[str, ...] = ()
+    checks: tuple[Certificate, ...] = ()
 
     def __post_init__(self):
         if self.omega is None:
@@ -195,22 +201,29 @@ def extended_space(space: Space, metric: Iterable[Fraction] | None = None) -> Sp
 
 def promote_form(a: DiffForm, ext: Space) -> DiffForm:
     """Reinterpret a form on P as a form on R x P (indices shift by one)."""
-    return DiffForm(ext, a.degree, {tuple(i + 1 for i in idx): c for idx, c in a.coeffs.items()})
+    return DiffForm(ext, a.degree, {tuple(i + 1 for i in idx): c for idx, c in a.nfs.items()})
 
 
 def promote_field(v: VectorField, ext: Space, time_component=0) -> VectorField:
-    return VectorField(ext, (as_expr(time_component),) + v.components)
+    return VectorField(ext, (normal_form(as_expr(time_component)),) + v.nfs)
 
 
-def validate_system(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> None:
-    """Enforce the structural invariants of a system bundle."""
+def validate_system(sys: LiouvilleSystem,
+                    config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> list[Certificate]:
+    """Enforce the structural invariants of a system bundle.
+
+    Returns the passed ``gamma_flux_match`` and ``sigma_volume_match``
+    certificates (for the potentials the system carries) so that callers
+    can report them without recomputing.
+    """
     space = sys.space
     n = space.dim
     if sys.omega.degree != n:
         raise SystemInvariantError("volume form must have top degree")
-    if len(sys.omega.coeffs) != 1:
+    if len(sys.omega.nfs) != 1:
         raise SystemInvariantError("volume form must have a single nonvanishing coefficient")
     b = sys.bound()
+    certs = []
     if sys.gamma is not None:
         if sys.gamma.degree != n - 2:
             raise SystemInvariantError(f"gamma must have degree {n - 2}")
@@ -220,6 +233,7 @@ def validate_system(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_
             raise SystemInvariantError(
                 "gamma does not satisfy d(gamma) = X . Omega; residual: "
                 + str(serialize_form(residual)))
+        certs.append(Certificate("gamma_flux_match", True, res.certainty))
     if sys.sigma is not None:
         if sys.sigma.degree != n - 1:
             raise SystemInvariantError(f"sigma must have degree {n - 1}")
@@ -229,6 +243,7 @@ def validate_system(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_
             raise SystemInvariantError(
                 "sigma does not satisfy d(sigma) = Omega; residual: "
                 + str(serialize_form(residual)))
+        certs.append(Certificate("sigma_volume_match", True, res.certainty))
     if sys.theta is not None:
         ext = extended_space(space)
         if sys.theta.space != ext or sys.theta.degree != n - 1:
@@ -238,6 +253,7 @@ def validate_system(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_
         k, verts = sys.base_split
         if k != n - 1 or len(verts) != 2 or any(v not in (TIME_COORDINATE,) + space.coordinates for v in verts):
             raise SystemInvariantError("base_split must name k = dim(M)-2 and two vertical coordinates")
+    return certs
 
 
 # --------------------------------------------------------------------------
@@ -280,29 +296,25 @@ def solve_gamma(chi: DiffForm) -> DiffForm:
     k = chi.degree
     if k < 1:
         raise PotentialError("potential solving requires degree >= 1")
-    for idx, c in chi.coeffs.items():
-        if normal_form(c).has_trig():
-            raise PotentialError(
-                "non-polynomial coefficients: supply the potential explicitly")
+    if any(c.has_trig() for c in chi.nfs.values()):
+        raise PotentialError("non-polynomial coefficients: supply the potential explicitly")
     if k < space.dim:
         closure = exterior_derivative(chi)
         if not closure.is_zero_form:
             raise PotentialError("input form is not closed")
     coords = set(space.coordinates)
-    acc: dict[tuple[int, ...], list[ScalarExpr]] = {}
-    for idx, c in chi.coeffs.items():
-        for mono, coeff in normal_form(c).terms:
+    position_nf = [normal_form(Symbol(c)) for c in space.coordinates]
+    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    for idx, c in chi.nfs.items():
+        for mono, coeff in c.terms:
             coord_degree = sum(e for (kind, payload), e in mono
                                if kind == 0 and payload in coords)
             scale = Fraction(1, k + coord_degree)
-            mono_expr = from_normal(NormalForm(((mono, coeff),)))
             for j, pos in enumerate(idx):
                 sign = -1 if j % 2 else 1
-                target = idx[:j] + idx[j + 1:]
-                term = Const(scale * sign) * Symbol(space.coordinates[pos]) * mono_expr
-                acc.setdefault(target, []).append(term)
-    gamma = DiffForm(space, k - 1, {idx: add_all(terms) for idx, terms in acc.items()})
-    return gamma
+                term = nf_mul(position_nf[pos], NormalForm(((mono, coeff * scale * sign),)))
+                acc.setdefault(idx[:j] + idx[j + 1:], []).append(term)
+    return DiffForm(space, k - 1, {idx: nf_add(*terms) for idx, terms in acc.items()})
 
 
 def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
@@ -347,7 +359,7 @@ def verify_characteristic(ext: ExtendedSystem,
     annihilation = interior_product(ext.field, ext.dtheta)
     cert1 = _zero_certificate("characteristic_annihilation", annihilation, config)
     dt = basis_form(ext.space, TIME_COORDINATE)
-    normalization = interior_product(ext.field, dt).get(()) - Const(Fraction(1))
+    normalization = nf_add(interior_product(ext.field, dt).get_nf(()), nf_neg(NF_ONE))
     res = is_zero(normalization, config)
     cert2 = Certificate("characteristic_normalization", res.value, res.certainty,
                         residual=None if res.value else normalization)
@@ -373,24 +385,22 @@ def annihilator_field(alpha: DiffForm) -> VectorField:
         raise LiouvilleError("annihilator of the zero form is not one-dimensional")
     comps = []
     for mu in range(n):
-        idx = tuple(i for i in range(n) if i != mu)
-        sign = -1 if mu % 2 else 1
-        comps.append(Const(Fraction(sign)) * alpha.get(idx))
+        c = alpha.get_nf(tuple(i for i in range(n) if i != mu))
+        comps.append(nf_neg(c) if mu % 2 else c)
     return VectorField(space, tuple(comps))
 
 
 def normalize_by_dt(Y: VectorField) -> VectorField:
     """Divide by the first component (exact polynomial division only)."""
-    a0 = normal_form(Y.components[0])
+    a0 = Y.nfs[0]
     if a0.is_zero():
         raise NormalizationError("field is vertical: no component along the first coordinate")
     comps = []
-    for c in Y.components:
-        quotient = nf_divide(normal_form(c), a0)
+    for c in Y.nfs:
+        quotient = nf_divide(c, a0)
         if quotient is None:
-            raise NormalizationError(
-                f"component {render(c)} is not divisible by {render(Y.components[0])}")
-        comps.append(from_normal(quotient))
+            raise NormalizationError(f"component {render(c)} is not divisible by {render(a0)}")
+        comps.append(quotient)
     return VectorField(Y.space, tuple(comps))
 
 
@@ -465,17 +475,16 @@ def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
     zpos, wpos = k, k + 1
     coefficients = []
     for mu in range(k):
-        idx = tuple(i for i in range(k) if i != mu) + (zpos, wpos)
-        sign = -1 if mu % 2 else 1
-        coefficients.append(Const(Fraction(sign)) * beta.get(idx))
+        c = beta.get_nf(tuple(i for i in range(k) if i != mu) + (zpos, wpos))
+        coefficients.append(nf_neg(c) if mu % 2 else c)
     base_idx = tuple(range(k))
-    sign_f = -1 if k % 2 else 1
-    f = Const(Fraction(sign_f)) * beta.get(base_idx + (wpos,))
-    g = Const(Fraction(-sign_f)) * beta.get(base_idx + (zpos,))
+    f = beta.get_nf(base_idx + (wpos,))
+    g = nf_neg(beta.get_nf(base_idx + (zpos,)))
+    if k % 2:
+        f, g = nf_neg(f), nf_neg(g)
     dec = CharacteristicDecomposition(
         chart, chart.coordinates[:k], (chart.coordinates[k], chart.coordinates[k + 1]),
-        tuple(from_normal(normal_form(c)) for c in coefficients),
-        from_normal(normal_form(f)), from_normal(normal_form(g)))
+        tuple(from_normal(c) for c in coefficients), from_normal(f), from_normal(g))
     if dec.recompose() != beta:
         raise LiouvilleError("internal error: decomposition does not recompose to the input")
     return dec
@@ -539,12 +548,15 @@ def section_residuals(u_z: ScalarExpr, u_w: ScalarExpr,
     u_w = as_expr(u_w)
     z, w = dec.verticals
     section = {z: u_z, w: u_w}
-    sub = lambda e: substitute(e, section)
-    r1_terms = [sub(a) * differentiate(u_w, x) for a, x in zip(dec.coefficients, dec.base)]
-    r2_terms = [sub(a) * differentiate(u_z, x) for a, x in zip(dec.coefficients, dec.base)]
-    r1 = from_normal(normal_form(add_all(r1_terms) - sub(dec.g)))
-    r2 = from_normal(normal_form(add_all(r2_terms) - sub(dec.f)))
-    return r1, r2
+    sub = lambda e: normal_form(substitute(e, section))
+    A = [sub(a) for a in dec.coefficients]
+
+    def residual(u, rhs):
+        u_nf = normal_form(u)
+        return from_normal(nf_add(*(nf_mul(a, nf_diff(u_nf, x)) for a, x in zip(A, dec.base)),
+                                  nf_neg(sub(rhs))))
+
+    return residual(u_w, dec.g), residual(u_z, dec.f)
 
 
 # --------------------------------------------------------------------------
@@ -579,12 +591,12 @@ def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
     if sqrt_det is None:
         raise GeometryError("metric determinant must be a perfect rational square")
     spatial_top = tuple(range(1, space.dim))
-    scale_nf = normal_form(ext.dtheta.get(spatial_top))
+    scale_nf = ext.dtheta.get_nf(spatial_top)
     if not scale_nf.is_constant() or scale_nf.is_zero():
         raise GeometryError("duality check requires a constant nonzero effective volume coefficient")
     scale = scale_nf.constant_value()
-    z_flat = DiffForm(space, 1, {(i,): Const(g[i]) * c for i, c in enumerate(ext.field.components)})
-    dual = hodge_star(z_flat, g) * Const(scale / sqrt_det)
+    z_flat = DiffForm(space, 1, {(i,): nf_scale(c, g[i]) for i, c in enumerate(ext.field.nfs)})
+    dual = hodge_star(z_flat, g) * (scale / sqrt_det)
     residual = ext.dtheta - dual
     return _zero_certificate("hodge_duality", residual, config)
 

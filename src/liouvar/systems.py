@@ -8,6 +8,7 @@ is nondegenerate, declared first integrals are annihilated by the flow).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from .expr import (
     DEFAULT_ZERO_TEST,
     ExprError,
     ParseError,
+    NormalForm,
     ScalarExpr,
     Symbol,
     ZeroTestConfig,
@@ -26,8 +28,13 @@ from .expr import (
     differentiate,
     from_normal,
     is_zero,
-    mul_all,
+    nf_add,
+    nf_diff,
+    nf_mul,
+    nf_neg,
+    nf_scale,
     normal_form,
+    normalize,
     parse_expr,
     parse_rational,
     render,
@@ -91,10 +98,9 @@ def invert_fraction_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]] |
     return [row[n:] for row in aug]
 
 
-def _constant_coefficient(c: ScalarExpr, what: str) -> Fraction:
-    nf = normal_form(c)
+def _constant_coefficient(nf: NormalForm, what: str) -> Fraction:
     if not nf.is_constant():
-        raise LiouvilleError(f"{what} must have constant coefficients, got {render(c)}")
+        raise LiouvilleError(f"{what} must have constant coefficients, got {render(nf)}")
     return nf.constant_value()
 
 
@@ -103,7 +109,7 @@ def _omega_matrix(omega: DiffForm) -> list[list[Fraction]]:
     if omega.degree != 2:
         raise LiouvilleError("symplectic input must be a 2-form")
     M = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in omega.coeffs.items():
+    for (i, j), c in omega.nfs.items():
         v = _constant_coefficient(c, "symplectic form")
         M[i][j] = v
         M[j][i] = -v
@@ -120,8 +126,9 @@ def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr) -> VectorFi
     inv = invert_fraction_matrix(system)
     if inv is None:
         raise LiouvilleError("degenerate symplectic form: linear solve failed")
-    dH = [differentiate(hamiltonian, x) for x in space.coordinates]
-    comps = [add_all([Const(inv[i][j]) * dH[j] for j in range(n)]) for i in range(n)]
+    h = normal_form(hamiltonian)
+    dH = [nf_diff(h, x) for x in space.coordinates]
+    comps = [nf_add(*(nf_scale(dH[j], inv[i][j]) for j in range(n))) for i in range(n)]
     return VectorField(space, tuple(comps))
 
 
@@ -131,14 +138,14 @@ def field_from_flux(chi: DiffForm, omega: DiffForm) -> VectorField:
     n = space.dim
     if chi.degree != n - 1:
         raise LiouvilleError("flux must have degree n-1")
-    scale = _constant_coefficient(omega.get(tuple(range(n))), "volume form")
+    scale = _constant_coefficient(omega.get_nf(tuple(range(n))), "volume form")
     if scale == 0:
         raise LiouvilleError("volume form vanishes")
     comps = []
     for i in range(n):
         idx = tuple(j for j in range(n) if j != i)
         sign = -1 if i % 2 else 1
-        comps.append(Const(Fraction(sign) / scale) * chi.get(idx))
+        comps.append(nf_scale(chi.get_nf(idx), Fraction(sign) / scale))
     return VectorField(space, tuple(comps))
 
 
@@ -146,13 +153,13 @@ def curl3(space: Space, components: Iterable[ScalarExpr]) -> tuple[ScalarExpr, .
     """Curl of a 3-component field over the first three coordinates."""
     if space.dim != 3:
         raise GeometryError("curl is defined here for three-dimensional spaces only")
-    a1, a2, a3 = components
+    a1, a2, a3 = (normal_form(a) for a in components)
     x1, x2, x3 = space.coordinates
-    return (
-        from_normal(normal_form(differentiate(a3, x2) - differentiate(a2, x3))),
-        from_normal(normal_form(differentiate(a1, x3) - differentiate(a3, x1))),
-        from_normal(normal_form(differentiate(a2, x1) - differentiate(a1, x2))),
-    )
+
+    def rot(a, x, b, y):
+        return from_normal(nf_add(nf_diff(a, x), nf_neg(nf_diff(b, y))))
+
+    return rot(a3, x2, a2, x3), rot(a1, x3, a3, x1), rot(a2, x1, a1, x2)
 
 
 # --------------------------------------------------------------------------
@@ -195,13 +202,6 @@ def canonical_potential(space: Space, m: int) -> DiffForm:
     return DiffForm(space, 1, coeffs)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
                       parameters: Iterable[str] = (),
                       config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
@@ -220,7 +220,7 @@ def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
     H = hamiltonian if isinstance(hamiltonian, ScalarExpr) else parse_expr(hamiltonian, space.symbols)
     omega = canonical_symplectic(space, m)
     X = solve_symplectic_field(omega, H)
-    zeta = wedge_power(omega, m - 1) * Const(Fraction(1, _factorial(m - 1)))
+    zeta = wedge_power(omega, m - 1) * Const(Fraction(1, math.factorial(m - 1)))
     gamma = zeta * H
     rho = canonical_potential(space, m)
     sigma = wedge(rho, zeta)
@@ -247,13 +247,15 @@ def build_nambu(hamiltonians, coordinates: Iterable[str] | None = None,
     hs = [h if isinstance(h, ScalarExpr) else parse_expr(h, space.symbols) for h in hamiltonians]
     omega = volume_form(space)
     chi = constant_form(space)
+    dhs = []
     for h in hs:
-        dh = DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(coords)})
+        h_nf = normal_form(h)
+        dhs.append(DiffForm(space, 1, {(i,): nf_diff(h_nf, x) for i, x in enumerate(coords)}))
+    for dh in dhs:
         chi = wedge(chi, dh)
     X = field_from_flux(chi, omega)
     gamma = constant_form(space, hs[0])
-    for h in hs[1:]:
-        dh = DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(coords)})
+    for dh in dhs[1:]:
         gamma = wedge(gamma, dh)
     sys = LiouvilleSystem(name, space, X, gamma=gamma, invariants=tuple(hs))
     validate_system(sys, config)
@@ -294,7 +296,7 @@ def validate_hyperkahler(data: HyperkahlerData,
         top = wedge_power(omega, half)
         if top.is_zero_form:
             raise LiouvilleError(f"omega_{i} is degenerate: its top power vanishes")
-        coeff = _constant_coefficient(top.get(tuple(range(space.dim))), "top power")
+        coeff = _constant_coefficient(top.get_nf(tuple(range(space.dim))), "top power")
         signs.add(1 if coeff > 0 else -1)
     if len(signs) != 1:
         raise LiouvilleError("the three symplectic structures have mixed duality signs")
@@ -453,21 +455,13 @@ def _poly_antiderivative(e: ScalarExpr, space: Space, coord: str) -> ScalarExpr:
     nf = normal_form(e)
     if nf.has_trig():
         raise LiouvilleError("magnetic components must be polynomial")
+    x = normal_form(Symbol(coord))
     pos_atom = (0, coord)
     terms = []
     for mono, coeff in nf.terms:
-        exps = dict(mono)
-        e_old = exps.get(pos_atom, 0)
-        exps[pos_atom] = e_old + 1
-        new_coeff = coeff / (e_old + 1)
-        factors = [Const(new_coeff)]
-        for atom, k in sorted(exps.items()):
-            base = Symbol(atom[1]) if atom[0] == 0 else None
-            if base is None:
-                raise LiouvilleError("magnetic components must be polynomial")
-            factors.append(base if k == 1 else base ** k)
-        terms.append(mul_all(factors))
-    return from_normal(normal_form(add_all(terms)))
+        e_old = dict(mono).get(pos_atom, 0)
+        terms.append(nf_mul(x, NormalForm(((mono, coeff / (e_old + 1)),))))
+    return from_normal(nf_add(*terms))
 
 
 def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
@@ -492,7 +486,7 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
             raise LiouvilleError(f"magnetic field must not depend on velocities {sorted(bad)}")
         if normal_form(e).has_trig():
             raise LiouvilleError("magnetic components must be polynomial")
-        b_comps.append(from_normal(normal_form(e)))
+        b_comps.append(e)
     if len(b_comps) != 3:
         raise LiouvilleError("the magnetic field needs three components")
     kk = Symbol("k")
@@ -581,7 +575,7 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
         raise CertificateError(
             "hyperhamiltonian sum does not reproduce the expected linear field; "
             "check the Hamiltonian/component pairing")
-    ext.base.invariants = (from_normal(normal_form(norm2)),)
+    ext.base.invariants = (normalize(norm2),)
     ext.base.params = {"Bx": _bind(Bx), "By": _bind(By), "Bz": _bind(Bz), "kappa": _bind(kappa)}
     _check_invariants(ext.base, config)
     return ext
@@ -669,6 +663,11 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
     except (ExprError, ValueError) as exc:
         raise SystemFileError(f"bad parameter value: {exc}") from exc
     n = space.dim
+    if not isinstance(field_strings, list) or not all(isinstance(c, str) for c in field_strings):
+        raise SystemFileError("'vector_field' must be a list of expression strings")
+    if len(field_strings) != n:
+        raise SystemFileError(
+            f"'vector_field' has {len(field_strings)} components; the space has dimension {n}")
     try:
         field = deserialize_field(space, field_strings)
         omega = (deserialize_form(space, n, data["volume"])
@@ -691,7 +690,7 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
     sys = LiouvilleSystem(name, space, field, omega=omega, gamma=gamma, sigma=sigma,
                           theta=theta, invariants=invariants, params=params,
                           base_split=base_split)
-    validate_system(sys, config)
+    sys.checks = tuple(validate_system(sys, config))
     return sys
 
 

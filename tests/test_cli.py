@@ -64,6 +64,16 @@ def test_verify_syntax_error_exit_2(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field", ["x1", ["x2", "-1*x1", "0"], ["x2", 1]])
+def test_verify_malformed_vector_field_exit_2(tmp_path, capsys, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "coordinates": ["x1", "x2"],
+                               "vector_field": field}), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "'vector_field'" in err and "undeclared" not in err
+
+
 def test_verify_golden_report(example_dir, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", str(example_dir / "euler_top.json"), "--hodge", "--out", str(out)])

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from liouvar.expr import (
     Const,
     Cos,
+    Neg,
     ParseError,
     Power,
     Product,
     Sin,
+    Sum,
     Symbol,
     UnboundSymbolError,
     UndeclaredSymbolError,
@@ -29,6 +31,11 @@ from liouvar.expr import (
     render,
     substitute,
 )
+
+try:
+    import sympy
+except ImportError:  # the sympy cross-checks below are skipped
+    sympy = None
 
 SYMS = ("x1", "x2", "x3", "mu1", "mu2", "mu3", "t", "q", "p")
 
@@ -149,6 +156,17 @@ def test_is_zero_nonzero_monomial_exact():
 def test_is_zero_trig_nonzero():
     res = is_zero(q("sin(x1) + 1/2"))
     assert not res.value and res.certainty == "probabilistic"
+
+
+def test_is_zero_small_nonzero_is_not_zero():
+    # the tolerance scales with the term magnitudes, not with 1 + |value|
+    res = is_zero(Const(Fraction(1, 10**12)) * Sin(Symbol("x")))
+    assert not res.value and res.certainty == "probabilistic"
+
+
+def test_is_zero_accepts_a_normal_form():
+    for text in ("sin(x1)^2 + cos(x1)^2 - 1", "sin(x1) + 1/2", "x1*x2 - x2*x1", "mu1*x2"):
+        assert is_zero(normal_form(q(text))) == is_zero(q(text))
 
 
 def test_is_zero_deterministic_and_seed_sensitive():
@@ -274,6 +292,53 @@ def test_render_parse_round_trip(e):
     text = render(e)
     back = parse_expr(text, SYMS)
     assert normal_form(back) == normal_form(e)
+
+
+def test_power_matches_repeated_product():
+    base = q("x1 - 2*x2 + sin(x1)")
+    for k in range(1, 8):
+        assert normal_form(Power(base, k)) == normal_form(Product((base,) * k))
+
+
+_leaves = st.one_of(_small_rationals.map(Const), st.sampled_from(("x1", "x2")).map(Symbol))
+
+
+def _compound(children):
+    groups = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        groups.map(Sum), groups.map(Product), children.map(Neg),
+        st.tuples(children, st.integers(1, 3)).map(lambda t: Power(*t)),
+        children.map(Sin), children.map(Cos))
+
+
+expressions = st.recursive(_leaves, _compound, max_leaves=8)
+
+
+def _to_sympy(e):
+    if isinstance(e, Const):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Symbol):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Sum):
+        return sympy.Add(*(_to_sympy(t) for t in e.terms))
+    if isinstance(e, Product):
+        return sympy.Mul(*(_to_sympy(f) for f in e.factors))
+    if isinstance(e, Power):
+        return _to_sympy(e.base) ** e.exponent
+    if isinstance(e, Neg):
+        return -_to_sympy(e.arg)
+    return (sympy.sin if isinstance(e, Sin) else sympy.cos)(_to_sympy(e.arg))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(expressions)
+def test_normal_form_and_derivative_match_sympy(e):
+    reference = _to_sympy(e)
+    assert sympy.expand(_to_sympy(normalize(e)) - reference) == 0
+    for v in ("x1", "x2"):
+        derivative = sympy.diff(reference, sympy.Symbol(v))
+        assert sympy.expand(_to_sympy(differentiate(e, v)) - derivative) == 0
 
 
 # --------------------------------------------------------------------------
