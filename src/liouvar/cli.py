@@ -291,7 +291,7 @@ def cmd_integrate(args) -> int:
         warnings.append(f"overriding file-bound parameters: {', '.join(changed)}")
     bindings.update(overrides)
     needed = set()
-    for comp in sys.field.components:
+    for comp in sys.field.nfs:
         needed |= comp.free_symbols()
     for inv in sys.invariants:
         needed |= inv.free_symbols()

@@ -359,6 +359,12 @@ def normal_form(e: ScalarExpr) -> NormalForm:
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
+def as_normal_form(value) -> NormalForm:
+    """``value`` itself when it is a normal form, else the normal form of
+    the expression (or rational) it denotes."""
+    return value if isinstance(value, NormalForm) else normal_form(as_expr(value))
+
+
 def _atom_expr(atom) -> ScalarExpr:
     kind, payload = atom
     if kind == _SYM:
@@ -426,11 +432,14 @@ def differentiate(e: ScalarExpr, v: str) -> ScalarExpr:
 
 
 # --------------------------------------------------------------------------
-# Evaluation and substitution
+# Evaluation (the tree reference) and substitution
 
 
 def evaluate(e: ScalarExpr, bindings: Mapping[str, float]) -> float:
-    """IEEE-double evaluation, left-to-right association."""
+    """IEEE-double evaluation of a tree, left-to-right association.
+
+    The reference that the compiled normal-form evaluator is tested against.
+    """
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Symbol):
@@ -459,25 +468,71 @@ def evaluate(e: ScalarExpr, bindings: Mapping[str, float]) -> float:
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
-def substitute(e: ScalarExpr, mapping: Mapping[str, ScalarExpr]) -> ScalarExpr:
-    """Simultaneous substitution of symbols by expressions."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Symbol):
-        return mapping.get(e.name, e)
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Sin):
-        return Sin(substitute(e.arg, mapping))
-    if isinstance(e, Cos):
-        return Cos(substitute(e.arg, mapping))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
+    """Simultaneous substitution of symbols by normal forms."""
+    if mapping.keys().isdisjoint(nf.free_symbols()):
+        return nf
+    terms = []
+    for m, c in nf.terms:
+        kept = tuple((atom, e) for atom, e in m if atom[0] == _SYM and atom[1] not in mapping)
+        term = NormalForm(((kept, c),))
+        for (kind, payload), e in m:
+            if kind != _SYM:
+                image = _trig_nf(kind, substitute(NormalForm(payload), mapping))
+            elif payload in mapping:
+                image = mapping[payload]
+            else:
+                continue
+            term = nf_mul(term, nf_pow(image, e))
+        terms.append(term)
+    return nf_add(*terms)
+
+
+# --------------------------------------------------------------------------
+# Numeric code generation: the one evaluator of normal forms
+
+
+def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str]) -> list[str]:
+    """Python source of each term of ``nf``, evaluated in IEEE doubles.
+
+    A term reads ``c * atom * (atom)**e * ...`` left to right, without the
+    factor ``c`` when it is 1; sin/cos atoms call ``math.sin``/``math.cos``
+    on the ``nf_source`` of their argument.  ``symbols`` maps each free
+    symbol to the source of its value.  A raised atom is parenthesised, so
+    a negative literal such as ``-1.0`` is raised as a whole.
+    """
+    out = []
+    for m, c in nf.terms:
+        factors = [repr(float(c))] if c != 1 or not m else []
+        for (kind, payload), e in m:
+            if kind == _SYM:
+                try:
+                    base = symbols[payload]
+                except KeyError:
+                    raise UnboundSymbolError(f"unbound symbol '{payload}'") from None
+            else:
+                name = "math.sin(" if kind == _SIN else "math.cos("
+                base = name + nf_source(NormalForm(payload), symbols) + ")"
+            factors.append(base if e == 1 else f"({base})**{e}")
+        out.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
+    return out
+
+
+def nf_source(nf: NormalForm, symbols: Mapping[str, str]) -> str:
+    """Python source of ``nf``: its terms summed left to right.
+
+    The sum is written ``(t1 + t2 + ...)``; starting it from the first term
+    rather than from 0 keeps the sign of a lone ``-0.0``.
+    """
+    terms = nf_term_sources(nf, symbols)
+    if not terms:
+        return "0.0"
+    return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
+
+
+def compile_lambda(body: str):
+    """``lambda s: <body>`` with ``math`` in scope."""
+    return eval(f"lambda s: {body}", {"math": math})
 
 
 # --------------------------------------------------------------------------
@@ -512,26 +567,6 @@ class ZeroResult:
     certainty: str
 
 
-def _term_values(terms, bindings) -> list[float]:
-    values = []
-    for m, c in terms:
-        v = float(c)
-        for (kind, payload), e in m:
-            if kind == _SYM:
-                base = bindings[payload]
-            elif kind == _SIN:
-                base = math.sin(_eval_terms(payload, bindings))
-            else:
-                base = math.cos(_eval_terms(payload, bindings))
-            v *= base ** e
-        values.append(v)
-    return values
-
-
-def _eval_terms(terms, bindings) -> float:
-    return sum(_term_values(terms, bindings))
-
-
 def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
     """Decide whether ``e`` (an expression or its normal form) vanishes identically.
 
@@ -543,16 +578,17 @@ def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TE
     term values there, so a small nonzero expression is not mistaken for
     rounding error.
     """
-    nf = e if isinstance(e, NormalForm) else normal_form(e)
+    nf = as_normal_form(e)
     if nf.is_zero():
         return ZeroResult(True, EXACT)
     if not nf.has_trig():
         return ZeroResult(False, EXACT)
     rng = random.Random(config.seed)
     symbols = sorted(nf.free_symbols())
+    sources = nf_term_sources(nf, {v: f"s[{i}]" for i, v in enumerate(symbols)})
+    term_values = compile_lambda("(" + "".join(t + ", " for t in sources) + ")")
     for _ in range(config.points):
-        bindings = {s: rng.uniform(config.low, config.high) for s in symbols}
-        values = _term_values(nf.terms, bindings)
+        values = term_values([rng.uniform(config.low, config.high) for _ in symbols])
         if abs(sum(values)) > config.rel_tol * sum(abs(v) for v in values):
             return ZeroResult(False, PROBABILISTIC)
     return ZeroResult(True, PROBABILISTIC)
@@ -659,7 +695,7 @@ def _render_terms(terms) -> str:
 
 def render(e: ScalarExpr | NormalForm) -> str:
     """Canonical textual form; re-parsing yields the same normal form."""
-    return _render_terms((e if isinstance(e, NormalForm) else normal_form(e)).terms)
+    return _render_terms(as_normal_form(e).terms)
 
 
 # --------------------------------------------------------------------------
@@ -667,6 +703,11 @@ def render(e: ScalarExpr | NormalForm) -> str:
 
 
 _RESERVED = {"sin", "cos"}
+
+# Deepest nesting of parentheses, sin/cos calls and unary minus that the
+# parser accepts.  It keeps the recursive parser, the normal form and the
+# generated Python source well inside the interpreter's limits.
+MAX_NESTING = 32
 
 
 class _Tokenizer:
@@ -719,6 +760,7 @@ class _Parser:
     def __init__(self, text: str, symbols):
         self.toks = _Tokenizer(text)
         self.symbols = frozenset(symbols)
+        self.depth = 0
 
     def parse(self) -> ScalarExpr:
         e = self._expr()
@@ -740,6 +782,14 @@ class _Parser:
             else:
                 break
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    def _nested(self, parse, pos: int) -> ScalarExpr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        e = parse()
+        self.depth -= 1
+        return e
 
     def _term(self) -> ScalarExpr:
         factors = [self._factor()]
@@ -774,7 +824,7 @@ class _Parser:
                 okind, _oval, opos = self.toks.next()
                 if okind != "(":
                     raise ParseError(f"expected '(' after {val}", opos)
-                arg = self._expr()
+                arg = self._nested(self._expr, pos)
                 ckind, _cval, cpos = self.toks.next()
                 if ckind != ")":
                     raise ParseError("expected ')'", cpos)
@@ -783,13 +833,13 @@ class _Parser:
                 raise UndeclaredSymbolError(val, pos)
             return Symbol(val)
         if kind == "(":
-            e = self._expr()
+            e = self._nested(self._expr, pos)
             ckind, _cval, cpos = self.toks.next()
             if ckind != ")":
                 raise ParseError("expected ')'", cpos)
             return e
         if kind == "-":
-            return Neg(self._atom())
+            return Neg(self._nested(self._atom, pos))
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
 

@@ -26,6 +26,7 @@ from .expr import (
     ZeroResult,
     ZeroTestConfig,
     as_expr,
+    as_normal_form,
     from_normal,
     is_zero,
     nf_add,
@@ -34,7 +35,6 @@ from .expr import (
     nf_neg,
     nf_scale,
     normal_form,
-    normalize,
     parse_expr,
     render,
     substitute,
@@ -228,9 +228,6 @@ class DiffForm:
 
     __rmul__ = __mul__
 
-    def map_coefficients(self, fn) -> "DiffForm":
-        return DiffForm(self.space, self.degree, {i: fn(c) for i, c in self.coeffs.items()})
-
 
 class VectorField:
     """Component array over a space's coordinates.
@@ -270,9 +267,9 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.nfs)
 
-    def apply_to(self, f: ScalarExpr) -> ScalarExpr:
+    def apply_to(self, f: ScalarExpr | NormalForm) -> ScalarExpr:
         """Directional derivative of a scalar along the field."""
-        f_nf = normal_form(f)
+        f_nf = as_normal_form(f)
         return from_normal(nf_add(*(nf_mul(c, nf_diff(f_nf, x))
                                     for c, x in zip(self.nfs, self.space.coordinates))))
 
@@ -287,9 +284,6 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def map_components(self, fn) -> "VectorField":
-        return VectorField(self.space, tuple(fn(c) for c in self.components))
-
 
 # --------------------------------------------------------------------------
 # Constructors
@@ -301,7 +295,7 @@ def coordinate_vector(space: Space, coord: str) -> VectorField:
 
 
 def constant_form(space: Space, value=1) -> DiffForm:
-    return DiffForm(space, 0, {(): as_expr(value)})
+    return DiffForm(space, 0, {(): value})
 
 
 def basis_form(space: Space, *coords: str, coeff=1) -> DiffForm:
@@ -445,11 +439,12 @@ def lie_derivative(v: VectorField, a: DiffForm) -> DiffForm:
 
 @dataclass(frozen=True)
 class CoordMap:
-    """Smooth map between spaces given per-target-coordinate expressions."""
+    """Smooth map between spaces given per-target-coordinate expressions,
+    stored as normal forms."""
 
     source: Space
     target: Space
-    components: tuple[tuple[str, ScalarExpr], ...]
+    components: tuple[tuple[str, NormalForm], ...]
 
     def __init__(self, source: Space, target: Space, components: Mapping[str, object]):
         object.__setattr__(self, "source", source)
@@ -459,17 +454,14 @@ class CoordMap:
             raise GeometryError(f"map is missing target coordinates {missing}")
         if not set(target.parameters) <= set(source.parameters):
             raise GeometryError("target parameters must be declared in the source space")
-        comps = []
-        for c in target.coordinates:
-            expr = as_expr(components[c])
-            _check_symbols(expr, source, f"map component for '{c}'")
-            comps.append((c, normalize(expr)))
-        object.__setattr__(self, "components", tuple(comps))
+        comps = tuple((c, _checked_nf(components[c], source, f"map component for '{c}'"))
+                      for c in target.coordinates)
+        object.__setattr__(self, "components", comps)
 
-    def component(self, coord: str) -> ScalarExpr:
-        for name, expr in self.components:
+    def component(self, coord: str) -> NormalForm:
+        for name, nf in self.components:
             if name == coord:
-                return expr
+                return nf
         raise GeometryError(f"no component for '{coord}'")
 
 
@@ -479,16 +471,15 @@ def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
         raise SpaceMismatchError("form does not live on the map's target space")
     if a.degree > phi.source.dim:
         raise DegreeError("pullback degree exceeds the source dimension")
-    substitution = {name: expr for name, expr in phi.components}
+    substitution = dict(phi.components)
     differentials: dict[int, DiffForm] = {}
-    for pos, coord in enumerate(phi.target.coordinates):
-        u = normal_form(phi.component(coord))
+    for pos, (_coord, u) in enumerate(phi.components):
         differentials[pos] = DiffForm(
             phi.source, 1,
             {(j,): nf_diff(u, x) for j, x in enumerate(phi.source.coordinates)},
         )
     total = DiffForm(phi.source, a.degree, {})
-    for I, c in a.coeffs.items():
+    for I, c in a.nfs.items():
         pulled = constant_form(phi.source, substitute(c, substitution))
         for pos in I:
             pulled = wedge(pulled, differentials[pos])

@@ -16,19 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (
-    Const,
-    Cos,
-    Neg,
-    Power,
-    Product,
-    ScalarExpr,
-    Sin,
-    Sum,
-    Symbol,
-    UnboundSymbolError,
-    differentiate,
-)
+from .expr import NormalForm, ScalarExpr, as_normal_form, compile_lambda, nf_diff, nf_source
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -47,51 +35,29 @@ class BlowupError(FlowError):
 # Compilation of exact expressions to fast numeric callables
 
 
-def _py_source(e: ScalarExpr, positions: Mapping[str, int], params: Mapping[str, float]) -> str:
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Symbol):
-        if e.name in positions:
-            return f"s[{positions[e.name]}]"
-        if e.name in params:
-            return repr(float(params[e.name]))
-        raise UnboundSymbolError(f"unbound symbol '{e.name}'")
-    if isinstance(e, Sum):
-        return "(" + " + ".join(_py_source(t, positions, params) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(" + " * ".join(_py_source(f, positions, params) for f in e.factors) + ")"
-    if isinstance(e, Power):
-        return f"({_py_source(e.base, positions, params)})**{e.exponent}"
-    if isinstance(e, Sin):
-        return f"math.sin({_py_source(e.arg, positions, params)})"
-    if isinstance(e, Cos):
-        return f"math.cos({_py_source(e.arg, positions, params)})"
-    if isinstance(e, Neg):
-        return f"(-{_py_source(e.arg, positions, params)})"
-    raise FlowError(f"cannot compile expression node {type(e).__name__}")
+def _symbol_sources(coordinates: Sequence[str], params: Mapping[str, float]) -> dict[str, str]:
+    """Coordinates read the state ``s``; parameters become float literals."""
+    sources = {name: repr(float(value)) for name, value in params.items()}
+    sources.update((c, f"s[{i}]") for i, c in enumerate(coordinates))
+    return sources
 
 
-def compile_scalar(e: ScalarExpr, coordinates: Sequence[str], params: Mapping[str, float]):
-    positions = {c: i for i, c in enumerate(coordinates)}
-    return eval(f"lambda s: {_py_source(e, positions, params)}", {"math": math})
+def compile_scalar(e: ScalarExpr | NormalForm, coordinates: Sequence[str],
+                   params: Mapping[str, float]):
+    return compile_lambda(nf_source(as_normal_form(e), _symbol_sources(coordinates, params)))
 
 
 def compile_field(field: VectorField, params: Mapping[str, float]):
-    positions = {c: i for i, c in enumerate(field.space.coordinates)}
-    body = ", ".join(_py_source(c, positions, params) for c in field.components)
-    return eval(f"lambda s: [{body}]", {"math": math})
+    sources = _symbol_sources(field.space.coordinates, params)
+    return compile_lambda("[" + ", ".join(nf_source(c, sources) for c in field.nfs) + "]")
 
 
 def compile_jacobian(field: VectorField, params: Mapping[str, float]):
-    positions = {c: i for i, c in enumerate(field.space.coordinates)}
-    rows = []
-    for comp in field.components:
-        entries = [
-            _py_source(differentiate(comp, coord), positions, params)
-            for coord in field.space.coordinates
-        ]
-        rows.append("[" + ", ".join(entries) + "]")
-    return eval(f"lambda s: [{', '.join(rows)}]", {"math": math})
+    coordinates = field.space.coordinates
+    sources = _symbol_sources(coordinates, params)
+    rows = ("[" + ", ".join(nf_source(nf_diff(c, x), sources) for x in coordinates) + "]"
+            for c in field.nfs)
+    return compile_lambda("[" + ", ".join(rows) + "]")
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +112,8 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     M' = J(x) M, M(0) = I is co-integrated using the exact symbolic
     Jacobian evaluated numerically.
     """
+    if not (math.isfinite(h) and math.isfinite(T)):
+        raise FlowError("step and duration must be finite")
     if h <= 0 or T <= 0:
         raise FlowError("step and duration must be positive")
     params = dict(params or {})
@@ -202,7 +170,8 @@ def volume_diagnostic(traj: Trajectory) -> float:
     return float(np.max(np.abs(dets - 1.0)))
 
 
-def invariant_drift(traj: Trajectory, invariants: Iterable[ScalarExpr]) -> tuple[float, ...]:
+def invariant_drift(traj: Trajectory,
+                    invariants: Iterable[ScalarExpr | NormalForm]) -> tuple[float, ...]:
     """Max |inv(x(s)) - inv(x(0))| per declared first integral."""
     drifts = []
     for inv in invariants:

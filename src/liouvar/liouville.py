@@ -13,14 +13,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expr import (
-    Const,
     DEFAULT_ZERO_TEST,
     NF_ONE,
     NormalForm,
     ScalarExpr,
     Symbol,
     ZeroTestConfig,
-    as_expr,
+    as_normal_form,
     from_normal,
     is_zero,
     nf_add,
@@ -129,8 +128,9 @@ class LiouvilleSystem:
 
     ``params`` maps every declared parameter to an exact rational binding
     or None when it stays symbolic; bound values are substituted before
-    any certificate is evaluated.  ``checks`` holds the certificates that
-    ``validate_system`` passed when the system was loaded from a file.
+    any certificate is evaluated.  ``invariants`` are stored as normal
+    forms.  ``checks`` holds the certificates that ``validate_system``
+    passed when the system was loaded from a file.
     """
 
     name: str
@@ -140,7 +140,7 @@ class LiouvilleSystem:
     gamma: DiffForm | None = None
     sigma: DiffForm | None = None
     theta: DiffForm | None = None
-    invariants: tuple[ScalarExpr, ...] = ()
+    invariants: tuple[NormalForm, ...] = ()
     params: dict[str, Fraction | None] = dc_field(default_factory=dict)
     base_split: tuple[int, tuple[str, str]] | None = None
     warnings: tuple[str, ...] = ()
@@ -151,29 +151,37 @@ class LiouvilleSystem:
             self.omega = volume_form(self.space)
         if not self.params:
             self.params = {p: None for p in self.space.parameters}
-        self.invariants = tuple(as_expr(e) for e in self.invariants)
+        self.invariants = tuple(as_normal_form(e) for e in self.invariants)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def binding_map(self) -> dict[str, ScalarExpr]:
-        return {name: Const(value) for name, value in self.params.items() if value is not None}
-
     def bound(self) -> "LiouvilleSystem":
-        """Copy with bound parameter values substituted everywhere."""
-        mapping = self.binding_map()
+        """Copy with bound parameter values substituted everywhere.
+
+        The copy has no pending bindings (its ``params`` are all None), so
+        binding it again returns it unchanged.
+        """
+        mapping = {name: as_normal_form(value)
+                   for name, value in self.params.items() if value is not None}
         if not mapping:
             return self
-        sub = lambda e: substitute(e, mapping)
+
+        def form(a: DiffForm | None) -> DiffForm | None:
+            if a is None:
+                return None
+            return DiffForm(a.space, a.degree, {i: substitute(c, mapping) for i, c in a.nfs.items()})
+
         return replace(
             self,
-            field=self.field.map_components(sub),
-            omega=self.omega.map_coefficients(sub),
-            gamma=self.gamma.map_coefficients(sub) if self.gamma is not None else None,
-            sigma=self.sigma.map_coefficients(sub) if self.sigma is not None else None,
-            theta=self.theta.map_coefficients(sub) if self.theta is not None else None,
-            invariants=tuple(sub(e) for e in self.invariants),
+            field=VectorField(self.field.space, tuple(substitute(c, mapping) for c in self.field.nfs)),
+            omega=form(self.omega),
+            gamma=form(self.gamma),
+            sigma=form(self.sigma),
+            theta=form(self.theta),
+            invariants=tuple(substitute(e, mapping) for e in self.invariants),
+            params=dict.fromkeys(self.params),
         )
 
 
@@ -205,7 +213,7 @@ def promote_form(a: DiffForm, ext: Space) -> DiffForm:
 
 
 def promote_field(v: VectorField, ext: Space, time_component=0) -> VectorField:
-    return VectorField(ext, (normal_form(as_expr(time_component)),) + v.nfs)
+    return VectorField(ext, (as_normal_form(time_component),) + v.nfs)
 
 
 def validate_system(sys: LiouvilleSystem,
@@ -265,20 +273,6 @@ def is_liouville(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_TES
     b = sys.bound()
     residual = exterior_derivative(interior_product(b.field, b.omega))
     return _zero_certificate("liouville_flux_closed", residual, config)
-
-
-def rescale_to_exact(Y: VectorField, rho: ScalarExpr,
-                     config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> VectorField:
-    """Trade a measure factor for a field factor: X = rho * Y.
-
-    If Y ⌟ (rho * Omega-tilde) was exact, the rescaled X has the same
-    potential with respect to Omega = rho * Omega-tilde.
-    """
-    rho = as_expr(rho)
-    verdict = is_zero(rho, config)
-    if verdict.value:
-        raise LiouvilleError("rescaling function is identically zero")
-    return Y * rho
 
 
 # --------------------------------------------------------------------------
@@ -426,35 +420,31 @@ def split_chart(space: Space, verticals: tuple[str, str] | None = None) -> Space
 
 @dataclass
 class CharacteristicDecomposition:
-    """Components (A^mu, f, g) of a degree-(n-1) form in a split chart."""
+    """Components (A^mu, f, g), as normal forms, of a degree-(n-1) form in a
+    split chart."""
 
     space: Space
     base: tuple[str, ...]
     verticals: tuple[str, str]
-    coefficients: tuple[ScalarExpr, ...]
-    f: ScalarExpr
-    g: ScalarExpr
+    coefficients: tuple[NormalForm, ...]
+    f: NormalForm
+    g: NormalForm
 
     @property
     def k(self) -> int:
         return len(self.base)
 
     def recompose(self) -> DiffForm:
-        n = self.space.dim
         k = self.k
-        coeffs: dict[tuple[int, ...], ScalarExpr] = {}
         zpos, wpos = k, k + 1
-        for mu in range(k):
-            idx = tuple(i for i in range(k) if i != mu) + (zpos, wpos)
-            sign = -1 if mu % 2 else 1
-            prev = coeffs.get(idx)
-            term = Const(Fraction(sign)) * self.coefficients[mu]
-            coeffs[idx] = prev + term if prev is not None else term
+        coeffs = {}
+        for mu, a in enumerate(self.coefficients):
+            coeffs[tuple(i for i in range(k) if i != mu) + (zpos, wpos)] = nf_neg(a) if mu % 2 else a
         base_idx = tuple(range(k))
-        sign_f = -1 if k % 2 else 1
-        coeffs[base_idx + (wpos,)] = Const(Fraction(sign_f)) * self.f
-        coeffs[base_idx + (zpos,)] = Const(Fraction(-sign_f)) * self.g
-        return DiffForm(self.space, n - 1, coeffs)
+        f, g = (nf_neg(self.f), self.g) if k % 2 else (self.f, nf_neg(self.g))
+        coeffs[base_idx + (wpos,)] = f
+        coeffs[base_idx + (zpos,)] = g
+        return DiffForm(self.space, self.space.dim - 1, coeffs)
 
 
 def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
@@ -484,7 +474,7 @@ def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
         f, g = nf_neg(f), nf_neg(g)
     dec = CharacteristicDecomposition(
         chart, chart.coordinates[:k], (chart.coordinates[k], chart.coordinates[k + 1]),
-        tuple(from_normal(c) for c in coefficients), from_normal(f), from_normal(g))
+        tuple(coefficients), f, g)
     if dec.recompose() != beta:
         raise LiouvilleError("internal error: decomposition does not recompose to the input")
     return dec
@@ -544,17 +534,15 @@ def section_residuals(u_z: ScalarExpr, u_w: ScalarExpr,
     with the section substituted into A, f, g; the section is critical
     exactly when both vanish.
     """
-    u_z = as_expr(u_z)
-    u_w = as_expr(u_w)
+    u_z = as_normal_form(u_z)
+    u_w = as_normal_form(u_w)
     z, w = dec.verticals
     section = {z: u_z, w: u_w}
-    sub = lambda e: normal_form(substitute(e, section))
-    A = [sub(a) for a in dec.coefficients]
+    A = [substitute(a, section) for a in dec.coefficients]
 
     def residual(u, rhs):
-        u_nf = normal_form(u)
-        return from_normal(nf_add(*(nf_mul(a, nf_diff(u_nf, x)) for a, x in zip(A, dec.base)),
-                                  nf_neg(sub(rhs))))
+        return from_normal(nf_add(*(nf_mul(a, nf_diff(u, x)) for a, x in zip(A, dec.base)),
+                                  nf_neg(substitute(rhs, section))))
 
     return residual(u_w, dec.g), residual(u_z, dec.f)
 

@@ -34,7 +34,6 @@ from .expr import (
     nf_neg,
     nf_scale,
     normal_form,
-    normalize,
     parse_expr,
     parse_rational,
     render,
@@ -183,6 +182,13 @@ def _check_invariants(sys: LiouvilleSystem, config: ZeroTestConfig) -> None:
                 f"declared invariant {render(inv)} is not conserved by the field")
 
 
+def _validate(sys: LiouvilleSystem, config: ZeroTestConfig) -> None:
+    """``validate_system`` and ``_check_invariants`` on one bound copy."""
+    b = sys.bound()
+    validate_system(b, config)
+    _check_invariants(b, config)
+
+
 # --------------------------------------------------------------------------
 # Hamiltonian systems
 
@@ -226,8 +232,7 @@ def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
     sigma = wedge(rho, zeta)
     sys = LiouvilleSystem(name or f"hamiltonian_m{m}", space, X,
                           gamma=gamma, sigma=sigma, invariants=(H,))
-    validate_system(sys, config)
-    _check_invariants(sys, config)
+    _validate(sys, config)
     return sys
 
 
@@ -258,8 +263,7 @@ def build_nambu(hamiltonians, coordinates: Iterable[str] | None = None,
     for dh in dhs[1:]:
         gamma = wedge(gamma, dh)
     sys = LiouvilleSystem(name, space, X, gamma=gamma, invariants=tuple(hs))
-    validate_system(sys, config)
-    _check_invariants(sys, config)
+    _validate(sys, config)
     return sys
 
 
@@ -392,8 +396,7 @@ def build_euler_top(inertia: tuple | None = None,
     sys = LiouvilleSystem("euler_top", space, X, gamma=gamma,
                           invariants=invariants,
                           params={p: bindings[p] for p in parameters})
-    validate_system(sys, config)
-    _check_invariants(sys, config)
+    _validate(sys, config)
     return sys
 
 
@@ -528,8 +531,7 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
                           invariants=(v1 ** 2 + v2 ** 2 + v3 ** 2,),
                           params={"k": _bind(k), **{p: None for p in extra}},
                           warnings=warnings)
-    validate_system(sys, config)
-    _check_invariants(sys, config)
+    _validate(sys, config)
     return sys
 
 
@@ -575,7 +577,7 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
         raise CertificateError(
             "hyperhamiltonian sum does not reproduce the expected linear field; "
             "check the Hamiltonian/component pairing")
-    ext.base.invariants = (normalize(norm2),)
+    ext.base.invariants = (normal_form(norm2),)
     ext.base.params = {"Bx": _bind(Bx), "By": _bind(By), "Bz": _bind(Bz), "kappa": _bind(kappa)}
     _check_invariants(ext.base, config)
     return ext

@@ -241,6 +241,27 @@ def test_integrate_blowup_exit_1(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, T", [("nan", "1"), ("1e-3", "nan"), ("1e-3", "inf"), ("inf", "1")])
+def test_integrate_non_finite_step_or_duration_exit_2(example_dir, capsys, h, T):
+    rc = main(["integrate", str(example_dir / "euler_top.json"),
+               "--x0", "1,1,1", "--h", h, "--T", T])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth, code", [(32, 0), (33, 2), (3000, 2)])
+def test_integrate_nesting_depth(tmp_path, capsys, depth, code):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "name": "deep", "coordinates": ["x1", "x2"],
+        "vector_field": ["(" * depth + "x2" + ")" * depth, "sin(" * depth + "x1" + ")" * depth],
+    }), encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0", "0.5,0.5", "--h", "1e-2", "--T", "0.1", "--tangent"])
+    assert rc == code
+    if code == 2:
+        assert "nesting" in capsys.readouterr().err
+
+
 def test_integrate_bad_x0_exit_2(example_dir, capsys):
     rc = main(["integrate", str(example_dir / "euler_top.json"),
                "--x0", "1,1", "--h", "1e-3", "--T", "1"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liouvar.expr import (
+    MAX_NESTING,
     Const,
     Cos,
     Neg,
@@ -22,6 +23,7 @@ from liouvar.expr import (
     ZeroTestConfig,
     differentiate,
     evaluate,
+    from_normal,
     is_zero,
     nf_divide,
     normal_form,
@@ -31,6 +33,7 @@ from liouvar.expr import (
     render,
     substitute,
 )
+from liouvar.flow import compile_scalar
 
 try:
     import sympy
@@ -89,6 +92,19 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         q("x1 + * x2")
     assert err.value.position == 5
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", "")])
+def test_parse_nesting_limit(opening, closing):
+    def nested(depth):
+        return opening * depth + "x1" + closing * depth
+
+    assert normal_form(q(nested(MAX_NESTING))).free_symbols() == {"x1"}
+    with pytest.raises(ParseError, match="nesting") as err:
+        q(nested(MAX_NESTING + 1))
+    assert err.value.position == len(opening) * MAX_NESTING
+    with pytest.raises(ParseError, match="nesting"):
+        q(nested(3000))
 
 
 def test_parse_trailing_garbage():
@@ -205,27 +221,33 @@ def test_evaluate_unbound():
 
 
 def test_substitute_into_square():
-    e = substitute(q("q^2"), {"q": Sin(Symbol("t"))})
-    assert normalize(e) == normalize(q("sin(t)^2"))
+    e = substitute(normal_form(q("q^2")), {"q": normal_form(Sin(Symbol("t")))})
+    assert e == normal_form(q("sin(t)^2"))
 
 
 def test_substitute_identity():
-    e = q("x1*x2 + sin(x3)")
-    assert normalize(substitute(e, {"x1": Symbol("x1")})) == normalize(e)
+    e = normal_form(q("x1*x2 + sin(x3)"))
+    assert substitute(e, {"x1": normal_form(Symbol("x1"))}) == e
 
 
 def test_substitute_simultaneous_swap():
-    e = q("q - p")
-    swapped = substitute(e, {"q": Symbol("p"), "p": Symbol("q")})
-    assert normalize(swapped) == normalize(q("p - q"))
+    e = normal_form(q("q - p"))
+    swapped = substitute(e, {"q": normal_form(Symbol("p")), "p": normal_form(Symbol("q"))})
+    assert swapped == normal_form(q("p - q"))
 
 
 def test_substitute_parameter_expansion():
     syms = SYMS + ("I2", "I3", "I1r")
-    f1 = parse_expr("mu1*x2*x3", syms)
-    replacement = parse_expr("(I2 - I3)*I1r", syms)
+    f1 = normal_form(parse_expr("mu1*x2*x3", syms))
+    replacement = normal_form(parse_expr("(I2 - I3)*I1r", syms))
     out = substitute(f1, {"mu1": replacement})
-    assert normalize(out) == normalize(parse_expr("(I2 - I3)*I1r*x2*x3", syms))
+    assert out == normal_form(parse_expr("(I2 - I3)*I1r*x2*x3", syms))
+
+
+def test_substitute_inside_trig_arguments():
+    e = normal_form(q("q*sin(2*q + p)^2 - cos(p)"))
+    out = substitute(e, {"q": normal_form(q("t - 1")), "p": normal_form(Const(0))})
+    assert out == normal_form(q("(t - 1)*sin(2*t - 2)^2 - 1"))
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +361,17 @@ def test_normal_form_and_derivative_match_sympy(e):
     for v in ("x1", "x2"):
         derivative = sympy.diff(reference, sympy.Symbol(v))
         assert sympy.expand(_to_sympy(differentiate(e, v)) - derivative) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(expressions, polynomials(trig=True)), st.floats(-2, 2), st.floats(-2, 2))
+def test_compiled_normal_form_matches_tree_evaluation(e, a, b):
+    # bit for bit up to the sign of zero (a tree sum starts from 0.0); with
+    # x2 as a parameter its value is compiled in as a float literal
+    nf = normal_form(e)
+    want = evaluate(from_normal(nf), {"x1": a, "x2": b})
+    assert compile_scalar(nf, ("x1", "x2"), {})([a, b]) == want
+    assert compile_scalar(nf, ("x1",), {"x2": b})([a]) == want
 
 
 # --------------------------------------------------------------------------

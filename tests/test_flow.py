@@ -1,6 +1,7 @@
 """Tests for the RK4 integrator, flow diagnostics, and section sweeps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from liouvar.liouville import build_extended, decompose_beta
 from liouvar.flow import (
     BlowupError,
     FlowError,
+    compile_jacobian,
     integrate_rk4,
     invariant_drift,
     section_sweep,
@@ -87,6 +89,28 @@ def test_bad_arguments():
         integrate_rk4(field, (0.0,), -1e-3, 1.0)
     with pytest.raises(FlowError):
         integrate_rk4(field, (0.0, 0.0), 1e-3, 1.0)
+
+
+def test_negative_parameter_raised_to_a_power():
+    # mu^2*x1 with mu = -1 is +x1: the literal is raised as a whole
+    sp = Space("p", ("x1",), ("mu",))
+    field = VectorField(sp, (Symbol("mu") ** 2 * Symbol("x1"),))
+    traj = integrate_rk4(field, (1.0,), 1e-2, 1.0, params={"mu": -1.0})
+    reference = integrate_rk4(VectorField(sp, (Symbol("x1"),)), (1.0,), 1e-2, 1.0)
+    assert np.array_equal(traj.states, reference.states)
+
+
+def test_compile_jacobian_makes_no_normal_form_call(monkeypatch, euler_numeric):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "normal_form", None) if name.startswith("liouvar") else None
+        if original is not None:
+            monkeypatch.setattr(module, "normal_form",
+                                lambda e, _f=original: calls.append(e) or _f(e))
+    jac = compile_jacobian(euler_numeric.field, {})
+    assert calls == []
+    # field (-x2*x3, x1*x3, -1/3*x1*x2)
+    assert jac([1.0, 2.0, 3.0]) == [[0.0, -3.0, -2.0], [3.0, 0.0, 1.0], [-2 / 3, -1 / 3, 0.0]]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the certificate pipeline: potentials, extension, characteristics."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,6 @@ from liouvar.exterior import (
 )
 from liouvar.liouville import (
     ImproperPrincipleError,
-    LiouvilleError,
     LiouvilleSystem,
     NormalizationError,
     PotentialError,
@@ -48,7 +48,6 @@ from liouvar.liouville import (
     normalize_by_dt,
     promote_field,
     psi_forms,
-    rescale_to_exact,
     roundtrip_characteristic,
     section_residuals,
     solve_gamma,
@@ -95,30 +94,19 @@ def test_is_liouville_trig_exact(bundle):
     assert cert.passed and cert.certainty == "exact"
 
 
-# --------------------------------------------------------------------------
-# Measure rescaling
-
-
-def test_rescale_identity():
-    sp = Space("r", ("x1", "x2"))
-    Y = VectorField(sp, (Symbol("x2"), Const(1)))
-    assert rescale_to_exact(Y, Const(1)) == Y
-
-
-def test_rescale_matches_unscaled_flux():
-    # Y . (2 Omega) equals (2 Y) . Omega
-    sp = Space("r", ("x1", "x2", "x3"))
-    Y = VectorField(sp, (Const(1), Const(0), Const(0)))
-    omega_tilde = volume_form(sp) * Const(2)
-    X = rescale_to_exact(Y, Const(2))
-    assert interior_product(X, volume_form(sp)) == interior_product(Y, omega_tilde)
-
-
-def test_rescale_zero_function_rejected():
-    sp = Space("r", ("x1", "x2"))
-    Y = VectorField(sp, (Const(1), Const(0)))
-    with pytest.raises(LiouvilleError):
-        rescale_to_exact(Y, Const(0))
+def test_binding_a_bound_copy_makes_no_substitution(monkeypatch, bundle):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "substitute", None) if name.startswith("liouvar") else None
+        if original is not None:
+            monkeypatch.setattr(module, "substitute",
+                                lambda *args, _f=original: calls.append(args) or _f(*args))
+    b = bundle["euler_top"].bound()
+    assert calls and all(value is None for value in b.params.values())
+    calls.clear()
+    assert b.bound() is b
+    cert = is_liouville(b)
+    assert cert.passed and calls == []
 
 
 # --------------------------------------------------------------------------
