@@ -276,15 +276,27 @@ def _parse_params(items) -> dict[str, float]:
     return out
 
 
+def _float_params(params) -> dict[str, float]:
+    """File-bound parameter values as floats."""
+    out = {}
+    for name, value in params.items():
+        if value is not None:
+            try:
+                out[name] = float(value)
+            except OverflowError:
+                raise SystemFileError(f"parameter '{name}' is too large for a float") from None
+    return out
+
+
 def cmd_integrate(args) -> int:
     config = _zero_config(args)
     try:
         sys = load_system(args.path, config)
         overrides = _parse_params(args.param)
+        bindings = _float_params(sys.params)
     except (SystemFileError, SystemInvariantError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    bindings = {name: float(v) for name, v in sys.params.items() if v is not None}
     changed = sorted(n for n in set(overrides) & set(bindings) if overrides[n] != bindings[n])
     warnings = list(sys.warnings)
     if changed:
@@ -341,6 +353,9 @@ def cmd_integrate(args) -> int:
         except (PotentialError, SystemInvariantError, LiouvilleError, BlowupError) as exc:
             _sys.stderr.write(f"error: sweep failed: {exc}\n")
             return 1
+        except FlowError as exc:
+            _sys.stderr.write(f"error: {exc}\n")
+            return 2
     out = {
         "tool": TOOL_NAME,
         "version": __version__,

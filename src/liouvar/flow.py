@@ -35,10 +35,19 @@ class BlowupError(FlowError):
 # Compilation of exact expressions to fast numeric callables
 
 
-def _symbol_sources(coordinates: Sequence[str], params: Mapping[str, float]) -> dict[str, str]:
-    """Coordinates read the state ``s``; parameters become float literals."""
-    sources = {name: repr(float(value)) for name, value in params.items()}
-    sources.update((c, f"s[{i}]") for i, c in enumerate(coordinates))
+def _symbol_sources(coordinates: Sequence[str], params: Mapping[str, float],
+                    state: Sequence[str] | None = None) -> dict[str, str]:
+    """Coordinate i reads ``state[i]`` (default ``s[i]``); parameters
+    become float literals, so they must be finite."""
+    sources = {}
+    for name, value in params.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise FlowError(f"parameter '{name}' must be finite, got {value}")
+        sources[name] = repr(value)
+    if state is None:
+        state = [f"s[{i}]" for i in range(len(coordinates))]
+    sources.update(zip(coordinates, state))
     return sources
 
 
@@ -58,6 +67,111 @@ def compile_jacobian(field: VectorField, params: Mapping[str, float]):
     rows = ("[" + ", ".join(nf_source(nf_diff(c, x), sources) for x in coordinates) + "]"
             for c in field.nfs)
     return compile_lambda("[" + ", ".join(rows) + "]")
+
+
+def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: bool) -> str:
+    """Source of ``rk4(states, tangents, h)``: the whole RK4 step loop.
+
+    The state is held in floats ``x0..``, a stage state in ``y0..`` and the
+    slopes in ``k1_0..k4_0..``.  Every operation is written in the order
+    of the array formula
+        k1 = f(x), k2 = f(x + h2*k1), k3 = f(x + h2*k2), k4 = f(x + h*k3),
+        x + h6*(((k1 + 2.0*k2) + 2.0*k3) + k4)
+    with h2 = 0.5*h and h6 = h/6.0, so each component rounds exactly as
+    numpy's elementwise arithmetic on float64 arrays does.  The tangent map
+    M (entries ``m0..`` row by row) and its slopes ``K1_0..`` follow the
+    same formula with J(y) @ N for f(y): the entries of J and of the stage
+    map N are written into two numpy buffers and multiplied by numpy,
+    because the BLAS product rounds differently from a float sum.
+    """
+    coords = field.space.coordinates
+    n = len(coords)
+    xs = [f"x{i}" for i in range(n)]
+    ms = [f"m{p}" for p in range(n * n)]
+    derivatives = [nf_diff(c, x) for c in field.nfs for x in coords] if with_tangent else []
+    slopes, jacobian = {}, {}
+    for state in "xy":
+        sources = _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
+        slopes[state] = [nf_source(c, sources) for c in field.nfs]
+        jacobian[state] = [nf_source(d, sources) for d in derivatives]
+    lines = [
+        "def rk4(states, tangents, h):",
+        "    out = memoryview(states.reshape(-1))",
+        f"    {', '.join(xs)}, = out[:{n}].tolist()",
+        "    h2 = 0.5 * h",
+        "    h6 = h / 6.0",
+    ]
+    if with_tangent:
+        lines += [
+            f"    J = empty(({n}, {n}))",
+            f"    N = empty(({n}, {n}))",
+            "    jv = memoryview(J.reshape(-1))",
+            "    nv = memoryview(N.reshape(-1))",
+            "    tv = memoryview(tangents.reshape(-1))",
+            f"    {', '.join(ms)}, = tv[:{n * n}].tolist()",
+        ]
+    lines += ["    for step in range(1, len(states)):", "        try:"]
+    for stage, factor in enumerate((None, "h2", "h2", "h"), start=1):
+        state = "x" if factor is None else "y"
+        if factor is not None:
+            lines += [f"            y{i} = x{i} + {factor} * k{stage - 1}_{i}" for i in range(n)]
+        lines += [f"            k{stage}_{i} = {src}" for i, src in enumerate(slopes[state])]
+        if with_tangent:
+            lines += [f"            jv[{p}] = {src}" for p, src in enumerate(jacobian[state])]
+            if factor is None:
+                product = "J @ tangents[step - 1]"
+            else:
+                lines += [f"            nv[{p}] = m{p} + {factor} * K{stage - 1}_{p}"
+                          for p in range(n * n)]
+                product = "J @ N"
+            rows = ", ".join("(" + ", ".join(f"K{stage}_{i * n + j}" for j in range(n)) + ",)"
+                             for i in range(n))
+            lines.append(f"            {rows}, = ({product}).tolist()")
+    lines += [
+        "        except (OverflowError, ValueError):",
+        "            raise BlowupError(step) from None",
+    ]
+    lines += [f"        x{i} = x{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+              for i in range(n)]
+    lines += [f"        m{p} = m{p} + h6 * (((K1_{p} + 2.0 * K2_{p}) + 2.0 * K3_{p}) + K4_{p})"
+              for p in range(n * n) if with_tangent]
+    finite = " and ".join(f"isfinite({v})" for v in xs + (ms if with_tangent else []))
+    lines += [f"        if not ({finite}):", "            raise BlowupError(step)"]
+    lines.append(f"        j = step * {n}")
+    lines += [f"        out[j + {i}] = x{i}" for i in range(n)]
+    if with_tangent:
+        lines.append(f"        j = step * {n * n}")
+        lines += [f"        tv[j + {p}] = m{p}" for p in range(n * n)]
+    return "\n".join(lines) + "\n"
+
+
+def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: bool):
+    """Compile the RK4 loop of ``field`` once; the result runs it from a seed.
+
+    ``run(x0, steps, h)`` returns the ``(steps + 1, n)`` states and, with
+    ``with_tangent``, the ``(steps + 1, n, n)`` tangent maps (else None).
+    It raises ``BlowupError(step)`` when a stage overflows or leaves the
+    domain of sin/cos, or when the new state is not finite.
+    """
+    namespace = {"math": math, "isfinite": math.isfinite, "empty": np.empty,
+                 "BlowupError": BlowupError}
+    exec(_rk4_source(field, params, with_tangent), namespace)
+    loop = namespace["rk4"]
+    n = field.space.dim
+
+    def run(x0: np.ndarray, steps: int, h: float):
+        states = np.empty((steps + 1, n))
+        states[0] = x0
+        tangents = None
+        if with_tangent:
+            tangents = np.empty((steps + 1, n, n))
+            tangents[0] = np.eye(n)
+        # a non-finite product is reported as a BlowupError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop(states, tangents, h)
+        return states, tangents
+
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -102,6 +216,24 @@ class FlowDiagnostics:
         return out
 
 
+def _grid(h: float, T: float) -> tuple[int, float]:
+    """Step count and step of the uniform grid on [0, T]: T / round(T/h)."""
+    if not (math.isfinite(h) and math.isfinite(T)):
+        raise FlowError("step and duration must be finite")
+    if h <= 0 or T <= 0:
+        raise FlowError("step and duration must be positive")
+    steps = max(1, round(T / h))
+    return steps, T / steps
+
+
+def _initial_state(field: VectorField, x0: Sequence[float]) -> np.ndarray:
+    n = field.space.dim
+    x0 = np.asarray([float(v) for v in x0], dtype=float)
+    if x0.shape != (n,):
+        raise FlowError(f"initial state must have {n} components")
+    return x0
+
+
 def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
                   with_tangent: bool = False,
                   params: Mapping[str, float] | None = None) -> Trajectory:
@@ -110,54 +242,13 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     The step is adjusted to T / round(T/h) so the uniform grid ends
     exactly at T.  With ``with_tangent`` the variational equation
     M' = J(x) M, M(0) = I is co-integrated using the exact symbolic
-    Jacobian evaluated numerically.
+    Jacobian evaluated numerically.  The step loop is generated code
+    (``_rk4_source``) whose results equal the array formula bit for bit.
     """
-    if not (math.isfinite(h) and math.isfinite(T)):
-        raise FlowError("step and duration must be finite")
-    if h <= 0 or T <= 0:
-        raise FlowError("step and duration must be positive")
+    steps, h_eff = _grid(h, T)
     params = dict(params or {})
-    n = field.space.dim
-    x0 = np.asarray([float(v) for v in x0], dtype=float)
-    if x0.shape != (n,):
-        raise FlowError(f"initial state must have {n} components")
-    f = compile_field(field, params)
-    jac = compile_jacobian(field, params) if with_tangent else None
-
-    steps = max(1, round(T / h))
-    h_eff = T / steps
-    states = np.empty((steps + 1, n))
-    states[0] = x0
-    tangents = None
-    if with_tangent:
-        tangents = np.empty((steps + 1, n, n))
-        tangents[0] = np.eye(n)
-
-    x = x0.copy()
-    M = np.eye(n) if with_tangent else None
-
-    def rhs(state, tangent):
-        dx = np.asarray(f(state.tolist()), dtype=float)
-        dM = np.asarray(jac(state.tolist()), dtype=float) @ tangent if with_tangent else None
-        return dx, dM
-
-    for step in range(1, steps + 1):
-        try:
-            k1x, k1m = rhs(x, M)
-            k2x, k2m = rhs(x + 0.5 * h_eff * k1x, M + 0.5 * h_eff * k1m if with_tangent else None)
-            k3x, k3m = rhs(x + 0.5 * h_eff * k2x, M + 0.5 * h_eff * k2m if with_tangent else None)
-            k4x, k4m = rhs(x + h_eff * k3x, M + h_eff * k3m if with_tangent else None)
-        except OverflowError:
-            raise BlowupError(step) from None
-        x = x + (h_eff / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        if with_tangent:
-            M = M + (h_eff / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        if not np.all(np.isfinite(x)) or (with_tangent and not np.all(np.isfinite(M))):
-            raise BlowupError(step)
-        states[step] = x
-        if with_tangent:
-            tangents[step] = M
-
+    x0 = _initial_state(field, x0)
+    states, tangents = _compile_rk4(field, params, with_tangent)(x0, steps, h_eff)
     grid = np.arange(steps + 1) * h_eff
     return Trajectory(field.space.coordinates, grid, states, tangents, params, h_eff, T)
 
@@ -174,9 +265,10 @@ def invariant_drift(traj: Trajectory,
                     invariants: Iterable[ScalarExpr | NormalForm]) -> tuple[float, ...]:
     """Max |inv(x(s)) - inv(x(0))| per declared first integral."""
     drifts = []
+    rows = traj.states.tolist()
     for inv in invariants:
         fn = compile_scalar(inv, traj.coordinates, traj.params)
-        values = np.asarray([fn(row.tolist()) for row in traj.states])
+        values = np.asarray([fn(row) for row in rows])
         drifts.append(float(np.max(np.abs(values - values[0]))))
     return tuple(drifts)
 
@@ -227,24 +319,24 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
     k = dec.k
     f_fn = compile_scalar(dec.f, dec.space.coordinates, params)
     g_fn = compile_scalar(dec.g, dec.space.coordinates, params)
+    steps, h_eff = _grid(h, T)
+    if steps < 2:
+        raise FlowError("sweep needs at least two integration steps")
+    run = _compile_rk4(W, params, False)
     max_rz = 0.0
     max_rw = 0.0
-    step = None
     for seed in seeds:
-        traj = integrate_rk4(W, seed, h, T, params=params)
-        step = traj.step
-        z = traj.states[:, k]
-        w = traj.states[:, k + 1]
-        if len(z) < 3:
-            raise FlowError("sweep needs at least two integration steps")
-        dz = (z[2:] - z[:-2]) / (2.0 * traj.step)
-        dw = (w[2:] - w[:-2]) / (2.0 * traj.step)
-        interior = traj.states[1:-1]
-        fv = np.asarray([f_fn(row.tolist()) for row in interior])
-        gv = np.asarray([g_fn(row.tolist()) for row in interior])
+        states, _ = run(_initial_state(W, seed), steps, h_eff)
+        z = states[:, k]
+        w = states[:, k + 1]
+        dz = (z[2:] - z[:-2]) / (2.0 * h_eff)
+        dw = (w[2:] - w[:-2]) / (2.0 * h_eff)
+        interior = states[1:-1].tolist()
+        fv = np.asarray([f_fn(row) for row in interior])
+        gv = np.asarray([g_fn(row) for row in interior])
         max_rz = max(max_rz, float(np.max(np.abs(dz - fv))))
         max_rw = max(max_rw, float(np.max(np.abs(dw - gv))))
-    return SweepReport(max_rz, max_rw, step, T, len(seeds))
+    return SweepReport(max_rz, max_rw, h_eff, T, len(seeds))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> int:

@@ -703,7 +703,7 @@ def load_system(path, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSy
         raise SystemFileError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SystemFileError(f"invalid JSON in {path}: {exc}") from exc
     return system_from_dict(data, config)
 

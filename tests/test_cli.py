@@ -64,6 +64,14 @@ def test_verify_syntax_error_exit_2(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
 
 
+def test_verify_deeply_nested_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    rc = main(["verify", str(path)])
+    assert rc == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["x1", ["x2", "-1*x1", "0"], ["x2", 1]])
 def test_verify_malformed_vector_field_exit_2(tmp_path, capsys, field):
     bad = tmp_path / "bad.json"
@@ -239,6 +247,38 @@ def test_integrate_blowup_exit_1(tmp_path, capsys):
     rc = main(["integrate", str(path), "--x0", "1,0", "--h", "1e-3", "--T", "2"])
     assert rc == 1
     assert "step" in capsys.readouterr().err
+
+
+def test_integrate_overflow_into_sin_exit_1(example_dir, capsys):
+    rc = main(["integrate", str(example_dir / "abc_flow.json"), "--x0=0.3,1.2,2.5",
+               "--h", "0.001", "--T", "1", "--param", "A=1e308", "B=1e308", "C=1e308"])
+    assert rc == 1
+    assert "error: non-finite state encountered at step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])
+def test_integrate_non_finite_param_exit_2(example_dir, capsys, value):
+    rc = main(["integrate", str(example_dir / "euler_top.json"),
+               "--x0", "1,1,1", "--h", "1e-3", "--T", "1", "--param", f"mu1={value}"])
+    assert rc == 2
+    assert "'mu1'" in capsys.readouterr().err
+
+
+def test_integrate_file_param_too_large_for_a_float_exit_2(example_dir, capsys, tmp_path):
+    data = json.loads((example_dir / "euler_top.json").read_text(encoding="utf-8"))
+    data["parameters"]["mu1"] = "1" + "0" * 400
+    path = tmp_path / "huge_param.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0", "1,1,1", "--h", "1e-3", "--T", "1"])
+    assert rc == 2
+    assert "'mu1'" in capsys.readouterr().err
+
+
+def test_integrate_sweep_of_one_step_exit_2(example_dir, capsys):
+    rc = main(["integrate", str(example_dir / "harmonic_oscillator_m1.json"),
+               "--x0", "1,0", "--h", "1", "--T", "1", "--sweep"])
+    assert rc == 2
+    assert "two integration steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h, T", [("nan", "1"), ("1e-3", "nan"), ("1e-3", "inf"), ("inf", "1")])

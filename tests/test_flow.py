@@ -12,6 +12,7 @@ from liouvar.liouville import build_extended, decompose_beta
 from liouvar.flow import (
     BlowupError,
     FlowError,
+    compile_field,
     compile_jacobian,
     integrate_rk4,
     invariant_drift,
@@ -98,6 +99,75 @@ def test_negative_parameter_raised_to_a_power():
     traj = integrate_rk4(field, (1.0,), 1e-2, 1.0, params={"mu": -1.0})
     reference = integrate_rk4(VectorField(sp, (Symbol("x1"),)), (1.0,), 1e-2, 1.0)
     assert np.array_equal(traj.states, reference.states)
+
+
+def _array_rk4(field, x0, h, T, with_tangent=False, params=None):
+    """Reference RK4: the array formula on float64 numpy arrays."""
+    f = compile_field(field, params or {})
+    jac = compile_jacobian(field, params or {})
+    steps = max(1, round(T / h))
+    h = T / steps
+    x = np.asarray(x0, dtype=float)
+    M = np.eye(len(x))
+    states, tangents = [x], [M]
+
+    def rhs(s, m):
+        dx = np.asarray(f(s.tolist()), dtype=float)
+        return dx, (np.asarray(jac(s.tolist()), dtype=float) @ m if with_tangent else m)
+
+    for step in range(1, steps + 1):
+        try:
+            k1, K1 = rhs(x, M)
+            k2, K2 = rhs(x + 0.5 * h * k1, M + 0.5 * h * K1)
+            k3, K3 = rhs(x + 0.5 * h * k2, M + 0.5 * h * K2)
+            k4, K4 = rhs(x + h * k3, M + h * K3)
+        except (OverflowError, ValueError):
+            raise BlowupError(step) from None
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if with_tangent:
+            M = M + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(M))):
+            raise BlowupError(step)
+        states.append(x)
+        tangents.append(M)
+    return np.array(states), np.array(tangents) if with_tangent else None
+
+
+@pytest.mark.parametrize("system, x0, with_tangent", [
+    ("euler", (1.0, 1.0, 1.0), False),
+    ("euler", (0.3, -0.8, 0.5), True),
+    ("abc", (0.3, 1.2, 2.5), True),
+    ("oscillator", (1.0, 0.0), False),
+])
+def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscillator,
+                                                euler_numeric):
+    field = {"euler": euler_numeric.field, "abc": build_abc_flow(1, 1, 1).bound().field,
+             "oscillator": oscillator.field}[system]
+    traj = integrate_rk4(field, x0, 1e-3, 2.0, with_tangent=with_tangent)
+    states, tangents = _array_rk4(field, x0, 1e-3, 2.0, with_tangent)
+    assert np.array_equal(traj.states, states)
+    if with_tangent:
+        assert np.array_equal(traj.tangents, tangents)
+    else:
+        assert traj.tangents is None
+
+
+def test_blowup_step_equals_the_array_formula():
+    sp = Space("b", ("x1", "x2"))
+    field = VectorField(sp, (Const(1) + Symbol("x1") ** 2, Const(0)))
+    with pytest.raises(BlowupError) as got:
+        integrate_rk4(field, (1.0, 0.0), 1e-3, 2.0)
+    with pytest.raises(BlowupError) as want:
+        _array_rk4(field, (1.0, 0.0), 1e-3, 2.0)
+    assert got.value.step == want.value.step
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_rejected(value):
+    sp = Space("p", ("x1",), ("mu",))
+    field = VectorField(sp, (Symbol("mu") * Symbol("x1"),))
+    with pytest.raises(FlowError, match="'mu'"):
+        integrate_rk4(field, (1.0,), 1e-2, 1.0, params={"mu": value})
 
 
 def test_compile_jacobian_makes_no_normal_form_call(monkeypatch, euler_numeric):
