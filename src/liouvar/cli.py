@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
     except (SystemFileError, SystemInvariantError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    b = sys.bound()
+    b = sys.bound_copy
     warnings = list(sys.warnings)
     # gamma_flux_match and sigma_volume_match were decided while loading
     certs: list[Certificate] = [is_liouville(b, config), *sys.checks]
@@ -190,7 +190,7 @@ def cmd_solve_gamma(args) -> int:
     except (SystemFileError, SystemInvariantError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    b = sys.bound()
+    b = sys.bound_copy
     flux = interior_product(b.field, b.omega)
     try:
         gamma = solve_gamma(flux)
@@ -220,7 +220,7 @@ def cmd_characteristic(args) -> int:
     except (SystemFileError, SystemInvariantError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    b = sys.bound()
+    b = sys.bound_copy
     try:
         ext = build_extended(b, config)
     except (PotentialError, SystemInvariantError) as exc:
@@ -338,7 +338,7 @@ def cmd_integrate(args) -> int:
         diagnostics["csv_rows"] = rows
     if args.sweep:
         try:
-            ext = build_extended(sys.bound(), config)
+            ext = build_extended(sys.bound_copy, config)
             verticals = _split_from_system(sys)
             dec = decompose_beta(ext.dtheta, verticals, config)
             k = dec.k

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -203,79 +204,149 @@ def mul_all(factors: Iterable[ScalarExpr]) -> ScalarExpr:
 
 _SYM, _SIN, _COS = 0, 1, 2
 
-# Atom encodings: (_SYM, name) | (_SIN, terms) | (_COS, terms) where terms
-# is the canonical terms-tuple of the normalized argument.  Monomials are
-# sorted tuples of (atom, exponent); a NormalForm is a sorted tuple of
-# (monomial, coefficient).
+# Atom encodings: (_SYM, name) | (_SIN, arg) | (_COS, arg) where arg is the
+# NormalForm of the argument.  Monomials are tuples of (atom, exponent)
+# sorted by atom; a NormalForm holds a sorted tuple of (monomial,
+# coefficient).  A coefficient is an int when it is integral and a Fraction
+# otherwise, never a float and never zero.
+
+_exponent = itemgetter(1)
+_set = object.__setattr__
 
 
 def _atom_sort_key(atom):
     kind, payload = atom
-    if kind == _SYM:
-        return (kind, payload)
-    return (kind, _terms_sort_key(payload))
+    return atom if kind == _SYM else (kind, payload.sort_key())
 
 
 def _monomial_sort_key(monomial):
-    degree = sum(e for _, e in monomial)
-    return (-degree, tuple((_atom_sort_key(a), e) for a, e in monomial))
+    return (-sum(map(_exponent, monomial)), tuple((_atom_sort_key(a), e) for a, e in monomial))
 
 
 def _terms_sort_key(terms):
     return tuple((_monomial_sort_key(m), (c.numerator, c.denominator)) for m, c in terms)
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
-    """Canonical representation: pairwise-distinct monomials, no zeros."""
+def _term_order(term):
+    """Canonical order of the terms of a normal form: by descending degree,
+    then by the monomial, whose atoms compare by their sort keys."""
+    monomial = term[0]
+    return (-sum(map(_exponent, monomial)), monomial)
 
-    terms: tuple
+
+def _coeff(c):
+    """``c`` as stored: an int when integral, else a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+class NormalForm:
+    """Canonical representation: pairwise-distinct monomials, no zeros.
+
+    Immutable.  Its hash, its canonical sort key and its free symbols are
+    computed on first use and kept on the object, so a normal form that is
+    the argument of a sin/cos atom is hashed and ordered once.  Normal forms
+    are ordered by their sort keys, which is the order of atoms inside a
+    monomial.
+    """
+
+    __slots__ = ("terms", "_hash", "_key", "_symbols")
+
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NormalForm is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self.terms))
+            return self._hash
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __repr__(self):
+        return f"NormalForm(terms={self.terms!r})"
+
+    def sort_key(self) -> tuple:
+        """Canonical order key, computed once."""
+        try:
+            return self._key
+        except AttributeError:
+            _set(self, "_key", _terms_sort_key(self.terms))
+            return self._key
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == ())
+        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == ():
-            return self.terms[0][1]
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return Fraction(self.terms[0][1])
         raise ExprError("normal form is not constant")
 
     def has_trig(self) -> bool:
         return any(kind != _SYM for m, _ in self.terms for (kind, _p), _e in m)
 
     def free_symbols(self) -> frozenset[str]:
+        """Names of the symbols in the terms and in sin/cos arguments,
+        computed once."""
+        try:
+            return self._symbols
+        except AttributeError:
+            pass
         out: set[str] = set()
         for m, _ in self.terms:
             for (kind, payload), _e in m:
                 if kind == _SYM:
                     out.add(payload)
                 else:
-                    out |= NormalForm(payload).free_symbols()
-        return frozenset(out)
+                    out |= payload.free_symbols()
+        _set(self, "_symbols", frozenset(out))
+        return self._symbols
 
 
 def _freeze(acc: dict) -> NormalForm:
-    items = [(m, c) for m, c in acc.items() if c != 0]
-    items.sort(key=lambda t: _monomial_sort_key(t[0]))
+    # drops the zeros and stores each coefficient as ``_coeff`` does, inline
+    items = [(m, c if type(c) is int or c.denominator != 1 else c.numerator)
+             for m, c in acc.items() if c]
+    items.sort(key=_term_order)
     return NormalForm(tuple(items))
 
 
-def _acc_add(acc: dict, monomial, coeff: Fraction) -> None:
+def _acc_add(acc: dict, monomial, coeff) -> None:
     prev = acc.get(monomial)
     acc[monomial] = coeff if prev is None else prev + coeff
 
 
 def _mono_mul(m1, m2):
-    exps: dict = {}
-    for atom, e in m1:
-        exps[atom] = exps.get(atom, 0) + e
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
     for atom, e in m2:
-        exps[atom] = exps.get(atom, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ae: _atom_sort_key(ae[0])))
+        prev = exps.get(atom)
+        exps[atom] = e if prev is None else prev + e
+    return tuple(sorted(exps.items()))
+
+
+def nf_term(monomial, coeff) -> NormalForm:
+    """The one-term normal form ``coeff * monomial``; zero when coeff is 0."""
+    return NormalForm(((monomial, _coeff(coeff)),)) if coeff else NF_ZERO
 
 
 def nf_add(*forms: NormalForm) -> NormalForm:
@@ -291,21 +362,46 @@ def nf_neg(a: NormalForm) -> NormalForm:
     return NormalForm(tuple((m, -c) for m, c in a.terms))
 
 
-def nf_scale(a: NormalForm, factor: Fraction) -> NormalForm:
+def nf_scale(a: NormalForm, factor) -> NormalForm:
+    """``factor * a`` for a rational factor (an int or a Fraction)."""
     if factor == 0:
-        return NormalForm(())
-    return NormalForm(tuple((m, c * factor) for m, c in a.terms))
+        return NF_ZERO
+    if factor == 1:
+        return a
+    return NormalForm(tuple((m, _coeff(c * factor)) for m, c in a.terms))
+
+
+def _accumulate_product(acc: dict, sign: int, a: NormalForm, b: NormalForm) -> None:
+    get = acc.get
+    for m1, c1 in a.terms:
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in b.terms:
+            m = _mono_mul(m1, m2)
+            prev = get(m)
+            acc[m] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.is_constant():
-        return nf_scale(b, a.constant_value())
+        return nf_scale(b, a.terms[0][1]) if a.terms else NF_ZERO
     if b.is_constant():
-        return nf_scale(a, b.constant_value())
+        return nf_scale(a, b.terms[0][1]) if b.terms else NF_ZERO
     acc: dict = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            _acc_add(acc, _mono_mul(m1, m2), c1 * c2)
+    _accumulate_product(acc, 1, a, b)
+    return _freeze(acc)
+
+
+def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalForm:
+    """Sum of ``sign * a * b`` over ``(sign, a, b)`` triples, sign +1 or -1.
+
+    Every product is accumulated into one dict and the sum is sorted once,
+    where ``nf_add`` of ``nf_mul`` results would sort every product and
+    then the sum again.
+    """
+    acc: dict = {}
+    for sign, a, b in products:
+        _accumulate_product(acc, sign, a, b)
     return _freeze(acc)
 
 
@@ -323,22 +419,21 @@ def nf_pow(a: NormalForm, exponent: int) -> NormalForm:
 
 
 NF_ZERO = NormalForm(())
-NF_ONE = NormalForm((((), Fraction(1)),))
+NF_ONE = NormalForm((((), 1),))
 
 
 def _trig_nf(kind: int, arg: NormalForm) -> NormalForm:
     """sin(arg) or cos(arg) as a normal form; sin(0) = 0 and cos(0) = 1."""
     if arg.is_zero():
         return NF_ZERO if kind == _SIN else NF_ONE
-    monomial = (((kind, arg.terms), 1),)
-    return NormalForm(((monomial, Fraction(1)),))
+    return NormalForm((((((kind, arg), 1),), 1),))
 
 
 def normal_form(e: ScalarExpr) -> NormalForm:
     if isinstance(e, Const):
-        return NormalForm((((), e.value),)) if e.value != 0 else NF_ZERO
+        return nf_term((), e.value)
     if isinstance(e, Symbol):
-        return NormalForm(((((( _SYM, e.name), 1),), Fraction(1)),))
+        return NormalForm((((((_SYM, e.name), 1),), 1),))
     if isinstance(e, Sum):
         return nf_add(*(normal_form(t) for t in e.terms))
     if isinstance(e, Product):
@@ -369,7 +464,7 @@ def _atom_expr(atom) -> ScalarExpr:
     kind, payload = atom
     if kind == _SYM:
         return Symbol(payload)
-    arg = from_normal(NormalForm(payload))
+    arg = from_normal(payload)
     return Sin(arg) if kind == _SIN else Cos(arg)
 
 
@@ -403,6 +498,8 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
     Symbol atoms follow the power rule; sin(u) and cos(u) follow the chain
     rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.
     """
+    if v not in nf.free_symbols():
+        return NF_ZERO
     acc: dict = {}
     for m, c in nf.terms:
         for i, (atom, e) in enumerate(m):
@@ -413,16 +510,14 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
             if kind == _SYM:
                 _acc_add(acc, rest, c * e)
                 continue
-            du = nf_diff(NormalForm(payload), v)
+            du = nf_diff(payload, v)
             if du.is_zero():
                 continue
             if kind == _SIN:
                 outer, sign = (_COS, payload), 1
             else:
                 outer, sign = (_SIN, payload), -1
-            chain = nf_mul(NormalForm(((_mono_mul(rest, ((outer, 1),)), c * e * sign),)), du)
-            for mono, coeff in chain.terms:
-                _acc_add(acc, mono, coeff)
+            _accumulate_product(acc, sign, nf_term(_mono_mul(rest, ((outer, 1),)), c * e), du)
     return _freeze(acc)
 
 
@@ -478,7 +573,7 @@ def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
         term = NormalForm(((kept, c),))
         for (kind, payload), e in m:
             if kind != _SYM:
-                image = _trig_nf(kind, substitute(NormalForm(payload), mapping))
+                image = _trig_nf(kind, substitute(payload, mapping))
             elif payload in mapping:
                 image = mapping[payload]
             else:
@@ -512,7 +607,7 @@ def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str]) -> list[str]:
                     raise UnboundSymbolError(f"unbound symbol '{payload}'") from None
             else:
                 name = "math.sin(" if kind == _SIN else "math.cos("
-                base = name + nf_source(NormalForm(payload), symbols) + ")"
+                base = name + nf_source(payload, symbols) + ")"
             factors.append(base if e == 1 else f"({base})**{e}")
         out.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
     return out
@@ -614,11 +709,9 @@ def nf_divide(num: NormalForm, den: NormalForm) -> NormalForm | None:
     if num.is_zero():
         return NF_ZERO
     if den.is_constant():
-        return nf_scale(num, 1 / den.constant_value())
+        return nf_scale(num, Fraction(1, den.terms[0][1]))
     universe = sorted(
-        {a for m, _ in num.terms for a, _e in m} | {a for m, _ in den.terms for a, _e in m},
-        key=_atom_sort_key,
-    )
+        {a for m, _ in num.terms for a, _e in m} | {a for m, _ in den.terms for a, _e in m})
     den_vecs = [(_mono_to_vec(m, universe), c) for m, c in den.terms]
     den_lead_vec, den_lead_c = max(den_vecs, key=lambda t: _vec_lead_key(t[0]))
     rem = {_mono_to_vec(m, universe): c for m, c in num.terms}
@@ -629,22 +722,18 @@ def nf_divide(num: NormalForm, den: NormalForm) -> NormalForm | None:
         ratio_vec = tuple(a - b for a, b in zip(lead_vec, den_lead_vec))
         if any(x < 0 for x in ratio_vec):
             return None
-        ratio_c = lead_c / den_lead_c
-        quotient[ratio_vec] = quotient.get(ratio_vec, Fraction(0)) + ratio_c
+        ratio_c = Fraction(lead_c, den_lead_c)
+        quotient[ratio_vec] = quotient.get(ratio_vec, 0) + ratio_c
         for dv, dc in den_vecs:
             key = tuple(a + b for a, b in zip(ratio_vec, dv))
-            value = rem.get(key, Fraction(0)) - ratio_c * dc
+            value = rem.get(key, 0) - ratio_c * dc
             if value == 0:
                 rem.pop(key, None)
             else:
                 rem[key] = value
-    acc: dict = {}
-    for vec, c in quotient.items():
-        mono = tuple(
-            sorted(((a, e) for a, e in zip(universe, vec) if e), key=lambda ae: _atom_sort_key(ae[0]))
-        )
-        _acc_add(acc, mono, c)
-    return _freeze(acc)
+    # the universe is sorted, so each monomial comes out sorted
+    return _freeze({tuple((a, e) for a, e in zip(universe, vec) if e): c
+                    for vec, c in quotient.items()})
 
 
 # --------------------------------------------------------------------------
@@ -661,7 +750,7 @@ def _atom_str(atom) -> str:
     kind, payload = atom
     if kind == _SYM:
         return payload
-    inner = _render_terms(payload)
+    inner = _render_terms(payload.terms)
     return ("sin(" if kind == _SIN else "cos(") + inner + ")"
 
 

@@ -34,6 +34,7 @@ from .expr import (
     nf_mul,
     nf_neg,
     nf_scale,
+    nf_sum_of_products,
     normal_form,
     parse_expr,
     render,
@@ -132,6 +133,11 @@ def _checked_nf(value, space: Space, what: str) -> NormalForm:
 def _sum_terms(acc: dict) -> dict:
     """Collapse {index: [normal forms]} into {index: their sum}."""
     return {K: terms[0] if len(terms) == 1 else nf_add(*terms) for K, terms in acc.items()}
+
+
+def _sum_products(acc: dict) -> dict:
+    """Collapse {index: [(sign, a, b)]} into {index: sum of sign * a * b}."""
+    return {K: nf_sum_of_products(*products) for K, products in acc.items()}
 
 
 class DiffForm:
@@ -267,11 +273,16 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.nfs)
 
-    def apply_to(self, f: ScalarExpr | NormalForm) -> ScalarExpr:
-        """Directional derivative of a scalar along the field."""
+    def apply_to_nf(self, f: ScalarExpr | NormalForm) -> NormalForm:
+        """Directional derivative X(f) = sum_i X^i df/dx^i of a scalar, as a
+        normal form."""
         f_nf = as_normal_form(f)
-        return from_normal(nf_add(*(nf_mul(c, nf_diff(f_nf, x))
-                                    for c, x in zip(self.nfs, self.space.coordinates))))
+        return nf_sum_of_products(*((1, c, nf_diff(f_nf, x))
+                                    for c, x in zip(self.nfs, self.space.coordinates)))
+
+    def apply_to(self, f: ScalarExpr | NormalForm) -> ScalarExpr:
+        """Canonical-tree view of ``apply_to_nf``."""
+        return from_normal(self.apply_to_nf(f))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.space != other.space:
@@ -374,16 +385,15 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     degree = a.degree + b.degree
     if degree > a.space.dim:
         raise DegreeError(f"wedge degree {degree} exceeds dimension {a.space.dim}")
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    acc: dict[tuple[int, ...], list] = {}
     for I, ca in a.nfs.items():
         for J, cb in b.nfs.items():
             merged = _merge_indices(I, J)
             if merged is None:
                 continue
             sign, K = merged
-            term = nf_mul(ca, cb)
-            acc.setdefault(K, []).append(term if sign > 0 else nf_neg(term))
-    return DiffForm(a.space, degree, _sum_terms(acc))
+            acc.setdefault(K, []).append((sign, ca, cb))
+    return DiffForm(a.space, degree, _sum_products(acc))
 
 
 def wedge_power(a: DiffForm, power: int) -> DiffForm:
@@ -415,15 +425,14 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
         raise SpaceMismatchError("interior product across different spaces")
     if a.degree == 0:
         raise DegreeError("interior product requires degree >= 1")
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    acc: dict[tuple[int, ...], list] = {}
     for I, c in a.nfs.items():
         for slot, pos in enumerate(I):
             comp = v.nfs[pos]
             if comp.is_zero():
                 continue
-            term = nf_mul(comp, c)
-            acc.setdefault(I[:slot] + I[slot + 1:], []).append(nf_neg(term) if slot % 2 else term)
-    return DiffForm(a.space, a.degree - 1, _sum_terms(acc))
+            acc.setdefault(I[:slot] + I[slot + 1:], []).append((-1 if slot % 2 else 1, comp, c))
+    return DiffForm(a.space, a.degree - 1, _sum_products(acc))
 
 
 def lie_derivative(v: VectorField, a: DiffForm) -> DiffForm:

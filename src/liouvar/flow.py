@@ -21,6 +21,12 @@ from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
 
+# Largest number of steps a trajectory or sweep may take.  It bounds the
+# arrays that hold the states and tangent maps, which are allocated whole
+# before the first step.
+MAX_STEPS = 10_000_000
+
+
 class FlowError(Exception):
     pass
 
@@ -222,7 +228,12 @@ def _grid(h: float, T: float) -> tuple[int, float]:
         raise FlowError("step and duration must be finite")
     if h <= 0 or T <= 0:
         raise FlowError("step and duration must be positive")
-    steps = max(1, round(T / h))
+    ratio = T / h
+    if not math.isfinite(ratio):
+        raise FlowError(f"duration over step {T!r}/{h!r} overflows")
+    steps = max(1, round(ratio))
+    if steps > MAX_STEPS:
+        raise FlowError(f"{steps} steps exceed the limit of {MAX_STEPS}")
     return steps, T / steps
 
 
@@ -341,18 +352,14 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
 
 def write_trajectory_csv(traj: Trajectory, path) -> int:
     """CSV with header s,x0,...,x{n-1}[,det]; 17 significant digits."""
-    n = traj.states.shape[1]
-    header = "s," + ",".join(f"x{i}" for i in range(n))
-    with_det = traj.tangents is not None
-    if with_det:
-        header += ",det"
-        dets = np.linalg.det(traj.tangents)
-    lines = [header]
-    for i, (s, row) in enumerate(zip(traj.grid, traj.states)):
-        cells = [f"{s:.17g}"] + [f"{v:.17g}" for v in row]
-        if with_det:
-            cells.append(f"{dets[i]:.17g}")
-        lines.append(",".join(cells))
+    columns = ["s"] + [f"x{i}" for i in range(traj.states.shape[1])]
+    rows = traj.states.tolist()
+    if traj.tangents is not None:
+        columns.append("det")
+        rows = [row + [det] for row, det in zip(rows, np.linalg.det(traj.tangents).tolist())]
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns)]
+    lines += [row_format % (s, *row) for s, row in zip(traj.grid.tolist(), rows)]
     text = "\n".join(lines) + "\n"
     from pathlib import Path
     Path(path).write_text(text, encoding="utf-8")

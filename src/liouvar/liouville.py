@@ -25,9 +25,10 @@ from .expr import (
     nf_add,
     nf_diff,
     nf_divide,
-    nf_mul,
     nf_neg,
     nf_scale,
+    nf_sum_of_products,
+    nf_term,
     normal_form,
     render,
     substitute,
@@ -130,7 +131,8 @@ class LiouvilleSystem:
     or None when it stays symbolic; bound values are substituted before
     any certificate is evaluated.  ``invariants`` are stored as normal
     forms.  ``checks`` holds the certificates that ``validate_system``
-    passed when the system was loaded from a file.
+    passed when the system was loaded from a file, and ``bound_copy`` the
+    ``bound()`` copy they were decided on, so a loaded system is bound once.
     """
 
     name: str
@@ -145,6 +147,7 @@ class LiouvilleSystem:
     base_split: tuple[int, tuple[str, str]] | None = None
     warnings: tuple[str, ...] = ()
     checks: tuple[Certificate, ...] = ()
+    bound_copy: LiouvilleSystem | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega is None:
@@ -182,6 +185,7 @@ class LiouvilleSystem:
             theta=form(self.theta),
             invariants=tuple(substitute(e, mapping) for e in self.invariants),
             params=dict.fromkeys(self.params),
+            bound_copy=None,
         )
 
 
@@ -298,17 +302,17 @@ def solve_gamma(chi: DiffForm) -> DiffForm:
             raise PotentialError("input form is not closed")
     coords = set(space.coordinates)
     position_nf = [normal_form(Symbol(c)) for c in space.coordinates]
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    acc: dict[tuple[int, ...], list] = {}
     for idx, c in chi.nfs.items():
         for mono, coeff in c.terms:
             coord_degree = sum(e for (kind, payload), e in mono
                                if kind == 0 and payload in coords)
-            scale = Fraction(1, k + coord_degree)
+            term = nf_term(mono, Fraction(coeff, k + coord_degree))
             for j, pos in enumerate(idx):
-                sign = -1 if j % 2 else 1
-                term = nf_mul(position_nf[pos], NormalForm(((mono, coeff * scale * sign),)))
-                acc.setdefault(idx[:j] + idx[j + 1:], []).append(term)
-    return DiffForm(space, k - 1, {idx: nf_add(*terms) for idx, terms in acc.items()})
+                acc.setdefault(idx[:j] + idx[j + 1:], []).append(
+                    (-1 if j % 2 else 1, position_nf[pos], term))
+    return DiffForm(space, k - 1, {idx: nf_sum_of_products(*products)
+                                   for idx, products in acc.items()})
 
 
 def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
@@ -541,8 +545,9 @@ def section_residuals(u_z: ScalarExpr, u_w: ScalarExpr,
     A = [substitute(a, section) for a in dec.coefficients]
 
     def residual(u, rhs):
-        return from_normal(nf_add(*(nf_mul(a, nf_diff(u, x)) for a, x in zip(A, dec.base)),
-                                  nf_neg(substitute(rhs, section))))
+        return from_normal(nf_sum_of_products(
+            *((1, a, nf_diff(u, x)) for a, x in zip(A, dec.base)),
+            (-1, substitute(rhs, section), NF_ONE)))
 
     return residual(u_w, dec.g), residual(u_z, dec.f)
 

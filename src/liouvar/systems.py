@@ -30,9 +30,10 @@ from .expr import (
     is_zero,
     nf_add,
     nf_diff,
-    nf_mul,
     nf_neg,
     nf_scale,
+    nf_sum_of_products,
+    nf_term,
     normal_form,
     parse_expr,
     parse_rational,
@@ -176,7 +177,7 @@ def _bind(value) -> Fraction | None:
 def _check_invariants(sys: LiouvilleSystem, config: ZeroTestConfig) -> None:
     b = sys.bound()
     for inv in b.invariants:
-        verdict = is_zero(b.field.apply_to(inv), config)
+        verdict = is_zero(b.field.apply_to_nf(inv), config)
         if not verdict.value:
             raise SystemInvariantError(
                 f"declared invariant {render(inv)} is not conserved by the field")
@@ -460,11 +461,9 @@ def _poly_antiderivative(e: ScalarExpr, space: Space, coord: str) -> ScalarExpr:
         raise LiouvilleError("magnetic components must be polynomial")
     x = normal_form(Symbol(coord))
     pos_atom = (0, coord)
-    terms = []
-    for mono, coeff in nf.terms:
-        e_old = dict(mono).get(pos_atom, 0)
-        terms.append(nf_mul(x, NormalForm(((mono, coeff / (e_old + 1)),))))
-    return from_normal(nf_add(*terms))
+    return from_normal(nf_sum_of_products(
+        *((1, x, nf_term(mono, Fraction(coeff, dict(mono).get(pos_atom, 0) + 1)))
+          for mono, coeff in nf.terms)))
 
 
 def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
@@ -692,7 +691,8 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
     sys = LiouvilleSystem(name, space, field, omega=omega, gamma=gamma, sigma=sigma,
                           theta=theta, invariants=invariants, params=params,
                           base_split=base_split)
-    sys.checks = tuple(validate_system(sys, config))
+    sys.bound_copy = sys.bound()
+    sys.checks = tuple(validate_system(sys.bound_copy, config))
     return sys
 
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+import liouvar
 from liouvar.cli import main
-from liouvar.systems import build_hamiltonian, save_system
+from liouvar.systems import build_hamiltonian, load_system, save_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +128,33 @@ def test_verify_deterministic_bytes(example_dir, tmp_path):
     main(["verify", str(example_dir / "abc_flow.json"), "--out", str(a)])
     main(["verify", str(example_dir / "abc_flow.json"), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _count_substitute_calls(monkeypatch):
+    """Wrap ``substitute`` in every liouvar module that imports it."""
+    original = liouvar.expr.substitute
+    calls = []
+
+    def counting(nf, mapping):
+        calls.append(1)
+        return original(nf, mapping)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liouvar") and getattr(module, "substitute", None) is original:
+            monkeypatch.setattr(module, "substitute", counting)
+    return calls
+
+
+def test_verify_binds_the_loaded_system_once(example_dir, monkeypatch, capsys):
+    path = str(example_dir / "euler_top.json")
+    calls = _count_substitute_calls(monkeypatch)
+    load_system(path)
+    at_load = len(calls)
+    assert at_load > 0  # euler_top binds its inertia moments and mu_i
+    calls.clear()
+    assert main(["verify", path, "--hodge"]) == 0
+    capsys.readouterr()
+    assert len(calls) == at_load
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +316,15 @@ def test_integrate_non_finite_step_or_duration_exit_2(example_dir, capsys, h, T)
                "--x0", "1,1,1", "--h", h, "--T", T])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, T", [("1e-320", "1e10"), ("1e-3", "1e300")])
+def test_integrate_too_many_steps_exit_2(example_dir, capsys, h, T):
+    rc = main(["integrate", str(example_dir / "euler_top.json"),
+               "--x0", "1,1,1", "--h", h, "--T", T])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("depth, code", [(32, 0), (33, 2), (3000, 2)])

@@ -23,9 +23,19 @@ from liouvar.expr import (
     ZeroTestConfig,
     differentiate,
     evaluate,
+    NF_ONE,
+    NormalForm,
+    _monomial_sort_key,
     from_normal,
     is_zero,
+    nf_add,
+    nf_diff,
     nf_divide,
+    nf_mul,
+    nf_neg,
+    nf_pow,
+    nf_scale,
+    nf_sum_of_products,
     normal_form,
     normalize,
     parse_expr,
@@ -33,7 +43,9 @@ from liouvar.expr import (
     render,
     substitute,
 )
+from liouvar.exterior import DiffForm, Space, exterior_derivative
 from liouvar.flow import compile_scalar
+from liouvar.liouville import solve_gamma
 
 try:
     import sympy
@@ -399,3 +411,117 @@ def test_divide_with_trig_atoms():
     num = normal_form(q("sin(x1)*x2 + sin(x1)"))
     den = normal_form(q("sin(x1)"))
     assert nf_divide(num, den) == normal_form(q("x2 + 1"))
+
+
+# --------------------------------------------------------------------------
+# Normal-form invariants
+
+
+def _assert_canonical(nf):
+    """Nonzero int or non-integral Fraction coefficients, sorted distinct
+    atoms with positive exponents, terms in strict canonical order; sin/cos
+    arguments are canonical normal forms themselves."""
+    for m, c in nf.terms:
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1), c
+        atoms = [a for a, _e in m]
+        assert all(a < b for a, b in zip(atoms, atoms[1:])), m
+        for (kind, payload), e in m:
+            assert type(e) is int and e >= 1
+            if kind:
+                assert isinstance(payload, NormalForm) and not payload.is_zero()
+                _assert_canonical(payload)
+    keys = [_monomial_sort_key(m) for m, _c in nf.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_trig_atom_holds_the_argument_normal_form():
+    nf = normal_form(q("sin(x1 + 1/2)"))
+    ((((kind, payload), e),), c), = nf.terms
+    assert payload == normal_form(q("x1 + 1/2")) and (e, c) == (1, 1)
+    assert isinstance(payload, NormalForm)
+
+
+def test_normal_form_is_immutable_and_keeps_its_derived_values():
+    nf = normal_form(q("x1*sin(x2 + cos(x3)) + 1/3"))
+    with pytest.raises(AttributeError):
+        nf.terms = ()
+    assert nf.sort_key() is nf.sort_key()
+    assert nf.free_symbols() is nf.free_symbols() == {"x1", "x2", "x3"}
+    assert hash(nf) == hash(normal_form(q("1/3 + sin(cos(x3) + x2)*x1")))
+
+
+def test_integral_coefficients_are_ints():
+    nf = normal_form(q("2*x1 + 1/2*x2 + 1/2*x2 - 3"))
+    assert [c for _m, c in nf.terms] == [2, 1, -3]
+    assert [type(c) for _m, c in nf.terms] == [int, int, int]
+    assert nf_scale(normal_form(q("3/2*x1")), Fraction(2, 3)).terms[0][1] == 1
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-2/3", "4/2"])
+def test_constant_value_is_a_fraction(text):
+    value = normal_form(q(text)).constant_value()
+    assert type(value) is Fraction and value == parse_rational(text)
+    assert type(NF_ONE.constant_value()) is Fraction
+
+
+def test_divide_keeps_denominators_exact():
+    num = normal_form(q("1/3*x1*x2 + 1/3*x1"))
+    assert nf_divide(num, normal_form(q("3*x1"))) == normal_form(q("1/9*x2 + 1/9"))
+    third = nf_divide(normal_form(q("x1")), normal_form(q("3")))
+    assert third.terms[0][1] == Fraction(1, 3) and type(third.terms[0][1]) is Fraction
+
+
+_rational_forms = polynomials(symbols=("x1", "x2", "x3"), trig=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_forms, _rational_forms, _rational_forms)
+def test_kernel_results_are_canonical(a, b, c):
+    na, nb, nc = normal_form(a), normal_form(b), normal_form(c)
+    for nf in (na, nf_add(na, nb), nf_mul(na, nb), nf_pow(nc, 3), nf_diff(nf_mul(na, nc), "x1"),
+               nf_scale(na, Fraction(3, 2)), nf_neg(nb),
+               substitute(na, {"x2": nc, "x3": nb}),
+               nf_sum_of_products((1, na, nb), (-1, nb, nc), (1, nc, NF_ONE))):
+        _assert_canonical(nf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(expressions, _rational_forms))
+def test_render_parse_round_trip_keeps_equality_and_hash(e):
+    nf = normal_form(e)
+    back = normal_form(parse_expr(render(nf), SYMS))
+    assert back == nf and hash(back) == hash(nf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), _rational_forms, _rational_forms),
+                min_size=1, max_size=4))
+def test_sum_of_products_equals_sum_of_signed_products(products):
+    triples = [(sign, normal_form(a), normal_form(b)) for sign, a, b in products]
+    expected = nf_add(*(nf_mul(a, b) if sign > 0 else nf_neg(nf_mul(a, b))
+                        for sign, a, b in triples))
+    assert nf_sum_of_products(*triples) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(symbols=("x1", "x2", "x3")), polynomials(symbols=("x1", "x2", "x3")))
+def test_divide_recovers_a_rational_factor(a, b):
+    na, nb = normal_form(a), normal_form(b)
+    if nb.is_zero():
+        return
+    quotient = nf_divide(nf_mul(na, nb), nb)
+    assert quotient == na
+    _assert_canonical(quotient)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(polynomials(symbols=("x1", "x2", "x3")), min_size=3, max_size=3))
+def test_solve_gamma_exact_with_denominators(coefficients):
+    space = Space("r3", ("x1", "x2", "x3"))
+    chi = exterior_derivative(DiffForm(space, 1, {(i,): c for i, c in enumerate(coefficients)}))
+    if chi.is_zero_form:
+        return
+    gamma = solve_gamma(chi)
+    assert exterior_derivative(gamma) == chi
+    for nf in gamma.nfs.values():
+        _assert_canonical(nf)

@@ -9,7 +9,9 @@ import pytest
 from liouvar.expr import Const, Symbol
 from liouvar.exterior import Space, VectorField, basis_form
 from liouvar.liouville import build_extended, decompose_beta
+from liouvar import flow
 from liouvar.flow import (
+    MAX_STEPS,
     BlowupError,
     FlowError,
     compile_field,
@@ -90,6 +92,27 @@ def test_bad_arguments():
         integrate_rk4(field, (0.0,), -1e-3, 1.0)
     with pytest.raises(FlowError):
         integrate_rk4(field, (0.0, 0.0), 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("h, T, message", [
+    (1e-320, 1e10, "overflows"),
+    (1e-3, 1e5, "exceed the limit"),
+    (1.0, MAX_STEPS + 1.0, "exceed the limit"),
+])
+def test_step_count_refused_before_allocation(monkeypatch, oscillator, h, T, message):
+    def no_compile(*args):
+        raise AssertionError("the step loop was compiled and its arrays allocated")
+
+    monkeypatch.setattr(flow, "_compile_rk4", no_compile)
+    with pytest.raises(FlowError, match=message):
+        integrate_rk4(oscillator.field, (1.0, 0.0), h, T)
+    dec = decompose_beta(build_extended(oscillator).dtheta)
+    with pytest.raises(FlowError, match=message):
+        section_sweep(dec, [(0.0, 1.0, 0.0)], h, T)
+
+
+def test_step_count_at_the_limit_is_accepted():
+    assert flow._grid(1.0, float(MAX_STEPS)) == (MAX_STEPS, 1.0)
 
 
 def test_negative_parameter_raised_to_a_power():
@@ -294,3 +317,25 @@ def test_trajectory_csv(tmp_path, euler_numeric):
     # 17 significant digits survive a float round trip
     cells = lines[-1].split(",")
     assert float(cells[0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def _reference_csv(traj):
+    """The trajectory CSV written row by row from the numpy arrays."""
+    n = traj.states.shape[1]
+    lines = ["s," + ",".join(f"x{i}" for i in range(n)) + (",det" if traj.tangents is not None else "")]
+    dets = np.linalg.det(traj.tangents) if traj.tangents is not None else None
+    for i, (s, row) in enumerate(zip(traj.grid, traj.states)):
+        cells = [f"{s:.17g}"] + [f"{v:.17g}" for v in row]
+        if dets is not None:
+            cells.append(f"{dets[i]:.17g}")
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("with_tangent", [True, False])
+def test_trajectory_csv_bytes_match_row_by_row_writer(tmp_path, with_tangent):
+    sys_ = build_abc_flow(1, 1, 1).bound()
+    traj = integrate_rk4(sys_.field, (0.3, 1.2, 2.5), 1e-2, 1.0, with_tangent=with_tangent)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _reference_csv(traj)
