@@ -10,6 +10,7 @@ The sampling seed of the probabilistic zero test can be overridden with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -32,6 +33,7 @@ from .exterior import (
 )
 from .liouville import (
     Certificate,
+    DegenerateThetaError,
     ImproperPrincipleError,
     LiouvilleError,
     NormalizationError,
@@ -146,13 +148,13 @@ def cmd_verify(args) -> int:
         ext = build_extended(b, config)
     except PotentialError as exc:
         certs.append(Certificate("potential_available", False, "exact", detail=str(exc)))
-    except SystemInvariantError as exc:
-        certs.append(Certificate("theta_nondegenerate", False, "exact", detail=str(exc)))
+    except DegenerateThetaError as exc:
+        certs.append(Certificate("theta_nondegenerate", False, exc.certainty, detail=str(exc)))
     if ext is not None:
         if b.gamma is None and b.theta is None:
             warnings.append("flux potential solved by the radial homotopy operator")
         certs.append(Certificate(
-            "theta_nondegenerate", True, "exact",
+            "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))
         certs.extend(verify_characteristic(ext, config))
         try:
@@ -162,10 +164,10 @@ def cmd_verify(args) -> int:
             _sys.stderr.write(f"error: {exc}\n")
             return 2
         proper = is_proper(ext.dtheta, verticals, config)
-        certs.append(Certificate("proper_principle", proper, "exact",
+        certs.append(Certificate("proper_principle", proper.value, proper.certainty,
                                  detail="double vertical contraction of d(theta) is nonzero"
-                                 if proper else "double vertical contraction vanishes"))
-        if proper:
+                                 if proper.value else "double vertical contraction vanishes"))
+        if proper.value:
             pf = psi_forms(ext.dtheta, verticals, config)
             certs.extend(pf.certificates)
         if args.hodge:
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="comma-separated initial state")
     p.add_argument("--h", type=float, required=True, help="requested step size")
     p.add_argument("--T", type=float, required=True, help="duration")
-    p.add_argument("--param", nargs="*", action="extend", default=[],
+    p.add_argument("--param", nargs="*", action="extend", default=None,
                    metavar="NAME=VALUE", help="numeric parameter bindings")
     p.add_argument("--tangent", action="store_true",
                    help="co-integrate the tangent map and report det deviation")
@@ -447,12 +449,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and kept for the
+    process; ``parse_args`` returns a new namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemFileError as exc:
+    except (SystemFileError, ExprError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
 

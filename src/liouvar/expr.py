@@ -5,13 +5,16 @@ symbols, sums, products, positive integer powers, sine and cosine.  A
 canonical sum-of-monomials normal form makes equality decidable for the
 polynomial subring; expressions containing trigonometric atoms fall back
 to a seeded probabilistic zero test whose parameters are fixed and
-reported alongside every verdict.
+reported alongside every verdict.  The parser builds normal forms
+directly; trees remain for the builders and as the test reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -21,6 +24,21 @@ Rational = Fraction
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
+
+# Deepest nesting of parentheses, sin/cos calls and unary minus that the
+# parser accepts.  It keeps the recursive parser, the normal form and the
+# generated Python source well inside the interpreter's limits.
+MAX_NESTING = 32
+
+# Term budget of the normal-form kernel: ``nf_mul`` refuses a product of
+# more term pairs than this, and ``nf_pow`` a power whose multinomial bound
+# on the result's terms is larger, so that an input such as
+# ``(x1 + x2)^8000`` is refused at once instead of running for minutes.
+# The pair budget also holds for each squaring inside ``nf_pow``, so a
+# power within the multinomial bound can still be refused by ``nf_mul``.
+# The bundled systems and the benchmark ladders stay below 50 term pairs
+# in any product and below 15 terms in any normal form.
+MAX_TERMS = 10000
 
 
 class ExprError(Exception):
@@ -383,10 +401,14 @@ def _accumulate_product(acc: dict, sign: int, a: NormalForm, b: NormalForm) -> N
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
+    """Product; refused when it takes more than ``MAX_TERMS`` term products."""
     if a.is_constant():
         return nf_scale(b, a.terms[0][1]) if a.terms else NF_ZERO
     if b.is_constant():
         return nf_scale(a, b.terms[0][1]) if b.terms else NF_ZERO
+    if len(a.terms) * len(b.terms) > MAX_TERMS:
+        raise ExprError(f"product of a {len(a.terms)}-term and a {len(b.terms)}-term expression "
+                        f"exceeds the budget of {MAX_TERMS} term products")
     acc: dict = {}
     _accumulate_product(acc, 1, a, b)
     return _freeze(acc)
@@ -405,8 +427,35 @@ def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalF
     return _freeze(acc)
 
 
+def _power_terms_bound(t: int, k: int) -> int:
+    """C(t + k - 1, k), the most terms a t-term normal form raised to the
+    k-th power can have, or the first partial product above ``MAX_TERMS``."""
+    r = min(k, t - 1)
+    bound = 1
+    for j in range(1, r + 1):
+        # C(t + k - 1 - r + j, j), increasing in j
+        bound = bound * (t + k - 1 - r + j) // j
+        if bound > MAX_TERMS:
+            break
+    return bound
+
+
 def nf_pow(a: NormalForm, exponent: int) -> NormalForm:
-    """Binary powering, exponent >= 1."""
+    """``a`` to a power >= 1.
+
+    A one-term base is raised directly.  Otherwise the multinomial bound on
+    the result's terms is checked against ``MAX_TERMS`` before anything is
+    multiplied, then the power is taken by binary powering.
+    """
+    terms = a.terms
+    if exponent == 1:
+        return a
+    if len(terms) == 1:
+        (m, c), = terms
+        return NormalForm(((tuple((atom, e * exponent) for atom, e in m), c ** exponent),))
+    if len(terms) > 1 and _power_terms_bound(len(terms), exponent) > MAX_TERMS:
+        raise ExprError(f"power {exponent} of a {len(terms)}-term expression can have more "
+                        f"terms than the budget of {MAX_TERMS}")
     result = None
     base = a
     while True:
@@ -788,153 +837,210 @@ def render(e: ScalarExpr | NormalForm) -> str:
 
 
 # --------------------------------------------------------------------------
-# Parsing
+# Parsing: recursive descent straight to normal forms
 
 
 _RESERVED = {"sin", "cos"}
 
-# Deepest nesting of parentheses, sin/cos calls and unary minus that the
-# parser accepts.  It keeps the recursive parser, the normal form and the
-# generated Python source well inside the interpreter's limits.
-MAX_NESTING = 32
+# One token per match, after any whitespace: an operator, a run of
+# decimal digits, a word (a letter, or another alphanumeric character,
+# followed by letters, digits and underscores) or any other character,
+# which is an error.  The empty ``\Z`` branch ends the list with "" and
+# takes the whitespace at the end.
+_TOKEN = re.compile(r"\s*([-+*^()/]|\d+|[^\W\d_]\w*|\S|\Z)")
+_OPERATORS = frozenset("+-*^()/")
+# the ASCII characters that are no token and no whitespace
+_ASCII_BAD = frozenset(c for c in map(chr, range(128))
+                       if not (c.isalnum() or c.isspace() or c in _OPERATORS))
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``, ending with "".
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("number", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*^()/":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("eof", "", len(text)))
+    A token is a number when it starts with a digit, an identifier when it
+    starts with a letter, else an operator.  A word that starts with a
+    digit that is not decimal (such as a superscript) is a number, which
+    the parser refuses; a token that starts with anything else is an
+    unexpected character.
+    """
+    tokens = _TOKEN.findall(text)
+    if not (text.isascii() and _ASCII_BAD.isdisjoint(tokens)):
+        for i, tok in enumerate(tokens):
+            c = tok[:1]
+            if c and not (c.isdigit() or c.isalpha() or c in _OPERATORS):
+                raise ParseError(f"unexpected character {c!r}", _position(text, i))
+    return tokens
 
-    def peek(self):
-        return self.tokens[self.index]
 
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+def _position(text: str, index: int) -> int:
+    """Position in ``text`` of its token number ``index``; found again only
+    for an error message."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
+
+
+def _product(factors: list[NormalForm]) -> NormalForm:
+    """Product of parsed factors.  The one-term factors fold into one
+    monomial (exponents added, atoms sorted once, coefficients multiplied);
+    only the factors with several terms go through ``nf_mul``."""
+    coeff = 1
+    exps: dict = {}
+    wide = []
+    for f in factors:
+        terms = f.terms
+        if len(terms) != 1:
+            if not terms:
+                return NF_ZERO
+            wide.append(f)
+            continue
+        (m, c), = terms
+        if c != 1:
+            coeff = c if coeff == 1 else coeff * c
+        for atom, e in m:
+            prev = exps.get(atom)
+            exps[atom] = e if prev is None else prev + e
+    result = nf_term(tuple(sorted(exps.items())), coeff)
+    for f in wide:
+        result = nf_mul(result, f)
+    return result
 
 
 class _Parser:
-    def __init__(self, text: str, symbols):
-        self.toks = _Tokenizer(text)
-        self.symbols = frozenset(symbols)
+    """Recursive descent over ``_tokens``; every rule returns a normal form.
+
+    ``atoms`` maps each sin/cos argument to the first equal normal form
+    parsed with the same table, so that equal atoms are one object.
+    """
+
+    def __init__(self, text: str, symbols: frozenset, atoms: dict | None):
+        self.text = text
+        self.tokens = _tokens(text)
+        self.index = 0
+        self.symbols = symbols
+        self.atoms = atoms
         self.depth = 0
 
-    def parse(self) -> ScalarExpr:
-        e = self._expr()
-        kind, _val, pos = self.toks.peek()
-        if kind != "eof":
-            raise ParseError("unexpected trailing input", pos)
-        return e
+    def _error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, _position(self.text, index))
 
-    def _expr(self) -> ScalarExpr:
-        terms = [self._term()]
-        while True:
-            kind, _val, _pos = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                terms.append(self._term())
-            elif kind == "-":
-                self.toks.next()
-                terms.append(Neg(self._term()))
+    def _expect(self, token: str, message: str) -> None:
+        if self.tokens[self.index] != token:
+            raise self._error(message, self.index)
+        self.index += 1
+
+    def _number(self, index: int) -> int:
+        """The integer the token at ``index`` denotes, 0 when it is no
+        number; ParseError where ``int`` refuses it: a digit that is not
+        decimal, or more digits than the interpreter converts."""
+        tok = self.tokens[index]
+        if not tok[:1].isdigit():
+            return 0
+        try:
+            return int(tok)
+        except ValueError:
+            reason = "too many digits" if tok.isdecimal() else "a digit that is not decimal"
+            raise self._error(f"number with {reason}", index) from None
+
+    def parse(self) -> NormalForm:
+        nf = self._expr()
+        if self.tokens[self.index]:
+            raise self._error("unexpected trailing input", self.index)
+        return nf
+
+    def _expr(self) -> NormalForm:
+        first = self._term()
+        tok = self.tokens[self.index]
+        if tok != "+" and tok != "-":
+            return first
+        # every term goes into one accumulator, which is sorted once
+        acc = dict(first.terms)
+        while tok == "+" or tok == "-":
+            self.index += 1
+            term = self._term()
+            get = acc.get
+            if tok == "+":
+                for m, c in term.terms:
+                    prev = get(m)
+                    acc[m] = c if prev is None else prev + c
             else:
-                break
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+                for m, c in term.terms:
+                    prev = get(m)
+                    acc[m] = -c if prev is None else prev - c
+            tok = self.tokens[self.index]
+        return _freeze(acc)
 
-    def _nested(self, parse, pos: int) -> ScalarExpr:
+    def _nested(self, parse, index: int) -> NormalForm:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-        e = parse()
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels", index)
+        nf = parse()
         self.depth -= 1
-        return e
+        return nf
 
-    def _term(self) -> ScalarExpr:
-        factors = [self._factor()]
-        while self.toks.peek()[0] == "*":
-            self.toks.next()
+    def _term(self) -> NormalForm:
+        factor = self._factor()
+        if self.tokens[self.index] != "*":
+            return factor
+        factors = [factor]
+        while self.tokens[self.index] == "*":
+            self.index += 1
             factors.append(self._factor())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return _product(factors)
 
-    def _factor(self) -> ScalarExpr:
-        atom = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            kind, val, pos = self.toks.next()
-            if kind != "number" or int(val) < 1:
-                raise ParseError("exponent must be a positive integer", pos)
-            return Power(atom, int(val))
-        return atom
+    def _factor(self) -> NormalForm:
+        base = self._atom()
+        if self.tokens[self.index] != "^":
+            return base
+        index = self.index + 1
+        self.index += 2
+        exponent = self._number(index)
+        if exponent < 1:
+            raise self._error("exponent must be a positive integer", index)
+        return nf_pow(base, exponent)
 
-    def _atom(self) -> ScalarExpr:
-        kind, val, pos = self.toks.next()
-        if kind == "number":
-            numerator = int(val)
-            if self.toks.peek()[0] == "/":
-                self.toks.next()
-                dkind, dval, dpos = self.toks.next()
-                if dkind != "number" or int(dval) == 0:
-                    raise ParseError("denominator must be a positive integer", dpos)
-                return Const(Fraction(numerator, int(dval)))
-            return Const(Fraction(numerator))
-        if kind == "ident":
-            if val in _RESERVED:
-                okind, _oval, opos = self.toks.next()
-                if okind != "(":
-                    raise ParseError(f"expected '(' after {val}", opos)
-                arg = self._nested(self._expr, pos)
-                ckind, _cval, cpos = self.toks.next()
-                if ckind != ")":
-                    raise ParseError("expected ')'", cpos)
-                return Sin(arg) if val == "sin" else Cos(arg)
-            if val not in self.symbols:
-                raise UndeclaredSymbolError(val, pos)
-            return Symbol(val)
-        if kind == "(":
-            e = self._nested(self._expr, pos)
-            ckind, _cval, cpos = self.toks.next()
-            if ckind != ")":
-                raise ParseError("expected ')'", cpos)
-            return e
-        if kind == "-":
-            return Neg(self._nested(self._atom, pos))
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+    def _atom(self) -> NormalForm:
+        index = self.index
+        tok = self.tokens[index]
+        self.index += 1
+        if tok[:1].isdigit():
+            numerator = self._number(index)
+            if self.tokens[self.index] == "/":
+                self.index += 2
+                denominator = self._number(self.index - 1)
+                if denominator == 0:
+                    raise self._error("denominator must be a positive integer", self.index - 1)
+                return nf_term((), Fraction(numerator, denominator))
+            return nf_term((), numerator)
+        if tok[:1].isalpha():
+            if tok in _RESERVED:
+                self._expect("(", f"expected '(' after {tok}")
+                arg = self._nested(self._expr, index)
+                self._expect(")", "expected ')'")
+                if self.atoms is not None and arg.terms:
+                    arg = self.atoms.setdefault(arg, arg)
+                return _trig_nf(_SIN if tok == "sin" else _COS, arg)
+            if tok not in self.symbols:
+                raise UndeclaredSymbolError(tok, _position(self.text, index))
+            return NormalForm((((((_SYM, tok), 1),), 1),))
+        if tok == "(":
+            nf = self._nested(self._expr, index)
+            self._expect(")", "expected ')'")
+            return nf
+        if tok == "-":
+            return nf_neg(self._nested(self._atom, index))
+        raise self._error(f"unexpected token {tok!r}" if tok else "unexpected end of input", index)
 
 
-def parse_expr(text: str, symbols: Iterable[str]) -> ScalarExpr:
-    """Parse ``text`` against a symbol table of declared identifiers."""
-    return _Parser(text, symbols).parse()
+def parse_expr(text: str, symbols: Iterable[str], atoms: dict | None = None) -> NormalForm:
+    """Parse ``text`` against a symbol table of declared identifiers into its
+    normal form.
+
+    ``atoms``, when given, is a table shared by the parses of one input:
+    each sin/cos argument becomes the first equal normal form parsed with
+    it, so later comparisons of equal atoms stop at the identity check.
+    """
+    if not isinstance(symbols, frozenset):
+        symbols = frozenset(symbols)
+    return _Parser(text, symbols, atoms).parse()
 
 
 def parse_rational(text: str) -> Fraction:

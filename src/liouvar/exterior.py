@@ -9,7 +9,7 @@ expression trees are a view built at the API boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping
@@ -65,17 +65,20 @@ _RESERVED_NAMES = {"sin", "cos"}
 class Space:
     """Named flat coordinate space with optional constant diagonal metric.
 
-    Orientation is the declared coordinate order.
+    Orientation is the declared coordinate order.  ``symbol_set`` holds the
+    coordinate and parameter names, computed once; it is not compared.
     """
 
     name: str
     coordinates: tuple[str, ...]
     parameters: tuple[str, ...] = ()
     metric: tuple[Fraction, ...] | None = None
+    symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
         object.__setattr__(self, "parameters", tuple(self.parameters))
+        object.__setattr__(self, "symbol_set", frozenset(self.coordinates + self.parameters))
         if self.metric is not None:
             object.__setattr__(self, "metric", tuple(Fraction(g) for g in self.metric))
         if len(self.coordinates) < 1:
@@ -106,8 +109,10 @@ class Space:
         except ValueError:
             raise GeometryError(f"'{coord}' is not a coordinate of space '{self.name}'") from None
 
-    def parse(self, text: str) -> ScalarExpr:
-        return parse_expr(text, self.symbols)
+    def parse(self, text: str, atoms: dict | None = None) -> NormalForm:
+        """Normal form of ``text`` over this space's symbols; ``atoms`` as
+        in ``parse_expr``."""
+        return parse_expr(text, self.symbol_set, atoms)
 
     def with_metric(self, metric: Iterable[Fraction] | None) -> "Space":
         return Space(self.name, self.coordinates, self.parameters,
@@ -115,8 +120,8 @@ class Space:
 
 
 def _check_symbols(expr: ScalarExpr | NormalForm, space: Space, what: str) -> None:
-    extra = expr.free_symbols() - set(space.symbols)
-    if extra:
+    if not expr.free_symbols() <= space.symbol_set:
+        extra = expr.free_symbols() - space.symbol_set
         raise GeometryError(f"{what} uses symbols {sorted(extra)} not declared in space '{space.name}'")
 
 
@@ -600,12 +605,15 @@ def serialize_form(a: DiffForm) -> list[dict]:
     ]
 
 
-def deserialize_form(space: Space, degree: int, data: list[dict]) -> DiffForm:
-    coeffs: dict[tuple[int, ...], ScalarExpr] = {}
+def deserialize_form(space: Space, degree: int, data: list[dict],
+                     atoms: dict | None = None) -> DiffForm:
+    """Form from ``serialize_form`` output; entries on one index are summed.
+    ``atoms`` as in ``parse_expr``."""
+    coeffs: dict[tuple[int, ...], NormalForm] = {}
     for entry in data:
         idx = tuple(int(i) - 1 for i in entry["index"])
-        expr = parse_expr(entry["coeff"], space.symbols)
-        coeffs[idx] = coeffs[idx] + expr if idx in coeffs else expr
+        nf = space.parse(entry["coeff"], atoms)
+        coeffs[idx] = nf_add(coeffs[idx], nf) if idx in coeffs else nf
     return DiffForm(space, degree, coeffs)
 
 
@@ -613,5 +621,6 @@ def serialize_field(v: VectorField) -> list[str]:
     return [render(c) for c in v.nfs]
 
 
-def deserialize_field(space: Space, data: list[str]) -> VectorField:
-    return VectorField(space, tuple(parse_expr(s, space.symbols) for s in data))
+def deserialize_field(space: Space, data: list[str], atoms: dict | None = None) -> VectorField:
+    """Field from ``serialize_field`` output; ``atoms`` as in ``parse_expr``."""
+    return VectorField(space, tuple(space.parse(s, atoms) for s in data))

@@ -14,10 +14,12 @@ from typing import Iterable
 
 from .expr import (
     DEFAULT_ZERO_TEST,
+    EXACT,
     NF_ONE,
     NormalForm,
     ScalarExpr,
     Symbol,
+    ZeroResult,
     ZeroTestConfig,
     as_normal_form,
     from_normal,
@@ -62,6 +64,14 @@ class LiouvilleError(Exception):
 
 class SystemInvariantError(LiouvilleError):
     pass
+
+
+class DegenerateThetaError(SystemInvariantError):
+    """d(theta) vanishes; ``certainty`` is that of the zero test that found it."""
+
+    def __init__(self, message: str, certainty: str):
+        super().__init__(message)
+        self.certainty = certainty
 
 
 class PotentialError(LiouvilleError):
@@ -191,7 +201,11 @@ class LiouvilleSystem:
 
 @dataclass
 class ExtendedSystem:
-    """Time-extended bundle: M = R x P, evolution field, and its form."""
+    """Time-extended bundle: M = R x P, evolution field, and its form.
+
+    ``dtheta_certainty`` is the certainty of the zero test that found
+    d(theta) not identically zero.
+    """
 
     name: str
     space: Space
@@ -199,6 +213,7 @@ class ExtendedSystem:
     theta: DiffForm
     dtheta: DiffForm
     base: LiouvilleSystem | None = None
+    dtheta_certainty: str = EXACT
 
 
 def extended_space(space: Space, metric: Iterable[Fraction] | None = None) -> Space:
@@ -347,8 +362,9 @@ def build_extended(sys: LiouvilleSystem,
     dtheta = exterior_derivative(theta)
     nondeg = form_is_zero(dtheta, config)
     if nondeg.value:
-        raise SystemInvariantError("d(theta) is identically zero")
-    return ExtendedSystem(sys.name, ext, Z, theta, dtheta, base=sys)
+        raise DegenerateThetaError("d(theta) is identically zero", nondeg.certainty)
+    return ExtendedSystem(sys.name, ext, Z, theta, dtheta, base=sys,
+                          dtheta_certainty=nondeg.certainty)
 
 
 def verify_characteristic(ext: ExtendedSystem,
@@ -493,15 +509,20 @@ def characteristic_field(dec: CharacteristicDecomposition,
 
 
 def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,
-              config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> bool:
-    """Double vertical contraction of beta must not vanish identically."""
+              config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+    """Double vertical contraction of beta must not vanish identically.
+
+    ``value`` is True when it does not vanish; ``certainty`` is that of its
+    zero test.  A ZeroResult is always truthy: read ``value``.
+    """
     space = beta.space
     if verticals is None:
         verticals = space.coordinates[-2:]
     z, w = verticals
     inner = interior_product(coordinate_vector(space, w), beta)
     inner = interior_product(coordinate_vector(space, z), inner)
-    return not form_is_zero(inner, config).value
+    vanishes = form_is_zero(inner, config)
+    return ZeroResult(not vanishes.value, vanishes.certainty)
 
 
 @dataclass

@@ -23,19 +23,18 @@ from .expr import (
     ScalarExpr,
     Symbol,
     ZeroTestConfig,
-    add_all,
-    as_expr,
-    differentiate,
+    as_normal_form,
     from_normal,
     is_zero,
     nf_add,
     nf_diff,
+    nf_mul,
     nf_neg,
+    nf_pow,
     nf_scale,
     nf_sum_of_products,
     nf_term,
     normal_form,
-    parse_expr,
     parse_rational,
     render,
 )
@@ -59,6 +58,7 @@ from .exterior import (
 )
 from .liouville import (
     CertificateError,
+    DegenerateThetaError,
     ExtendedSystem,
     LiouvilleError,
     LiouvilleSystem,
@@ -116,7 +116,7 @@ def _omega_matrix(omega: DiffForm) -> list[list[Fraction]]:
     return M
 
 
-def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr) -> VectorField:
+def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr | NormalForm) -> VectorField:
     """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form."""
     space = omega.space
     n = space.dim
@@ -126,7 +126,7 @@ def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr) -> VectorFi
     inv = invert_fraction_matrix(system)
     if inv is None:
         raise LiouvilleError("degenerate symplectic form: linear solve failed")
-    h = normal_form(hamiltonian)
+    h = as_normal_form(hamiltonian)
     dH = [nf_diff(h, x) for x in space.coordinates]
     comps = [nf_add(*(nf_scale(dH[j], inv[i][j]) for j in range(n))) for i in range(n)]
     return VectorField(space, tuple(comps))
@@ -149,11 +149,11 @@ def field_from_flux(chi: DiffForm, omega: DiffForm) -> VectorField:
     return VectorField(space, tuple(comps))
 
 
-def curl3(space: Space, components: Iterable[ScalarExpr]) -> tuple[ScalarExpr, ...]:
+def curl3(space: Space, components: Iterable[ScalarExpr | NormalForm]) -> tuple[ScalarExpr, ...]:
     """Curl of a 3-component field over the first three coordinates."""
     if space.dim != 3:
         raise GeometryError("curl is defined here for three-dimensional spaces only")
-    a1, a2, a3 = (normal_form(a) for a in components)
+    a1, a2, a3 = (as_normal_form(a) for a in components)
     x1, x2, x3 = space.coordinates
 
     def rot(a, x, b, y):
@@ -224,7 +224,8 @@ def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
     else:
         coords = tuple(n for i in range(1, m + 1) for n in (f"q{i}", f"p{i}"))
     space = Space(name or f"hamiltonian_m{m}", coords, tuple(parameters))
-    H = hamiltonian if isinstance(hamiltonian, ScalarExpr) else parse_expr(hamiltonian, space.symbols)
+    H = (as_normal_form(hamiltonian) if isinstance(hamiltonian, (ScalarExpr, NormalForm))
+         else space.parse(hamiltonian))
     omega = canonical_symplectic(space, m)
     X = solve_symplectic_field(omega, H)
     zeta = wedge_power(omega, m - 1) * Const(Fraction(1, math.factorial(m - 1)))
@@ -250,13 +251,13 @@ def build_nambu(hamiltonians, coordinates: Iterable[str] | None = None,
     if len(coords) != n:
         raise LiouvilleError("need n coordinates for n-1 Hamiltonians")
     space = Space(name, coords, tuple(parameters))
-    hs = [h if isinstance(h, ScalarExpr) else parse_expr(h, space.symbols) for h in hamiltonians]
+    hs = [as_normal_form(h) if isinstance(h, (ScalarExpr, NormalForm)) else space.parse(h)
+          for h in hamiltonians]
     omega = volume_form(space)
     chi = constant_form(space)
     dhs = []
     for h in hs:
-        h_nf = normal_form(h)
-        dhs.append(DiffForm(space, 1, {(i,): nf_diff(h_nf, x) for i, x in enumerate(coords)}))
+        dhs.append(DiffForm(space, 1, {(i,): nf_diff(h, x) for i, x in enumerate(coords)}))
     for dh in dhs:
         chi = wedge(chi, dh)
     X = field_from_flux(chi, omega)
@@ -278,7 +279,7 @@ class HyperkahlerData:
 
     space: Space
     omegas: tuple[DiffForm, DiffForm, DiffForm]
-    hamiltonians: tuple[ScalarExpr, ScalarExpr, ScalarExpr]
+    hamiltonians: tuple[ScalarExpr | NormalForm, ScalarExpr | NormalForm, ScalarExpr | NormalForm]
     potentials: tuple[DiffForm, DiffForm, DiffForm]
     orientation: int
 
@@ -328,7 +329,7 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
     N = space.dim // 4
     X = None
     for omega, h in zip(data.omegas, data.hamiltonians):
-        Xa = solve_symplectic_field(omega, as_expr(h))
+        Xa = solve_symplectic_field(omega, as_normal_form(h))
         X = Xa if X is None else X + Xa
     ext_sp = extended_space(space)
     dt = basis_form(ext_sp, TIME_COORDINATE)
@@ -337,13 +338,15 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
     for omega, h, rho in zip(data.omegas, data.hamiltonians, data.potentials):
         zeta = wedge_power(omega, 2 * N - 1)
         theta = theta + wedge(promote_form(rho, ext_sp), promote_form(zeta, ext_sp))
-        theta = theta + wedge(promote_form(zeta * as_expr(h), ext_sp), dt) * time_factor
+        theta = theta + wedge(promote_form(zeta * as_normal_form(h), ext_sp), dt) * time_factor
     dtheta = exterior_derivative(theta)
-    if form_is_zero(dtheta, config).value:
-        raise SystemInvariantError("d(theta) is identically zero")
+    nondeg = form_is_zero(dtheta, config)
+    if nondeg.value:
+        raise DegenerateThetaError("d(theta) is identically zero", nondeg.certainty)
     Z = promote_field(X, ext_sp, time_component=1)
     ext = ExtendedSystem(name, ext_sp, Z, theta, dtheta,
-                         base=LiouvilleSystem(name, space, X, theta=theta))
+                         base=LiouvilleSystem(name, space, X, theta=theta),
+                         dtheta_certainty=nondeg.certainty)
     certs = verify_characteristic(ext, config)
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -454,16 +457,15 @@ def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
 # Charged particle in a stationary magnetic field
 
 
-def _poly_antiderivative(e: ScalarExpr, space: Space, coord: str) -> ScalarExpr:
+def _poly_antiderivative(nf: NormalForm, coord: str) -> NormalForm:
     """Monomial-wise antiderivative with zero integration constant."""
-    nf = normal_form(e)
     if nf.has_trig():
         raise LiouvilleError("magnetic components must be polynomial")
     x = normal_form(Symbol(coord))
     pos_atom = (0, coord)
-    return from_normal(nf_sum_of_products(
+    return nf_sum_of_products(
         *((1, x, nf_term(mono, Fraction(coeff, dict(mono).get(pos_atom, 0) + 1)))
-          for mono, coeff in nf.terms)))
+          for mono, coeff in nf.terms))
 
 
 def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
@@ -482,36 +484,40 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
     vs = space.coordinates[3:]
     b_comps = []
     for comp in B:
-        e = comp if isinstance(comp, ScalarExpr) else parse_expr(comp, space.symbols)
-        bad = e.free_symbols() & set(vs)
+        b = as_normal_form(comp) if isinstance(comp, (ScalarExpr, NormalForm)) else space.parse(comp)
+        bad = b.free_symbols() & set(vs)
         if bad:
             raise LiouvilleError(f"magnetic field must not depend on velocities {sorted(bad)}")
-        if normal_form(e).has_trig():
+        if b.has_trig():
             raise LiouvilleError("magnetic components must be polynomial")
-        b_comps.append(e)
+        b_comps.append(b)
     if len(b_comps) != 3:
         raise LiouvilleError("the magnetic field needs three components")
-    kk = Symbol("k")
-    v1, v2, v3 = (Symbol(v) for v in vs)
+    kk, v1, v2, v3 = (normal_form(Symbol(s)) for s in ("k",) + vs)
+    kv1, kv2, kv3 = (nf_mul(kk, v) for v in (v1, v2, v3))
     B1, B2, B3 = b_comps
-    w = (kk * (v2 * B3 - v3 * B2), kk * (v3 * B1 - v1 * B3), kk * (v1 * B2 - v2 * B1))
+    w = (nf_sum_of_products((1, kv2, B3), (-1, kv3, B2)),
+         nf_sum_of_products((1, kv3, B1), (-1, kv1, B3)),
+         nf_sum_of_products((1, kv1, B2), (-1, kv2, B1)))
     X = VectorField(space, (v1, v2, v3) + w)
 
     omega_i = [basis_form(space, xs[i], vs[i]) for i in range(3)]
     omega = wedge(wedge(omega_i[0], omega_i[1]), omega_i[2])
     pair = [wedge(omega_i[1], omega_i[2]), wedge(omega_i[2], omega_i[0]), wedge(omega_i[0], omega_i[1])]
 
-    half = Const(Fraction(1, 2))
-    gamma1 = pair[0] * (half * v1 ** 2) + pair[1] * (half * v2 ** 2) + pair[2] * (half * v3 ** 2)
-    F_a = _poly_antiderivative(kk * B3, space, "x1")
-    F_b = _poly_antiderivative(Const(-1) * kk * B2, space, "x1")
-    G_a = _poly_antiderivative(Const(-1) * kk * B3, space, "x2")
-    G_b = _poly_antiderivative(kk * B1, space, "x2")
-    H_a = _poly_antiderivative(kk * B2, space, "x3")
-    H_b = _poly_antiderivative(Const(-1) * kk * B1, space, "x3")
-    gamma2 = (pair[0] * (F_a * v2 + F_b * v3)
-              + pair[1] * (G_a * v1 + G_b * v3)
-              + pair[2] * (H_a * v1 + H_b * v2))
+    squares = [nf_pow(v, 2) for v in (v1, v2, v3)]
+    h1, h2, h3 = (nf_scale(sq, Fraction(1, 2)) for sq in squares)
+    gamma1 = pair[0] * h1 + pair[1] * h2 + pair[2] * h3
+    kB1, kB2, kB3 = (nf_mul(kk, b) for b in b_comps)
+    F_a = _poly_antiderivative(kB3, "x1")
+    F_b = _poly_antiderivative(nf_neg(kB2), "x1")
+    G_a = _poly_antiderivative(nf_neg(kB3), "x2")
+    G_b = _poly_antiderivative(kB1, "x2")
+    H_a = _poly_antiderivative(kB2, "x3")
+    H_b = _poly_antiderivative(nf_neg(kB1), "x3")
+    gamma2 = (pair[0] * nf_sum_of_products((1, F_a, v2), (1, F_b, v3))
+              + pair[1] * nf_sum_of_products((1, G_a, v1), (1, G_b, v3))
+              + pair[2] * nf_sum_of_products((1, H_a, v1), (1, H_b, v2)))
     gamma = gamma1 - gamma2
 
     # sigma = (1/3) sum_i x^i dv^i ∧ omega_(i+1) ∧ omega_(i+2)
@@ -522,12 +528,12 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
         sigma = sigma + piece * third
 
     warnings = ()
-    divB = add_all([differentiate(B1, "x1"), differentiate(B2, "x2"), differentiate(B3, "x3")])
+    divB = nf_add(nf_diff(B1, "x1"), nf_diff(B2, "x2"), nf_diff(B3, "x3"))
     if not is_zero(divB, config).value:
         warnings = (f"magnetic field has nonzero divergence {render(divB)}",)
 
     sys = LiouvilleSystem(name, space, X, omega=omega, gamma=gamma, sigma=sigma,
-                          invariants=(v1 ** 2 + v2 ** 2 + v3 ** 2,),
+                          invariants=(nf_add(*squares),),
                           params={"k": _bind(k), **{p: None for p in extra}},
                           warnings=warnings)
     _validate(sys, config)
@@ -669,16 +675,18 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
     if len(field_strings) != n:
         raise SystemFileError(
             f"'vector_field' has {len(field_strings)} components; the space has dimension {n}")
+    # each sin/cos argument of this file is parsed into one shared object
+    atoms: dict = {}
     try:
-        field = deserialize_field(space, field_strings)
-        omega = (deserialize_form(space, n, data["volume"])
+        field = deserialize_field(space, field_strings, atoms)
+        omega = (deserialize_form(space, n, data["volume"], atoms)
                  if "volume" in data else volume_form(space))
-        gamma = deserialize_form(space, n - 2, data["gamma"]) if "gamma" in data else None
-        sigma = deserialize_form(space, n - 1, data["sigma"]) if "sigma" in data else None
+        gamma = deserialize_form(space, n - 2, data["gamma"], atoms) if "gamma" in data else None
+        sigma = deserialize_form(space, n - 1, data["sigma"], atoms) if "sigma" in data else None
         theta = None
         if "theta" in data:
-            theta = deserialize_form(extended_space(space), n - 1, data["theta"])
-        invariants = tuple(parse_expr(s, space.symbols) for s in data.get("invariants", []))
+            theta = deserialize_form(extended_space(space), n - 1, data["theta"], atoms)
+        invariants = tuple(space.parse(s, atoms) for s in data.get("invariants", []))
     except (ParseError, ExprError, GeometryError) as exc:
         raise SystemFileError(str(exc)) from exc
     base_split = None

@@ -3,15 +3,18 @@
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import liouvar
+import liouvar.cli as cli
 from liouvar.cli import main
 from liouvar.systems import build_hamiltonian, load_system, save_system
 
 DATA = Path(__file__).parent / "data"
+BENCH_BUNDLED = Path(__file__).resolve().parents[1] / "bench" / "bundled"
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,59 @@ def test_verify_bad_base_split(example_dir, capsys):
     rc = main(["verify", str(example_dir / "euler_top.json"),
                "--base-split", "1:x1,x3"])
     assert rc == 2
+
+
+def test_verify_abc_flow_reports_the_certainty_of_each_zero_test(capsys):
+    # d(theta) has trig atoms, so the zero tests behind theta_nondegenerate
+    # and proper_principle are sampled, not decided by the normal form
+    rc = main(["verify", str(BENCH_BUNDLED / "abc_flow.json"), "--hodge"])
+    report = read_json(capsys)
+    assert rc == 0
+    assert [(c["name"], c["verdict"], c["certainty"]) for c in report["certificates"]] == [
+        ("liouville_flux_closed", "PASS", "exact"),
+        ("gamma_flux_match", "PASS", "exact"),
+        ("theta_nondegenerate", "PASS", "probabilistic"),
+        ("characteristic_annihilation", "PASS", "exact"),
+        ("characteristic_normalization", "PASS", "exact"),
+        ("proper_principle", "PASS", "probabilistic"),
+        ("psi1_annihilated_by_W", "PASS", "exact"),
+        ("psi2_annihilated_by_W", "PASS", "exact"),
+        ("hodge_duality", "PASS", "exact"),
+    ]
+
+
+def _write_system(tmp_path, field):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"name": "s", "coordinates": ["x1", "x2"],
+                                "vector_field": field}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("entry, position", [
+    ("x1^\u00b2", 3), ("x1^" + "7" * 5000, 3), ("7" * 5000 + "*x1", 0)])
+def test_verify_number_token_int_cannot_read_exit_2(tmp_path, capsys, entry, position):
+    rc = main(["verify", str(_write_system(tmp_path, [entry, "0"]))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: number with ") and f"(at position {position})" in err
+
+
+@pytest.mark.parametrize("exponent", [2000, 8000])
+def test_verify_over_the_term_budget_exit_2_within_a_second(tmp_path, capsys, exponent):
+    path = _write_system(tmp_path, [f"(x1 + x2)^{exponent}", "0"])
+    t0 = time.perf_counter()
+    rc = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 2 and elapsed < 1.0
+    assert "budget" in capsys.readouterr().err
+
+
+def test_verify_hodge_does_not_carry_over_to_the_next_call(example_dir, capsys):
+    path = str(example_dir / "euler_top.json")
+    assert main(["verify", path, "--hodge"]) == 0
+    assert "hodge_duality" in [c["name"] for c in read_json(capsys)["certificates"]]
+    assert main(["verify", path]) == 0
+    assert "hodge_duality" not in [c["name"] for c in read_json(capsys)["certificates"]]
 
 
 def test_verify_deterministic_bytes(example_dir, tmp_path):
@@ -249,6 +305,44 @@ def test_integrate_missing_param_exit_2(example_dir, capsys):
                "--x0", "0.1,0.2,0.3", "--h", "1e-3", "--T", "1"])
     assert rc == 2
     assert "unbound parameters" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(example_dir, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["verify", str(example_dir / "euler_top.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == [1]
+
+
+def test_integrate_calls_see_only_their_own_params(example_dir, capsys):
+    run = ["integrate", str(example_dir / "euler_top.json"),
+           "--x0", "1,1,1", "--h", "1e-2", "--T", "0.5"]
+    reports = []
+    for params in (["I1=2"], ["I2=5", "mu3=1"], []):
+        assert main(run + (["--param", *params] if params else [])) == 0
+        reports.append(read_json(capsys))
+    assert [r["warnings"] for r in reports] == [
+        ["overriding file-bound parameters: I1"],
+        ["overriding file-bound parameters: I2, mu3"],
+        [],
+    ]
+    # each report equals the one a freshly built parser gives for its call
+    fresh = cli.build_parser().parse_args(run + ["--param", "I2=5", "mu3=1"])
+    assert fresh.func(fresh) == 0
+    assert read_json(capsys) == reports[1]
+    # and a call without --param binds nothing that an earlier call bound
+    abc = ["integrate", str(example_dir / "abc_flow.json"),
+           "--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "0.1"]
+    assert main(abc + ["--param", "A=1", "B=1", "C=1"]) == 0
+    capsys.readouterr()
+    assert main(abc) == 2
+    assert "unbound parameters: A, B, C" in capsys.readouterr().err
 
 
 def test_integrate_abc_csv_rows(example_dir, capsys, tmp_path):

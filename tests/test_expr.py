@@ -3,14 +3,18 @@
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import liouvar.expr as expr_module
 from liouvar.expr import (
     MAX_NESTING,
+    MAX_TERMS,
     Const,
     Cos,
+    ExprError,
     Neg,
     ParseError,
     Power,
@@ -26,6 +30,7 @@ from liouvar.expr import (
     NF_ONE,
     NormalForm,
     _monomial_sort_key,
+    _power_terms_bound,
     from_normal,
     is_zero,
     nf_add,
@@ -65,33 +70,35 @@ def q(text):
 
 def test_parse_product():
     e = q("mu1*x2*x3")
-    assert isinstance(e, Product)
+    assert isinstance(e, NormalForm)
+    ((monomial, coeff),) = e.terms
+    assert [atom for atom, _e in monomial] == [(0, "mu1"), (0, "x2"), (0, "x3")] and coeff == 1
     assert render(e) == "mu1*x2*x3"
 
 
 def test_parse_additive_identity():
-    assert normalize(q("sin(x3) + 0")) == normalize(q("sin(x3)"))
+    assert q("sin(x3) + 0") == q("sin(x3)")
 
 
 def test_parse_ring_identity_is_zero():
-    assert render(normalize(q("x1^2 - x1*x1"))) == "0"
+    assert render(q("x1^2 - x1*x1")) == "0"
 
 
 def test_parse_rationals_and_power():
-    e = q("1/2*x1^2 - 3*x2")
+    e = from_normal(q("1/2*x1^2 - 3*x2"))
     assert evaluate(e, {"x1": 2.0, "x2": 1.0}) == pytest.approx(-1.0)
 
 
 def test_parse_nested_trig_and_parens():
-    e = q("sin(x1 + cos(x2))^2")
+    e = from_normal(q("sin(x1 + cos(x2))^2"))
     v = evaluate(e, {"x1": 0.3, "x2": 0.7})
     assert v == pytest.approx(math.sin(0.3 + math.cos(0.7)) ** 2)
 
 
 def test_parse_leading_minus_binds_atom():
     # '-x1^2' applies the unary minus to the atom, then squares
-    assert render(normalize(q("-x1^2"))) == "x1^2"
-    assert render(normalize(q("-1*x1^2"))) == "-1*x1^2"
+    assert render(q("-x1^2")) == "x1^2"
+    assert render(q("-1*x1^2")) == "-1*x1^2"
 
 
 def test_parse_undeclared_identifier():
@@ -111,7 +118,7 @@ def test_parse_nesting_limit(opening, closing):
     def nested(depth):
         return opening * depth + "x1" + closing * depth
 
-    assert normal_form(q(nested(MAX_NESTING))).free_symbols() == {"x1"}
+    assert q(nested(MAX_NESTING)).free_symbols() == {"x1"}
     with pytest.raises(ParseError, match="nesting") as err:
         q(nested(MAX_NESTING + 1))
     assert err.value.position == len(opening) * MAX_NESTING
@@ -129,6 +136,81 @@ def test_parse_bad_exponent():
         q("x1^0")
 
 
+# Error class, message and position of malformed inputs; the same as the
+# per-character tokenizer this parser replaced reported for each of them.
+_MALFORMED = [
+    ("", ParseError, "unexpected end of input (at position 0)"),
+    ("   ", ParseError, "unexpected end of input (at position 3)"),
+    ("x1 +", ParseError, "unexpected end of input (at position 4)"),
+    ("x1 )", ParseError, "unexpected trailing input (at position 3)"),
+    ("(x1", ParseError, "expected ')' (at position 3)"),
+    ("x1 + * x2", ParseError, "unexpected token '*' (at position 5)"),
+    ("x1^0", ParseError, "exponent must be a positive integer (at position 3)"),
+    ("x1^-1", ParseError, "exponent must be a positive integer (at position 3)"),
+    ("x1^x2", ParseError, "exponent must be a positive integer (at position 3)"),
+    ("x1^(2)", ParseError, "exponent must be a positive integer (at position 3)"),
+    ("1/0", ParseError, "denominator must be a positive integer (at position 2)"),
+    ("1/x1", ParseError, "denominator must be a positive integer (at position 2)"),
+    ("1/-2", ParseError, "denominator must be a positive integer (at position 2)"),
+    ("2/", ParseError, "denominator must be a positive integer (at position 2)"),
+    ("x1 x2", ParseError, "unexpected trailing input (at position 3)"),
+    ("bogus", UndeclaredSymbolError, "undeclared identifier 'bogus' (at position 0)"),
+    ("x1 + bogus", UndeclaredSymbolError, "undeclared identifier 'bogus' (at position 5)"),
+    ("y + @", ParseError, "unexpected character '@' (at position 4)"),
+    ("x1 $ y", ParseError, "unexpected character '$' (at position 3)"),
+    ("sin x1", ParseError, "expected '(' after sin (at position 4)"),
+    ("sin(x1", ParseError, "expected ')' (at position 6)"),
+    ("cos()", ParseError, "unexpected token ')' (at position 4)"),
+    ("sin", ParseError, "expected '(' after sin (at position 3)"),
+    ("_x", ParseError, "unexpected character '_' (at position 0)"),
+    ("x_1", UndeclaredSymbolError, "undeclared identifier 'x_1' (at position 0)"),
+    ("x1.5", ParseError, "unexpected character '.' (at position 2)"),
+    ("x1*", ParseError, "unexpected end of input (at position 3)"),
+    ("-", ParseError, "unexpected end of input (at position 1)"),
+    ("sin(x1))", ParseError, "unexpected trailing input (at position 7)"),
+    ("x1^2^3", ParseError, "unexpected trailing input (at position 4)"),
+    ("1/2/3", ParseError, "unexpected trailing input (at position 3)"),
+    ("x1^1/2", ParseError, "unexpected trailing input (at position 4)"),
+    ("\u00e9", UndeclaredSymbolError, "undeclared identifier '\u00e9' (at position 0)"),
+    ("x1 \u00d7 x2", ParseError, "unexpected character '\u00d7' (at position 3)"),
+    ("cos(\u00e9)", UndeclaredSymbolError, "undeclared identifier '\u00e9' (at position 4)"),
+    ("x1\u00b2", UndeclaredSymbolError, "undeclared identifier 'x1\u00b2' (at position 0)"),
+    ("\u00bd", ParseError, "unexpected character '\u00bd' (at position 0)"),
+    ("\u216b", ParseError, "unexpected character '\u216b' (at position 0)"),
+    ("\uff581", UndeclaredSymbolError, "undeclared identifier '\uff581' (at position 0)"),
+    ("x1 \u00b2", ParseError, "unexpected trailing input (at position 3)"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _MALFORMED)
+def test_parse_errors_keep_class_message_and_position(text, error, message):
+    with pytest.raises(ParseError) as err:
+        q(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u0663*x1", "3*x1"), ("\uff11 + x1", "x1 + 1"), ("x1^\u0663", "x1^3"),
+    ("--x1", "x1"), ("\tx1\n", "x1"), ("x1\u00a0+\u00a0x2", "x1 + x2"), ("2^2", "4"),
+    ("(1/2)^2", "1/4"), ("x1 + 1 /2", "x1 + 1/2"),
+])
+def test_parse_accepts_unicode_decimal_digits_and_whitespace(text, expected):
+    assert render(q(text)) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^\u00b2", "number with a digit that is not decimal (at position 3)"),
+    ("\u00b2x1", "number with a digit that is not decimal (at position 0)"),
+    ("x1^" + "7" * 5000, "number with too many digits (at position 3)"),
+    ("7" * 5000 + "*x1", "number with too many digits (at position 0)"),
+    ("1/" + "7" * 5000, "number with too many digits (at position 2)"),
+])
+def test_parse_refuses_number_tokens_int_cannot_read(text, message):
+    with pytest.raises(ParseError) as err:
+        q(text)
+    assert str(err.value) == message
+
+
 def test_parse_rational_strings():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-1") == Fraction(-1)
@@ -139,25 +221,25 @@ def test_parse_rational_strings():
 
 
 def test_diff_product_rule():
-    assert render(differentiate(q("mu1*x2*x3"), "x2")) == "mu1*x3"
+    assert render(differentiate(from_normal(q("mu1*x2*x3")), "x2")) == "mu1*x3"
 
 
 def test_diff_sine():
-    assert differentiate(q("sin(x1)"), "x1") == normalize(Cos(Symbol("x1")))
+    assert differentiate(from_normal(q("sin(x1)")), "x1") == normalize(Cos(Symbol("x1")))
 
 
 def test_diff_parameter_constant():
     # d/dx2 of (1/2) mu2 x1 x3^2 treats parameters and other coords as constants
-    a1 = q("1/2*mu2*x1*x3^2")
+    a1 = from_normal(q("1/2*mu2*x1*x3^2"))
     assert render(differentiate(a1, "x2")) == "0"
 
 
 def test_diff_power_rule():
-    assert render(differentiate(q("x1^3"), "x1")) == "3*x1^2"
+    assert render(differentiate(from_normal(q("x1^3")), "x1")) == "3*x1^2"
 
 
 def test_diff_chain_rule():
-    e = differentiate(q("cos(x1^2)"), "x1")
+    e = differentiate(from_normal(q("cos(x1^2)")), "x1")
     expected = normalize(Const(Fraction(-2)) * Symbol("x1") * Sin(Power(Symbol("x1"), 2)))
     assert e == expected
 
@@ -194,7 +276,7 @@ def test_is_zero_small_nonzero_is_not_zero():
 
 def test_is_zero_accepts_a_normal_form():
     for text in ("sin(x1)^2 + cos(x1)^2 - 1", "sin(x1) + 1/2", "x1*x2 - x2*x1", "mu1*x2"):
-        assert is_zero(normal_form(q(text))) == is_zero(q(text))
+        assert is_zero(q(text)) == is_zero(from_normal(q(text)))
 
 
 def test_is_zero_deterministic_and_seed_sensitive():
@@ -211,21 +293,21 @@ def test_is_zero_deterministic_and_seed_sensitive():
 
 
 def test_evaluate_product():
-    assert evaluate(q("x1*x2*x3"), {"x1": 1, "x2": 2, "x3": 3}) == 6.0
+    assert evaluate(from_normal(q("x1*x2*x3")), {"x1": 1, "x2": 2, "x3": 3}) == 6.0
 
 
 def test_evaluate_sin_zero():
-    assert evaluate(q("sin(x1)"), {"x1": 0.0}) == 0.0
+    assert evaluate(from_normal(q("sin(x1)")), {"x1": 0.0}) == 0.0
 
 
 def test_evaluate_rigid_body_component():
     # mu1 = (I2 - I3)/I1 = -1 for moments (1, 2, 3)
-    assert evaluate(q("mu1*x2*x3"), {"mu1": -1.0, "x1": 1, "x2": 1, "x3": 1}) == -1.0
+    assert evaluate(from_normal(q("mu1*x2*x3")), {"mu1": -1.0, "x1": 1, "x2": 1, "x3": 1}) == -1.0
 
 
 def test_evaluate_unbound():
     with pytest.raises(UnboundSymbolError):
-        evaluate(q("x1 + x2"), {"x1": 1.0})
+        evaluate(from_normal(q("x1 + x2")), {"x1": 1.0})
 
 
 # --------------------------------------------------------------------------
@@ -233,33 +315,33 @@ def test_evaluate_unbound():
 
 
 def test_substitute_into_square():
-    e = substitute(normal_form(q("q^2")), {"q": normal_form(Sin(Symbol("t")))})
-    assert e == normal_form(q("sin(t)^2"))
+    e = substitute(q("q^2"), {"q": normal_form(Sin(Symbol("t")))})
+    assert e == q("sin(t)^2")
 
 
 def test_substitute_identity():
-    e = normal_form(q("x1*x2 + sin(x3)"))
+    e = q("x1*x2 + sin(x3)")
     assert substitute(e, {"x1": normal_form(Symbol("x1"))}) == e
 
 
 def test_substitute_simultaneous_swap():
-    e = normal_form(q("q - p"))
+    e = q("q - p")
     swapped = substitute(e, {"q": normal_form(Symbol("p")), "p": normal_form(Symbol("q"))})
-    assert swapped == normal_form(q("p - q"))
+    assert swapped == q("p - q")
 
 
 def test_substitute_parameter_expansion():
     syms = SYMS + ("I2", "I3", "I1r")
-    f1 = normal_form(parse_expr("mu1*x2*x3", syms))
-    replacement = normal_form(parse_expr("(I2 - I3)*I1r", syms))
+    f1 = parse_expr("mu1*x2*x3", syms)
+    replacement = parse_expr("(I2 - I3)*I1r", syms)
     out = substitute(f1, {"mu1": replacement})
-    assert out == normal_form(parse_expr("(I2 - I3)*I1r*x2*x3", syms))
+    assert out == parse_expr("(I2 - I3)*I1r*x2*x3", syms)
 
 
 def test_substitute_inside_trig_arguments():
-    e = normal_form(q("q*sin(2*q + p)^2 - cos(p)"))
-    out = substitute(e, {"q": normal_form(q("t - 1")), "p": normal_form(Const(0))})
-    assert out == normal_form(q("(t - 1)*sin(2*t - 2)^2 - 1"))
+    e = q("q*sin(2*q + p)^2 - cos(p)")
+    out = substitute(e, {"q": q("t - 1"), "p": normal_form(Const(0))})
+    assert out == q("(t - 1)*sin(2*t - 2)^2 - 1")
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +407,11 @@ def test_evaluate_agrees_with_normalized(e):
 def test_render_parse_round_trip(e):
     text = render(e)
     back = parse_expr(text, SYMS)
-    assert normal_form(back) == normal_form(e)
+    assert back == normal_form(e)
 
 
 def test_power_matches_repeated_product():
-    base = q("x1 - 2*x2 + sin(x1)")
+    base = from_normal(q("x1 - 2*x2 + sin(x1)"))
     for k in range(1, 8):
         assert normal_form(Power(base, k)) == normal_form(Product((base,) * k))
 
@@ -386,31 +468,141 @@ def test_compiled_normal_form_matches_tree_evaluation(e, a, b):
     assert compile_scalar(nf, ("x1",), {"x2": b})([a]) == want
 
 
+def _text_and_tree(depth):
+    """Expression text paired with the tree that the grammar reads from it:
+    sums of products of powers of numbers, p/q rationals, symbols,
+    parentheses, sin/cos calls and unary minus, nested ``depth`` deep."""
+    leaves = [
+        st.integers(0, 12).map(lambda n: (str(n), Const(n))),
+        st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
+            lambda t: (f"{t[0]}/{t[1]}", Const(Fraction(*t)))),
+        st.sampled_from(("x1", "x2", "mu1")).map(lambda n: (n, Symbol(n))),
+    ]
+    if depth == 0:
+        atom = st.one_of(*leaves)
+    else:
+        inner = _text_and_tree(depth - 1)
+        atom = st.one_of(
+            *leaves,
+            inner.map(lambda p: (f"({p[0]})", p[1])),
+            inner.map(lambda p: (f"sin({p[0]})", Sin(p[1]))),
+            inner.map(lambda p: (f"cos({p[0]})", Cos(p[1]))),
+            st.one_of(*leaves).map(lambda p: ("-" + p[0], Neg(p[1]))),
+            inner.map(lambda p: (f"-({p[0]})", Neg(p[1]))))
+    factor = st.tuples(atom, st.integers(0, 2)).map(
+        lambda t: t[0] if not t[1] else (f"{t[0][0]}^{t[1]}", Power(t[0][1], t[1])))
+    term = st.lists(factor, min_size=1, max_size=2).map(
+        lambda fs: ("*".join(f[0] for f in fs),
+                    fs[0][1] if len(fs) == 1 else Product(tuple(f[1] for f in fs))))
+
+    def join(parts):
+        (text, tree), rest = parts
+        terms = [tree]
+        for sign, (t_text, t_tree) in rest:
+            text += f" {sign} {t_text}"
+            terms.append(t_tree if sign == "+" else Neg(t_tree))
+        return text, terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    return st.tuples(term, st.lists(st.tuples(st.sampled_from("+-"), term), max_size=1)).map(join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_text_and_tree(2))
+def test_parse_equals_normal_form_of_the_same_tree(pair):
+    text, tree = pair
+    try:
+        want = normal_form(tree)
+    except ExprError:   # over the term budget; refusals are tested below
+        assume(False)
+    nf = q(text)
+    assert nf == want
+    _assert_canonical(nf)
+
+
+def test_parse_shares_equal_trig_arguments_through_one_table():
+    atoms = {}
+    a = parse_expr("x2*sin(x1 + 1) + cos(x1 + 1)", SYMS, atoms)
+    b = parse_expr("sin(1 + x1)^2", SYMS, atoms)
+    payloads = [payload for nf in (a, b) for m, _c in nf.terms for (kind, payload), _e in m if kind]
+    assert len(payloads) == 3 and all(p is payloads[0] for p in payloads)
+    assert list(atoms) == [payloads[0]]
+    # without a table the arguments are equal objects, not one object
+    c, d = q("sin(x1 + 1)"), q("sin(x1 + 1)")
+    assert c == d and c.terms[0][0][0][0][1] is not d.terms[0][0][0][0][1]
+
+
+def test_space_keeps_its_symbol_set_out_of_comparisons():
+    space = Space("s", ("x1", "x2"), ("mu1",))
+    assert space.symbol_set == frozenset(("x1", "x2", "mu1"))
+    assert space == Space("s", ("x1", "x2"), ("mu1",)) and "symbol_set" not in repr(space)
+    assert space.parse("mu1*x2 + x1") == q("x1 + mu1*x2")
+
+
+# --------------------------------------------------------------------------
+# Term budget
+
+
+def test_product_beyond_the_term_budget_is_refused():
+    wide = nf_add(*(q(f"x1^{k}") for k in range(1, 101)))
+    narrow = nf_add(*(q(f"x2^{k}") for k in range(1, MAX_TERMS // 100 + 1)))
+    assert len(nf_mul(wide, narrow).terms) == MAX_TERMS
+    with pytest.raises(ExprError, match="budget"):
+        nf_mul(wide, nf_add(narrow, q("x3")))
+    # a constant factor only scales
+    assert nf_mul(q("2"), nf_mul(wide, narrow)) == nf_scale(nf_mul(wide, narrow), 2)
+
+
+@pytest.mark.parametrize("t, k", [(2, 1), (2, 5), (3, 4), (5, 2), (4, 30), (2, MAX_TERMS - 1)])
+def test_power_terms_bound_is_the_multinomial_count(t, k):
+    exact, bound = comb(t + k - 1, k), _power_terms_bound(t, k)
+    assert bound == exact if exact <= MAX_TERMS else MAX_TERMS < bound <= exact
+
+
+@pytest.mark.parametrize("text, exponent", [("x1 + x2", MAX_TERMS), ("x1 + x2 + x3", 200),
+                                            ("x1 + x2", 10**30)])
+def test_power_beyond_the_term_budget_is_refused_before_multiplying(monkeypatch, text, exponent):
+    base = q(text)
+
+    def no_multiplication(a, b):
+        raise AssertionError("nf_pow multiplied before checking its bound")
+
+    monkeypatch.setattr(expr_module, "nf_mul", no_multiplication)
+    with pytest.raises(ExprError, match="budget"):
+        nf_pow(base, exponent)
+
+
+def test_power_within_the_budget_and_one_term_powers():
+    assert nf_pow(q("x1 + 1"), 3) == q("x1^3 + 3*x1^2 + 3*x1 + 1")
+    assert nf_pow(q("-2/3*x1*sin(x2)"), 3) == q("-8/27*x1^3*sin(x2)^3")
+    big = nf_pow(q("2*x1"), 10**6)
+    assert big.terms[0][0] == (((0, "x1"), 10**6),) and big.terms[0][1] == 2 ** 10**6
+
+
 # --------------------------------------------------------------------------
 # Exact division
 
 
 def test_divide_exact():
-    num = normal_form(q("x1^2*x2 + x1*x2^2"))
-    den = normal_form(q("x1*x2"))
+    num = q("x1^2*x2 + x1*x2^2")
+    den = q("x1*x2")
     quotient = nf_divide(num, den)
-    assert quotient == normal_form(q("x1 + x2"))
+    assert quotient == q("x1 + x2")
 
 
 def test_divide_by_constant():
-    num = normal_form(q("2*x1 + 4"))
-    den = normal_form(q("2"))
-    assert nf_divide(num, den) == normal_form(q("x1 + 2"))
+    num = q("2*x1 + 4")
+    den = q("2")
+    assert nf_divide(num, den) == q("x1 + 2")
 
 
 def test_divide_not_divisible():
-    assert nf_divide(normal_form(q("x1 + 1")), normal_form(q("x2"))) is None
+    assert nf_divide(q("x1 + 1"), q("x2")) is None
 
 
 def test_divide_with_trig_atoms():
-    num = normal_form(q("sin(x1)*x2 + sin(x1)"))
-    den = normal_form(q("sin(x1)"))
-    assert nf_divide(num, den) == normal_form(q("x2 + 1"))
+    num = q("sin(x1)*x2 + sin(x1)")
+    den = q("sin(x1)")
+    assert nf_divide(num, den) == q("x2 + 1")
 
 
 # --------------------------------------------------------------------------
@@ -435,39 +627,39 @@ def _assert_canonical(nf):
 
 
 def test_trig_atom_holds_the_argument_normal_form():
-    nf = normal_form(q("sin(x1 + 1/2)"))
+    nf = q("sin(x1 + 1/2)")
     ((((kind, payload), e),), c), = nf.terms
-    assert payload == normal_form(q("x1 + 1/2")) and (e, c) == (1, 1)
+    assert payload == q("x1 + 1/2") and (e, c) == (1, 1)
     assert isinstance(payload, NormalForm)
 
 
 def test_normal_form_is_immutable_and_keeps_its_derived_values():
-    nf = normal_form(q("x1*sin(x2 + cos(x3)) + 1/3"))
+    nf = q("x1*sin(x2 + cos(x3)) + 1/3")
     with pytest.raises(AttributeError):
         nf.terms = ()
     assert nf.sort_key() is nf.sort_key()
     assert nf.free_symbols() is nf.free_symbols() == {"x1", "x2", "x3"}
-    assert hash(nf) == hash(normal_form(q("1/3 + sin(cos(x3) + x2)*x1")))
+    assert hash(nf) == hash(q("1/3 + sin(cos(x3) + x2)*x1"))
 
 
 def test_integral_coefficients_are_ints():
-    nf = normal_form(q("2*x1 + 1/2*x2 + 1/2*x2 - 3"))
+    nf = q("2*x1 + 1/2*x2 + 1/2*x2 - 3")
     assert [c for _m, c in nf.terms] == [2, 1, -3]
     assert [type(c) for _m, c in nf.terms] == [int, int, int]
-    assert nf_scale(normal_form(q("3/2*x1")), Fraction(2, 3)).terms[0][1] == 1
+    assert nf_scale(q("3/2*x1"), Fraction(2, 3)).terms[0][1] == 1
 
 
 @pytest.mark.parametrize("text", ["0", "7", "-2/3", "4/2"])
 def test_constant_value_is_a_fraction(text):
-    value = normal_form(q(text)).constant_value()
+    value = q(text).constant_value()
     assert type(value) is Fraction and value == parse_rational(text)
     assert type(NF_ONE.constant_value()) is Fraction
 
 
 def test_divide_keeps_denominators_exact():
-    num = normal_form(q("1/3*x1*x2 + 1/3*x1"))
-    assert nf_divide(num, normal_form(q("3*x1"))) == normal_form(q("1/9*x2 + 1/9"))
-    third = nf_divide(normal_form(q("x1")), normal_form(q("3")))
+    num = q("1/3*x1*x2 + 1/3*x1")
+    assert nf_divide(num, q("3*x1")) == q("1/9*x2 + 1/9")
+    third = nf_divide(q("x1"), q("3"))
     assert third.terms[0][1] == Fraction(1, 3) and type(third.terms[0][1]) is Fraction
 
 
@@ -489,7 +681,7 @@ def test_kernel_results_are_canonical(a, b, c):
 @given(st.one_of(expressions, _rational_forms))
 def test_render_parse_round_trip_keeps_equality_and_hash(e):
     nf = normal_form(e)
-    back = normal_form(parse_expr(render(nf), SYMS))
+    back = parse_expr(render(nf), SYMS)
     assert back == nf and hash(back) == hash(nf)
 
 

@@ -378,20 +378,23 @@ def test_proper_examples(bundle):
                  "harmonic_oscillator_m2", "pauli_spin", "nambu_rotor",
                  "charged_particle_constB", "free_particle", "hyperham_generic"):
         ext = build_extended(bundle[name].bound())
-        assert is_proper(ext.dtheta), name
+        proper = is_proper(ext.dtheta)
+        assert proper.value, name
+        assert proper.certainty == ("probabilistic" if name == "abc_flow" else "exact"), name
 
 
 def test_improper_form():
     sp = Space("d", ("x", "z", "w"))
     beta = basis_form(sp, "x", "z", coeff=Symbol("x"))
-    assert not is_proper(beta)
+    proper = is_proper(beta)
+    assert not proper.value and proper.certainty == "exact"
     with pytest.raises(ImproperPrincipleError):
         characteristic_field(decompose_beta(beta))
 
 
 def test_proper_vertical_area():
     sp = Space("d", ("x", "z", "w"))
-    assert is_proper(basis_form(sp, "z", "w"))
+    assert is_proper(basis_form(sp, "z", "w")).value
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_hamiltonian_m1_field():
     sys = build_hamiltonian("1/2*q^2 + 1/2*p^2", 1)
     assert [render(c) for c in sys.field.components] == ["p", "-1*q"]
     assert sys.gamma.degree == 0
-    assert normal_form(sys.gamma.get(())) == normal_form(parse_expr("1/2*p^2 + 1/2*q^2", ("q", "p")))
+    assert normal_form(sys.gamma.get(())) == parse_expr("1/2*p^2 + 1/2*q^2", ("q", "p"))
 
 
 def test_hamiltonian_m2_flux_factorization():
@@ -164,7 +164,7 @@ def test_hyperhamiltonian_single_matches_canonical():
         got = ext.base.field.components[space.position(target)]
         want = parse_expr(comp, ham.space.symbols)
         from liouvar.expr import substitute
-        want = substitute(normal_form(want), {k: normal_form(Symbol(v)) for k, v in relabel.items()})
+        want = substitute(want, {k: normal_form(Symbol(v)) for k, v in relabel.items()})
         assert normal_form(got) == want
 
 
