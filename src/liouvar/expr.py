@@ -17,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -31,14 +32,24 @@ PROBABILISTIC = "probabilistic"
 MAX_NESTING = 32
 
 # Term budget of the normal-form kernel: ``nf_mul`` refuses a product of
-# more term pairs than this, and ``nf_pow`` a power whose multinomial bound
+# more term pairs than this, ``nf_sum_of_products`` a sum of products with
+# more term pairs in all, and ``nf_pow`` a power whose multinomial bound
 # on the result's terms is larger, so that an input such as
 # ``(x1 + x2)^8000`` is refused at once instead of running for minutes.
 # The pair budget also holds for each squaring inside ``nf_pow``, so a
 # power within the multinomial bound can still be refused by ``nf_mul``.
-# The bundled systems and the benchmark ladders stay below 50 term pairs
-# in any product and below 15 terms in any normal form.
+# The bundled systems and the benchmark ladders reach at most 4 term pairs
+# in a product of two non-constant forms, 96 in a sum of products and 14
+# terms in a normal form.
 MAX_TERMS = 10000
+
+# Coefficient budget: ``nf_pow`` refuses to raise a one-term base when the
+# power's numerator or denominator could have more bits than this, so that
+# an input such as ``(2*x1)^20000`` is refused before it is computed.  It
+# is well below the 4300 decimal digits (about 14000 bits) that ``str``
+# converts.  The bundled systems and the benchmark ladders reach at most
+# 15 bits in a coefficient.
+MAX_COEFF_BITS = 4096
 
 
 class ExprError(Exception):
@@ -303,6 +314,21 @@ class NormalForm:
             _set(self, "_key", _terms_sort_key(self.terms))
             return self._key
 
+    def int_view(self) -> tuple:
+        """``(D, ((monomial, numerator), ...))``: ``D`` is the lcm of the
+        coefficient denominators and each numerator is its coefficient
+        times ``D``, an int.  With integral coefficients it is
+        ``(1, self.terms)``."""
+        terms = self.terms
+        D = 1
+        for _m, c in terms:
+            if type(c) is not int:
+                D = lcm(D, c.denominator)
+        if D == 1:
+            return (1, terms)
+        return (D, tuple((m, c * D if type(c) is int else c.numerator * (D // c.denominator))
+                         for m, c in terms))
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -362,13 +388,73 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items()))
 
 
+# the terms of the constants 1 and -1, and the integer view of 1
+_ONE_TERMS = (((), 1),)
+_MINUS_ONE_TERMS = (((), -1),)
+_UNIT_VIEW = (1, _ONE_TERMS)
+
+
+def _int_sum(products) -> NormalForm:
+    """The product accumulator of the kernel (``nf_mul``,
+    ``nf_sum_of_products``, ``nf_diff``): the sum of ``sign * a * b`` over
+    ``(sign, a, b)``, where ``a`` and ``b`` are integer views (see
+    ``NormalForm.int_view``) and ``sign`` is an int.
+
+    The numerators of every product are scaled to the lcm ``L`` of the
+    products' denominators and summed as ints; each nonzero sum ``c`` is
+    stored once as ``c / L`` in lowest terms, an int when integral.  A
+    constant side only scales the other side's numerators.
+    """
+    L = lcm(*[Da * Db for _s, (Da, _ta), (Db, _tb) in products])
+    acc: dict = {}
+    get = acc.get
+    for sign, (Da, ta), (Db, tb) in products:
+        k = sign * (L // (Da * Db))
+        if len(tb) == 1 and not tb[0][0]:
+            ta, tb = tb, ta
+        if len(ta) == 1 and not ta[0][0]:
+            f = ta[0][1] * k
+            for m, n in tb:
+                prev = get(m)
+                acc[m] = n * f if prev is None else prev + n * f
+            continue
+        for m1, n1 in ta:
+            n1 *= k
+            for m2, n2 in tb:
+                m = _mono_mul(m1, m2)
+                prev = get(m)
+                acc[m] = n1 * n2 if prev is None else prev + n1 * n2
+    if L == 1:
+        items = [(m, c) for m, c in acc.items() if c]
+    else:
+        items = []
+        for m, c in acc.items():
+            if c:
+                g = gcd(c, L)
+                items.append((m, c // g if g == L else Fraction(c // g, L // g)))
+    items.sort(key=_term_order)
+    return NormalForm(tuple(items))
+
+
+def _unit_sign(a: NormalForm) -> int:
+    """1 or -1 when ``a`` is that constant, else 0."""
+    terms = a.terms
+    return 1 if terms == _ONE_TERMS else -1 if terms == _MINUS_ONE_TERMS else 0
+
+
 def nf_term(monomial, coeff) -> NormalForm:
     """The one-term normal form ``coeff * monomial``; zero when coeff is 0."""
     return NormalForm(((monomial, _coeff(coeff)),)) if coeff else NF_ZERO
 
 
 def nf_add(*forms: NormalForm) -> NormalForm:
-    """Sum of any number of normal forms, sorted once."""
+    """Sum of any number of normal forms, sorted once.
+
+    A sum multiplies nothing, so it adds the stored coefficients in one
+    dict rather than through the integer accumulator: a coefficient whose
+    monomial occurs once is kept as it is, and only colliding ones are
+    added.
+    """
     acc: dict = {}
     for f in forms:
         for m, c in f.terms:
@@ -377,7 +463,12 @@ def nf_add(*forms: NormalForm) -> NormalForm:
 
 
 def nf_neg(a: NormalForm) -> NormalForm:
-    return NormalForm(tuple((m, -c) for m, c in a.terms))
+    """``-a``; it keeps ``a``'s free symbols when they are computed."""
+    out = NormalForm(tuple((m, -c) for m, c in a.terms))
+    symbols = getattr(a, "_symbols", None)
+    if symbols is not None:
+        _set(out, "_symbols", symbols)
+    return out
 
 
 def nf_scale(a: NormalForm, factor) -> NormalForm:
@@ -389,42 +480,44 @@ def nf_scale(a: NormalForm, factor) -> NormalForm:
     return NormalForm(tuple((m, _coeff(c * factor)) for m, c in a.terms))
 
 
-def _accumulate_product(acc: dict, sign: int, a: NormalForm, b: NormalForm) -> None:
-    get = acc.get
-    for m1, c1 in a.terms:
-        if sign < 0:
-            c1 = -c1
-        for m2, c2 in b.terms:
-            m = _mono_mul(m1, m2)
-            prev = get(m)
-            acc[m] = c1 * c2 if prev is None else prev + c1 * c2
-
-
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Product; refused when it takes more than ``MAX_TERMS`` term products."""
-    if a.is_constant():
-        return nf_scale(b, a.terms[0][1]) if a.terms else NF_ZERO
-    if b.is_constant():
-        return nf_scale(a, b.terms[0][1]) if b.terms else NF_ZERO
-    if len(a.terms) * len(b.terms) > MAX_TERMS:
+    """Product; refused when it takes more than ``MAX_TERMS`` term products.
+    A side equal to 1 or -1 returns the other side or its negation."""
+    if not a.terms or not b.terms:
+        return NF_ZERO
+    unit = _unit_sign(a)
+    if unit:
+        return b if unit > 0 else nf_neg(b)
+    unit = _unit_sign(b)
+    if unit:
+        return a if unit > 0 else nf_neg(a)
+    if not (a.is_constant() or b.is_constant()) and len(a.terms) * len(b.terms) > MAX_TERMS:
         raise ExprError(f"product of a {len(a.terms)}-term and a {len(b.terms)}-term expression "
                         f"exceeds the budget of {MAX_TERMS} term products")
-    acc: dict = {}
-    _accumulate_product(acc, 1, a, b)
-    return _freeze(acc)
+    return _int_sum(((1, a.int_view(), b.int_view()),))
 
 
 def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalForm:
     """Sum of ``sign * a * b`` over ``(sign, a, b)`` triples, sign +1 or -1.
 
-    Every product is accumulated into one dict and the sum is sorted once,
-    where ``nf_add`` of ``nf_mul`` results would sort every product and
-    then the sum again.
+    Every product is accumulated into one integer accumulator and the sum
+    is sorted once.  A single product with a side equal to 1 or -1 returns
+    the other side or its negation.  A sum of more than ``MAX_TERMS`` term
+    products is refused before anything is multiplied.
     """
-    acc: dict = {}
-    for sign, a, b in products:
-        _accumulate_product(acc, sign, a, b)
-    return _freeze(acc)
+    if len(products) == 1:
+        sign, a, b = products[0]
+        unit = _unit_sign(a)
+        if unit:
+            return b if sign * unit > 0 else nf_neg(b)
+        unit = _unit_sign(b)
+        if unit:
+            return a if sign * unit > 0 else nf_neg(a)
+    pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products)
+    if pairs > MAX_TERMS:
+        raise ExprError(f"sum of {len(products)} products of {pairs} term products "
+                        f"exceeds the budget of {MAX_TERMS} term products")
+    return _int_sum([(sign, a.int_view(), b.int_view()) for sign, a, b in products])
 
 
 def _power_terms_bound(t: int, k: int) -> int:
@@ -452,6 +545,11 @@ def nf_pow(a: NormalForm, exponent: int) -> NormalForm:
         return a
     if len(terms) == 1:
         (m, c), = terms
+        if c != 1 and c != -1:
+            bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if exponent * bits > MAX_COEFF_BITS:
+                raise ExprError(f"power {exponent} of a {bits}-bit coefficient can have more "
+                                f"than the budget of {MAX_COEFF_BITS} bits")
         return NormalForm(((tuple((atom, e * exponent) for atom, e in m), c ** exponent),))
     if len(terms) > 1 and _power_terms_bound(len(terms), exponent) > MAX_TERMS:
         raise ExprError(f"power {exponent} of a {len(terms)}-term expression can have more "
@@ -545,19 +643,22 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
     """Partial derivative taken monomial by monomial.
 
     Symbol atoms follow the power rule; sin(u) and cos(u) follow the chain
-    rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.
+    rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.  Both work on the
+    integer view and go through the product accumulator.
     """
     if v not in nf.free_symbols():
         return NF_ZERO
-    acc: dict = {}
-    for m, c in nf.terms:
+    D, pairs = nf.int_view()
+    powered = []  # power-rule terms, over the denominator D
+    products = [(1, (D, powered), _UNIT_VIEW)]
+    for m, n in pairs:
         for i, (atom, e) in enumerate(m):
             kind, payload = atom
             if kind == _SYM and payload != v:
                 continue
             rest = m[:i] + ((atom, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
             if kind == _SYM:
-                _acc_add(acc, rest, c * e)
+                powered.append((rest, n * e))
                 continue
             du = nf_diff(payload, v)
             if du.is_zero():
@@ -566,8 +667,8 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
                 outer, sign = (_COS, payload), 1
             else:
                 outer, sign = (_SIN, payload), -1
-            _accumulate_product(acc, sign, nf_term(_mono_mul(rest, ((outer, 1),)), c * e), du)
-    return _freeze(acc)
+            products.append((sign, (D, ((_mono_mul(rest, ((outer, 1),)), n * e),)), du.int_view()))
+    return _int_sum(products)
 
 
 def differentiate(e: ScalarExpr, v: str) -> ScalarExpr:
@@ -647,7 +748,11 @@ def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str]) -> list[str]:
     """
     out = []
     for m, c in nf.terms:
-        factors = [repr(float(c))] if c != 1 or not m else []
+        try:
+            factors = [repr(float(c))] if c != 1 or not m else []
+        except OverflowError:
+            raise ExprError(f"coefficient with a {c.numerator.bit_length()}-bit numerator "
+                            "is too large for a float") from None
         for (kind, payload), e in m:
             if kind == _SYM:
                 try:

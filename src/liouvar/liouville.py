@@ -534,19 +534,26 @@ class PsiForms:
 
 def psi_forms(beta: DiffForm, verticals: tuple[str, str] | None = None,
               config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> PsiForms:
-    """Vertical contractions Psi_i of beta plus the W ⌟ Psi_i = 0 certificates."""
+    """Vertical contractions Psi_i of beta plus the W ⌟ Psi_i = 0 certificates.
+
+    Psi_1 = d_z ⌟ beta and Psi_2 = d_w ⌟ beta.  Interior products
+    anticommute, so W ⌟ Psi_i is taken as -(d_z ⌟ (W ⌟ beta)) and
+    -(d_w ⌟ (W ⌟ beta)), contracting W with beta once.
+    """
     space = beta.space
     chart = split_chart(space, verticals)
     if chart != space:
         beta = reorder_form(beta, chart)
     z, w = chart.coordinates[-2], chart.coordinates[-1]
-    psi1 = interior_product(coordinate_vector(chart, z), beta)
-    psi2 = interior_product(coordinate_vector(chart, w), beta)
+    d_z, d_w = coordinate_vector(chart, z), coordinate_vector(chart, w)
+    psi1 = interior_product(d_z, beta)
+    psi2 = interior_product(d_w, beta)
     dec = decompose_beta(beta, (z, w), config)
     W = characteristic_field(dec, config)
+    w_beta = interior_product(W, beta)
     certs = [
-        _zero_certificate("psi1_annihilated_by_W", interior_product(W, psi1), config),
-        _zero_certificate("psi2_annihilated_by_W", interior_product(W, psi2), config),
+        _zero_certificate("psi1_annihilated_by_W", -interior_product(d_z, w_beta), config),
+        _zero_certificate("psi2_annihilated_by_W", -interior_product(d_w, w_beta), config),
     ]
     return PsiForms(psi1, psi2, certs)
 

@@ -171,6 +171,39 @@ def test_verify_over_the_term_budget_exit_2_within_a_second(tmp_path, capsys, ex
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_over_the_term_budget_of_a_contraction_exit_2_within_a_second(tmp_path, capsys):
+    """Each entry loads within the budget (231 terms); the contractions of
+    the certificates multiply them and are refused before multiplying."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"name": "s", "coordinates": ["x1", "x2", "x3"],
+                                "vector_field": ["(x2 + x3 + 1)^20", "(x1 + x3 + 1)^20",
+                                                 "(x1 + x2 + 1)^20"]}), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 2 and elapsed < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget of 10000 term products" in err
+
+
+_HUGE = "7" * 401
+
+
+@pytest.mark.parametrize("command, entry, message", [
+    ("verify", "(2*x1)^20000", "bits"),
+    ("integrate", "(2*x1)^20000", "bits"),
+    ("integrate", _HUGE + "*x2", "too large for a float"),
+    ("verify", _HUGE + "*sin(x1)", "too large for a float"),
+], ids=["verify-power", "integrate-power", "integrate-401-digits", "verify-401-digits-trig"])
+def test_oversized_coefficients_exit_2(tmp_path, capsys, command, entry, message):
+    argv = [command, str(_write_system(tmp_path, [entry, "0"]))]
+    if command == "integrate":
+        argv += ["--x0", "1,1", "--h", "0.1", "--T", "0.2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_verify_hodge_does_not_carry_over_to_the_next_call(example_dir, capsys):
     path = str(example_dir / "euler_top.json")
     assert main(["verify", path, "--hodge"]) == 0

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import liouvar.expr as expr_module
 from liouvar.expr import (
+    MAX_COEFF_BITS,
     MAX_NESTING,
     MAX_TERMS,
     Const,
@@ -41,6 +42,7 @@ from liouvar.expr import (
     nf_pow,
     nf_scale,
     nf_sum_of_products,
+    nf_term_sources,
     normal_form,
     normalize,
     parse_expr,
@@ -574,8 +576,11 @@ def test_power_beyond_the_term_budget_is_refused_before_multiplying(monkeypatch,
 def test_power_within_the_budget_and_one_term_powers():
     assert nf_pow(q("x1 + 1"), 3) == q("x1^3 + 3*x1^2 + 3*x1 + 1")
     assert nf_pow(q("-2/3*x1*sin(x2)"), 3) == q("-8/27*x1^3*sin(x2)^3")
-    big = nf_pow(q("2*x1"), 10**6)
-    assert big.terms[0][0] == (((0, "x1"), 10**6),) and big.terms[0][1] == 2 ** 10**6
+    big = nf_pow(q("x1"), 10**6)
+    assert big.terms[0][0] == (((0, "x1"), 10**6),) and big.terms[0][1] == 1
+    big = nf_pow(q("2*x1"), MAX_COEFF_BITS // 2)
+    assert big.terms[0][0] == (((0, "x1"), MAX_COEFF_BITS // 2),)
+    assert big.terms[0][1] == 2 ** (MAX_COEFF_BITS // 2)
 
 
 # --------------------------------------------------------------------------
@@ -717,3 +722,162 @@ def test_solve_gamma_exact_with_denominators(coefficients):
     assert exterior_derivative(gamma) == chi
     for nf in gamma.nfs.values():
         _assert_canonical(nf)
+
+
+# --------------------------------------------------------------------------
+# The integer product kernel against the Fraction reference
+
+
+def _reference_freeze(acc):
+    """The kernel's output step before integer views: drop zeros, store
+    integral coefficients as ints, sort the terms canonically."""
+    items = [(m, c if type(c) is int or c.denominator != 1 else c.numerator)
+             for m, c in acc.items() if c]
+    items.sort(key=lambda term: (-sum(e for _a, e in term[0]), term[0]))
+    return NormalForm(tuple(items))
+
+
+def _reference_mono_mul(m1, m2):
+    exps = dict(m1)
+    for atom, e in m2:
+        exps[atom] = exps.get(atom, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _accumulate_product(acc, sign, a, b):
+    """One Fraction (or int) product per pair of terms, summed into ``acc``."""
+    for m1, c1 in a.terms:
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in b.terms:
+            m = _reference_mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _reference_sum_of_products(*products):
+    acc = {}
+    for sign, a, b in products:
+        _accumulate_product(acc, sign, a, b)
+    return _reference_freeze(acc)
+
+
+def _reference_add(*forms):
+    return _reference_sum_of_products(*((1, f, NF_ONE) for f in forms))
+
+
+def _reference_diff(nf, v):
+    """Power rule on symbols, chain rule through sin/cos, in Fractions."""
+    acc = {}
+    for m, c in nf.terms:
+        for i, (atom, e) in enumerate(m):
+            kind, payload = atom
+            if kind == 0 and payload != v:
+                continue
+            rest = m[:i] + ((atom, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+            if kind == 0:
+                acc[rest] = acc.get(rest, 0) + c * e
+                continue
+            du = _reference_diff(payload, v)
+            outer = (2 if kind == 1 else 1, payload)
+            term = NormalForm(((_reference_mono_mul(rest, ((outer, 1),)), c * e),))
+            _accumulate_product(acc, 1 if kind == 1 else -1, term, du)
+    return _reference_freeze(acc)
+
+
+_KERNEL_ATOMS = tuple(q(text).terms[0][0][0][0]
+                      for text in ("x1", "x2", "x3", "sin(x1)", "cos(x2 + 1/3)",
+                                   "sin(2*x1 - 3/7*x3*cos(x2))"))
+
+
+@st.composite
+def _kernel_forms(draw, max_terms=4):
+    """Canonical normal forms with denominators up to 7 and trig atoms,
+    nested ones included; sometimes a constant such as 1 or -1."""
+    if draw(st.integers(0, 5)) == 0:
+        return q(draw(st.sampled_from(("0", "1", "-1", "7", "-2/7"))))
+    acc = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = {}
+        for atom in draw(st.lists(st.sampled_from(_KERNEL_ATOMS), max_size=3)):
+            exps[atom] = exps.get(atom, 0) + draw(st.integers(1, 3))
+        m = tuple(sorted(exps.items()))
+        acc[m] = acc.get(m, 0) + Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+    return _reference_freeze(acc)
+
+
+def _assert_same_terms(got, want):
+    assert got.terms == want.terms
+    assert [type(c) for _m, c in got.terms] == [type(c) for _m, c in want.terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), _kernel_forms(), _kernel_forms()),
+                min_size=1, max_size=4))
+def test_kernel_equals_the_fraction_reference_term_for_term(products):
+    _assert_same_terms(nf_sum_of_products(*products), _reference_sum_of_products(*products))
+    for _sign, a, b in products:
+        _assert_same_terms(nf_mul(a, b), _reference_sum_of_products((1, a, b)))
+        for v in ("x1", "x2", "x3"):
+            _assert_same_terms(nf_diff(a, v), _reference_diff(a, v))
+    forms = [f for _sign, a, b in products for f in (a, b)]
+    _assert_same_terms(nf_add(*forms), _reference_add(*forms))
+    _assert_same_terms(nf_add(forms[0]), _reference_add(forms[0]))
+    for nf in forms:
+        _assert_canonical(nf)
+
+
+def test_int_view_scales_coefficients_to_their_lcm():
+    nf = q("1/2*x1 + 2/3*x2 + 5")
+    D, pairs = nf.int_view()
+    assert D == 6 and [n for _m, n in pairs] == [3, 4, 30]
+    assert [m for m, _n in pairs] == [m for m, _c in nf.terms]
+    integral = q("2*x1 - 3")
+    assert integral.int_view() == (1, integral.terms)
+
+
+def test_unit_side_returns_the_other_operand_itself():
+    a = q("2/3*x1*sin(x2) - x3")
+    one, minus_one = q("1"), q("-1")
+    assert nf_mul(one, a) is a and nf_mul(a, NF_ONE) is a
+    assert nf_sum_of_products((1, one, a)) is a and nf_sum_of_products((1, a, NF_ONE)) is a
+    assert nf_sum_of_products((-1, minus_one, a)) is a and nf_sum_of_products((-1, a, minus_one)) is a
+    negated = nf_sum_of_products((1, minus_one, a))
+    assert negated == nf_neg(a) == nf_mul(a, minus_one) == nf_sum_of_products((-1, one, a))
+    # a negation keeps the free symbols already computed
+    symbols = a.free_symbols()
+    assert nf_neg(a).free_symbols() is symbols
+
+
+def test_sum_of_products_beyond_the_term_budget_is_refused_before_multiplying(monkeypatch):
+    wide = q(" + ".join(f"x1^{k}" for k in range(1, 101)))
+    assert len(wide.terms) == 100 and MAX_TERMS == 100 * 100
+
+    def fail(products):
+        raise AssertionError("multiplied a sum of products beyond the budget")
+
+    wider = nf_add(wide, q("x2"))
+    with monkeypatch.context() as patched:
+        patched.setattr(expr_module, "_int_sum", fail)
+        with pytest.raises(ExprError, match="budget of 10000 term products"):
+            nf_sum_of_products((1, wide, wide), (1, q("x2"), q("x3")))
+        with pytest.raises(ExprError, match="budget"):
+            nf_sum_of_products((1, wide, wider))
+    assert len(nf_sum_of_products((1, wide, wide)).terms) == 199
+
+
+def test_power_of_a_one_term_base_beyond_the_coefficient_budget_is_refused():
+    with pytest.raises(ExprError, match=f"budget of {MAX_COEFF_BITS} bits"):
+        q("(2*x1)^20000")
+    with pytest.raises(ExprError, match="budget"):
+        nf_pow(q("1/3*x2"), MAX_COEFF_BITS)
+    # a unit coefficient stays a unit whatever the power
+    assert nf_pow(q("-x1"), 100001) == q("-1*x1^100001")
+
+
+def test_coefficient_too_large_for_a_float_is_refused_by_the_emitter():
+    with pytest.raises(ExprError, match="too large for a float"):
+        nf_term_sources(q("7" * 401 + "*x2"), {"x2": "s[0]"})
+    with pytest.raises(ExprError, match="too large for a float"):
+        nf_term_sources(q("7" * 401 + "/3"), {})
+    # a large numerator over a large denominator is a representable float
+    assert nf_term_sources(q("7" * 401 + "/" + "3" * 401), {}) == [repr(float(Fraction(7, 3)))]

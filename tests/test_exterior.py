@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouvar.expr import Const, Cos, Sin, Symbol, evaluate, normal_form
 from liouvar.exterior import (
@@ -230,6 +231,34 @@ def test_interior_antiderivation(seed):
     assert form_is_zero(lhs - rhs).value
 
 
+_COEFF_TEXTS = ("1", "-1", "x1", "-2/3*x2*x4", "sin(x1)", "3/7*cos(x2 - x3)*x4",
+                "x3^2 + 1/5", "x2*sin(x1 + cos(x4))")
+
+
+@st.composite
+def _trig_coefficients(draw):
+    return R4.parse(" + ".join(draw(st.lists(st.sampled_from(_COEFF_TEXTS), min_size=1, max_size=3))))
+
+
+@st.composite
+def _trig_forms(draw, min_degree=2):
+    degree = draw(st.integers(min_degree, R4.dim))
+    indices = list(itertools.combinations(range(R4.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True, min_size=1, max_size=4))
+    return DiffForm(R4, degree, {idx: draw(_trig_coefficients()) for idx in chosen})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_trig_coefficients(), min_size=4, max_size=4), _trig_forms(),
+       st.sampled_from(R4.coordinates))
+def test_interior_products_anticommute(components, beta, z):
+    """i_V i_dz beta = -i_dz i_V beta, exactly, with trig coefficients."""
+    V = VectorField(R4, components)
+    d_z = coordinate_vector(R4, z)
+    assert interior_product(V, interior_product(d_z, beta)) == \
+        -interior_product(d_z, interior_product(V, beta))
+
+
 # --------------------------------------------------------------------------
 # Lie derivative
 
@@ -432,6 +461,21 @@ def test_multi_index_validation():
         DiffForm(R3, 2, {(2, 1): Const(1)})
     with pytest.raises(DegreeError):
         DiffForm(R3, 4, {})
+
+
+@pytest.mark.parametrize("idx, message", [
+    ((0,), "multi-index (0,) does not match degree 2"),
+    ((0, 1, 2), "multi-index (0, 1, 2) does not match degree 2"),
+    ((-1, 2), "multi-index (-1, 2) out of range"),
+    ((0, 3), "multi-index (0, 3) out of range"),
+    ((1, 1), "multi-index (1, 1) must be strictly increasing"),
+    ((2, 1), "multi-index (2, 1) must be strictly increasing"),
+    ((3, 1), "multi-index (3, 1) out of range"),
+])
+def test_multi_index_errors_name_the_first_failed_check(idx, message):
+    with pytest.raises(GeometryError) as info:
+        DiffForm(R3, 2, {idx: Const(1)})
+    assert str(info.value) == message
 
 
 def test_undeclared_coefficient_symbols_rejected():

@@ -25,6 +25,7 @@ from liouvar.exterior import (
     constant_form,
     exterior_derivative,
     fields_equal,
+    form_is_zero,
     hodge_star,
     interior_product,
     reorder_field,
@@ -32,6 +33,7 @@ from liouvar.exterior import (
     wedge,
 )
 from liouvar.liouville import (
+    Certificate,
     ImproperPrincipleError,
     LiouvilleSystem,
     NormalizationError,
@@ -424,6 +426,30 @@ def test_psi_vertical_area():
     assert pf.psi1 == basis_form(sp, "w")
     assert pf.psi2 == -basis_form(sp, "z")
     assert all(c.passed for c in pf.certificates)
+
+
+def test_psi_certificates_equal_the_direct_contraction_on_every_bundled_system(bundle):
+    """psi_forms contracts W with beta once; its certificates must be those
+    of contracting W with each Psi_i directly."""
+    checked = []
+    for name, system in bundle.items():
+        try:
+            beta = build_extended(system.bound()).dtheta
+        except PotentialError:
+            # abc_paper_verbatim: not volume-preserving, so it has no gamma
+            continue
+        checked.append(name)
+        pf = psi_forms(beta)
+        W = characteristic_field(decompose_beta(beta))
+        direct = [Certificate(f"psi{i}_annihilated_by_W", *_verdict(interior_product(W, psi)))
+                  for i, psi in ((1, pf.psi1), (2, pf.psi2))]
+        assert pf.certificates == direct, name
+    assert len(checked) == len(bundle) - 1
+
+
+def _verdict(residual):
+    res = form_is_zero(residual)
+    return res.value, res.certainty, None if res.value else residual
 
 
 def test_section_residuals_exact_solution(oscillator):
