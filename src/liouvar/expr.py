@@ -1,12 +1,12 @@
-"""Exact scalar-expression algebra: rationals plus sin/cos atoms.
+"""Exact scalar algebra: rationals plus sin/cos atoms, in one normal form.
 
-Expressions are immutable trees built from rational constants, named
-symbols, sums, products, positive integer powers, sine and cosine.  A
-canonical sum-of-monomials normal form makes equality decidable for the
-polynomial subring; expressions containing trigonometric atoms fall back
-to a seeded probabilistic zero test whose parameters are fixed and
-reported alongside every verdict.  The parser builds normal forms
-directly; trees remain for the builders and as the test reference.
+A scalar is a ``NormalForm``: a canonical sum of monomials over atoms,
+which are symbols and sines and cosines of normal forms.  Equality is
+decidable for the polynomial subring; normal forms that contain
+trigonometric atoms fall back to a seeded probabilistic zero test whose
+parameters are fixed and reported alongside every verdict.  The parser
+builds normal forms directly, and ``normal_form`` turns an int or a
+Fraction into a constant one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
-
-Rational = Fraction
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -45,10 +43,11 @@ MAX_TERMS = 10000
 
 # Coefficient budget: ``nf_pow`` refuses to raise a one-term base when the
 # power's numerator or denominator could have more bits than this, so that
-# an input such as ``(2*x1)^20000`` is refused before it is computed.  It
-# is well below the 4300 decimal digits (about 14000 bits) that ``str``
-# converts.  The bundled systems and the benchmark ladders reach at most
-# 15 bits in a coefficient.
+# an input such as ``(2*x1)^20000`` is refused before it is computed, and
+# ``parse_expr`` refuses a result with a wider coefficient, which a product
+# of powers within the budget can make.  It is well below the 4300 decimal
+# digits (about 14000 bits) that ``str`` converts.  The bundled systems and
+# the benchmark ladders reach at most 15 bits in a coefficient.
 MAX_COEFF_BITS = 4096
 
 
@@ -74,158 +73,6 @@ class UnboundSymbolError(ExprError):
 
 class DivisionError(ExprError):
     pass
-
-
-# --------------------------------------------------------------------------
-# Expression tree
-
-
-class ScalarExpr:
-    """Immutable expression node; arithmetic operators build new trees."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        other = _coerce_operand(other)
-        return Sum((self, other)) if other is not None else NotImplemented
-
-    def __radd__(self, other):
-        other = _coerce_operand(other)
-        return Sum((other, self)) if other is not None else NotImplemented
-
-    def __sub__(self, other):
-        other = _coerce_operand(other)
-        return Sum((self, Neg(other))) if other is not None else NotImplemented
-
-    def __rsub__(self, other):
-        other = _coerce_operand(other)
-        return Sum((other, Neg(self))) if other is not None else NotImplemented
-
-    def __mul__(self, other):
-        other = _coerce_operand(other)
-        return Product((self, other)) if other is not None else NotImplemented
-
-    def __rmul__(self, other):
-        other = _coerce_operand(other)
-        return Product((other, self)) if other is not None else NotImplemented
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, exponent: int):
-        return Power(self, exponent)
-
-    def free_symbols(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return render(self)
-
-
-@dataclass(frozen=True, slots=True)
-class Const(ScalarExpr):
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    def free_symbols(self):
-        return frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class Symbol(ScalarExpr):
-    name: str
-
-    def free_symbols(self):
-        return frozenset((self.name,))
-
-
-@dataclass(frozen=True, slots=True)
-class Sum(ScalarExpr):
-    terms: tuple[ScalarExpr, ...]
-
-    def free_symbols(self):
-        return frozenset().union(*(t.free_symbols() for t in self.terms)) if self.terms else frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class Product(ScalarExpr):
-    factors: tuple[ScalarExpr, ...]
-
-    def free_symbols(self):
-        return frozenset().union(*(f.free_symbols() for f in self.factors)) if self.factors else frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class Power(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise ExprError(f"power exponent must be a positive integer, got {self.exponent!r}")
-
-    def free_symbols(self):
-        return self.base.free_symbols()
-
-
-@dataclass(frozen=True, slots=True)
-class Sin(ScalarExpr):
-    arg: ScalarExpr
-
-    def free_symbols(self):
-        return self.arg.free_symbols()
-
-
-@dataclass(frozen=True, slots=True)
-class Cos(ScalarExpr):
-    arg: ScalarExpr
-
-    def free_symbols(self):
-        return self.arg.free_symbols()
-
-
-@dataclass(frozen=True, slots=True)
-class Neg(ScalarExpr):
-    arg: ScalarExpr
-
-    def free_symbols(self):
-        return self.arg.free_symbols()
-
-
-def _coerce_operand(value) -> ScalarExpr | None:
-    if isinstance(value, ScalarExpr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
-    return None
-
-
-def as_expr(value) -> ScalarExpr:
-    coerced = _coerce_operand(value)
-    if coerced is None:
-        raise ExprError(f"cannot interpret {value!r} as a scalar expression")
-    return coerced
-
-
-def add_all(terms: Iterable[ScalarExpr]) -> ScalarExpr:
-    terms = tuple(as_expr(t) for t in terms)
-    if not terms:
-        return Const(Fraction(0))
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(terms)
-
-
-def mul_all(factors: Iterable[ScalarExpr]) -> ScalarExpr:
-    factors = tuple(as_expr(f) for f in factors)
-    if not factors:
-        return Const(Fraction(1))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(factors)
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +243,7 @@ _UNIT_VIEW = (1, _ONE_TERMS)
 
 def _int_sum(products) -> NormalForm:
     """The product accumulator of the kernel (``nf_mul``,
-    ``nf_sum_of_products``, ``nf_diff``): the sum of ``sign * a * b`` over
+    ``nf_sum_of_products``, ``differentiate``): the sum of ``sign * a * b`` over
     ``(sign, a, b)``, where ``a`` and ``b`` are integer views (see
     ``NormalForm.int_view``) and ``sign`` is an int.
 
@@ -576,71 +423,29 @@ def _trig_nf(kind: int, arg: NormalForm) -> NormalForm:
     return NormalForm((((((kind, arg), 1),), 1),))
 
 
-def normal_form(e: ScalarExpr) -> NormalForm:
-    if isinstance(e, Const):
-        return nf_term((), e.value)
-    if isinstance(e, Symbol):
-        return NormalForm((((((_SYM, e.name), 1),), 1),))
-    if isinstance(e, Sum):
-        return nf_add(*(normal_form(t) for t in e.terms))
-    if isinstance(e, Product):
-        if not e.factors:
-            return NF_ONE
-        acc = normal_form(e.factors[0])
-        for f in e.factors[1:]:
-            acc = nf_mul(acc, normal_form(f))
-        return acc
-    if isinstance(e, Power):
-        return nf_pow(normal_form(e.base), e.exponent)
-    if isinstance(e, Neg):
-        return nf_neg(normal_form(e.arg))
-    if isinstance(e, Sin):
-        return _trig_nf(_SIN, normal_form(e.arg))
-    if isinstance(e, Cos):
-        return _trig_nf(_COS, normal_form(e.arg))
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+def normal_form(value) -> NormalForm:
+    """The one coercion to a scalar: a normal form is returned unchanged
+    and an int or a Fraction becomes a constant."""
+    if isinstance(value, NormalForm):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return nf_term((), value)
+    raise ExprError(f"cannot interpret {value!r} as a scalar expression")
 
 
-def as_normal_form(value) -> NormalForm:
-    """``value`` itself when it is a normal form, else the normal form of
-    the expression (or rational) it denotes."""
-    return value if isinstance(value, NormalForm) else normal_form(as_expr(value))
-
-
-def _atom_expr(atom) -> ScalarExpr:
-    kind, payload = atom
-    if kind == _SYM:
-        return Symbol(payload)
-    arg = from_normal(payload)
-    return Sin(arg) if kind == _SIN else Cos(arg)
-
-
-def from_normal(nf: NormalForm) -> ScalarExpr:
-    if not nf.terms:
-        return Const(Fraction(0))
-    terms = []
-    for m, c in nf.terms:
-        factors: list[ScalarExpr] = []
-        if c != 1 or not m:
-            factors.append(Const(c))
-        for atom, e in m:
-            base = _atom_expr(atom)
-            factors.append(base if e == 1 else Power(base, e))
-        terms.append(mul_all(factors))
-    return add_all(terms)
-
-
-def normalize(e: ScalarExpr) -> ScalarExpr:
-    """Canonical rebuild; normalize(normalize(e)) is structurally stable."""
-    return from_normal(normal_form(e))
+def from_normal(nf: NormalForm) -> NormalForm:
+    """The identity.  No code in this package calls it; it stays only as a
+    name that the benchmark tracer (``bench/tracing.py``) wraps."""
+    return nf
 
 
 # --------------------------------------------------------------------------
 # Differentiation (partial; any symbol other than the target is constant)
 
 
-def nf_diff(nf: NormalForm, v: str) -> NormalForm:
-    """Partial derivative taken monomial by monomial.
+def differentiate(nf: NormalForm, v: str) -> NormalForm:
+    """Exact partial derivative with respect to the symbol ``v``, taken
+    monomial by monomial.
 
     Symbol atoms follow the power rule; sin(u) and cos(u) follow the chain
     rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.  Both work on the
@@ -660,7 +465,7 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
             if kind == _SYM:
                 powered.append((rest, n * e))
                 continue
-            du = nf_diff(payload, v)
+            du = differentiate(payload, v)
             if du.is_zero():
                 continue
             if kind == _SIN:
@@ -671,46 +476,8 @@ def nf_diff(nf: NormalForm, v: str) -> NormalForm:
     return _int_sum(products)
 
 
-def differentiate(e: ScalarExpr, v: str) -> ScalarExpr:
-    """Exact partial derivative with respect to the coordinate ``v``."""
-    return from_normal(nf_diff(normal_form(e), v))
-
-
 # --------------------------------------------------------------------------
-# Evaluation (the tree reference) and substitution
-
-
-def evaluate(e: ScalarExpr, bindings: Mapping[str, float]) -> float:
-    """IEEE-double evaluation of a tree, left-to-right association.
-
-    The reference that the compiled normal-form evaluator is tested against.
-    """
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Symbol):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol '{e.name}'") from None
-    if isinstance(e, Sum):
-        total = 0.0
-        for t in e.terms:
-            total += evaluate(t, bindings)
-        return total
-    if isinstance(e, Product):
-        total = 1.0
-        for f in e.factors:
-            total *= evaluate(f, bindings)
-        return total
-    if isinstance(e, Power):
-        return evaluate(e.base, bindings) ** e.exponent
-    if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, bindings))
-    if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, bindings))
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+# Substitution
 
 
 def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
@@ -816,8 +583,8 @@ class ZeroResult:
     certainty: str
 
 
-def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
-    """Decide whether ``e`` (an expression or its normal form) vanishes identically.
+def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+    """Decide whether ``e`` (a normal form, or a rational) vanishes identically.
 
     Exact verdicts come from the normal form alone.  Normal forms that
     contain trigonometric atoms are sampled at ``config.points`` points
@@ -827,7 +594,7 @@ def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TE
     term values there, so a small nonzero expression is not mistaken for
     rounding error.
     """
-    nf = as_normal_form(e)
+    nf = normal_form(e)
     if nf.is_zero():
         return ZeroResult(True, EXACT)
     if not nf.has_trig():
@@ -844,7 +611,7 @@ def is_zero(e: ScalarExpr | NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TE
 
 
 # --------------------------------------------------------------------------
-# Exact division (used to normalize annihilator fields)
+# Exact division (divides annihilator fields by their time component)
 
 
 def _mono_to_vec(m, universe):
@@ -936,9 +703,10 @@ def _render_terms(terms) -> str:
     return "".join(parts)
 
 
-def render(e: ScalarExpr | NormalForm) -> str:
-    """Canonical textual form; re-parsing yields the same normal form."""
-    return _render_terms(as_normal_form(e).terms)
+def render(e: NormalForm) -> str:
+    """Canonical textual form of a normal form (or a rational);
+    re-parsing yields the same normal form."""
+    return _render_terms(normal_form(e).terms)
 
 
 # --------------------------------------------------------------------------
@@ -1145,7 +913,23 @@ def parse_expr(text: str, symbols: Iterable[str], atoms: dict | None = None) -> 
     """
     if not isinstance(symbols, frozenset):
         symbols = frozenset(symbols)
-    return _Parser(text, symbols, atoms).parse()
+    nf = _Parser(text, symbols, atoms).parse()
+    _check_coeff_bits(nf)
+    return nf
+
+
+def _check_coeff_bits(nf: NormalForm) -> None:
+    """Refuse a coefficient, in the terms or in a sin/cos argument, whose
+    numerator or denominator has more than ``MAX_COEFF_BITS`` bits."""
+    for m, c in nf.terms:
+        bits = (c.bit_length() if type(c) is int
+                else max(c.numerator.bit_length(), c.denominator.bit_length()))
+        if bits > MAX_COEFF_BITS:
+            raise ExprError(f"a {bits}-bit coefficient exceeds the budget of "
+                            f"{MAX_COEFF_BITS} bits")
+        for (kind, payload), _e in m:
+            if kind != _SYM:
+                _check_coeff_bits(payload)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -2,9 +2,9 @@
 
 Basis forms are stored on strictly increasing multi-indices; every
 operation reduces to that canonical order with explicit permutation
-signs.  Coefficients are stored as normal forms (zero ones are never
-stored) and every operation maps normal forms to normal forms; canonical
-expression trees are a view built at the API boundary.
+signs.  Coefficients are normal forms (zero ones are never stored) and
+every operation maps normal forms to normal forms; a constructor also
+takes an int or a Fraction, which ``normal_form`` makes a constant.
 """
 
 from __future__ import annotations
@@ -17,20 +17,15 @@ from typing import Iterable, Mapping
 from .expr import (
     EXACT,
     PROBABILISTIC,
-    Const,
     DEFAULT_ZERO_TEST,
     NF_ONE,
     NF_ZERO,
     NormalForm,
-    ScalarExpr,
     ZeroResult,
     ZeroTestConfig,
-    as_expr,
-    as_normal_form,
-    from_normal,
+    differentiate,
     is_zero,
     nf_add,
-    nf_diff,
     nf_mul,
     nf_neg,
     nf_scale,
@@ -119,20 +114,14 @@ class Space:
                      tuple(Fraction(g) for g in metric) if metric is not None else None)
 
 
-def _check_symbols(expr: ScalarExpr | NormalForm, space: Space, what: str) -> None:
-    if not expr.free_symbols() <= space.symbol_set:
-        extra = expr.free_symbols() - space.symbol_set
-        raise GeometryError(f"{what} uses symbols {sorted(extra)} not declared in space '{space.name}'")
-
-
 def _checked_nf(value, space: Space, what: str) -> NormalForm:
-    """Normal form of an expression (or normal form) after checking its symbols."""
-    if isinstance(value, NormalForm):
-        _check_symbols(value, space, what)
-        return value
-    value = as_expr(value)
-    _check_symbols(value, space, what)
-    return normal_form(value)
+    """``value``, a normal form or a rational, as a normal form whose
+    symbols are checked to be declared in ``space``."""
+    nf = value if isinstance(value, NormalForm) else normal_form(value)
+    if not nf.free_symbols() <= space.symbol_set:
+        extra = nf.free_symbols() - space.symbol_set
+        raise GeometryError(f"{what} uses symbols {sorted(extra)} not declared in space '{space.name}'")
+    return nf
 
 
 def _sum_terms(acc: dict) -> dict:
@@ -148,12 +137,11 @@ def _sum_products(acc: dict) -> dict:
 class DiffForm:
     """Degree-k form as a sparse map from increasing multi-indices.
 
-    Coefficients (expressions, rationals or normal forms) are stored as
-    normal forms in ``nfs``; ``coeffs`` is the canonical-tree view of the
-    same map, built on first use.
+    Coefficients (normal forms or rationals) are stored as normal forms
+    in ``nfs``.
     """
 
-    __slots__ = ("space", "degree", "nfs", "_coeffs")
+    __slots__ = ("space", "degree", "nfs")
 
     def __init__(self, space: Space, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         if not 0 <= degree <= space.dim:
@@ -172,24 +160,11 @@ class DiffForm:
         self.space = space
         self.degree = degree
         self.nfs = {idx: nf for idx, nf in sorted(stored.items()) if not nf.is_zero()}
-        self._coeffs = None
 
     # -- inspection ---------------------------------------------------
 
-    @property
-    def coeffs(self) -> dict[tuple[int, ...], ScalarExpr]:
-        if self._coeffs is None:
-            self._coeffs = {idx: from_normal(nf) for idx, nf in self.nfs.items()}
-        return self._coeffs
-
-    def get(self, idx: tuple[int, ...]) -> ScalarExpr:
-        return self.coeffs.get(tuple(idx), Const(Fraction(0)))
-
     def get_nf(self, idx: tuple[int, ...]) -> NormalForm:
         return self.nfs.get(tuple(idx), NF_ZERO)
-
-    def terms(self):
-        return self.coeffs.items()
 
     @property
     def is_zero_form(self) -> bool:
@@ -243,11 +218,11 @@ class DiffForm:
 class VectorField:
     """Component array over a space's coordinates.
 
-    Components are stored as normal forms in ``nfs``; ``components`` is the
-    canonical-tree view, built on first use.
+    Components (normal forms or rationals) are stored as normal forms in
+    ``nfs``.
     """
 
-    __slots__ = ("space", "nfs", "_components")
+    __slots__ = ("space", "nfs")
 
     def __init__(self, space: Space, components):
         nfs = tuple(_checked_nf(c, space, "component") for c in components)
@@ -255,13 +230,6 @@ class VectorField:
             raise GeometryError("component count must equal the dimension")
         self.space = space
         self.nfs = nfs
-        self._components = None
-
-    @property
-    def components(self) -> tuple[ScalarExpr, ...]:
-        if self._components is None:
-            self._components = tuple(from_normal(c) for c in self.nfs)
-        return self._components
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
@@ -278,16 +246,11 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.nfs)
 
-    def apply_to_nf(self, f: ScalarExpr | NormalForm) -> NormalForm:
-        """Directional derivative X(f) = sum_i X^i df/dx^i of a scalar, as a
-        normal form."""
-        f_nf = as_normal_form(f)
-        return nf_sum_of_products(*((1, c, nf_diff(f_nf, x))
+    def apply_to_nf(self, f: NormalForm) -> NormalForm:
+        """Directional derivative X(f) = sum_i X^i df/dx^i of a scalar."""
+        f = normal_form(f)
+        return nf_sum_of_products(*((1, c, differentiate(f, x))
                                     for c, x in zip(self.nfs, self.space.coordinates)))
-
-    def apply_to(self, f: ScalarExpr | NormalForm) -> ScalarExpr:
-        """Canonical-tree view of ``apply_to_nf``."""
-        return from_normal(self.apply_to_nf(f))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.space != other.space:
@@ -320,11 +283,11 @@ def basis_form(space: Space, *coords: str, coeff=1) -> DiffForm:
     if len(set(positions)) != len(positions):
         return DiffForm(space, len(positions), {})
     sign = _permutation_sign(positions)
-    return DiffForm(space, len(positions), {tuple(sorted(positions)): Const(Fraction(sign)) * as_expr(coeff)})
+    return DiffForm(space, len(positions), {tuple(sorted(positions)): nf_scale(normal_form(coeff), sign)})
 
 
 def volume_form(space: Space) -> DiffForm:
-    return DiffForm(space, space.dim, {tuple(range(space.dim)): Const(Fraction(1))})
+    return DiffForm(space, space.dim, {tuple(range(space.dim)): NF_ONE})
 
 
 def form_from_terms(space: Space, degree: int, terms: Mapping[tuple[str, ...], object]) -> DiffForm:
@@ -417,7 +380,7 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
             inserted = _insert_index(pos, I)
             if inserted is None:
                 continue
-            dc = nf_diff(c, coord)
+            dc = differentiate(c, coord)
             if dc.is_zero():
                 continue
             sign, K = inserted
@@ -490,7 +453,7 @@ def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
     for pos, (_coord, u) in enumerate(phi.components):
         differentials[pos] = DiffForm(
             phi.source, 1,
-            {(j,): nf_diff(u, x) for j, x in enumerate(phi.source.coordinates)},
+            {(j,): differentiate(u, x) for j, x in enumerate(phi.source.coordinates)},
         )
     total = DiffForm(phi.source, a.degree, {})
     for I, c in a.nfs.items():

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import NormalForm, ScalarExpr, as_normal_form, compile_lambda, nf_diff, nf_source
+from .expr import NormalForm, compile_lambda, differentiate, nf_source, normal_form
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -57,9 +57,8 @@ def _symbol_sources(coordinates: Sequence[str], params: Mapping[str, float],
     return sources
 
 
-def compile_scalar(e: ScalarExpr | NormalForm, coordinates: Sequence[str],
-                   params: Mapping[str, float]):
-    return compile_lambda(nf_source(as_normal_form(e), _symbol_sources(coordinates, params)))
+def compile_scalar(e: NormalForm, coordinates: Sequence[str], params: Mapping[str, float]):
+    return compile_lambda(nf_source(normal_form(e), _symbol_sources(coordinates, params)))
 
 
 def compile_field(field: VectorField, params: Mapping[str, float]):
@@ -70,7 +69,7 @@ def compile_field(field: VectorField, params: Mapping[str, float]):
 def compile_jacobian(field: VectorField, params: Mapping[str, float]):
     coordinates = field.space.coordinates
     sources = _symbol_sources(coordinates, params)
-    rows = ("[" + ", ".join(nf_source(nf_diff(c, x), sources) for x in coordinates) + "]"
+    rows = ("[" + ", ".join(nf_source(differentiate(c, x), sources) for x in coordinates) + "]"
             for c in field.nfs)
     return compile_lambda("[" + ", ".join(rows) + "]")
 
@@ -94,7 +93,7 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
     n = len(coords)
     xs = [f"x{i}" for i in range(n)]
     ms = [f"m{p}" for p in range(n * n)]
-    derivatives = [nf_diff(c, x) for c in field.nfs for x in coords] if with_tangent else []
+    derivatives = [differentiate(c, x) for c in field.nfs for x in coords] if with_tangent else []
     slopes, jacobian = {}, {}
     for state in "xy":
         sources = _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
@@ -273,7 +272,7 @@ def volume_diagnostic(traj: Trajectory) -> float:
 
 
 def invariant_drift(traj: Trajectory,
-                    invariants: Iterable[ScalarExpr | NormalForm]) -> tuple[float, ...]:
+                    invariants: Iterable[NormalForm]) -> tuple[float, ...]:
     """Max |inv(x(s)) - inv(x(0))| per declared first integral."""
     drifts = []
     rows = traj.states.tolist()

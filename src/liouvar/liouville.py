@@ -17,15 +17,11 @@ from .expr import (
     EXACT,
     NF_ONE,
     NormalForm,
-    ScalarExpr,
-    Symbol,
     ZeroResult,
     ZeroTestConfig,
-    as_normal_form,
-    from_normal,
+    differentiate,
     is_zero,
     nf_add,
-    nf_diff,
     nf_divide,
     nf_neg,
     nf_scale,
@@ -115,7 +111,7 @@ class Certificate:
         if not self.passed and self.residual is not None:
             if isinstance(self.residual, DiffForm):
                 out["residual"] = serialize_form(self.residual)
-            elif isinstance(self.residual, (ScalarExpr, NormalForm)):
+            elif isinstance(self.residual, NormalForm):
                 out["residual"] = render(self.residual)
             else:
                 out["residual"] = str(self.residual)
@@ -164,7 +160,7 @@ class LiouvilleSystem:
             self.omega = volume_form(self.space)
         if not self.params:
             self.params = {p: None for p in self.space.parameters}
-        self.invariants = tuple(as_normal_form(e) for e in self.invariants)
+        self.invariants = tuple(normal_form(e) for e in self.invariants)
 
     @property
     def dim(self) -> int:
@@ -176,7 +172,7 @@ class LiouvilleSystem:
         The copy has no pending bindings (its ``params`` are all None), so
         binding it again returns it unchanged.
         """
-        mapping = {name: as_normal_form(value)
+        mapping = {name: normal_form(value)
                    for name, value in self.params.items() if value is not None}
         if not mapping:
             return self
@@ -232,7 +228,7 @@ def promote_form(a: DiffForm, ext: Space) -> DiffForm:
 
 
 def promote_field(v: VectorField, ext: Space, time_component=0) -> VectorField:
-    return VectorField(ext, (as_normal_form(time_component),) + v.nfs)
+    return VectorField(ext, (normal_form(time_component),) + v.nfs)
 
 
 def validate_system(sys: LiouvilleSystem,
@@ -316,7 +312,7 @@ def solve_gamma(chi: DiffForm) -> DiffForm:
         if not closure.is_zero_form:
             raise PotentialError("input form is not closed")
     coords = set(space.coordinates)
-    position_nf = [normal_form(Symbol(c)) for c in space.coordinates]
+    position_nf = [space.parse(c) for c in space.coordinates]
     acc: dict[tuple[int, ...], list] = {}
     for idx, c in chi.nfs.items():
         for mono, coeff in c.terms:
@@ -335,7 +331,7 @@ def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
     if omega is not None and omega != volume_form(space):
         raise PotentialError("nonstandard volume form: supply sigma explicitly")
     n = space.dim
-    return DiffForm(space, n - 1, {tuple(range(1, n)): Symbol(space.coordinates[0])})
+    return DiffForm(space, n - 1, {tuple(range(1, n)): space.parse(space.coordinates[0])})
 
 
 # --------------------------------------------------------------------------
@@ -558,24 +554,24 @@ def psi_forms(beta: DiffForm, verticals: tuple[str, str] | None = None,
     return PsiForms(psi1, psi2, certs)
 
 
-def section_residuals(u_z: ScalarExpr, u_w: ScalarExpr,
-                      dec: CharacteristicDecomposition) -> tuple[ScalarExpr, ScalarExpr]:
+def section_residuals(u_z: NormalForm, u_w: NormalForm,
+                      dec: CharacteristicDecomposition) -> tuple[NormalForm, NormalForm]:
     """Quasilinear residuals of a section (z, w) = (u_z(x), u_w(x)).
 
     r1 = sum_mu A^mu du_w/dx^mu - g and r2 = sum_mu A^mu du_z/dx^mu - f,
     with the section substituted into A, f, g; the section is critical
     exactly when both vanish.
     """
-    u_z = as_normal_form(u_z)
-    u_w = as_normal_form(u_w)
+    u_z = normal_form(u_z)
+    u_w = normal_form(u_w)
     z, w = dec.verticals
     section = {z: u_z, w: u_w}
     A = [substitute(a, section) for a in dec.coefficients]
 
     def residual(u, rhs):
-        return from_normal(nf_sum_of_products(
-            *((1, a, nf_diff(u, x)) for a, x in zip(A, dec.base)),
-            (-1, substitute(rhs, section), NF_ONE)))
+        return nf_sum_of_products(
+            *((1, a, differentiate(u, x)) for a, x in zip(A, dec.base)),
+            (-1, substitute(rhs, section), NF_ONE))
 
     return residual(u_w, dec.g), residual(u_z, dec.f)
 

@@ -12,22 +12,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (
-    Const,
     DEFAULT_ZERO_TEST,
     ExprError,
     ParseError,
     NormalForm,
-    ScalarExpr,
-    Symbol,
     ZeroTestConfig,
-    as_normal_form,
-    from_normal,
+    differentiate,
     is_zero,
     nf_add,
-    nf_diff,
     nf_mul,
     nf_neg,
     nf_pow,
@@ -116,7 +111,7 @@ def _omega_matrix(omega: DiffForm) -> list[list[Fraction]]:
     return M
 
 
-def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr | NormalForm) -> VectorField:
+def solve_symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
     """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form."""
     space = omega.space
     n = space.dim
@@ -126,8 +121,8 @@ def solve_symplectic_field(omega: DiffForm, hamiltonian: ScalarExpr | NormalForm
     inv = invert_fraction_matrix(system)
     if inv is None:
         raise LiouvilleError("degenerate symplectic form: linear solve failed")
-    h = as_normal_form(hamiltonian)
-    dH = [nf_diff(h, x) for x in space.coordinates]
+    h = normal_form(hamiltonian)
+    dH = [differentiate(h, x) for x in space.coordinates]
     comps = [nf_add(*(nf_scale(dH[j], inv[i][j]) for j in range(n))) for i in range(n)]
     return VectorField(space, tuple(comps))
 
@@ -149,15 +144,15 @@ def field_from_flux(chi: DiffForm, omega: DiffForm) -> VectorField:
     return VectorField(space, tuple(comps))
 
 
-def curl3(space: Space, components: Iterable[ScalarExpr | NormalForm]) -> tuple[ScalarExpr, ...]:
+def curl3(space: Space, components: Iterable[NormalForm]) -> tuple[NormalForm, ...]:
     """Curl of a 3-component field over the first three coordinates."""
     if space.dim != 3:
         raise GeometryError("curl is defined here for three-dimensional spaces only")
-    a1, a2, a3 = (as_normal_form(a) for a in components)
+    a1, a2, a3 = (normal_form(a) for a in components)
     x1, x2, x3 = space.coordinates
 
     def rot(a, x, b, y):
-        return from_normal(nf_add(nf_diff(a, x), nf_neg(nf_diff(b, y))))
+        return nf_add(differentiate(a, x), nf_neg(differentiate(b, y)))
 
     return rot(a3, x2, a2, x3), rot(a1, x3, a3, x1), rot(a2, x1, a1, x2)
 
@@ -205,11 +200,11 @@ def canonical_potential(space: Space, m: int) -> DiffForm:
     """rho = (1/m) sum q_i dp_i, so that m * d(rho) equals the symplectic form."""
     coeffs = {}
     for i in range(m):
-        coeffs[(2 * i + 1,)] = Const(Fraction(1, m)) * Symbol(space.coordinates[2 * i])
+        coeffs[(2 * i + 1,)] = space.parse(f"1/{m}*{space.coordinates[2 * i]}")
     return DiffForm(space, 1, coeffs)
 
 
-def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
+def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = None,
                       parameters: Iterable[str] = (),
                       config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
     """Canonical system on R^{2m} with interleaved coordinates q_i, p_i.
@@ -224,11 +219,10 @@ def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
     else:
         coords = tuple(n for i in range(1, m + 1) for n in (f"q{i}", f"p{i}"))
     space = Space(name or f"hamiltonian_m{m}", coords, tuple(parameters))
-    H = (as_normal_form(hamiltonian) if isinstance(hamiltonian, (ScalarExpr, NormalForm))
-         else space.parse(hamiltonian))
+    H = hamiltonian if isinstance(hamiltonian, NormalForm) else space.parse(hamiltonian)
     omega = canonical_symplectic(space, m)
     X = solve_symplectic_field(omega, H)
-    zeta = wedge_power(omega, m - 1) * Const(Fraction(1, math.factorial(m - 1)))
+    zeta = wedge_power(omega, m - 1) * Fraction(1, math.factorial(m - 1))
     gamma = zeta * H
     rho = canonical_potential(space, m)
     sigma = wedge(rho, zeta)
@@ -242,7 +236,7 @@ def build_hamiltonian(hamiltonian, m: int, name: str | None = None,
 # Nambu systems
 
 
-def build_nambu(hamiltonians, coordinates: Iterable[str] | None = None,
+def build_nambu(hamiltonians: Sequence[NormalForm | str], coordinates: Iterable[str] | None = None,
                 parameters: Iterable[str] = (), name: str = "nambu",
                 config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
     """Field defined by X ⌟ Omega = dH_2 ∧ ... ∧ dH_n on R^n."""
@@ -251,13 +245,12 @@ def build_nambu(hamiltonians, coordinates: Iterable[str] | None = None,
     if len(coords) != n:
         raise LiouvilleError("need n coordinates for n-1 Hamiltonians")
     space = Space(name, coords, tuple(parameters))
-    hs = [as_normal_form(h) if isinstance(h, (ScalarExpr, NormalForm)) else space.parse(h)
-          for h in hamiltonians]
+    hs = [h if isinstance(h, NormalForm) else space.parse(h) for h in hamiltonians]
     omega = volume_form(space)
     chi = constant_form(space)
     dhs = []
     for h in hs:
-        dhs.append(DiffForm(space, 1, {(i,): nf_diff(h, x) for i, x in enumerate(coords)}))
+        dhs.append(DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(coords)}))
     for dh in dhs:
         chi = wedge(chi, dh)
     X = field_from_flux(chi, omega)
@@ -279,7 +272,7 @@ class HyperkahlerData:
 
     space: Space
     omegas: tuple[DiffForm, DiffForm, DiffForm]
-    hamiltonians: tuple[ScalarExpr | NormalForm, ScalarExpr | NormalForm, ScalarExpr | NormalForm]
+    hamiltonians: tuple[NormalForm, NormalForm, NormalForm]
     potentials: tuple[DiffForm, DiffForm, DiffForm]
     orientation: int
 
@@ -329,16 +322,16 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
     N = space.dim // 4
     X = None
     for omega, h in zip(data.omegas, data.hamiltonians):
-        Xa = solve_symplectic_field(omega, as_normal_form(h))
+        Xa = solve_symplectic_field(omega, h)
         X = Xa if X is None else X + Xa
     ext_sp = extended_space(space)
     dt = basis_form(ext_sp, TIME_COORDINATE)
-    time_factor = Const(Fraction(6 * N * data.orientation * duality))
+    time_factor = 6 * N * data.orientation * duality
     theta = DiffForm(ext_sp, space.dim - 1, {})
     for omega, h, rho in zip(data.omegas, data.hamiltonians, data.potentials):
         zeta = wedge_power(omega, 2 * N - 1)
         theta = theta + wedge(promote_form(rho, ext_sp), promote_form(zeta, ext_sp))
-        theta = theta + wedge(promote_form(zeta * as_normal_form(h), ext_sp), dt) * time_factor
+        theta = theta + wedge(promote_form(zeta * h, ext_sp), dt) * time_factor
     dtheta = exterior_derivative(theta)
     nondeg = form_is_zero(dtheta, config)
     if nondeg.value:
@@ -380,25 +373,18 @@ def build_euler_top(inertia: tuple | None = None,
         parameters = ("mu1", "mu2", "mu3")
         bindings = {p: None for p in parameters}
     space = Space("euler_top", ("x1", "x2", "x3"), parameters)
-    x1, x2, x3 = (Symbol(c) for c in space.coordinates)
-    mu1, mu2, mu3 = Symbol("mu1"), Symbol("mu2"), Symbol("mu3")
-    X = VectorField(space, (mu1 * x2 * x3, mu2 * x3 * x1, mu3 * x1 * x2))
-    half = Const(Fraction(1, 2))
+    X = VectorField(space, tuple(map(space.parse, ("mu1*x2*x3", "mu2*x3*x1", "mu3*x1*x2"))))
     gamma = DiffForm(space, 1, {
-        (0,): half * mu2 * x1 * x3 ** 2,
-        (1,): half * mu3 * x2 * x1 ** 2,
-        (2,): half * mu1 * x3 * x2 ** 2,
+        (0,): space.parse("1/2*mu2*x1*x3^2"),
+        (1,): space.parse("1/2*mu3*x2*x1^2"),
+        (2,): space.parse("1/2*mu1*x3*x2^2"),
     })
     if inertia is not None:
-        i1, i2, i3 = Symbol("I1"), Symbol("I2"), Symbol("I3")
-        invariants = (
-            half * (i1 * x1 ** 2 + i2 * x2 ** 2 + i3 * x3 ** 2),
-            i1 ** 2 * x1 ** 2 + i2 ** 2 * x2 ** 2 + i3 ** 2 * x3 ** 2,
-        )
+        invariants = ("1/2*(I1*x1^2 + I2*x2^2 + I3*x3^2)", "I1^2*x1^2 + I2^2*x2^2 + I3^2*x3^2")
     else:
-        invariants = (mu2 * x1 ** 2 - mu1 * x2 ** 2, mu3 * x2 ** 2 - mu2 * x3 ** 2)
+        invariants = ("mu2*x1^2 - mu1*x2^2", "mu3*x2^2 - mu2*x3^2")
     sys = LiouvilleSystem("euler_top", space, X, gamma=gamma,
-                          invariants=invariants,
+                          invariants=tuple(map(space.parse, invariants)),
                           params={p: bindings[p] for p in parameters})
     _validate(sys, config)
     return sys
@@ -408,21 +394,12 @@ def build_euler_top(inertia: tuple | None = None,
 # Beltrami flow on the three-torus chart
 
 
-def _abc_components(space: Space, corrected: bool) -> tuple[ScalarExpr, ...]:
-    A, B, C = Symbol("A"), Symbol("B"), Symbol("C")
-    x1, x2, x3 = (Symbol(c) for c in space.coordinates)
-    from .expr import Cos, Sin
+def _abc_components(space: Space, corrected: bool) -> tuple[NormalForm, ...]:
     if corrected:
-        return (
-            A * Sin(x3) + C * Cos(x2),
-            B * Sin(x1) + A * Cos(x3),
-            C * Sin(x2) + B * Cos(x1),
-        )
-    return (
-        A * Sin(x1) + C * Cos(x2),
-        B * Sin(x1) + A * Cos(x2),
-        C * Sin(x2) + B * Cos(x1),
-    )
+        texts = ("A*sin(x3) + C*cos(x2)", "B*sin(x1) + A*cos(x3)", "C*sin(x2) + B*cos(x1)")
+    else:
+        texts = ("A*sin(x1) + C*cos(x2)", "B*sin(x1) + A*cos(x2)", "C*sin(x2) + B*cos(x1)")
+    return tuple(map(space.parse, texts))
 
 
 def build_abc_flow(a=None, b=None, c=None,
@@ -461,14 +438,14 @@ def _poly_antiderivative(nf: NormalForm, coord: str) -> NormalForm:
     """Monomial-wise antiderivative with zero integration constant."""
     if nf.has_trig():
         raise LiouvilleError("magnetic components must be polynomial")
-    x = normal_form(Symbol(coord))
     pos_atom = (0, coord)
+    x = nf_term(((pos_atom, 1),), 1)
     return nf_sum_of_products(
         *((1, x, nf_term(mono, Fraction(coeff, dict(mono).get(pos_atom, 0) + 1)))
           for mono, coeff in nf.terms))
 
 
-def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
+def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: Iterable[str] = (),
                            name: str = "charged_particle",
                            config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
     """First-order system on R^6 for a particle steered by a magnetic field.
@@ -484,7 +461,7 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
     vs = space.coordinates[3:]
     b_comps = []
     for comp in B:
-        b = as_normal_form(comp) if isinstance(comp, (ScalarExpr, NormalForm)) else space.parse(comp)
+        b = comp if isinstance(comp, NormalForm) else space.parse(comp)
         bad = b.free_symbols() & set(vs)
         if bad:
             raise LiouvilleError(f"magnetic field must not depend on velocities {sorted(bad)}")
@@ -493,7 +470,7 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
         b_comps.append(b)
     if len(b_comps) != 3:
         raise LiouvilleError("the magnetic field needs three components")
-    kk, v1, v2, v3 = (normal_form(Symbol(s)) for s in ("k",) + vs)
+    kk, v1, v2, v3 = map(space.parse, ("k",) + vs)
     kv1, kv2, kv3 = (nf_mul(kk, v) for v in (v1, v2, v3))
     B1, B2, B3 = b_comps
     w = (nf_sum_of_products((1, kv2, B3), (-1, kv3, B2)),
@@ -521,14 +498,13 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
     gamma = gamma1 - gamma2
 
     # sigma = (1/3) sum_i x^i dv^i ∧ omega_(i+1) ∧ omega_(i+2)
-    third = Const(Fraction(1, 3))
     sigma = DiffForm(space, 5, {})
     for i in range(3):
-        piece = wedge(basis_form(space, vs[i], coeff=Symbol(xs[i])), pair[i])
-        sigma = sigma + piece * third
+        piece = wedge(basis_form(space, vs[i], coeff=space.parse(xs[i])), pair[i])
+        sigma = sigma + piece * Fraction(1, 3)
 
     warnings = ()
-    divB = nf_add(nf_diff(B1, "x1"), nf_diff(B2, "x2"), nf_diff(B3, "x3"))
+    divB = nf_add(differentiate(B1, "x1"), differentiate(B2, "x2"), differentiate(B3, "x3"))
     if not is_zero(divB, config).value:
         warnings = (f"magnetic field has nonzero divergence {render(divB)}",)
 
@@ -544,6 +520,23 @@ def build_charged_particle(B, k=None, parameters: Iterable[str] = (),
 # Spin-1/2 precession
 
 
+def _anti_self_dual_triple(space: Space) -> tuple[tuple[DiffForm, ...], tuple[DiffForm, ...]]:
+    """The three constant symplectic forms on (x1, x2, x3, x4) and their
+    potentials, as the spin and generic hyperhamiltonian examples use them."""
+    x1, x2, x3, x4 = map(space.parse, space.coordinates)
+    omegas = (
+        basis_form(space, "x1", "x3") + basis_form(space, "x2", "x4"),
+        basis_form(space, "x4", "x1") + basis_form(space, "x2", "x3"),
+        basis_form(space, "x2", "x1") + basis_form(space, "x3", "x4"),
+    )
+    potentials = (
+        DiffForm(space, 1, {(2,): x1, (3,): x2}),
+        DiffForm(space, 1, {(0,): x4, (2,): x2}),
+        DiffForm(space, 1, {(0,): x2, (3,): x3}),
+    )
+    return omegas, potentials
+
+
 def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
                      config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
     """Real four-dimensional form of spin precession in a constant field.
@@ -554,35 +547,23 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
     the summed field reproduces the expected linear system.
     """
     space = Space("pauli_spin", ("x1", "x2", "x3", "x4"), ("Bx", "By", "Bz", "kappa"))
-    x = [Symbol(c) for c in space.coordinates]
-    bx, by, bz, kk = Symbol("Bx"), Symbol("By"), Symbol("Bz"), Symbol("kappa")
-    omegas = (
-        basis_form(space, "x1", "x3") + basis_form(space, "x2", "x4"),
-        basis_form(space, "x4", "x1") + basis_form(space, "x2", "x3"),
-        basis_form(space, "x2", "x1") + basis_form(space, "x3", "x4"),
-    )
-    potentials = (
-        DiffForm(space, 1, {(2,): x[0], (3,): x[1]}),
-        DiffForm(space, 1, {(0,): x[3], (2,): x[1]}),
-        DiffForm(space, 1, {(0,): x[1], (3,): x[2]}),
-    )
-    norm2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2
-    half = Const(Fraction(1, 2))
-    hamiltonians = (half * kk * by * norm2, half * kk * bx * norm2, half * kk * bz * norm2)
+    norm2 = space.parse("x1^2 + x2^2 + x3^2 + x4^2")
+    hamiltonians = tuple(nf_mul(space.parse(f"1/2*kappa*{b}"), norm2) for b in ("By", "Bx", "Bz"))
+    omegas, potentials = _anti_self_dual_triple(space)
     data = HyperkahlerData(space, omegas, hamiltonians, potentials, orientation=-1)
     ext = build_hyperhamiltonian(data, name="pauli_spin", config=config)
-    expected = VectorField(space, (
-        kk * (-bz * x[1] + by * x[2] - bx * x[3]),
-        kk * (bz * x[0] + bx * x[2] + by * x[3]),
-        kk * (-by * x[0] - bx * x[1] + bz * x[3]),
-        kk * (bx * x[0] - by * x[1] - bz * x[2]),
-    ))
+    expected = VectorField(space, tuple(map(space.parse, (
+        "kappa*(-Bz*x2 + By*x3 - Bx*x4)",
+        "kappa*(Bz*x1 + Bx*x3 + By*x4)",
+        "kappa*(-By*x1 - Bx*x2 + Bz*x4)",
+        "kappa*(Bx*x1 - By*x2 - Bz*x3)",
+    ))))
     match = fields_equal(ext.base.field, expected, config)
     if not match.value:
         raise CertificateError(
             "hyperhamiltonian sum does not reproduce the expected linear field; "
             "check the Hamiltonian/component pairing")
-    ext.base.invariants = (normal_form(norm2),)
+    ext.base.invariants = (norm2,)
     ext.base.params = {"Bx": _bind(Bx), "By": _bind(By), "Bz": _bind(Bz), "kappa": _bind(kappa)}
     _check_invariants(ext.base, config)
     return ext
@@ -591,19 +572,8 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
 def build_hyperham_generic(config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
     """Bundled example with three distinct quadratic Hamiltonians."""
     space = Space("hyperham_generic", ("x1", "x2", "x3", "x4"))
-    x = [Symbol(c) for c in space.coordinates]
-    omegas = (
-        basis_form(space, "x1", "x3") + basis_form(space, "x2", "x4"),
-        basis_form(space, "x4", "x1") + basis_form(space, "x2", "x3"),
-        basis_form(space, "x2", "x1") + basis_form(space, "x3", "x4"),
-    )
-    potentials = (
-        DiffForm(space, 1, {(2,): x[0], (3,): x[1]}),
-        DiffForm(space, 1, {(0,): x[3], (2,): x[1]}),
-        DiffForm(space, 1, {(0,): x[1], (3,): x[2]}),
-    )
-    half = Const(Fraction(1, 2))
-    hamiltonians = (half * (x[0] ** 2 + x[1] ** 2), x[0] * x[2], half * x[3] ** 2)
+    hamiltonians = tuple(map(space.parse, ("1/2*(x1^2 + x2^2)", "x1*x3", "1/2*x4^2")))
+    omegas, potentials = _anti_self_dual_triple(space)
     data = HyperkahlerData(space, omegas, hamiltonians, potentials, orientation=-1)
     return build_hyperhamiltonian(data, name="hyperham_generic", config=config)
 

@@ -204,6 +204,39 @@ def test_oversized_coefficients_exit_2(tmp_path, capsys, command, entry, message
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+_PRODUCT_ARGS = {
+    "verify": [], "characteristic": [], "solve-gamma": [],
+    "integrate": ["--x0", "1,1", "--h", "0.1", "--T", "0.2"],
+}
+
+
+@pytest.mark.parametrize("entry, bits", [
+    ("*".join(["(2*x1)^2000"] * 8) + "*x2", 16001),
+    ("*".join(["(2^2000*x1 + 1)", "(2^2000*x2 + 1)"] * 2), 8001),
+], ids=["one-term-factors", "wide-factors"])
+@pytest.mark.parametrize("command", list(_PRODUCT_ARGS))
+def test_product_of_powers_over_the_coefficient_budget_exit_2(tmp_path, capsys, command,
+                                                              entry, bits):
+    """Each power stays within MAX_COEFF_BITS; their product does not, and
+    the parser refuses it before any command renders or compiles it."""
+    path = _write_system(tmp_path, [entry, "0"])
+    assert main([command, str(path)] + _PRODUCT_ARGS[command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: a {bits}-bit coefficient exceeds the budget of 4096 bits\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--hodge"], ["characteristic"], ["solve-gamma"]])
+def test_coefficients_within_the_budget_still_pass(tmp_path, capsys, argv):
+    """A divergence-free field whose coefficients have 4001 bits."""
+    big = "2^2000*2^2000"
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"name": "big", "coordinates": ["x1", "x2", "x3"],
+                                "vector_field": [f"{big}*x2^3*x3", f"{big}*x3^3*x1",
+                                                 f"{big}*x1^3*x2"]}), encoding="utf-8")
+    assert main([argv[0], str(path)] + argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_hodge_does_not_carry_over_to_the_next_call(example_dir, capsys):
     path = str(example_dir / "euler_top.json")
     assert main(["verify", path, "--hodge"]) == 0
@@ -502,6 +535,13 @@ def test_examples_round_trip(example_dir):
         loaded = load_system(path)
         save_system(loaded, path)
         assert path.read_text(encoding="utf-8") == first, name
+
+
+def test_emitted_examples_equal_the_benchmark_inputs_byte_for_byte(example_dir):
+    emitted = sorted(p.name for p in example_dir.glob("*.json"))
+    assert emitted == sorted(p.name for p in BENCH_BUNDLED.glob("*.json"))
+    for name in emitted:
+        assert (example_dir / name).read_bytes() == (BENCH_BUNDLED / name).read_bytes(), name
 
 
 def test_examples_emit_into_file_path_fails(tmp_path, capsys):

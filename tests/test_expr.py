@@ -1,5 +1,6 @@
 """Unit tests for the exact scalar-expression kernel."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,41 +11,36 @@ from hypothesis import assume, given, settings, strategies as st
 
 import liouvar.expr as expr_module
 from liouvar.expr import (
+    EXACT,
     MAX_COEFF_BITS,
     MAX_NESTING,
     MAX_TERMS,
-    Const,
-    Cos,
     ExprError,
-    Neg,
     ParseError,
-    Power,
-    Product,
-    Sin,
-    Sum,
-    Symbol,
     UnboundSymbolError,
     UndeclaredSymbolError,
+    ZeroResult,
     ZeroTestConfig,
     differentiate,
-    evaluate,
     NF_ONE,
     NormalForm,
+    _COS,
+    _SIN,
+    _SYM,
     _monomial_sort_key,
     _power_terms_bound,
-    from_normal,
+    _trig_nf,
     is_zero,
     nf_add,
-    nf_diff,
     nf_divide,
     nf_mul,
     nf_neg,
     nf_pow,
     nf_scale,
     nf_sum_of_products,
+    nf_term,
     nf_term_sources,
     normal_form,
-    normalize,
     parse_expr,
     parse_rational,
     render,
@@ -64,6 +60,44 @@ SYMS = ("x1", "x2", "x3", "mu1", "mu2", "mu3", "t", "q", "p")
 
 def q(text):
     return parse_expr(text, SYMS)
+
+
+def _sym(name):
+    """The normal form of a symbol, built without the parser."""
+    return nf_term((((_SYM, name), 1),), 1)
+
+
+def _evaluate(nf, bindings):
+    """IEEE-double value of ``nf``: the reference the compiled code is
+    tested against.
+
+    Each term multiplies, left to right from 1.0, its coefficient (left
+    out when it is 1 and the term has atoms) and its atoms, a raised atom
+    as ``value ** exponent``; the terms are summed left to right from 0.0.
+    A term or a sum of one item is that item, not multiplied or added.
+    """
+    terms = []
+    for m, c in nf.terms:
+        factors = [float(c)] if c != 1 or not m else []
+        for (kind, payload), e in m:
+            if kind == _SYM:
+                base = float(bindings[payload])
+            else:
+                base = (math.sin if kind == _SIN else math.cos)(_evaluate(payload, bindings))
+            factors.append(base if e == 1 else base ** e)
+        if len(factors) == 1:
+            terms.append(factors[0])
+            continue
+        product = 1.0
+        for f in factors:
+            product *= f
+        terms.append(product)
+    if len(terms) == 1:
+        return terms[0]
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -87,13 +121,13 @@ def test_parse_ring_identity_is_zero():
 
 
 def test_parse_rationals_and_power():
-    e = from_normal(q("1/2*x1^2 - 3*x2"))
-    assert evaluate(e, {"x1": 2.0, "x2": 1.0}) == pytest.approx(-1.0)
+    e = q("1/2*x1^2 - 3*x2")
+    assert _evaluate(e, {"x1": 2.0, "x2": 1.0}) == pytest.approx(-1.0)
 
 
 def test_parse_nested_trig_and_parens():
-    e = from_normal(q("sin(x1 + cos(x2))^2"))
-    v = evaluate(e, {"x1": 0.3, "x2": 0.7})
+    e = q("sin(x1 + cos(x2))^2")
+    v = _evaluate(e, {"x1": 0.3, "x2": 0.7})
     assert v == pytest.approx(math.sin(0.3 + math.cos(0.7)) ** 2)
 
 
@@ -223,27 +257,27 @@ def test_parse_rational_strings():
 
 
 def test_diff_product_rule():
-    assert render(differentiate(from_normal(q("mu1*x2*x3")), "x2")) == "mu1*x3"
+    assert render(differentiate(q("mu1*x2*x3"), "x2")) == "mu1*x3"
 
 
 def test_diff_sine():
-    assert differentiate(from_normal(q("sin(x1)")), "x1") == normalize(Cos(Symbol("x1")))
+    assert differentiate(q("sin(x1)"), "x1") == _trig_nf(_COS, _sym("x1"))
 
 
 def test_diff_parameter_constant():
     # d/dx2 of (1/2) mu2 x1 x3^2 treats parameters and other coords as constants
-    a1 = from_normal(q("1/2*mu2*x1*x3^2"))
+    a1 = q("1/2*mu2*x1*x3^2")
     assert render(differentiate(a1, "x2")) == "0"
 
 
 def test_diff_power_rule():
-    assert render(differentiate(from_normal(q("x1^3")), "x1")) == "3*x1^2"
+    assert render(differentiate(q("x1^3"), "x1")) == "3*x1^2"
 
 
 def test_diff_chain_rule():
-    e = differentiate(from_normal(q("cos(x1^2)")), "x1")
-    expected = normalize(Const(Fraction(-2)) * Symbol("x1") * Sin(Power(Symbol("x1"), 2)))
-    assert e == expected
+    e = differentiate(q("cos(x1^2)"), "x1")
+    x1 = _sym("x1")
+    assert e == nf_mul(nf_mul(normal_form(-2), x1), _trig_nf(_SIN, nf_pow(x1, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -272,13 +306,15 @@ def test_is_zero_trig_nonzero():
 
 def test_is_zero_small_nonzero_is_not_zero():
     # the tolerance scales with the term magnitudes, not with 1 + |value|
-    res = is_zero(Const(Fraction(1, 10**12)) * Sin(Symbol("x")))
+    res = is_zero(nf_scale(q("sin(x1)"), Fraction(1, 10**12)))
     assert not res.value and res.certainty == "probabilistic"
 
 
 def test_is_zero_accepts_a_normal_form():
-    for text in ("sin(x1)^2 + cos(x1)^2 - 1", "sin(x1) + 1/2", "x1*x2 - x2*x1", "mu1*x2"):
-        assert is_zero(q(text)) == is_zero(from_normal(q(text)))
+    assert is_zero(q("x1*x2 - x2*x1")) == is_zero(0) == ZeroResult(True, EXACT)
+    assert is_zero(q("mu1*x2")) == is_zero(Fraction(1, 3)) == ZeroResult(False, EXACT)
+    with pytest.raises(ExprError, match="cannot interpret 0.0 as a scalar expression"):
+        is_zero(0.0)
 
 
 def test_is_zero_deterministic_and_seed_sensitive():
@@ -291,25 +327,25 @@ def test_is_zero_deterministic_and_seed_sensitive():
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Evaluation: compiled normal forms
 
 
 def test_evaluate_product():
-    assert evaluate(from_normal(q("x1*x2*x3")), {"x1": 1, "x2": 2, "x3": 3}) == 6.0
+    assert compile_scalar(q("x1*x2*x3"), ("x1", "x2", "x3"), {})([1, 2, 3]) == 6.0
 
 
 def test_evaluate_sin_zero():
-    assert evaluate(from_normal(q("sin(x1)")), {"x1": 0.0}) == 0.0
+    assert compile_scalar(q("sin(x1)"), ("x1",), {})([0.0]) == 0.0
 
 
 def test_evaluate_rigid_body_component():
     # mu1 = (I2 - I3)/I1 = -1 for moments (1, 2, 3)
-    assert evaluate(from_normal(q("mu1*x2*x3")), {"mu1": -1.0, "x1": 1, "x2": 1, "x3": 1}) == -1.0
+    assert compile_scalar(q("mu1*x2*x3"), ("x1", "x2", "x3"), {"mu1": -1.0})([1, 1, 1]) == -1.0
 
 
 def test_evaluate_unbound():
     with pytest.raises(UnboundSymbolError):
-        evaluate(from_normal(q("x1 + x2")), {"x1": 1.0})
+        compile_scalar(q("x1 + x2"), ("x1",), {})
 
 
 # --------------------------------------------------------------------------
@@ -317,18 +353,18 @@ def test_evaluate_unbound():
 
 
 def test_substitute_into_square():
-    e = substitute(q("q^2"), {"q": normal_form(Sin(Symbol("t")))})
+    e = substitute(q("q^2"), {"q": q("sin(t)")})
     assert e == q("sin(t)^2")
 
 
 def test_substitute_identity():
     e = q("x1*x2 + sin(x3)")
-    assert substitute(e, {"x1": normal_form(Symbol("x1"))}) == e
+    assert substitute(e, {"x1": _sym("x1")}) == e
 
 
 def test_substitute_simultaneous_swap():
     e = q("q - p")
-    swapped = substitute(e, {"q": normal_form(Symbol("p")), "p": normal_form(Symbol("q"))})
+    swapped = substitute(e, {"q": _sym("p"), "p": _sym("q")})
     assert swapped == q("p - q")
 
 
@@ -342,7 +378,7 @@ def test_substitute_parameter_expansion():
 
 def test_substitute_inside_trig_arguments():
     e = q("q*sin(2*q + p)^2 - cos(p)")
-    out = substitute(e, {"q": q("t - 1"), "p": normal_form(Const(0))})
+    out = substitute(e, {"q": q("t - 1"), "p": normal_form(0)})
     assert out == q("(t - 1)*sin(2*t - 2)^2 - 1")
 
 
@@ -355,33 +391,25 @@ _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 @st.composite
 def polynomials(draw, symbols=("x1", "x2"), max_terms=3, max_factors=3, trig=False):
+    """Sums of rational multiples of symbol products, with an optional
+    sin/cos factor, built by the kernel."""
     terms = []
     for _ in range(draw(st.integers(1, max_terms))):
-        expr = Const(draw(_small_rationals))
+        term = normal_form(draw(_small_rationals))
         for _ in range(draw(st.integers(0, max_factors))):
-            expr = expr * Symbol(draw(st.sampled_from(symbols)))
+            term = nf_mul(term, _sym(draw(st.sampled_from(symbols))))
         if trig and draw(st.booleans()):
-            inner = Symbol(draw(st.sampled_from(symbols)))
-            expr = expr * (Sin(inner) if draw(st.booleans()) else Cos(inner))
-        terms.append(expr)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(polynomials(trig=True))
-def test_normalize_idempotent(e):
-    once = normalize(e)
-    assert normalize(once) == once
+            inner = _sym(draw(st.sampled_from(symbols)))
+            term = nf_mul(term, _trig_nf(_SIN if draw(st.booleans()) else _COS, inner))
+        terms.append(term)
+    return nf_add(*terms)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polynomials(), polynomials())
 def test_leibniz_rule(a, b):
     d = lambda e: differentiate(e, "x1")
-    residual = d(a * b) - (d(a) * b + a * d(b))
+    residual = nf_add(d(nf_mul(a, b)), nf_neg(nf_add(nf_mul(d(a), b), nf_mul(a, d(b)))))
     res = is_zero(residual)
     assert res.value and res.certainty == "exact"
 
@@ -391,17 +419,19 @@ def test_leibniz_rule(a, b):
 def test_mixed_partials_commute(e):
     d12 = differentiate(differentiate(e, "x1"), "x2")
     d21 = differentiate(differentiate(e, "x2"), "x1")
-    assert is_zero(d12 - d21).value
+    assert is_zero(nf_add(d12, nf_neg(d21))).value
 
 
 @settings(max_examples=40, deadline=None)
-@given(polynomials(trig=True))
-def test_evaluate_agrees_with_normalized(e):
+@given(polynomials(trig=True), polynomials(trig=True))
+def test_evaluate_agrees_with_normalized(a, b):
+    # a kernel sum or product evaluates to the sum or product of its operands
     rng = random.Random(7)
     point = {s: rng.uniform(-2, 2) for s in ("x1", "x2")}
-    v1 = evaluate(e, point)
-    v2 = evaluate(normalize(e), point)
-    assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-12)
+    va, vb = _evaluate(a, point), _evaluate(b, point)
+    assert _evaluate(nf_add(a, b), point) == pytest.approx(va + vb, rel=1e-9, abs=1e-9)
+    assert _evaluate(nf_mul(a, b), point) == pytest.approx(va * vb, rel=1e-9, abs=1e-9)
+    assert _evaluate(nf_pow(a, 3), point) == pytest.approx(va ** 3, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,114 +439,124 @@ def test_evaluate_agrees_with_normalized(e):
 def test_render_parse_round_trip(e):
     text = render(e)
     back = parse_expr(text, SYMS)
-    assert back == normal_form(e)
+    assert back == e
 
 
 def test_power_matches_repeated_product():
-    base = from_normal(q("x1 - 2*x2 + sin(x1)"))
+    base = q("x1 - 2*x2 + sin(x1)")
     for k in range(1, 8):
-        assert normal_form(Power(base, k)) == normal_form(Product((base,) * k))
+        assert nf_pow(base, k) == functools.reduce(nf_mul, [base] * k)
 
 
-_leaves = st.one_of(_small_rationals.map(Const), st.sampled_from(("x1", "x2")).map(Symbol))
+def _cases(depth):
+    """Generated expressions: the text in the parser's grammar, a function
+    that builds its normal form from the same structure with ``nf_add``,
+    ``nf_mul``, ``nf_pow``, ``nf_neg`` and ``_trig_nf``, and the same
+    expression in Python syntax, parenthesised so that Python's
+    precedence reads it as the grammar does, for sympy.
 
-
-def _compound(children):
-    groups = st.lists(children, min_size=2, max_size=3).map(tuple)
-    return st.one_of(
-        groups.map(Sum), groups.map(Product), children.map(Neg),
-        st.tuples(children, st.integers(1, 3)).map(lambda t: Power(*t)),
-        children.map(Sin), children.map(Cos))
-
-
-expressions = st.recursive(_leaves, _compound, max_leaves=8)
-
-
-def _to_sympy(e):
-    if isinstance(e, Const):
-        return sympy.Rational(e.value.numerator, e.value.denominator)
-    if isinstance(e, Symbol):
-        return sympy.Symbol(e.name)
-    if isinstance(e, Sum):
-        return sympy.Add(*(_to_sympy(t) for t in e.terms))
-    if isinstance(e, Product):
-        return sympy.Mul(*(_to_sympy(f) for f in e.factors))
-    if isinstance(e, Power):
-        return _to_sympy(e.base) ** e.exponent
-    if isinstance(e, Neg):
-        return -_to_sympy(e.arg)
-    return (sympy.sin if isinstance(e, Sin) else sympy.cos)(_to_sympy(e.arg))
-
-
-@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
-@settings(max_examples=60, deadline=None)
-@given(expressions)
-def test_normal_form_and_derivative_match_sympy(e):
-    reference = _to_sympy(e)
-    assert sympy.expand(_to_sympy(normalize(e)) - reference) == 0
-    for v in ("x1", "x2"):
-        derivative = sympy.diff(reference, sympy.Symbol(v))
-        assert sympy.expand(_to_sympy(differentiate(e, v)) - derivative) == 0
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(expressions, polynomials(trig=True)), st.floats(-2, 2), st.floats(-2, 2))
-def test_compiled_normal_form_matches_tree_evaluation(e, a, b):
-    # bit for bit up to the sign of zero (a tree sum starts from 0.0); with
-    # x2 as a parameter its value is compiled in as a float literal
-    nf = normal_form(e)
-    want = evaluate(from_normal(nf), {"x1": a, "x2": b})
-    assert compile_scalar(nf, ("x1", "x2"), {})([a, b]) == want
-    assert compile_scalar(nf, ("x1",), {"x2": b})([a]) == want
-
-
-def _text_and_tree(depth):
-    """Expression text paired with the tree that the grammar reads from it:
-    sums of products of powers of numbers, p/q rationals, symbols,
-    parentheses, sin/cos calls and unary minus, nested ``depth`` deep."""
+    The grammar covers sums of products of powers of numbers, p/q
+    rationals, symbols, parentheses, sin/cos calls and unary minus, nested
+    ``depth`` deep.  The normal form is built on demand, since a power or
+    a product may be over the kernel's term budget.
+    """
     leaves = [
-        st.integers(0, 12).map(lambda n: (str(n), Const(n))),
+        st.integers(0, 12).map(lambda n: (str(n), lambda: normal_form(n), str(n))),
         st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
-            lambda t: (f"{t[0]}/{t[1]}", Const(Fraction(*t)))),
-        st.sampled_from(("x1", "x2", "mu1")).map(lambda n: (n, Symbol(n))),
+            lambda t: (f"{t[0]}/{t[1]}", lambda: normal_form(Fraction(*t)), f"({t[0]}/{t[1]})")),
+        st.sampled_from(("x1", "x2", "mu1")).map(lambda n: (n, lambda: _sym(n), n)),
     ]
     if depth == 0:
         atom = st.one_of(*leaves)
     else:
-        inner = _text_and_tree(depth - 1)
+        inner = _cases(depth - 1)
         atom = st.one_of(
             *leaves,
-            inner.map(lambda p: (f"({p[0]})", p[1])),
-            inner.map(lambda p: (f"sin({p[0]})", Sin(p[1]))),
-            inner.map(lambda p: (f"cos({p[0]})", Cos(p[1]))),
-            st.one_of(*leaves).map(lambda p: ("-" + p[0], Neg(p[1]))),
-            inner.map(lambda p: (f"-({p[0]})", Neg(p[1]))))
-    factor = st.tuples(atom, st.integers(0, 2)).map(
-        lambda t: t[0] if not t[1] else (f"{t[0][0]}^{t[1]}", Power(t[0][1], t[1])))
-    term = st.lists(factor, min_size=1, max_size=2).map(
-        lambda fs: ("*".join(f[0] for f in fs),
-                    fs[0][1] if len(fs) == 1 else Product(tuple(f[1] for f in fs))))
+            inner.map(lambda c: (f"({c[0]})", c[1], f"({c[2]})")),
+            inner.map(lambda c: (f"sin({c[0]})", lambda: _trig_nf(_SIN, c[1]()), f"sin({c[2]})")),
+            inner.map(lambda c: (f"cos({c[0]})", lambda: _trig_nf(_COS, c[1]()), f"cos({c[2]})")),
+            st.one_of(*leaves).map(lambda c: ("-" + c[0], lambda: nf_neg(c[1]()), f"(-{c[2]})")),
+            inner.map(lambda c: (f"-({c[0]})", lambda: nf_neg(c[1]()), f"(-({c[2]}))")))
+
+    def power(t):
+        (text, build, py), k = t
+        if not k:
+            return text, build, py
+        return f"{text}^{k}", lambda: nf_pow(build(), k), f"({py})**{k}"
+
+    factor = st.tuples(atom, st.integers(0, 2)).map(power)
+
+    def product(fs):
+        builds = [f[1] for f in fs]
+        return ("*".join(f[0] for f in fs),
+                lambda: functools.reduce(nf_mul, [b() for b in builds]),
+                "*".join(f[2] for f in fs))
+
+    term = st.lists(factor, min_size=1, max_size=2).map(product)
 
     def join(parts):
-        (text, tree), rest = parts
-        terms = [tree]
-        for sign, (t_text, t_tree) in rest:
+        (text, build, py), rest = parts
+        builds = [build]
+        for sign, (t_text, t_build, t_py) in rest:
             text += f" {sign} {t_text}"
-            terms.append(t_tree if sign == "+" else Neg(t_tree))
-        return text, terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            py += f" {sign} {t_py}"
+            builds.append(t_build if sign == "+" else lambda b=t_build: nf_neg(b()))
+        return text, lambda: nf_add(*(b() for b in builds)), py
 
     return st.tuples(term, st.lists(st.tuples(st.sampled_from("+-"), term), max_size=1)).map(join)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_text_and_tree(2))
-def test_parse_equals_normal_form_of_the_same_tree(pair):
-    text, tree = pair
+def _built(case):
+    """The normal form of a generated case; cases over the term budget are
+    rejected (the refusals are tested below)."""
     try:
-        want = normal_form(tree)
-    except ExprError:   # over the term budget; refusals are tested below
+        return case[1]()
+    except ExprError:
         assume(False)
-    nf = q(text)
+
+
+def _to_sympy(nf):
+    """The sympy expression of a normal form, term by term."""
+    total = sympy.Integer(0)
+    for m, c in nf.terms:
+        term = sympy.Rational(c.numerator, c.denominator)
+        for (kind, payload), e in m:
+            if kind == _SYM:
+                base = sympy.Symbol(payload)
+            else:
+                base = (sympy.sin if kind == _SIN else sympy.cos)(_to_sympy(payload))
+            term *= base ** e
+        total += term
+    return total
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(_cases(2))
+def test_normal_form_and_derivative_match_sympy(case):
+    nf = _built(case)
+    reference = sympy.sympify(case[2])
+    assert sympy.expand(_to_sympy(nf) - reference) == 0
+    for v in ("x1", "x2"):
+        derivative = sympy.diff(reference, sympy.Symbol(v))
+        assert sympy.expand(_to_sympy(differentiate(nf, v)) - derivative) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_cases(2).map(_built), polynomials(trig=True)), st.floats(-2, 2), st.floats(-2, 2))
+def test_compiled_normal_form_matches_tree_evaluation(nf, a, b):
+    # bit for bit up to the sign of zero (the reference sum starts from
+    # 0.0); with x2 as a parameter its value is compiled in as a float literal
+    want = _evaluate(nf, {"x1": a, "x2": b, "mu1": 0.5})
+    assert compile_scalar(nf, ("x1", "x2"), {"mu1": 0.5})([a, b]) == want
+    assert compile_scalar(nf, ("x1",), {"x2": b, "mu1": 0.5})([a]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases(2))
+def test_parse_equals_normal_form_of_the_same_tree(case):
+    want = _built(case)
+    nf = q(case[0])
     assert nf == want
     _assert_canonical(nf)
 
@@ -674,18 +714,16 @@ _rational_forms = polynomials(symbols=("x1", "x2", "x3"), trig=True)
 @settings(max_examples=60, deadline=None)
 @given(_rational_forms, _rational_forms, _rational_forms)
 def test_kernel_results_are_canonical(a, b, c):
-    na, nb, nc = normal_form(a), normal_form(b), normal_form(c)
-    for nf in (na, nf_add(na, nb), nf_mul(na, nb), nf_pow(nc, 3), nf_diff(nf_mul(na, nc), "x1"),
-               nf_scale(na, Fraction(3, 2)), nf_neg(nb),
-               substitute(na, {"x2": nc, "x3": nb}),
-               nf_sum_of_products((1, na, nb), (-1, nb, nc), (1, nc, NF_ONE))):
+    for nf in (a, nf_add(a, b), nf_mul(a, b), nf_pow(c, 3), differentiate(nf_mul(a, c), "x1"),
+               nf_scale(a, Fraction(3, 2)), nf_neg(b),
+               substitute(a, {"x2": c, "x3": b}),
+               nf_sum_of_products((1, a, b), (-1, b, c), (1, c, NF_ONE))):
         _assert_canonical(nf)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(expressions, _rational_forms))
-def test_render_parse_round_trip_keeps_equality_and_hash(e):
-    nf = normal_form(e)
+@given(st.one_of(_cases(2).map(_built), _rational_forms))
+def test_render_parse_round_trip_keeps_equality_and_hash(nf):
     back = parse_expr(render(nf), SYMS)
     assert back == nf and hash(back) == hash(nf)
 
@@ -694,20 +732,18 @@ def test_render_parse_round_trip_keeps_equality_and_hash(e):
 @given(st.lists(st.tuples(st.sampled_from((1, -1)), _rational_forms, _rational_forms),
                 min_size=1, max_size=4))
 def test_sum_of_products_equals_sum_of_signed_products(products):
-    triples = [(sign, normal_form(a), normal_form(b)) for sign, a, b in products]
     expected = nf_add(*(nf_mul(a, b) if sign > 0 else nf_neg(nf_mul(a, b))
-                        for sign, a, b in triples))
-    assert nf_sum_of_products(*triples) == expected
+                        for sign, a, b in products))
+    assert nf_sum_of_products(*products) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(polynomials(symbols=("x1", "x2", "x3")), polynomials(symbols=("x1", "x2", "x3")))
 def test_divide_recovers_a_rational_factor(a, b):
-    na, nb = normal_form(a), normal_form(b)
-    if nb.is_zero():
+    if b.is_zero():
         return
-    quotient = nf_divide(nf_mul(na, nb), nb)
-    assert quotient == na
+    quotient = nf_divide(nf_mul(a, b), b)
+    assert quotient == a
     _assert_canonical(quotient)
 
 
@@ -818,7 +854,7 @@ def test_kernel_equals_the_fraction_reference_term_for_term(products):
     for _sign, a, b in products:
         _assert_same_terms(nf_mul(a, b), _reference_sum_of_products((1, a, b)))
         for v in ("x1", "x2", "x3"):
-            _assert_same_terms(nf_diff(a, v), _reference_diff(a, v))
+            _assert_same_terms(differentiate(a, v), _reference_diff(a, v))
     forms = [f for _sign, a, b in products for f in (a, b)]
     _assert_same_terms(nf_add(*forms), _reference_add(*forms))
     _assert_same_terms(nf_add(forms[0]), _reference_add(forms[0]))

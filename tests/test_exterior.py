@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouvar.expr import Const, Cos, Sin, Symbol, evaluate, normal_form
+from liouvar.expr import (
+    ExprError,
+    NormalForm,
+    differentiate,
+    nf_add,
+    nf_mul,
+    nf_neg,
+    normal_form,
+    substitute,
+)
 from liouvar.exterior import (
     CoordMap,
     DegreeError,
@@ -38,21 +47,28 @@ from liouvar.exterior import (
     volume_form,
     wedge,
 )
+from liouvar.flow import compile_scalar
 
 R3 = Space("R3", ("x1", "x2", "x3"))
 R4 = Space("R4", ("x1", "x2", "x3", "x4"))
 
 
 def random_poly(rng, coords, max_terms=2, max_deg=2):
-    out = Const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    space = Space("poly", tuple(coords))
+    out = normal_form(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     for _ in range(rng.randint(0, max_deg)):
-        out = out * Symbol(rng.choice(coords))
+        out = nf_mul(out, space.parse(rng.choice(coords)))
     for _ in range(rng.randint(0, max_terms - 1)):
-        term = Const(Fraction(rng.randint(-3, 3)))
+        term = normal_form(rng.randint(-3, 3))
         for _ in range(rng.randint(0, max_deg)):
-            term = term * Symbol(rng.choice(coords))
-        out = out + term
+            term = nf_mul(term, space.parse(rng.choice(coords)))
+        out = nf_add(out, term)
     return out
+
+
+def value(nf, point):
+    """Float value of a coefficient at ``point``, a {coordinate: float} map."""
+    return compile_scalar(nf, tuple(point), {})(list(point.values()))
 
 
 def random_form(rng, space, degree, entries=2):
@@ -81,10 +97,10 @@ def _perm_sign(perm):
 def dense_tensor(form, point):
     n = form.space.dim
     if form.degree == 0:
-        return np.array(evaluate(form.get(()), point) if form.coeffs else 0.0)
+        return np.array(value(form.get_nf(()), point))
     T = np.zeros((n,) * form.degree)
-    for idx, c in form.coeffs.items():
-        v = evaluate(c, point)
+    for idx, c in form.nfs.items():
+        v = value(c, point)
         for perm in itertools.permutations(range(len(idx))):
             T[tuple(idx[p] for p in perm)] = _perm_sign(perm) * v
     return T
@@ -121,7 +137,7 @@ def test_wedge_square_of_two_form():
     # dx1∧dx3 + dx2∧dx4 squared gives -2 dx1∧dx2∧dx3∧dx4
     w1 = basis_form(R4, "x1", "x3") + basis_form(R4, "x2", "x4")
     sq = wedge(w1, w1)
-    assert sq.coeffs == {(0, 1, 2, 3): Const(Fraction(-2))}
+    assert sq.nfs == {(0, 1, 2, 3): normal_form(-2)}
     point = {c: 0.0 for c in R4.coordinates}
     oracle = dense_wedge(dense_tensor(w1, point), 2, dense_tensor(w1, point), 2, 4)
     assert np.allclose(dense_tensor(sq, point), oracle)
@@ -162,7 +178,7 @@ def test_wedge_space_mismatch():
 
 
 def test_d_of_standard_sigma():
-    sigma = DiffForm(R3, 2, {(1, 2): Symbol("x1")})
+    sigma = DiffForm(R3, 2, {(1, 2): R3.parse("x1")})
     assert exterior_derivative(sigma) == volume_form(R3)
 
 
@@ -186,15 +202,13 @@ def test_d_top_degree_rejected():
 
 
 def test_interior_flux_components():
-    f = [Symbol("mu1") * Symbol("x2") * Symbol("x3"),
-         Symbol("mu2") * Symbol("x3") * Symbol("x1"),
-         Symbol("mu3") * Symbol("x1") * Symbol("x2")]
     sp = Space("E", ("x1", "x2", "x3"), ("mu1", "mu2", "mu3"))
+    f = [sp.parse("mu1*x2*x3"), sp.parse("mu2*x3*x1"), sp.parse("mu3*x1*x2")]
     X = VectorField(sp, tuple(f))
     flux = interior_product(X, volume_form(sp))
-    assert normal_form(flux.get((1, 2))) == normal_form(f[0])
-    assert normal_form(flux.get((0, 2))) == normal_form(-f[1])
-    assert normal_form(flux.get((0, 1))) == normal_form(f[2])
+    assert flux.get_nf((1, 2)) == f[0]
+    assert flux.get_nf((0, 2)) == nf_neg(f[1])
+    assert flux.get_nf((0, 1)) == f[2]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -207,9 +221,9 @@ def test_interior_twice_vanishes(seed):
 
 def test_interior_with_time_like_form():
     M = Space("M", ("t", "q", "p"))
-    Z = VectorField(M, (Const(1), Symbol("p"), -Symbol("q")))
+    Z = VectorField(M, (1, M.parse("p"), M.parse("-q")))
     dt = basis_form(M, "t")
-    assert interior_product(Z, dt).get(()) == Const(1)
+    assert interior_product(Z, dt).get_nf(()) == normal_form(1)
 
 
 def test_interior_degree_zero_rejected():
@@ -226,7 +240,7 @@ def test_interior_antiderivation(seed):
     a = random_form(rng, R4, p_deg)
     b = random_form(rng, R4, q_deg)
     lhs = interior_product(v, wedge(a, b))
-    sign = Const(Fraction((-1) ** p_deg))
+    sign = (-1) ** p_deg
     rhs = wedge(interior_product(v, a), b) + wedge(a, interior_product(v, b)) * sign
     assert form_is_zero(lhs - rhs).value
 
@@ -265,31 +279,26 @@ def test_interior_products_anticommute(components, beta, z):
 
 def test_lie_divergence_free_field_preserves_volume():
     sp = Space("E", ("x1", "x2", "x3"), ("mu1", "mu2", "mu3"))
-    X = VectorField(sp, (Symbol("mu1") * Symbol("x2") * Symbol("x3"),
-                         Symbol("mu2") * Symbol("x3") * Symbol("x1"),
-                         Symbol("mu3") * Symbol("x1") * Symbol("x2")))
+    X = VectorField(sp, (sp.parse("mu1*x2*x3"), sp.parse("mu2*x3*x1"), sp.parse("mu3*x1*x2")))
     assert lie_derivative(X, volume_form(sp)).is_zero_form
 
 
 def test_lie_on_function_is_directional_derivative():
-    X = VectorField(R3, (Symbol("x2"), -Symbol("x1"), Const(0)))
-    f = Symbol("x1") * Symbol("x1") + Symbol("x2")
-    got = lie_derivative(X, constant_form(R3, f)).get(())
-    assert normal_form(got) == normal_form(X.apply_to(f))
+    X = VectorField(R3, (R3.parse("x2"), R3.parse("-x1"), 0))
+    f = R3.parse("x1*x1 + x2")
+    got = lie_derivative(X, constant_form(R3, f)).get_nf(())
+    assert got == X.apply_to_nf(f) == R3.parse("2*x1*x2 - x1")
 
 
 def test_lie_linear_growth_field():
     # div(x1 d_1) = 1, so the volume form is reproduced
-    X = VectorField(R3, (Symbol("x1"), Const(0), Const(0)))
+    X = VectorField(R3, (R3.parse("x1"), 0, 0))
     assert lie_derivative(X, volume_form(R3)) == volume_form(R3)
     # oracle: L_X vol = div(X) vol for any field
     rng = random.Random(11)
     for _ in range(5):
         Y = random_field(rng, R3)
-        div = Const(0)
-        from liouvar.expr import differentiate
-        for comp, coord in zip(Y.components, R3.coordinates):
-            div = div + differentiate(comp, coord)
+        div = nf_add(*(differentiate(comp, coord) for comp, coord in zip(Y.nfs, R3.coordinates)))
         assert lie_derivative(Y, volume_form(R3)) == volume_form(R3) * div
 
 
@@ -310,9 +319,9 @@ def test_lie_naturality(seed):
 def test_pullback_chain_rule():
     B = Space("B", ("t",))
     E = Space("E", ("q",))
-    phi = CoordMap(B, E, {"q": Sin(Symbol("t"))})
+    phi = CoordMap(B, E, {"q": B.parse("sin(t)")})
     got = pullback(phi, basis_form(E, "q"))
-    assert got == DiffForm(B, 1, {(0,): Cos(Symbol("t"))})
+    assert got == DiffForm(B, 1, {(0,): B.parse("cos(t)")})
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -334,27 +343,26 @@ def test_pullback_section_residual_shape():
     # beta of the split shape pulled back along a graph section gives
     # [A du_w/dx - g] * base volume for the first vertical contraction
     E = Space("E", ("x", "z", "w"))
-    A = Symbol("z")
-    g = Symbol("x") * Symbol("w")
+    A = E.parse("z")
+    g = E.parse("x*w")
     beta = DiffForm(E, 2, {(1, 2): A, (0, 1): g})
     psi1 = interior_product(coordinate_vector(E, "z"), beta)
     B = Space("B", ("x",))
-    u_z = Symbol("x") * Symbol("x")
-    u_w = Symbol("x")
-    phi = CoordMap(B, E, {"x": Symbol("x"), "z": u_z, "w": u_w})
+    u_z = B.parse("x*x")
+    u_w = B.parse("x^3")
+    phi = CoordMap(B, E, {"x": B.parse("x"), "z": u_z, "w": u_w})
     got = pullback(phi, psi1)
-    from liouvar.expr import differentiate, from_normal, substitute
-    section = {"z": normal_form(u_z), "w": normal_form(u_w)}
-    sub = lambda e: from_normal(substitute(normal_form(e), section))
-    expected = sub(A) * differentiate(u_w, "x") - sub(g)
-    assert normal_form(got.get((0,))) == normal_form(expected)
+    section = {"z": u_z, "w": u_w}
+    expected = nf_add(nf_mul(substitute(A, section), differentiate(u_w, "x")),
+                      nf_neg(substitute(g, section)))
+    assert got.get_nf((0,)) == expected == B.parse("2*x^4")
 
 
 def test_pullback_missing_component():
     B = Space("B", ("t",))
     E = Space("E", ("q", "p"))
     with pytest.raises(GeometryError):
-        CoordMap(B, E, {"q": Symbol("t")})
+        CoordMap(B, E, {"q": B.parse("t")})
 
 
 # --------------------------------------------------------------------------
@@ -371,10 +379,10 @@ def test_hodge_double_application_on_basis(n):
     space = Space("S", tuple(f"y{i}" for i in range(n)), metric=tuple(Fraction(1) for _ in range(n)))
     for r in range(n + 1):
         for idx in itertools.combinations(range(n), r):
-            a = DiffForm(space, r, {idx: Const(1)})
+            a = DiffForm(space, r, {idx: 1})
             twice = hodge_star(hodge_star(a))
             sign = (-1) ** (r * (n - r))
-            assert twice == a * Const(Fraction(sign))
+            assert twice == a * sign
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -385,13 +393,13 @@ def test_hodge_double_application_random(seed):
     r = rng.randint(0, n)
     a = random_form(rng, space, r)
     twice = hodge_star(hodge_star(a, (1,) * n), (1,) * n)
-    assert form_is_zero(twice - a * Const(Fraction((-1) ** (r * (n - r))))).value
+    assert form_is_zero(twice - a * (-1) ** (r * (n - r))).value
 
 
 def test_hodge_scaled_metric():
     # *(dx1) with metric diag(4,4,4): sqrt|g| = 8, index raised by 1/4
     got = hodge_star(basis_form(R3, "x1"), (4, 4, 4))
-    assert got == basis_form(R3, "x2", "x3") * Const(Fraction(2))
+    assert got == basis_form(R3, "x2", "x3") * Fraction(2)
 
 
 def test_hodge_missing_metric():
@@ -414,8 +422,8 @@ def test_no_zero_coefficients_stored():
         a = random_form(rng, R3, 1)
         b = random_form(rng, R3, 1)
         for result in (a + b, a - a, wedge(a, b), exterior_derivative(a)):
-            for _idx, c in result.coeffs.items():
-                assert not normal_form(c).is_zero()
+            for _idx, c in result.nfs.items():
+                assert not c.is_zero()
 
 
 def test_reorder_round_trip_and_sign():
@@ -423,7 +431,7 @@ def test_reorder_round_trip_and_sign():
     a = basis_form(R3, "x1", "x2")
     moved = reorder_form(a, new_space)
     assert moved == basis_form(new_space, "x1", "x2")
-    assert moved.coeffs == {(0, 1): Const(Fraction(-1))}
+    assert moved.nfs == {(0, 1): normal_form(-1)}
     back = reorder_form(moved, R3)
     assert back == a
 
@@ -439,10 +447,10 @@ def test_reorder_commutes_with_wedge():
 
 
 def test_reorder_field_components():
-    X = VectorField(R3, (Symbol("x1"), Symbol("x2"), Symbol("x3")))
+    X = VectorField(R3, tuple(map(R3.parse, ("x1", "x2", "x3"))))
     new_space = reordered_space(R3, ("x3", "x1", "x2"))
     Y = reorder_field(X, new_space)
-    assert [str(c) for c in Y.components] == ["x3", "x1", "x2"]
+    assert serialize_field(Y) == ["x3", "x1", "x2"]
 
 
 def test_serialize_round_trip():
@@ -456,9 +464,9 @@ def test_serialize_round_trip():
 
 def test_multi_index_validation():
     with pytest.raises(GeometryError):
-        DiffForm(R3, 2, {(1, 1): Const(1)})
+        DiffForm(R3, 2, {(1, 1): 1})
     with pytest.raises(GeometryError):
-        DiffForm(R3, 2, {(2, 1): Const(1)})
+        DiffForm(R3, 2, {(2, 1): 1})
     with pytest.raises(DegreeError):
         DiffForm(R3, 4, {})
 
@@ -474,10 +482,49 @@ def test_multi_index_validation():
 ])
 def test_multi_index_errors_name_the_first_failed_check(idx, message):
     with pytest.raises(GeometryError) as info:
-        DiffForm(R3, 2, {idx: Const(1)})
+        DiffForm(R3, 2, {idx: 1})
     assert str(info.value) == message
 
 
 def test_undeclared_coefficient_symbols_rejected():
-    with pytest.raises(GeometryError):
-        DiffForm(R3, 1, {(0,): Symbol("nope")})
+    nope = Space("other", ("x1", "nope")).parse("x1*nope + nope")
+    with pytest.raises(GeometryError) as info:
+        DiffForm(R3, 1, {(0,): nope})
+    assert str(info.value) == "coefficient uses symbols ['nope'] not declared in space 'R3'"
+    with pytest.raises(GeometryError) as info:
+        VectorField(R3, (1, nope, 0))
+    assert str(info.value) == "component uses symbols ['nope'] not declared in space 'R3'"
+    with pytest.raises(GeometryError) as info:
+        basis_form(R3, "x1") * nope
+    assert str(info.value) == "coefficient uses symbols ['nope'] not declared in space 'R3'"
+
+
+_SCALARS = [(R3.parse("2/3*x1"), "2/3*x1"), (-3, "-3"), (Fraction(5, 2), "5/2")]
+
+
+@pytest.mark.parametrize("scalar, text", _SCALARS)
+def test_constructors_and_scaling_take_normal_forms_and_rationals(scalar, text):
+    nf = R3.parse(text)
+    assert normal_form(scalar) == nf
+    assert DiffForm(R3, 1, {(0,): scalar}).get_nf((0,)) == nf
+    assert VectorField(R3, (scalar, 0, 1)).nfs == (nf, normal_form(0), normal_form(1))
+    assert (basis_form(R3, "x2") * scalar).get_nf((1,)) == nf
+    assert (scalar * basis_form(R3, "x2")).get_nf((1,)) == nf
+
+
+@pytest.mark.parametrize("bad", [1.5, "x1", None])
+def test_constructors_and_scaling_refuse_other_scalars(bad):
+    message = f"cannot interpret {bad!r} as a scalar expression"
+    for attempt in (lambda: normal_form(bad),
+                    lambda: DiffForm(R3, 1, {(0,): bad}),
+                    lambda: VectorField(R3, (bad, 0, 0)),
+                    lambda: basis_form(R3, "x1") * bad):
+        with pytest.raises(ExprError) as info:
+            attempt()
+        assert str(info.value) == message
+
+
+def test_normal_form_returns_a_normal_form_itself():
+    nf = R3.parse("x1 - sin(x2)")
+    assert normal_form(nf) is nf
+    assert isinstance(normal_form(7), NormalForm) and normal_form(0).is_zero()
