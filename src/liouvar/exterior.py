@@ -290,13 +290,6 @@ def volume_form(space: Space) -> DiffForm:
     return DiffForm(space, space.dim, {tuple(range(space.dim)): NF_ONE})
 
 
-def form_from_terms(space: Space, degree: int, terms: Mapping[tuple[str, ...], object]) -> DiffForm:
-    acc = DiffForm(space, degree, {})
-    for coords, coeff in terms.items():
-        acc = acc + basis_form(space, *coords, coeff=coeff)
-    return acc
-
-
 # --------------------------------------------------------------------------
 # Index bookkeeping
 

@@ -86,8 +86,10 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
     numpy's elementwise arithmetic on float64 arrays does.  The tangent map
     M (entries ``m0..`` row by row) and its slopes ``K1_0..`` follow the
     same formula with J(y) @ N for f(y): the entries of J and of the stage
-    map N are written into two numpy buffers and multiplied by numpy,
-    because the BLAS product rounds differently from a float sum.
+    map N are written into two numpy buffers, and ``dot(J, N, K)`` writes
+    the product into a third buffer K allocated once per run, whose n*n
+    entries are read back in one unpack.  ``np.dot`` calls the same BLAS
+    gemm as ``@`` and rounds the same, differently from a float sum.
     """
     coords = field.space.coordinates
     n = len(coords)
@@ -110,8 +112,10 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
         lines += [
             f"    J = empty(({n}, {n}))",
             f"    N = empty(({n}, {n}))",
+            f"    K = empty(({n}, {n}))",
             "    jv = memoryview(J.reshape(-1))",
             "    nv = memoryview(N.reshape(-1))",
+            "    kv = memoryview(K.reshape(-1))",
             "    tv = memoryview(tangents.reshape(-1))",
             f"    {', '.join(ms)}, = tv[:{n * n}].tolist()",
         ]
@@ -124,14 +128,12 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
         if with_tangent:
             lines += [f"            jv[{p}] = {src}" for p, src in enumerate(jacobian[state])]
             if factor is None:
-                product = "J @ tangents[step - 1]"
+                lines.append("            dot(J, tangents[step - 1], K)")
             else:
                 lines += [f"            nv[{p}] = m{p} + {factor} * K{stage - 1}_{p}"
                           for p in range(n * n)]
-                product = "J @ N"
-            rows = ", ".join("(" + ", ".join(f"K{stage}_{i * n + j}" for j in range(n)) + ",)"
-                             for i in range(n))
-            lines.append(f"            {rows}, = ({product}).tolist()")
+                lines.append("            dot(J, N, K)")
+            lines.append(f"            {', '.join(f'K{stage}_{p}' for p in range(n * n))}, = kv")
     lines += [
         "        except (OverflowError, ValueError):",
         "            raise BlowupError(step) from None",
@@ -158,7 +160,7 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
     It raises ``BlowupError(step)`` when a stage overflows or leaves the
     domain of sin/cos, or when the new state is not finite.
     """
-    namespace = {"math": math, "isfinite": math.isfinite, "empty": np.empty,
+    namespace = {"math": math, "isfinite": math.isfinite, "empty": np.empty, "dot": np.dot,
                  "BlowupError": BlowupError}
     exec(_rk4_source(field, params, with_tangent), namespace)
     loop = namespace["rk4"]
@@ -241,6 +243,8 @@ def _initial_state(field: VectorField, x0: Sequence[float]) -> np.ndarray:
     x0 = np.asarray([float(v) for v in x0], dtype=float)
     if x0.shape != (n,):
         raise FlowError(f"initial state must have {n} components")
+    if not np.all(np.isfinite(x0)):
+        raise FlowError(f"initial state must be finite, got {x0.tolist()}")
     return x0
 
 

@@ -500,10 +500,21 @@ def test_integrate_nesting_depth(tmp_path, capsys, depth, code):
         assert "nesting" in capsys.readouterr().err
 
 
-def test_integrate_bad_x0_exit_2(example_dir, capsys):
+@pytest.mark.parametrize("x0", ["1,1", "nan,0.1,0.2", "inf,0.1,0.2", "0.1,-inf,0.2",
+                                "0.1,0.2,1e400"])
+@pytest.mark.parametrize("tangent", [False, True])
+def test_integrate_bad_x0_exit_2(example_dir, capsys, x0, tangent):
     rc = main(["integrate", str(example_dir / "euler_top.json"),
-               "--x0", "1,1", "--h", "1e-3", "--T", "1"])
+               f"--x0={x0}", "--h", "1e-3", "--T", "0.01"] + ["--tangent"] * tangent)
     assert rc == 2
+    assert "non-finite state" not in capsys.readouterr().err
+
+
+def test_integrate_huge_x0_overflows_exit_1(example_dir, capsys):
+    rc = main(["integrate", str(example_dir / "euler_top.json"),
+               "--x0=1e200,1e200,1e200", "--h", "1e-3", "--T", "0.01", "--tangent"])
+    assert rc == 1
+    assert "error: non-finite state encountered at step 1" in capsys.readouterr().err
 
 
 def test_integrate_sweep(example_dir, capsys):

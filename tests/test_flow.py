@@ -21,7 +21,12 @@ from liouvar.flow import (
     volume_diagnostic,
     write_trajectory_csv,
 )
-from liouvar.systems import build_abc_flow, build_euler_top, build_hamiltonian
+from liouvar.systems import (
+    build_abc_flow,
+    build_charged_particle,
+    build_euler_top,
+    build_hamiltonian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,18 +160,36 @@ def _array_rk4(field, x0, h, T, with_tangent=False, params=None):
     return np.array(states), np.array(tangents) if with_tangent else None
 
 
+def _reference_case(system, oscillator, euler_numeric):
+    """Field and parameter bindings of one bit-identity case."""
+    if system == "line":
+        sp = Space("line", ("x1",))
+        return VectorField(sp, (sp.parse("x1 - x1^3"),)), {}
+    if system == "oscillator_m2":
+        ho2 = build_hamiltonian("1/2*q1^2 + 1/2*p1^2 + 1/2*q2^2 + 1/2*p2^2", 2)
+        return ho2.field, {}
+    if system == "charged_particle":
+        cp = build_charged_particle(("0", "0", "b"), parameters=("b",))
+        return cp.field, {"k": 0.7, "b": 1.3}
+    return {"euler": euler_numeric.field, "abc": build_abc_flow(1, 1, 1).bound().field,
+            "oscillator": oscillator.field}[system], {}
+
+
 @pytest.mark.parametrize("system, x0, with_tangent", [
     ("euler", (1.0, 1.0, 1.0), False),
     ("euler", (0.3, -0.8, 0.5), True),
     ("abc", (0.3, 1.2, 2.5), True),
     ("oscillator", (1.0, 0.0), False),
+    ("line", (0.5,), True),
+    ("oscillator", (1.0, 0.0), True),
+    ("oscillator_m2", (1.0, 0.0, 0.3, -0.4), True),
+    ("charged_particle", (0.1, -0.2, 0.3, 0.5, -0.6, 0.2), True),
 ])
 def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscillator,
                                                 euler_numeric):
-    field = {"euler": euler_numeric.field, "abc": build_abc_flow(1, 1, 1).bound().field,
-             "oscillator": oscillator.field}[system]
-    traj = integrate_rk4(field, x0, 1e-3, 2.0, with_tangent=with_tangent)
-    states, tangents = _array_rk4(field, x0, 1e-3, 2.0, with_tangent)
+    field, params = _reference_case(system, oscillator, euler_numeric)
+    traj = integrate_rk4(field, x0, 1e-3, 2.0, with_tangent=with_tangent, params=params)
+    states, tangents = _array_rk4(field, x0, 1e-3, 2.0, with_tangent, params)
     assert np.array_equal(traj.states, states)
     if with_tangent:
         assert np.array_equal(traj.tangents, tangents)
@@ -174,14 +197,26 @@ def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscill
         assert traj.tangents is None
 
 
-def test_blowup_step_equals_the_array_formula():
+@pytest.mark.parametrize("with_tangent", [False, True])
+def test_blowup_step_equals_the_array_formula(with_tangent):
     sp = Space("b", ("x1", "x2"))
     field = VectorField(sp, (sp.parse("1 + x1^2"), 0))
     with pytest.raises(BlowupError) as got:
-        integrate_rk4(field, (1.0, 0.0), 1e-3, 2.0)
+        integrate_rk4(field, (1.0, 0.0), 1e-3, 2.0, with_tangent=with_tangent)
     with pytest.raises(BlowupError) as want:
-        _array_rk4(field, (1.0, 0.0), 1e-3, 2.0)
+        _array_rk4(field, (1.0, 0.0), 1e-3, 2.0, with_tangent)
     assert got.value.step == want.value.step
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_state_is_an_input_error(oscillator, value):
+    with pytest.raises(FlowError, match="initial state must be finite") as err:
+        integrate_rk4(oscillator.field, (value, 0.0), 1e-3, 1.0, with_tangent=True)
+    assert not isinstance(err.value, BlowupError)
+    dec = decompose_beta(build_extended(oscillator).dtheta)
+    with pytest.raises(FlowError, match="initial state must be finite") as err:
+        section_sweep(dec, [(0.0, 1.0, 0.0), (0.0, value, 0.0)], 1e-3, 1.0)
+    assert not isinstance(err.value, BlowupError)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
