@@ -120,12 +120,13 @@ class NormalForm:
 
     Immutable.  Its hash, its canonical sort key and its free symbols are
     computed on first use and kept on the object, so a normal form that is
-    the argument of a sin/cos atom is hashed and ordered once.  Normal forms
-    are ordered by their sort keys, which is the order of atoms inside a
+    the argument of a sin/cos atom is hashed and ordered once.  So are its
+    partial derivatives, by symbol (``differentiate``).  Normal forms are
+    ordered by their sort keys, which is the order of atoms inside a
     monomial.
     """
 
-    __slots__ = ("terms", "_hash", "_key", "_symbols")
+    __slots__ = ("terms", "_hash", "_key", "_symbols", "_derivs")
 
     def __init__(self, terms: tuple):
         _set(self, "terms", terms)
@@ -449,10 +450,21 @@ def differentiate(nf: NormalForm, v: str) -> NormalForm:
 
     Symbol atoms follow the power rule; sin(u) and cos(u) follow the chain
     rule, d sin(u) = cos(u) du and d cos(u) = -sin(u) du.  Both work on the
-    integer view and go through the product accumulator.
+    integer view and go through the product accumulator.  The result is
+    kept on ``nf``, in a table by symbol made on the first derivative by a
+    free symbol, so a shared sin/cos argument is differentiated once.
     """
     if v not in nf.free_symbols():
         return NF_ZERO
+    try:
+        derivs = nf._derivs
+    except AttributeError:
+        derivs = {}
+        _set(nf, "_derivs", derivs)
+    else:
+        known = derivs.get(v)
+        if known is not None:
+            return known
     D, pairs = nf.int_view()
     powered = []  # power-rule terms, over the denominator D
     products = [(1, (D, powered), _UNIT_VIEW)]
@@ -473,7 +485,8 @@ def differentiate(nf: NormalForm, v: str) -> NormalForm:
             else:
                 outer, sign = (_SIN, payload), -1
             products.append((sign, (D, ((_mono_mul(rest, ((outer, 1),)), n * e),)), du.int_view()))
-    return _int_sum(products)
+    derivs[v] = result = _int_sum(products)
+    return result
 
 
 # --------------------------------------------------------------------------

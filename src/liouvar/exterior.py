@@ -61,7 +61,10 @@ class Space:
     """Named flat coordinate space with optional constant diagonal metric.
 
     Orientation is the declared coordinate order.  ``symbol_set`` holds the
-    coordinate and parameter names, computed once; it is not compared.
+    coordinate and parameter names, computed once.  ``index_table`` maps a
+    degree to the multi-indices that ``DiffForm`` has checked to be valid
+    for it on this space, so each distinct index is checked once.  Neither
+    is compared.
     """
 
     name: str
@@ -69,11 +72,13 @@ class Space:
     parameters: tuple[str, ...] = ()
     metric: tuple[Fraction, ...] | None = None
     symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    index_table: dict[int, set] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
         object.__setattr__(self, "parameters", tuple(self.parameters))
         object.__setattr__(self, "symbol_set", frozenset(self.coordinates + self.parameters))
+        object.__setattr__(self, "index_table", {})
         if self.metric is not None:
             object.__setattr__(self, "metric", tuple(Fraction(g) for g in self.metric))
         if len(self.coordinates) < 1:
@@ -104,10 +109,21 @@ class Space:
         except ValueError:
             raise GeometryError(f"'{coord}' is not a coordinate of space '{self.name}'") from None
 
-    def parse(self, text: str, atoms: dict | None = None) -> NormalForm:
+    def parse(self, text: str, atoms: dict | None = None, texts: dict | None = None) -> NormalForm:
         """Normal form of ``text`` over this space's symbols; ``atoms`` as
-        in ``parse_expr``."""
-        return parse_expr(text, self.symbol_set, atoms)
+        in ``parse_expr``.
+
+        ``texts``, when given, is a table shared by the parses of one
+        input, keyed by the symbol set and the text: a text is parsed once
+        per symbol set, and equal texts over one symbol set are one object.
+        """
+        if texts is None:
+            return parse_expr(text, self.symbol_set, atoms)
+        key = (self.symbol_set, text)
+        nf = texts.get(key)
+        if nf is None:
+            nf = texts[key] = parse_expr(text, self.symbol_set, atoms)
+        return nf
 
     def with_metric(self, metric: Iterable[Fraction] | None) -> "Space":
         return Space(self.name, self.coordinates, self.parameters,
@@ -138,7 +154,8 @@ class DiffForm:
     """Degree-k form as a sparse map from increasing multi-indices.
 
     Coefficients (normal forms or rationals) are stored as normal forms
-    in ``nfs``.
+    in ``nfs``.  A multi-index is looked up in the space's ``index_table``
+    and checked only when it is not there yet.
     """
 
     __slots__ = ("space", "degree", "nfs")
@@ -146,15 +163,21 @@ class DiffForm:
     def __init__(self, space: Space, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         if not 0 <= degree <= space.dim:
             raise DegreeError(f"degree {degree} out of range for dimension {space.dim}")
+        valid = space.index_table.get(degree)
+        if valid is None:
+            valid = space.index_table[degree] = set()
         stored: dict[tuple[int, ...], NormalForm] = {}
         for idx, raw in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise GeometryError(f"multi-index {idx} does not match degree {degree}")
-            if any(not 0 <= i < space.dim for i in idx):
-                raise GeometryError(f"multi-index {idx} out of range")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise GeometryError(f"multi-index {idx} must be strictly increasing")
+            if type(idx) is not tuple:
+                idx = tuple(idx)
+            if idx not in valid:
+                if len(idx) != degree:
+                    raise GeometryError(f"multi-index {idx} does not match degree {degree}")
+                if any(not 0 <= i < space.dim for i in idx):
+                    raise GeometryError(f"multi-index {idx} out of range")
+                if any(a >= b for a, b in zip(idx, idx[1:])):
+                    raise GeometryError(f"multi-index {idx} must be strictly increasing")
+                valid.add(idx)
             nf = _checked_nf(raw, space, "coefficient")
             stored[idx] = nf_add(stored[idx], nf) if idx in stored else nf
         self.space = space
@@ -562,13 +585,13 @@ def serialize_form(a: DiffForm) -> list[dict]:
 
 
 def deserialize_form(space: Space, degree: int, data: list[dict],
-                     atoms: dict | None = None) -> DiffForm:
+                     atoms: dict | None = None, texts: dict | None = None) -> DiffForm:
     """Form from ``serialize_form`` output; entries on one index are summed.
-    ``atoms`` as in ``parse_expr``."""
+    ``atoms`` and ``texts`` as in ``Space.parse``."""
     coeffs: dict[tuple[int, ...], NormalForm] = {}
     for entry in data:
         idx = tuple(int(i) - 1 for i in entry["index"])
-        nf = space.parse(entry["coeff"], atoms)
+        nf = space.parse(entry["coeff"], atoms, texts)
         coeffs[idx] = nf_add(coeffs[idx], nf) if idx in coeffs else nf
     return DiffForm(space, degree, coeffs)
 
@@ -577,6 +600,8 @@ def serialize_field(v: VectorField) -> list[str]:
     return [render(c) for c in v.nfs]
 
 
-def deserialize_field(space: Space, data: list[str], atoms: dict | None = None) -> VectorField:
-    """Field from ``serialize_field`` output; ``atoms`` as in ``parse_expr``."""
-    return VectorField(space, tuple(space.parse(s, atoms) for s in data))
+def deserialize_field(space: Space, data: list[str], atoms: dict | None = None,
+                      texts: dict | None = None) -> VectorField:
+    """Field from ``serialize_field`` output; ``atoms`` and ``texts`` as in
+    ``Space.parse``."""
+    return VectorField(space, tuple(space.parse(s, atoms, texts) for s in data))

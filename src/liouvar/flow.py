@@ -11,7 +11,8 @@ finite-difference residuals of the quasilinear system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -187,7 +188,11 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled integral curve, optionally with tangent maps."""
+    """Uniformly sampled integral curve, optionally with tangent maps.
+
+    The determinants of the tangent maps are computed on first use and
+    kept, so the volume diagnostic and the CSV share one pass.
+    """
 
     coordinates: tuple[str, ...]
     grid: np.ndarray
@@ -196,6 +201,15 @@ class Trajectory:
     params: dict[str, float]
     step: float
     duration: float
+    _dets: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    def determinants(self) -> np.ndarray:
+        """det of every tangent map (LU determinants), computed once."""
+        if self.tangents is None:
+            raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
+        if self._dets is None:
+            self._dets = np.linalg.det(self.tangents)
+        return self._dets
 
 
 @dataclass
@@ -269,10 +283,7 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
 
 def volume_diagnostic(traj: Trajectory) -> float:
     """Max |det(tangent map) - 1| along the trajectory (LU determinants)."""
-    if traj.tangents is None:
-        raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
-    dets = np.linalg.det(traj.tangents)
-    return float(np.max(np.abs(dets - 1.0)))
+    return float(np.max(np.abs(traj.determinants() - 1.0)))
 
 
 def invariant_drift(traj: Trajectory,
@@ -359,11 +370,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> int:
     rows = traj.states.tolist()
     if traj.tangents is not None:
         columns.append("det")
-        rows = [row + [det] for row, det in zip(rows, np.linalg.det(traj.tangents).tolist())]
+        rows = [row + [det] for row, det in zip(rows, traj.determinants().tolist())]
     row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns)]
     lines += [row_format % (s, *row) for s, row in zip(traj.grid.tolist(), rows)]
     text = "\n".join(lines) + "\n"
-    from pathlib import Path
     Path(path).write_text(text, encoding="utf-8")
     return len(lines) - 1

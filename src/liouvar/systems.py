@@ -614,13 +614,41 @@ def save_system(sys: LiouvilleSystem, path) -> None:
     Path(path).write_text(json.dumps(system_to_dict(sys), indent=2) + "\n", encoding="utf-8")
 
 
+def _strings(value, key: str, what: str) -> list:
+    """``value``, the entry ``key`` of a system file, checked to be a list
+    of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SystemFileError(f"'{key}' must be a list of {what}")
+    return value
+
+
+def _form_entries(data: dict, key: str) -> list:
+    """``data[key]``, checked to be a list of form entries: objects with a
+    list of integers "index" and an expression string "coeff"."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise SystemFileError(f"'{key}' must be a list of {{\"index\": ..., \"coeff\": ...}} entries")
+    for k, entry in enumerate(entries, 1):
+        if not isinstance(entry, dict):
+            raise SystemFileError(f"'{key}' entry {k} must be an object with 'index' and 'coeff'")
+        index = entry.get("index")
+        if not isinstance(index, list) or not all(type(i) is int for i in index):
+            raise SystemFileError(f"'{key}' entry {k}: 'index' must be a list of integers")
+        if not isinstance(entry.get("coeff"), str):
+            raise SystemFileError(f"'{key}' entry {k}: 'coeff' must be an expression string")
+    return entries
+
+
 def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
     try:
         name = data["name"]
-        coordinates = tuple(data["coordinates"])
+        coordinates = data["coordinates"]
         field_strings = data["vector_field"]
     except (KeyError, TypeError) as exc:
         raise SystemFileError(f"missing required field: {exc}") from exc
+    if not isinstance(name, str):
+        raise SystemFileError("'name' must be a string")
+    coordinates = tuple(_strings(coordinates, "coordinates", "names"))
     raw_params = data.get("parameters", {})
     if not isinstance(raw_params, Mapping):
         raise SystemFileError("'parameters' must map names to rational strings or null")
@@ -628,44 +656,53 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
     metric = None
     if "metric" in data:
         try:
-            metric = tuple(parse_rational(s) for s in data["metric"])
+            metric = tuple(parse_rational(s)
+                           for s in _strings(data["metric"], "metric", "rational strings"))
         except (ExprError, ValueError) as exc:
             raise SystemFileError(f"bad metric entry: {exc}") from exc
     try:
         space = Space(name, coordinates, parameters, metric)
     except GeometryError as exc:
         raise SystemFileError(str(exc)) from exc
+    for p, v in raw_params.items():
+        if v is not None and not isinstance(v, str):
+            raise SystemFileError(f"parameter '{p}' must be a rational string or null, got {v!r}")
     try:
         params = {p: (None if v is None else parse_rational(v)) for p, v in raw_params.items()}
     except (ExprError, ValueError) as exc:
         raise SystemFileError(f"bad parameter value: {exc}") from exc
     n = space.dim
-    if not isinstance(field_strings, list) or not all(isinstance(c, str) for c in field_strings):
-        raise SystemFileError("'vector_field' must be a list of expression strings")
+    field_strings = _strings(field_strings, "vector_field", "expression strings")
     if len(field_strings) != n:
         raise SystemFileError(
             f"'vector_field' has {len(field_strings)} components; the space has dimension {n}")
-    # each sin/cos argument of this file is parsed into one shared object
+    # each sin/cos argument of this file is parsed into one shared object,
+    # and each distinct text over one symbol set is parsed once
     atoms: dict = {}
+    texts: dict = {}
+
+    def form(key, form_space, degree):
+        return deserialize_form(form_space, degree, _form_entries(data, key), atoms, texts)
+
     try:
-        field = deserialize_field(space, field_strings, atoms)
-        omega = (deserialize_form(space, n, data["volume"], atoms)
-                 if "volume" in data else volume_form(space))
-        gamma = deserialize_form(space, n - 2, data["gamma"], atoms) if "gamma" in data else None
-        sigma = deserialize_form(space, n - 1, data["sigma"], atoms) if "sigma" in data else None
-        theta = None
-        if "theta" in data:
-            theta = deserialize_form(extended_space(space), n - 1, data["theta"], atoms)
-        invariants = tuple(space.parse(s, atoms) for s in data.get("invariants", []))
+        field = deserialize_field(space, field_strings, atoms, texts)
+        omega = form("volume", space, n) if "volume" in data else volume_form(space)
+        gamma = form("gamma", space, n - 2) if "gamma" in data else None
+        sigma = form("sigma", space, n - 1) if "sigma" in data else None
+        theta = form("theta", extended_space(space), n - 1) if "theta" in data else None
+        invariants = tuple(space.parse(s, atoms, texts) for s in _strings(
+            data.get("invariants", []), "invariants", "expression strings"))
     except (ParseError, ExprError, GeometryError) as exc:
         raise SystemFileError(str(exc)) from exc
     base_split = None
     if "base_split" in data:
         bs = data["base_split"]
         try:
-            base_split = (int(bs["base_count"]), tuple(bs["verticals"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            base_split = (bs["base_count"], tuple(bs["verticals"]))
+        except (KeyError, TypeError) as exc:
             raise SystemFileError(f"bad base_split: {exc}") from exc
+        if type(base_split[0]) is not int:
+            raise SystemFileError("bad base_split: 'base_count' must be an integer")
     sys = LiouvilleSystem(name, space, field, omega=omega, gamma=gamma, sigma=sigma,
                           theta=theta, invariants=invariants, params=params,
                           base_split=base_split)

@@ -6,11 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liouvar
 import liouvar.cli as cli
 from liouvar.cli import main
+from liouvar.flow import integrate_rk4
 from liouvar.systems import build_hamiltonian, load_system, save_system
 
 DATA = Path(__file__).parent / "data"
@@ -85,6 +87,50 @@ def test_verify_malformed_vector_field_exit_2(tmp_path, capsys, field):
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "'vector_field'" in err and "undeclared" not in err
+
+
+_GAMMA_INDEX = "'gamma' entry 1: 'index' must be a list of integers"
+_GAMMA_COEFF = "'gamma' entry 1: 'coeff' must be an expression string"
+_GAMMA_LIST = "'gamma' must be a list of"
+
+# edits of euler_top.json that make it no system file: the keys to the
+# edited value, the new value and the message
+_MALFORMED = {
+    "index 5": (("gamma", 0), {"index": 5, "coeff": "x1"}, _GAMMA_INDEX),
+    "index '1'": (("gamma", 0), {"index": "1", "coeff": "x1"}, _GAMMA_INDEX),
+    "index [1.5]": (("gamma", 0), {"index": [1.5], "coeff": "x1"}, _GAMMA_INDEX),
+    "index [true]": (("gamma", 0), {"index": [True], "coeff": "x1"}, _GAMMA_INDEX),
+    "no coeff": (("gamma", 0), {"index": [1]}, _GAMMA_COEFF),
+    "coeff 3": (("gamma", 0), {"index": [1], "coeff": 3}, _GAMMA_COEFF),
+    "entry list": (("gamma", 0), [[1], "x1"],
+                   "'gamma' entry 1 must be an object with 'index' and 'coeff'"),
+    "gamma null": (("gamma",), None, _GAMMA_LIST),
+    "gamma {}": (("gamma",), {}, _GAMMA_LIST),
+    "invariants [3]": (("invariants",), [3], "'invariants' must be a list of expression strings"),
+    "parameter 3": (("parameters", "I1"), 3,
+                    "parameter 'I1' must be a rational string or null, got 3"),
+    "metric [1, 1, 1]": (("metric",), [1, 1, 1], "'metric' must be a list of rational strings"),
+    "name 3": (("name",), 3, "'name' must be a string"),
+    "coordinates 'x1x2x3'": (("coordinates",), "x1x2x3", "'coordinates' must be a list of names"),
+    "base_count 2.7": (("base_split",), {"base_count": 2.7, "verticals": ["t", "x3"]},
+                       "bad base_split: 'base_count' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["characteristic"],
+                                  ["integrate", "--x0=0.1,0.2,0.3", "--h", "0.01", "--T", "0.01"]])
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_system_file_entries_exit_2(tmp_path, capsys, case, argv):
+    (*parents, last), value, message = _MALFORMED[case]
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_verify_golden_report(example_dir, tmp_path):
@@ -364,6 +410,33 @@ def test_integrate_euler_reference_run(example_dir, capsys, tmp_path):
     assert diag["det_deviation"] <= 1e-6
     assert diag["csv_rows"] == 10001
     assert csv.read_text(encoding="utf-8").splitlines()[0] == "s,x0,x1,x2,det"
+
+
+def test_integrate_tangent_csv_takes_the_determinants_once(example_dir, capsys, tmp_path,
+                                                           monkeypatch):
+    det = np.linalg.det
+    shapes = []
+
+    def counted_det(a):
+        shapes.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    path, csv = example_dir / "euler_top.json", tmp_path / "traj.csv"
+    x0, h, T = [0.3, -0.2, 0.1], 1e-2, 1.0
+    rc = main(["integrate", str(path), "--x0=0.3,-0.2,0.1", "--h", repr(h), "--T", repr(T),
+               "--tangent", "--csv", str(csv)])
+    out = read_json(capsys)
+    assert rc == 0 and shapes == [(101, 3, 3)]
+    # the report and the CSV hold the determinants of the array formula
+    system = load_system(path)
+    traj = integrate_rk4(system.field, x0, h, T, with_tangent=True,
+                         params={p: float(v) for p, v in system.params.items()})
+    dets = det(traj.tangents)
+    assert out["diagnostics"]["det_deviation"] == float(np.max(np.abs(dets - 1.0)))
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % (s, *x, d)
+            for s, x, d in zip(traj.grid.tolist(), traj.states.tolist(), dets.tolist())]
+    assert csv.read_text(encoding="utf-8") == "\n".join(["s,x0,x1,x2,det"] + rows) + "\n"
 
 
 def test_integrate_missing_param_exit_2(example_dir, capsys):

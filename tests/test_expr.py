@@ -280,6 +280,23 @@ def test_diff_chain_rule():
     assert e == nf_mul(nf_mul(normal_form(-2), x1), _trig_nf(_SIN, nf_pow(x1, 2)))
 
 
+def test_differentiate_keeps_each_derivative_on_its_normal_form():
+    text = "x1^2*sin(x1*x2) + mu1*cos(x2 - x1)^2 + x2"
+    nf, twin = q(text), q(text)
+    assert nf == twin and nf is not twin
+    first = {v: differentiate(nf, v) for v in ("x1", "x2", "mu1")}
+    assert len(set(first.values())) == 3
+    # the twin takes its derivatives in the opposite order
+    for v in ("mu1", "x2", "x1"):
+        assert differentiate(nf, v) is first[v]
+        assert differentiate(twin, v) == first[v]
+        assert differentiate(twin, v) is differentiate(twin, v)
+    # a symbol that is not free gives zero, and a constant keeps no table
+    const = q("3/4")
+    assert differentiate(nf, "x3").is_zero() and differentiate(const, "x1").is_zero()
+    assert not hasattr(const, "_derivs")
+
+
 # --------------------------------------------------------------------------
 # Zero testing
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -484,6 +485,49 @@ def test_multi_index_errors_name_the_first_failed_check(idx, message):
     with pytest.raises(GeometryError) as info:
         DiffForm(R3, 2, {idx: 1})
     assert str(info.value) == message
+
+
+class _ListKeyed(Mapping):
+    """Coefficients keyed by multi-indices given as lists, which no dict
+    can hold."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __iter__(self):
+        return (idx for idx, _c in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, idx):
+        return next(c for i, c in self.pairs if list(i) == list(idx))
+
+
+def test_multi_indices_as_lists_and_tuples_make_one_form():
+    space = Space("s", ("x1", "x2", "x3"))
+    x3 = space.parse("x3")
+    from_lists = DiffForm(space, 2, _ListKeyed([([1, 2], x3), ([0, 1], 2)]))
+    from_tuples = DiffForm(space, 2, {(0, 1): 2, (1, 2): x3})
+    assert from_lists == from_tuples and list(from_lists.nfs) == [(0, 1), (1, 2)]
+    assert space.index_table == {2: {(0, 1), (1, 2)}}
+    # an index checked for one degree is checked again for another, and an
+    # invalid index is never kept
+    for coeffs, degree, message in (({(0, 1): 1}, 1, "multi-index (0, 1) does not match degree 1"),
+                                    (_ListKeyed([([2, 1], 1)]), 2,
+                                     "multi-index (2, 1) must be strictly increasing")):
+        with pytest.raises(GeometryError) as info:
+            DiffForm(space, degree, coeffs)
+        assert str(info.value) == message
+    assert space.index_table == {1: set(), 2: {(0, 1), (1, 2)}}
+
+
+def test_space_keeps_its_index_table_out_of_comparisons():
+    used, fresh = Space("s", ("x1", "x2"), ("mu1",)), Space("s", ("x1", "x2"), ("mu1",))
+    DiffForm(used, 1, {(0,): 1, (1,): used.parse("mu1")})
+    assert used.index_table == {1: {(0,), (1,)}} and fresh.index_table == {}
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert "index_table" not in repr(used)
 
 
 def test_undeclared_coefficient_symbols_rejected():

@@ -424,6 +424,31 @@ def test_load_rejects_bad_parameter_value(bundle, tmp_path):
         load_system(path)
 
 
+def test_load_parses_each_distinct_text_once(bundle, tmp_path):
+    path = tmp_path / "oscillator.json"
+    save_system(bundle["harmonic_oscillator_m1"], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    # the potential and the invariant are the same text, H
+    assert data["gamma"][0]["coeff"] == data["invariants"][0]
+    loaded = load_system(path)
+    assert loaded.gamma.get_nf(()) is loaded.invariants[0]
+    assert loaded.invariants[0] == bundle["harmonic_oscillator_m1"].invariants[0]
+
+
+def test_load_keeps_texts_over_the_extended_space_apart(bundle, tmp_path):
+    data = system_to_dict(bundle["pauli_spin"])
+    path = tmp_path / "pauli.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_system(path).theta == bundle["pauli_spin"].theta
+    # "t" parses in theta, which is read first, but not in a later invariant
+    # or in the field
+    data["theta"].append({"index": [1, 2, 3], "coeff": "t"})
+    for key, edit in (("invariants", ["t"]), ("vector_field", ["t"] + data["vector_field"][1:])):
+        path.write_text(json.dumps({**data, key: edit}), encoding="utf-8")
+        with pytest.raises(SystemFileError, match="undeclared identifier 't'"):
+            load_system(path)
+
+
 def test_theta_round_trip(bundle, tmp_path):
     path = tmp_path / "pauli.json"
     save_system(bundle["pauli_spin"], path)
