@@ -95,16 +95,19 @@ def _perm_sign(perm):
     return sign
 
 
-def dense_tensor(form, point):
-    n = form.space.dim
-    if form.degree == 0:
-        return np.array(value(form.get_nf(()), point))
-    T = np.zeros((n,) * form.degree)
-    for idx, c in form.nfs.items():
-        v = value(c, point)
-        for perm in itertools.permutations(range(len(idx))):
+def dense_from(n, degree, component):
+    """Antisymmetric array with T[I] = component(I) on each increasing I."""
+    T = np.zeros((n,) * degree)
+    for idx in itertools.combinations(range(n), degree):
+        v = component(idx)
+        for perm in itertools.permutations(range(degree)):
             T[tuple(idx[p] for p in perm)] = _perm_sign(perm) * v
     return T
+
+
+def dense_tensor(form, point):
+    """Components of ``form`` at ``point``, read only through ``get_nf``."""
+    return dense_from(form.space.dim, form.degree, lambda idx: value(form.get_nf(idx), point))
 
 
 def dense_wedge(A, p, B, q, n):
@@ -132,6 +135,113 @@ def test_wedge_matches_dense_alternation_oracle(seed):
     got = dense_tensor(wedge(a, b), point)
     want = dense_wedge(dense_tensor(a, point), p_deg, dense_tensor(b, point), q_deg, 4)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def dense_interior(v, A):
+    """(v ⌟ A)_J = sum_i v^i A_{iJ}."""
+    return np.tensordot(v, A, axes=(0, 0))
+
+
+def dense_derivative(form, point):
+    """(dA)_{i0..ik} = sum_j (-1)^j d_{i_j} A_{i0..(no i_j)..ik}, built from
+    the partial derivatives of each coefficient."""
+    n, k = form.space.dim, form.degree
+    partials = [dense_from(n, k, lambda idx, x=x: value(differentiate(form.get_nf(idx), x), point))
+                for x in form.space.coordinates]
+    C = np.zeros((n,) * (k + 1))
+    for K in itertools.product(range(n), repeat=k + 1):
+        C[K] = sum((-1) ** j * partials[K[j]][K[:j] + K[j + 1:]] for j in range(k + 1))
+    return C
+
+
+def dense_hodge(A, k, metric):
+    """(⋆A)_J = sqrt|det g| / k! * sum_I A^I eps_{IJ}, with the indices of A
+    raised by the diagonal metric g."""
+    n = len(metric)
+    inverse = np.array([1 / float(x) for x in metric])
+    for axis in range(k):
+        A = A * inverse.reshape([n if i == axis else 1 for i in range(k)])
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = _perm_sign(perm)
+    scale = math.sqrt(abs(math.prod(float(x) for x in metric))) / math.factorial(k)
+    return scale * np.tensordot(A, eps, axes=(list(range(k)), list(range(k))))
+
+
+def dense_reorder(A, k, old, new):
+    """The same tensor with its axes indexed in the ``new`` coordinate order."""
+    perm = [old.index(c) for c in new]
+    return A[np.ix_(*[perm] * k)] if k else A
+
+
+def _oracle_point(rng, space):
+    return {c: rng.uniform(-1, 1) for c in space.coordinates}
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_wedge_matches_dense_alternation_oracle_in_every_degree(space, seed):
+    rng = random.Random(500 + seed)
+    point = _oracle_point(rng, space)
+    for p_deg in range(space.dim + 1):
+        for q_deg in range(space.dim + 1 - p_deg):
+            a = random_form(rng, space, p_deg, entries=3)
+            b = random_form(rng, space, q_deg, entries=3)
+            got = dense_tensor(wedge(a, b), point)
+            want = dense_wedge(dense_tensor(a, point), p_deg, dense_tensor(b, point), q_deg, space.dim)
+            assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_interior_product_matches_dense_contraction_oracle(space, seed):
+    rng = random.Random(600 + seed)
+    point = _oracle_point(rng, space)
+    for k in range(1, space.dim + 1):
+        v = random_field(rng, space)
+        a = random_form(rng, space, k, entries=3)
+        got = dense_tensor(interior_product(v, a), point)
+        want = dense_interior(np.array([value(c, point) for c in v.nfs]), dense_tensor(a, point))
+        assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_exterior_derivative_matches_dense_antisymmetrised_gradient(space, seed):
+    rng = random.Random(700 + seed)
+    point = _oracle_point(rng, space)
+    for k in range(space.dim):
+        a = random_form(rng, space, k, entries=3)
+        got = dense_tensor(exterior_derivative(a), point)
+        assert np.allclose(got, dense_derivative(a, point), atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_hodge_star_matches_dense_levi_civita_contraction(space, seed):
+    rng = random.Random(800 + seed)
+    point = _oracle_point(rng, space)
+    # square entries, so |det g| is a rational square
+    metric = tuple(rng.choice([1, -1, 4, -4, Fraction(1, 9), Fraction(9, 4)]) for _ in space.coordinates)
+    for k in range(space.dim + 1):
+        a = random_form(rng, space, k, entries=3)
+        got = dense_tensor(hodge_star(a, metric), point)
+        assert np.allclose(got, dense_hodge(dense_tensor(a, point), k, metric), atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_reorder_form_matches_dense_axis_permutation(space, seed):
+    rng = random.Random(900 + seed)
+    point = _oracle_point(rng, space)
+    order = list(space.coordinates)
+    rng.shuffle(order)
+    new_space = reordered_space(space, order)
+    for k in range(space.dim + 1):
+        a = random_form(rng, space, k, entries=3)
+        got = dense_tensor(reorder_form(a, new_space), {c: point[c] for c in new_space.coordinates})
+        want = dense_reorder(dense_tensor(a, point), k, space.coordinates, new_space.coordinates)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_wedge_square_of_two_form():
