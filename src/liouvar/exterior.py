@@ -1,17 +1,18 @@
 """Sparse differential forms and vector fields on flat coordinate spaces.
 
-Basis forms are stored on strictly increasing multi-indices; every
-operation reduces to that canonical order with explicit permutation
-signs.  Coefficients are normal forms (zero ones are never stored) and
-every operation maps normal forms to normal forms; a constructor also
-takes an int or a Fraction, which ``normal_form`` makes a constant.
+A multi-index is stored as a mask, an int with bit i set for coordinate
+i, so it is strictly increasing by construction; every operation reduces
+to that canonical order with explicit permutation signs.  Coefficients
+are normal forms (zero ones are never stored) and every operation maps
+normal forms to normal forms; a constructor also takes an int or a
+Fraction, which ``normal_form`` makes a constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Mapping
 
 from .expr import (
@@ -61,10 +62,7 @@ class Space:
     """Named flat coordinate space with optional constant diagonal metric.
 
     Orientation is the declared coordinate order.  ``symbol_set`` holds the
-    coordinate and parameter names, computed once.  ``index_table`` maps a
-    degree to the multi-indices that ``DiffForm`` has checked to be valid
-    for it on this space, so each distinct index is checked once.  Neither
-    is compared.
+    coordinate and parameter names, computed once, and is not compared.
     """
 
     name: str
@@ -72,13 +70,11 @@ class Space:
     parameters: tuple[str, ...] = ()
     metric: tuple[Fraction, ...] | None = None
     symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    index_table: dict[int, set] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
         object.__setattr__(self, "parameters", tuple(self.parameters))
         object.__setattr__(self, "symbol_set", frozenset(self.coordinates + self.parameters))
-        object.__setattr__(self, "index_table", {})
         if self.metric is not None:
             object.__setattr__(self, "metric", tuple(Fraction(g) for g in self.metric))
         if len(self.coordinates) < 1:
@@ -125,10 +121,6 @@ class Space:
             nf = texts[key] = parse_expr(text, self.symbol_set, atoms)
         return nf
 
-    def with_metric(self, metric: Iterable[Fraction] | None) -> "Space":
-        return Space(self.name, self.coordinates, self.parameters,
-                     tuple(Fraction(g) for g in metric) if metric is not None else None)
-
 
 def _checked_nf(value, space: Space, what: str) -> NormalForm:
     """``value``, a normal form or a rational, as a normal form whose
@@ -150,44 +142,71 @@ def _sum_products(acc: dict) -> dict:
     return {K: nf_sum_of_products(*products) for K, products in acc.items()}
 
 
-class DiffForm:
-    """Degree-k form as a sparse map from increasing multi-indices.
+def _mask(idx, degree: int, dim: int) -> int:
+    """The mask of a multi-index given as a mask or as a sequence of
+    positions.  It must match ``degree``, lie in range and, as a sequence,
+    be strictly increasing; the first failed check is raised."""
+    if type(idx) is int:
+        if idx.bit_count() != degree:
+            raise GeometryError(f"multi-index mask {idx} does not match degree {degree}")
+        if idx < 0 or idx >> dim:
+            raise GeometryError(f"multi-index mask {idx} out of range")
+        return idx
+    idx = tuple(idx)
+    if len(idx) != degree:
+        raise GeometryError(f"multi-index {idx} does not match degree {degree}")
+    if any(not 0 <= i < dim for i in idx):
+        raise GeometryError(f"multi-index {idx} out of range")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise GeometryError(f"multi-index {idx} must be strictly increasing")
+    return sum(1 << i for i in idx)
 
-    Coefficients (normal forms or rationals) are stored as normal forms
-    in ``nfs``.  A multi-index is looked up in the space's ``index_table``
-    and checked only when it is not there yet.
+
+def index_positions(K: int) -> list[int]:
+    """The increasing coordinate positions of the mask ``K``."""
+    out = []
+    while K:
+        low = K & -K
+        out.append(low.bit_length() - 1)
+        K ^= low
+    return out
+
+
+def _index_order(a: "DiffForm") -> list[tuple[list[int], NormalForm]]:
+    """(increasing positions, coefficient) pairs of ``a`` in multi-index
+    order, the order of reports and of ``repr``."""
+    return sorted((index_positions(K), c) for K, c in a.nfs.items())
+
+
+class DiffForm:
+    """Degree-k form as a sparse map from multi-index masks.
+
+    Keys are masks (bit i set for coordinate i); the constructor and
+    ``get_nf`` also take a multi-index as a sequence of increasing
+    positions.  Coefficients (normal forms or rationals) are stored as
+    normal forms in ``nfs``, in increasing mask order.
     """
 
     __slots__ = ("space", "degree", "nfs")
 
-    def __init__(self, space: Space, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
+    def __init__(self, space: Space, degree: int,
+                 coeffs: Mapping[int | tuple[int, ...], object] | None = None):
         if not 0 <= degree <= space.dim:
             raise DegreeError(f"degree {degree} out of range for dimension {space.dim}")
-        valid = space.index_table.get(degree)
-        if valid is None:
-            valid = space.index_table[degree] = set()
-        stored: dict[tuple[int, ...], NormalForm] = {}
+        stored: dict[int, NormalForm] = {}
         for idx, raw in (coeffs or {}).items():
-            if type(idx) is not tuple:
-                idx = tuple(idx)
-            if idx not in valid:
-                if len(idx) != degree:
-                    raise GeometryError(f"multi-index {idx} does not match degree {degree}")
-                if any(not 0 <= i < space.dim for i in idx):
-                    raise GeometryError(f"multi-index {idx} out of range")
-                if any(a >= b for a, b in zip(idx, idx[1:])):
-                    raise GeometryError(f"multi-index {idx} must be strictly increasing")
-                valid.add(idx)
+            K = _mask(idx, degree, space.dim)
             nf = _checked_nf(raw, space, "coefficient")
-            stored[idx] = nf_add(stored[idx], nf) if idx in stored else nf
+            stored[K] = nf_add(stored[K], nf) if K in stored else nf
         self.space = space
         self.degree = degree
-        self.nfs = {idx: nf for idx, nf in sorted(stored.items()) if not nf.is_zero()}
+        self.nfs = {K: nf for K, nf in sorted(stored.items()) if not nf.is_zero()}
 
     # -- inspection ---------------------------------------------------
 
-    def get_nf(self, idx: tuple[int, ...]) -> NormalForm:
-        return self.nfs.get(tuple(idx), NF_ZERO)
+    def get_nf(self, idx: int | tuple[int, ...]) -> NormalForm:
+        """Coefficient on ``idx``, checked as a key of the constructor."""
+        return self.nfs.get(_mask(idx, self.degree, self.space.dim), NF_ZERO)
 
     @property
     def is_zero_form(self) -> bool:
@@ -206,7 +225,7 @@ class DiffForm:
             return f"DiffForm({self.space.name}, deg={self.degree}, 0)"
         body = " + ".join(
             f"[{render(c)}] d{'^'.join(self.space.coordinates[i] for i in idx)}" if idx else render(c)
-            for idx, c in self.nfs.items()
+            for idx, c in _index_order(self)
         )
         return f"DiffForm({self.space.name}, deg={self.degree}: {body})"
 
@@ -297,7 +316,7 @@ def coordinate_vector(space: Space, coord: str) -> VectorField:
 
 
 def constant_form(space: Space, value=1) -> DiffForm:
-    return DiffForm(space, 0, {(): value})
+    return DiffForm(space, 0, {0: value})
 
 
 def basis_form(space: Space, *coords: str, coeff=1) -> DiffForm:
@@ -310,7 +329,7 @@ def basis_form(space: Space, *coords: str, coeff=1) -> DiffForm:
 
 
 def volume_form(space: Space) -> DiffForm:
-    return DiffForm(space, space.dim, {tuple(range(space.dim)): NF_ONE})
+    return DiffForm(space, space.dim, {(1 << space.dim) - 1: NF_ONE})
 
 
 # --------------------------------------------------------------------------
@@ -326,37 +345,15 @@ def _permutation_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _merge_indices(I: tuple[int, ...], J: tuple[int, ...]):
-    """Merge two increasing index tuples; None on overlap, else (sign, merged)."""
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(I) and j < len(J):
-        a, b = I[i], J[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            # J[j] jumps over the remaining entries of I
-            if (len(I) - i) % 2:
-                sign = -sign
-            merged.append(b)
-            j += 1
-    merged.extend(I[i:])
-    merged.extend(J[j:])
-    return sign, tuple(merged)
-
-
-def _insert_index(pos: int, I: tuple[int, ...]):
-    """Insert one position into an increasing tuple; None if already present."""
-    if pos in I:
-        return None
-    before = sum(1 for i in I if i < pos)
-    sign = -1 if before % 2 else 1
-    out = tuple(sorted(I + (pos,)))
-    return sign, out
+def _merge_sign(I: int, J: int) -> int:
+    """Sign that sorts the positions of disjoint masks I then J into one
+    increasing index: each entry of I moves past the entries of J below it."""
+    moves = 0
+    while I:
+        low = I & -I
+        moves += (J & (low - 1)).bit_count()
+        I ^= low
+    return -1 if moves & 1 else 1
 
 
 # --------------------------------------------------------------------------
@@ -369,14 +366,11 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     degree = a.degree + b.degree
     if degree > a.space.dim:
         raise DegreeError(f"wedge degree {degree} exceeds dimension {a.space.dim}")
-    acc: dict[tuple[int, ...], list] = {}
+    acc: dict[int, list] = {}
     for I, ca in a.nfs.items():
         for J, cb in b.nfs.items():
-            merged = _merge_indices(I, J)
-            if merged is None:
-                continue
-            sign, K = merged
-            acc.setdefault(K, []).append((sign, ca, cb))
+            if not I & J:
+                acc.setdefault(I | J, []).append((_merge_sign(I, J), ca, cb))
     return DiffForm(a.space, degree, _sum_products(acc))
 
 
@@ -390,17 +384,17 @@ def wedge_power(a: DiffForm, power: int) -> DiffForm:
 def exterior_derivative(a: DiffForm) -> DiffForm:
     if a.degree >= a.space.dim:
         raise DegreeError("exterior derivative of a top-degree form overflows the space")
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    acc: dict[int, list[NormalForm]] = {}
     for I, c in a.nfs.items():
         for pos, coord in enumerate(a.space.coordinates):
-            inserted = _insert_index(pos, I)
-            if inserted is None:
+            bit = 1 << pos
+            if I & bit:
                 continue
             dc = differentiate(c, coord)
             if dc.is_zero():
                 continue
-            sign, K = inserted
-            acc.setdefault(K, []).append(dc if sign > 0 else nf_neg(dc))
+            # dx^pos moves past the entries of I below it
+            acc.setdefault(I | bit, []).append(nf_neg(dc) if (I & (bit - 1)).bit_count() & 1 else dc)
     return DiffForm(a.space, a.degree + 1, _sum_terms(acc))
 
 
@@ -409,13 +403,14 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
         raise SpaceMismatchError("interior product across different spaces")
     if a.degree == 0:
         raise DegreeError("interior product requires degree >= 1")
-    acc: dict[tuple[int, ...], list] = {}
+    components = [(1 << pos, comp) for pos, comp in enumerate(v.nfs) if not comp.is_zero()]
+    acc: dict[int, list] = {}
     for I, c in a.nfs.items():
-        for slot, pos in enumerate(I):
-            comp = v.nfs[pos]
-            if comp.is_zero():
-                continue
-            acc.setdefault(I[:slot] + I[slot + 1:], []).append((-1 if slot % 2 else 1, comp, c))
+        for bit, comp in components:
+            if I & bit:
+                # the contracted entry moves to the front past the entries below it
+                acc.setdefault(I ^ bit, []).append(
+                    (-1 if (I & (bit - 1)).bit_count() & 1 else 1, comp, c))
     return DiffForm(a.space, a.degree - 1, _sum_products(acc))
 
 
@@ -474,20 +469,22 @@ def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
     total = DiffForm(phi.source, a.degree, {})
     for I, c in a.nfs.items():
         pulled = constant_form(phi.source, substitute(c, substitution))
-        for pos in I:
+        for pos in index_positions(I):
             pulled = wedge(pulled, differentials[pos])
         total = total + pulled
     return total
 
 
-def _sqrt_fraction(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num_root = isqrt(value.numerator)
-    den_root = isqrt(value.denominator)
-    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
-        return Fraction(num_root, den_root)
-    return None
+def metric_sqrt_det(g: tuple[Fraction, ...]) -> Fraction:
+    """sqrt|det g| of the diagonal metric ``g``, which exact duality needs
+    to be rational; raises MetricError otherwise."""
+    if any(x == 0 for x in g):
+        raise MetricError("metric entries must be nonzero")
+    det_abs = abs(prod(g))
+    num_root, den_root = isqrt(det_abs.numerator), isqrt(det_abs.denominator)
+    if num_root * num_root != det_abs.numerator or den_root * den_root != det_abs.denominator:
+        raise MetricError("metric determinant must be a perfect rational square for exact duality")
+    return Fraction(num_root, den_root)
 
 
 def hodge_star(a: DiffForm, metric: Iterable[Fraction] | None = None) -> DiffForm:
@@ -498,21 +495,13 @@ def hodge_star(a: DiffForm, metric: Iterable[Fraction] | None = None) -> DiffFor
     n = a.space.dim
     if len(g) != n:
         raise MetricError("metric length must equal the dimension")
-    if any(x == 0 for x in g):
-        raise MetricError("metric entries must be nonzero")
-    det_abs = Fraction(1)
-    for x in g:
-        det_abs *= abs(x)
-    sqrt_det = _sqrt_fraction(det_abs)
-    if sqrt_det is None:
-        raise MetricError("metric determinant must be a perfect rational square for exact duality")
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
-    everything = range(n)
+    sqrt_det = metric_sqrt_det(g)
+    everything = (1 << n) - 1
+    acc: dict[int, list[NormalForm]] = {}
     for I, c in a.nfs.items():
-        J = tuple(i for i in everything if i not in I)
-        sign = _permutation_sign(list(I) + list(J))
-        factor = sqrt_det * Fraction(sign)
-        for i in I:
+        J = everything ^ I
+        factor = sqrt_det * _merge_sign(I, J)
+        for i in index_positions(I):
             factor /= g[i]
         acc.setdefault(J, []).append(nf_scale(c, factor))
     return DiffForm(a.space, n - a.degree, _sum_terms(acc))
@@ -534,11 +523,11 @@ def reordered_space(space: Space, new_order: Iterable[str]) -> Space:
 
 def reorder_form(a: DiffForm, new_space: Space) -> DiffForm:
     position = {c: i for i, c in enumerate(new_space.coordinates)}
-    acc: dict[tuple[int, ...], list[NormalForm]] = {}
+    acc: dict[int, list[NormalForm]] = {}
     for I, c in a.nfs.items():
-        mapped = [position[a.space.coordinates[i]] for i in I]
+        mapped = [position[a.space.coordinates[i]] for i in index_positions(I)]
         sign = _permutation_sign(mapped)
-        acc.setdefault(tuple(sorted(mapped)), []).append(c if sign > 0 else nf_neg(c))
+        acc.setdefault(sum(1 << i for i in mapped), []).append(c if sign > 0 else nf_neg(c))
     return DiffForm(new_space, a.degree, _sum_terms(acc))
 
 
@@ -580,7 +569,7 @@ def fields_equal(u: VectorField, v: VectorField, config: ZeroTestConfig = DEFAUL
 def serialize_form(a: DiffForm) -> list[dict]:
     return [
         {"index": [i + 1 for i in idx], "coeff": render(c)}
-        for idx, c in a.nfs.items()
+        for idx, c in _index_order(a)
     ]
 
 

@@ -42,13 +42,14 @@ from .exterior import (
     exterior_derivative,
     form_is_zero,
     hodge_star,
+    index_positions,
     interior_product,
+    metric_sqrt_det,
     reorder_form,
     reordered_space,
     serialize_form,
     volume_form,
     wedge,
-    _sqrt_fraction,
 )
 
 TIME_COORDINATE = "t"
@@ -212,19 +213,17 @@ class ExtendedSystem:
     dtheta_certainty: str = EXACT
 
 
-def extended_space(space: Space, metric: Iterable[Fraction] | None = None) -> Space:
+def extended_space(space: Space) -> Space:
     if TIME_COORDINATE in space.coordinates:
         raise GeometryError(f"space already has a coordinate named '{TIME_COORDINATE}'")
-    m = tuple(metric) if metric is not None else None
-    if m is None and space.metric is not None:
-        m = (Fraction(1),) + space.metric
+    m = (Fraction(1),) + space.metric if space.metric is not None else None
     return Space(space.name + "_ext", (TIME_COORDINATE,) + space.coordinates,
                  space.parameters, m)
 
 
 def promote_form(a: DiffForm, ext: Space) -> DiffForm:
     """Reinterpret a form on P as a form on R x P (indices shift by one)."""
-    return DiffForm(ext, a.degree, {tuple(i + 1 for i in idx): c for idx, c in a.nfs.items()})
+    return DiffForm(ext, a.degree, {K << 1: c for K, c in a.nfs.items()})
 
 
 def promote_field(v: VectorField, ext: Space, time_component=0) -> VectorField:
@@ -313,14 +312,14 @@ def solve_gamma(chi: DiffForm) -> DiffForm:
             raise PotentialError("input form is not closed")
     coords = set(space.coordinates)
     position_nf = [space.parse(c) for c in space.coordinates]
-    acc: dict[tuple[int, ...], list] = {}
-    for idx, c in chi.nfs.items():
+    acc: dict[int, list] = {}
+    for K, c in chi.nfs.items():
         for mono, coeff in c.terms:
             coord_degree = sum(e for (kind, payload), e in mono
                                if kind == 0 and payload in coords)
             term = nf_term(mono, Fraction(coeff, k + coord_degree))
-            for j, pos in enumerate(idx):
-                acc.setdefault(idx[:j] + idx[j + 1:], []).append(
+            for j, pos in enumerate(index_positions(K)):
+                acc.setdefault(K ^ (1 << pos), []).append(
                     (-1 if j % 2 else 1, position_nf[pos], term))
     return DiffForm(space, k - 1, {idx: nf_sum_of_products(*products)
                                    for idx, products in acc.items()})
@@ -601,12 +600,7 @@ def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
         raise GeometryError("metric length must equal the extended dimension")
     if g[0] != 1:
         raise GeometryError("the time entry of the extended metric must be 1")
-    det_abs = Fraction(1)
-    for x in g:
-        det_abs *= abs(x)
-    sqrt_det = _sqrt_fraction(det_abs)
-    if sqrt_det is None:
-        raise GeometryError("metric determinant must be a perfect rational square")
+    sqrt_det = metric_sqrt_det(g)
     spatial_top = tuple(range(1, space.dim))
     scale_nf = ext.dtheta.get_nf(spatial_top)
     if not scale_nf.is_constant() or scale_nf.is_zero():

@@ -45,6 +45,7 @@ from .exterior import (
     exterior_derivative,
     fields_equal,
     form_is_zero,
+    index_positions,
     serialize_field,
     serialize_form,
     volume_form,
@@ -104,7 +105,8 @@ def _omega_matrix(omega: DiffForm) -> list[list[Fraction]]:
     if omega.degree != 2:
         raise LiouvilleError("symplectic input must be a 2-form")
     M = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in omega.nfs.items():
+    for K, c in omega.nfs.items():
+        i, j = index_positions(K)
         v = _constant_coefficient(c, "symplectic form")
         M[i][j] = v
         M[j][i] = -v

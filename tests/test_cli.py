@@ -291,6 +291,20 @@ def test_verify_hodge_does_not_carry_over_to_the_next_call(example_dir, capsys):
     assert "hodge_duality" not in [c["name"] for c in read_json(capsys)["certificates"]]
 
 
+def test_verify_hodge_with_a_non_square_metric_determinant_exit_2(tmp_path, capsys):
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    data["metric"] = ["2", "1", "1"]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--hodge"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: metric determinant must be a perfect rational square for exact duality\n"
+
+
 def test_verify_deterministic_bytes(example_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", str(example_dir / "abc_flow.json"), "--out", str(a)])

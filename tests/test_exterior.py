@@ -248,7 +248,7 @@ def test_wedge_square_of_two_form():
     # dx1∧dx3 + dx2∧dx4 squared gives -2 dx1∧dx2∧dx3∧dx4
     w1 = basis_form(R4, "x1", "x3") + basis_form(R4, "x2", "x4")
     sq = wedge(w1, w1)
-    assert sq.nfs == {(0, 1, 2, 3): normal_form(-2)}
+    assert sq == DiffForm(R4, 4, {(0, 1, 2, 3): -2})
     point = {c: 0.0 for c in R4.coordinates}
     oracle = dense_wedge(dense_tensor(w1, point), 2, dense_tensor(w1, point), 2, 4)
     assert np.allclose(dense_tensor(sq, point), oracle)
@@ -542,7 +542,7 @@ def test_reorder_round_trip_and_sign():
     a = basis_form(R3, "x1", "x2")
     moved = reorder_form(a, new_space)
     assert moved == basis_form(new_space, "x1", "x2")
-    assert moved.nfs == {(0, 1): normal_form(-1)}
+    assert moved == DiffForm(new_space, 2, {(0, 1): -1})
     back = reorder_form(moved, R3)
     assert back == a
 
@@ -619,25 +619,51 @@ def test_multi_indices_as_lists_and_tuples_make_one_form():
     x3 = space.parse("x3")
     from_lists = DiffForm(space, 2, _ListKeyed([([1, 2], x3), ([0, 1], 2)]))
     from_tuples = DiffForm(space, 2, {(0, 1): 2, (1, 2): x3})
-    assert from_lists == from_tuples and list(from_lists.nfs) == [(0, 1), (1, 2)]
-    assert space.index_table == {2: {(0, 1), (1, 2)}}
-    # an index checked for one degree is checked again for another, and an
-    # invalid index is never kept
+    assert from_lists == from_tuples
+    assert [entry["index"] for entry in serialize_form(from_lists)] == [[1, 2], [2, 3]]
+    # an index valid for one degree is refused for another
     for coeffs, degree, message in (({(0, 1): 1}, 1, "multi-index (0, 1) does not match degree 1"),
                                     (_ListKeyed([([2, 1], 1)]), 2,
                                      "multi-index (2, 1) must be strictly increasing")):
         with pytest.raises(GeometryError) as info:
             DiffForm(space, degree, coeffs)
         assert str(info.value) == message
-    assert space.index_table == {1: set(), 2: {(0, 1), (1, 2)}}
 
 
-def test_space_keeps_its_index_table_out_of_comparisons():
-    used, fresh = Space("s", ("x1", "x2"), ("mu1",)), Space("s", ("x1", "x2"), ("mu1",))
-    DiffForm(used, 1, {(0,): 1, (1,): used.parse("mu1")})
-    assert used.index_table == {1: {(0,), (1,)}} and fresh.index_table == {}
-    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    assert "index_table" not in repr(used)
+def test_mask_keys_and_position_keys_make_one_form():
+    x3 = R4.parse("x3")
+    from_masks = DiffForm(R4, 2, {0b1001: x3, 0b0110: 2})
+    from_tuples = DiffForm(R4, 2, {(0, 3): x3, (1, 2): 2})
+    assert from_masks == from_tuples and hash(from_masks) == hash(from_tuples)
+    assert from_masks.get_nf(0b1001) == from_masks.get_nf((0, 3)) == x3
+    # entries leave in multi-index order, not in mask order
+    assert serialize_form(from_masks) == [{"index": [1, 4], "coeff": "x3"},
+                                          {"index": [2, 3], "coeff": "2"}]
+    assert repr(from_masks) == "DiffForm(R4, deg=2: [x3] dx1^x4 + [2] dx2^x3)"
+
+
+@pytest.mark.parametrize("mask, message", [
+    (0b001, "multi-index mask 1 does not match degree 2"),
+    (0b111, "multi-index mask 7 does not match degree 2"),
+    (0b1001, "multi-index mask 9 out of range"),
+    (-3, "multi-index mask -3 out of range"),
+])
+def test_mask_keys_outside_the_degree_or_the_space_are_refused(mask, message):
+    with pytest.raises(GeometryError) as info:
+        DiffForm(R3, 2, {mask: 1})
+    assert str(info.value) == message
+    form = DiffForm(R3, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    with pytest.raises(GeometryError) as info:
+        form.get_nf(mask)
+    assert str(info.value) == message
+
+
+def test_get_nf_refuses_an_index_out_of_order():
+    form = basis_form(R3, "x1", "x2")
+    with pytest.raises(GeometryError) as info:
+        form.get_nf((1, 0))
+    assert str(info.value) == "multi-index (1, 0) must be strictly increasing"
+    assert form.get_nf((0, 1)) == normal_form(1)
 
 
 def test_undeclared_coefficient_symbols_rejected():
