@@ -321,8 +321,8 @@ def solve_gamma(chi: DiffForm) -> DiffForm:
             for j, pos in enumerate(index_positions(K)):
                 acc.setdefault(K ^ (1 << pos), []).append(
                     (-1 if j % 2 else 1, position_nf[pos], term))
-    return DiffForm(space, k - 1, {idx: nf_sum_of_products(*products)
-                                   for idx, products in acc.items()})
+    return DiffForm(space, k - 1, {K: nf_sum_of_products(*products)
+                                   for K, products in acc.items()})
 
 
 def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
