@@ -34,9 +34,7 @@ from .exterior import (
 from .liouville import (
     Certificate,
     DegenerateThetaError,
-    ImproperPrincipleError,
     LiouvilleError,
-    NormalizationError,
     PotentialError,
     SystemInvariantError,
     annihilator_field,
@@ -81,6 +79,18 @@ def _zero_config(args) -> ZeroTestConfig:
     return replace(DEFAULT_ZERO_TEST, seed=seed)
 
 
+def _load(args):
+    """The zero-test config of ``args`` and the system file it names.
+
+    A system invariant that the file breaks is an input error (exit 2),
+    unlike one that fails later in a pipeline (exit 1)."""
+    config = _zero_config(args)
+    try:
+        return config, load_system(args.path, config)
+    except SystemInvariantError as exc:
+        raise SystemFileError(str(exc)) from exc
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if out:
@@ -89,43 +99,27 @@ def _emit(report: dict, out: str | None) -> None:
         _sys.stdout.write(text)
 
 
-def _make_report(system: str, certificates: list[Certificate], config: ZeroTestConfig,
-                 diagnostics: dict | None = None, warnings: list[str] | None = None) -> dict:
-    overall = all(c.passed for c in certificates)
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "system": system,
-        "zero_test": config.to_json(),
-        "certificates": [c.to_json() for c in certificates],
-        "diagnostics": diagnostics,
-        "warnings": warnings or [],
-        "overall": "PASS" if overall else "FAIL",
-    }
+def _header(system: str) -> dict:
+    """The keys that open every report."""
+    return {"tool": TOOL_NAME, "version": __version__, "system": system}
 
 
-def _parse_base_split(text: str | None, dim_ext: int, coordinates) -> tuple[str, str] | None:
-    """Parse 'k:z,w' into the vertical pair, validating the base count."""
+def _verticals(args, ext, system) -> tuple[str, str] | None:
+    """The vertical pair of ``--base-split 'k:z,w'`` if given, else that of
+    the file's split, else None (the last two coordinates).  The pair itself
+    is checked where it is used (``liouville.vertical_pair``)."""
+    text = getattr(args, "base_split", None)
     if text is None:
-        return None
+        return None if system.base_split is None else tuple(system.base_split[1])
     try:
         count, _, verts = text.partition(":")
         k = int(count)
         z, w = (v.strip() for v in verts.split(","))
     except ValueError:
         raise SystemFileError(f"bad --base-split {text!r}; expected 'k:z,w'")
-    if k != dim_ext - 2:
-        raise SystemFileError(f"base count {k} must equal {dim_ext - 2} for this system")
-    for v in (z, w):
-        if v not in coordinates:
-            raise SystemFileError(f"unknown vertical coordinate {v!r}")
+    if k != ext.space.dim - 2:
+        raise SystemFileError(f"base count {k} must equal {ext.space.dim - 2} for this system")
     return (z, w)
-
-
-def _split_from_system(sys) -> tuple[str, str] | None:
-    if sys.base_split is not None:
-        return tuple(sys.base_split[1])
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -133,12 +127,7 @@ def _split_from_system(sys) -> tuple[str, str] | None:
 
 
 def cmd_verify(args) -> int:
-    config = _zero_config(args)
-    try:
-        sys = load_system(args.path, config)
-    except (SystemFileError, SystemInvariantError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    config, sys = _load(args)
     b = sys.bound_copy
     warnings = list(sys.warnings)
     # gamma_flux_match and sigma_volume_match were decided while loading
@@ -157,12 +146,7 @@ def cmd_verify(args) -> int:
             "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))
         certs.extend(verify_characteristic(ext, config))
-        try:
-            verticals = _parse_base_split(args.base_split, ext.space.dim, ext.space.coordinates) \
-                or _split_from_system(b)
-        except SystemFileError as exc:
-            _sys.stderr.write(f"error: {exc}\n")
-            return 2
+        verticals = _verticals(args, ext, b)
         proper = is_proper(ext.dtheta, verticals, config)
         certs.append(Certificate("proper_principle", proper.value, proper.certainty,
                                  detail="double vertical contraction of d(theta) is nonzero"
@@ -171,14 +155,18 @@ def cmd_verify(args) -> int:
             pf = psi_forms(ext.dtheta, verticals, config)
             certs.extend(pf.certificates)
         if args.hodge:
-            try:
-                certs.append(hodge_check(ext, config=config))
-            except GeometryError as exc:
-                _sys.stderr.write(f"error: {exc}\n")
-                return 2
-    report = _make_report(sys.name, certs, config, warnings=warnings)
+            certs.append(hodge_check(ext, config=config))
+    passed = all(c.passed for c in certs)
+    report = {
+        **_header(sys.name),
+        "zero_test": config.to_json(),
+        "certificates": [c.to_json() for c in certs],
+        "diagnostics": None,
+        "warnings": warnings,
+        "overall": "PASS" if passed else "FAIL",
+    }
     _emit(report, args.out)
-    return 0 if report["overall"] == "PASS" else 1
+    return 0 if passed else 1
 
 
 # --------------------------------------------------------------------------
@@ -186,24 +174,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_gamma(args) -> int:
-    config = _zero_config(args)
-    try:
-        sys = load_system(args.path, config)
-    except (SystemFileError, SystemInvariantError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    _, sys = _load(args)
     b = sys.bound_copy
     flux = interior_product(b.field, b.omega)
-    try:
-        gamma = solve_gamma(flux)
-    except PotentialError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 1
+    gamma = solve_gamma(flux)
     residual = exterior_derivative(gamma) - flux
     out = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "system": sys.name,
+        **_header(sys.name),
         "gamma": serialize_form(gamma),
         "residual": serialize_form(residual),
     }
@@ -216,37 +193,16 @@ def cmd_solve_gamma(args) -> int:
 
 
 def cmd_characteristic(args) -> int:
-    config = _zero_config(args)
-    try:
-        sys = load_system(args.path, config)
-    except (SystemFileError, SystemInvariantError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    config, sys = _load(args)
     b = sys.bound_copy
-    try:
-        ext = build_extended(b, config)
-    except (PotentialError, SystemInvariantError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
-        verticals = _parse_base_split(args.base_split, ext.space.dim, ext.space.coordinates) \
-            or _split_from_system(b)
-    except SystemFileError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        dec = decompose_beta(ext.dtheta, verticals, config)
-        W = characteristic_field(dec, config)
-        Y = annihilator_field(ext.dtheta)
-        Z = normalize_by_dt(Y)
-    except (ImproperPrincipleError, NormalizationError, LiouvilleError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 1
+    ext = build_extended(b, config)
+    dec = decompose_beta(ext.dtheta, _verticals(args, ext, b), config)
+    W = characteristic_field(dec, config)
+    Y = annihilator_field(ext.dtheta)
+    Z = normalize_by_dt(Y)
     witness = fields_equal(W, reorder_field(Y, dec.space), config)
     out = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "system": sys.name,
+        **_header(sys.name),
         "base": list(dec.base),
         "verticals": list(dec.verticals),
         "A": [render(a) for a in dec.coefficients],
@@ -265,14 +221,18 @@ def cmd_characteristic(args) -> int:
 # integrate
 
 
-def _parse_params(items) -> dict[str, float]:
+def _parse_params(items, declared) -> dict[str, float]:
     out = {}
     for item in items or []:
         name, eq, value = item.partition("=")
+        name = name.strip()
         if not eq:
             raise SystemFileError(f"bad --param {item!r}; expected name=value")
+        if name not in declared:
+            raise SystemFileError(
+                f"bad --param {item!r}: {name!r} is not a parameter of this system")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise SystemFileError(f"bad numeric value in --param {item!r}")
     return out
@@ -291,14 +251,9 @@ def _float_params(params) -> dict[str, float]:
 
 
 def cmd_integrate(args) -> int:
-    config = _zero_config(args)
-    try:
-        sys = load_system(args.path, config)
-        overrides = _parse_params(args.param)
-        bindings = _float_params(sys.params)
-    except (SystemFileError, SystemInvariantError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    config, sys = _load(args)
+    overrides = _parse_params(args.param, sys.space.parameters)
+    bindings = _float_params(sys.params)
     changed = sorted(n for n in set(overrides) & set(bindings) if overrides[n] != bindings[n])
     warnings = list(sys.warnings)
     if changed:
@@ -312,25 +267,15 @@ def cmd_integrate(args) -> int:
     needed &= set(sys.space.parameters)
     missing = sorted(needed - set(bindings))
     if missing:
-        _sys.stderr.write(f"error: unbound parameters: {', '.join(missing)}\n")
-        return 2
+        raise SystemFileError(f"unbound parameters: {', '.join(missing)}")
     try:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
-        _sys.stderr.write(f"error: bad --x0 {args.x0!r}\n")
-        return 2
+        raise SystemFileError(f"bad --x0 {args.x0!r}")
     if len(x0) != sys.space.dim:
-        _sys.stderr.write(f"error: --x0 needs {sys.space.dim} components\n")
-        return 2
-    try:
-        traj = integrate_rk4(sys.field, x0, args.h, args.T,
-                             with_tangent=args.tangent, params=bindings)
-    except BlowupError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (FlowError, ExprError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+        raise SystemFileError(f"--x0 needs {sys.space.dim} components")
+    traj = integrate_rk4(sys.field, x0, args.h, args.T,
+                         with_tangent=args.tangent, params=bindings)
     drifts = invariant_drift(traj, sys.invariants)
     det_dev = volume_diagnostic(traj) if args.tangent else None
     diagnostics = FlowDiagnostics(traj.step, traj.duration, drifts, det_dev).to_json()
@@ -341,8 +286,7 @@ def cmd_integrate(args) -> int:
     if args.sweep:
         try:
             ext = build_extended(sys.bound_copy, config)
-            verticals = _split_from_system(sys)
-            dec = decompose_beta(ext.dtheta, verticals, config)
+            dec = decompose_beta(ext.dtheta, _verticals(args, ext, sys), config)
             k = dec.k
             base_seed = [0.0] + list(x0)
             seeds = []
@@ -352,16 +296,10 @@ def cmd_integrate(args) -> int:
                 seeds.append(seed)
             report = section_sweep(dec, seeds, args.h, args.T, params=bindings)
             diagnostics["sweep"] = report.to_json()
-        except (PotentialError, SystemInvariantError, LiouvilleError, BlowupError) as exc:
-            _sys.stderr.write(f"error: sweep failed: {exc}\n")
-            return 1
-        except FlowError as exc:
-            _sys.stderr.write(f"error: {exc}\n")
-            return 2
+        except (LiouvilleError, BlowupError) as exc:
+            raise LiouvilleError(f"sweep failed: {exc}") from exc
     out = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "system": sys.name,
+        **_header(sys.name),
         "zero_test": config.to_json(),
         "diagnostics": diagnostics,
         "warnings": warnings,
@@ -379,13 +317,9 @@ def cmd_examples(args) -> int:
     config = _zero_config(args)
     target = Path(args.emit)
     systems = bundled_systems(config)
-    try:
-        target.mkdir(parents=True, exist_ok=True)
-        for name, sys in systems.items():
-            save_system(sys, target / f"{name}.json")
-    except OSError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    target.mkdir(parents=True, exist_ok=True)
+    for name, sys in systems.items():
+        save_system(sys, target / f"{name}.json")
     _sys.stdout.write(f"wrote {len(systems)} system files to {target}\n")
     return 0
 
@@ -457,12 +391,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that maps an error to the exit code.
+
+    0: every certificate passed.  1: a certificate or diagnostic failed
+    (``LiouvilleError``, ``BlowupError``).  2: the input was malformed
+    (``SystemFileError``, ``ExprError``, ``GeometryError``, any other
+    ``FlowError``, ``OSError``).  Each error prints one ``error:`` line.
+    """
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SystemFileError, ExprError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (LiouvilleError, BlowupError) as exc:  # BlowupError is a FlowError
+        message, code = str(exc), 1
+    except (SystemFileError, ExprError, GeometryError, FlowError, OSError) as exc:
+        message, code = str(exc), 2
+    _sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 def console_main() -> None:

@@ -33,8 +33,8 @@ class FlowError(Exception):
 
 
 class BlowupError(FlowError):
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state encountered at step {step}")
+    def __init__(self, step: int, what: str = "state"):
+        super().__init__(f"non-finite {what} encountered at step {step}")
         self.step = step
 
 
@@ -293,7 +293,13 @@ def invariant_drift(traj: Trajectory,
     rows = traj.states.tolist()
     for inv in invariants:
         fn = compile_scalar(inv, traj.coordinates, traj.params)
-        values = np.asarray([fn(row) for row in rows])
+        values = []
+        try:
+            for row in rows:
+                values.append(fn(row))
+        except OverflowError:   # float ** raises where * gives inf
+            raise BlowupError(len(values), "invariant value") from None
+        values = np.asarray(values)
         drifts.append(float(np.max(np.abs(values - values[0]))))
     return tuple(drifts)
 

@@ -17,6 +17,7 @@ from .expr import (
     EXACT,
     NF_ONE,
     NormalForm,
+    PROBABILISTIC,
     ZeroResult,
     ZeroTestConfig,
     differentiate,
@@ -80,7 +81,12 @@ class NormalizationError(LiouvilleError):
 
 
 class ImproperPrincipleError(LiouvilleError):
-    pass
+    """All base components vanish; ``certainty`` is that of the zero tests
+    that found it, and ends the message."""
+
+    def __init__(self, message: str, certainty: str):
+        super().__init__(f"{message} ({certainty})")
+        self.certainty = certainty
 
 
 class CertificateError(LiouvilleError):
@@ -273,8 +279,9 @@ def validate_system(sys: LiouvilleSystem,
                 f"theta must be a degree-{n - 1} form on the extended space")
     if sys.base_split is not None:
         k, verts = sys.base_split
-        if k != n - 1 or len(verts) != 2 or any(v not in (TIME_COORDINATE,) + space.coordinates for v in verts):
+        if k != n - 1:
             raise SystemInvariantError("base_split must name k = dim(M)-2 and two vertical coordinates")
+        vertical_pair(extended_space(space), verts)
     return certs
 
 
@@ -417,17 +424,23 @@ def normalize_by_dt(Y: VectorField) -> VectorField:
 # Base/vertical splits and the characteristic decomposition
 
 
+def vertical_pair(space: Space, verticals: tuple[str, str] | None = None) -> tuple[str, str]:
+    """The vertical pair of a split of ``space``, by default its last two
+    coordinates: two distinct coordinates that leave at least one base
+    coordinate."""
+    pair = space.coordinates[-2:] if verticals is None else tuple(verticals)
+    if len(pair) != 2 or pair[0] == pair[1] or any(v not in space.coordinates for v in pair):
+        raise GeometryError(f"verticals {pair} must be two distinct coordinates of "
+                            f"{', '.join(space.coordinates)}")
+    if space.dim < 3:
+        raise GeometryError("a maximal-degree split needs at least one base coordinate")
+    return pair
+
+
 def split_chart(space: Space, verticals: tuple[str, str] | None = None) -> Space:
     """Return the chart with the two vertical coordinates moved last."""
-    if verticals is None:
-        verticals = space.coordinates[-2:]
-    z, w = verticals
-    if z not in space.coordinates or w not in space.coordinates or z == w:
-        raise GeometryError(f"verticals {verticals} must be two distinct coordinates")
-    base = tuple(c for c in space.coordinates if c not in (z, w))
-    if len(base) < 1:
-        raise GeometryError("a maximal-degree split needs at least one base coordinate")
-    order = base + (z, w)
+    z, w = vertical_pair(space, verticals)
+    order = tuple(c for c in space.coordinates if c not in (z, w)) + (z, w)
     if order == space.coordinates:
         return space
     return reordered_space(space, order)
@@ -498,9 +511,14 @@ def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
 def characteristic_field(dec: CharacteristicDecomposition,
                          config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> VectorField:
     """W = sum_mu A^mu d_mu + f d_z + g d_w; requires a proper principle."""
-    if all(is_zero(a, config).value for a in dec.coefficients):
-        raise ImproperPrincipleError("all base components vanish: improper principle")
-    return VectorField(dec.space, dec.coefficients + (dec.f, dec.g))
+    certainty = EXACT
+    for a in dec.coefficients:
+        res = is_zero(a, config)
+        if not res.value:
+            return VectorField(dec.space, dec.coefficients + (dec.f, dec.g))
+        if res.certainty == PROBABILISTIC:
+            certainty = PROBABILISTIC
+    raise ImproperPrincipleError("all base components vanish: improper principle", certainty)
 
 
 def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,
@@ -511,9 +529,7 @@ def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,
     zero test.  A ZeroResult is always truthy: read ``value``.
     """
     space = beta.space
-    if verticals is None:
-        verticals = space.coordinates[-2:]
-    z, w = verticals
+    z, w = vertical_pair(space, verticals)
     inner = interior_product(coordinate_vector(space, w), beta)
     inner = interior_product(coordinate_vector(space, z), inner)
     vanishes = form_is_zero(inner, config)

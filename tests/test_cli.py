@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import liouvar
 import liouvar.cli as cli
@@ -170,6 +175,55 @@ def test_verify_bad_base_split(example_dir, capsys):
     rc = main(["verify", str(example_dir / "euler_top.json"),
                "--base-split", "1:x1,x3"])
     assert rc == 2
+
+
+_XT = {"name": "xt", "coordinates": ["x", "t"], "vector_field": ["t", "-1*x"]}
+_X1_X1 = {"base_split": {"base_count": 2, "verticals": ["x1", "x1"]}}
+_FLOW = ["--x0", "1,0.5,0.25", "--h", "0.01", "--T", "0.1"]
+
+# malformed inputs that reach past the loader's type checks: the system
+# file (a bundled stem or the whole file), the entries that replace its
+# own, the arguments after its path, and a part of the message
+_INPUT_ERRORS = {
+    "coordinate t: verify": (_XT, {}, ["verify"], "coordinate named 't'"),
+    "coordinate t: characteristic": (_XT, {}, ["characteristic"], "coordinate named 't'"),
+    "coordinate t: integrate --sweep": (
+        _XT, {}, ["integrate", "--x0", "1,0", "--h", "0.01", "--T", "0.1", "--sweep"],
+        "coordinate named 't'"),
+    "verticals x1,x1: verify": ("euler_top", _X1_X1, ["verify"], "two distinct coordinates"),
+    "verticals x1,x1: characteristic": ("euler_top", _X1_X1, ["characteristic"],
+                                        "two distinct coordinates"),
+    "verticals x1,x1: integrate --sweep": ("euler_top", _X1_X1, ["integrate", *_FLOW, "--sweep"],
+                                           "two distinct coordinates"),
+    "--base-split 2:t,t: characteristic": ("euler_top", {}, ["characteristic", "--base-split", "2:t,t"],
+                                           "two distinct coordinates"),
+    "--base-split 1:q,q: verify": ("harmonic_oscillator_m1", {}, ["verify", "--base-split", "1:q,q"],
+                                   "two distinct coordinates"),
+    "verify --out in a missing directory": ("euler_top", {}, ["verify", "--out", "@missing/r.json"],
+                                            "No such file or directory"),
+    "integrate --csv in a missing directory": (
+        "euler_top", {}, ["integrate", *_FLOW, "--csv", "@missing/x.csv"],
+        "No such file or directory"),
+    "--param mu=5": ("euler_top", {}, ["integrate", *_FLOW, "--param", "mu=5"],
+                     "'mu' is not a parameter of this system"),
+    "--param =3": ("euler_top", {}, ["integrate", *_FLOW, "--param", "=3"],
+                   "'' is not a parameter of this system"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_ERRORS))
+def test_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    source, entries, argv, message = _INPUT_ERRORS[case]
+    if isinstance(source, str):
+        source = json.loads((BENCH_BUNDLED / f"{source}.json").read_text(encoding="utf-8"))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**source, **entries}), encoding="utf-8")
+    argv = [a.replace("@missing", str(tmp_path / "missing")) for a in argv]
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_verify_abc_flow_reports_the_certainty_of_each_zero_test(capsys):
@@ -404,7 +458,7 @@ def test_characteristic_improper_exit_1(tmp_path, capsys):
     save_system(sys, path)
     rc = main(["characteristic", str(path)])
     assert rc == 1
-    assert "improper" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: all base components vanish: improper principle (exact)\n"
 
 
 # --------------------------------------------------------------------------
@@ -532,6 +586,14 @@ def test_integrate_overflow_into_sin_exit_1(example_dir, capsys):
     assert "error: non-finite state encountered at step 1" in capsys.readouterr().err
 
 
+def test_integrate_invariant_beyond_the_float_range_exit_1(capsys):
+    # the rotation keeps the state finite; x1^2 in its invariant overflows
+    rc = main(["integrate", str(BENCH_BUNDLED / "nambu_rotor.json"),
+               "--x0=1e200,1,1", "--h", "1e-3", "--T", "0.1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite invariant value encountered at step 0\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])
 def test_integrate_non_finite_param_exit_2(example_dir, capsys, value):
     rc = main(["integrate", str(example_dir / "euler_top.json"),
@@ -647,3 +709,116 @@ def test_examples_emit_into_file_path_fails(tmp_path, capsys):
     blocker.write_text("not a directory", encoding="utf-8")
     rc = main(["examples", "--emit", str(blocker)])
     assert rc == 2
+
+
+# --------------------------------------------------------------------------
+# hostile input
+
+
+_FUZZ_SYSTEMS = ("euler_top", "abc_flow", "harmonic_oscillator_m1", "nambu_rotor", "pauli_spin",
+                 "free_particle")
+_FUZZ_DEADLINE_S = 2.0
+
+
+def _rename(value, old, new):
+    """``value`` with the symbol ``old`` renamed in every string but the name."""
+    if isinstance(value, str):
+        return re.sub(rf"\b{re.escape(old)}\b", new, value)
+    if isinstance(value, list):
+        return [_rename(v, old, new) for v in value]
+    if isinstance(value, dict):
+        return {k: v if k == "name" else _rename(v, old, new) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def _hostile_runs(draw):
+    """A bundled system file after edits that keep every JSON type valid,
+    and the arguments of one subcommand with edge values in its flags.
+    Each hostile edit is drawn a third of the time, so that most runs get
+    past the first check.  ``@file``, ``@dir`` and ``@missing`` stand for
+    paths of the test."""
+    sometimes = st.sampled_from([False, False, True])
+    stem = draw(st.sampled_from(_FUZZ_SYSTEMS))
+    data = json.loads((BENCH_BUNDLED / f"{stem}.json").read_text(encoding="utf-8"))
+    params = list(data.get("parameters", {}))
+    if draw(sometimes):
+        old = draw(st.sampled_from(data["coordinates"]))
+        data = _rename(data, old, draw(st.sampled_from(
+            ["t", "sin", "cos", *params, *data["coordinates"]])))
+    coordinates = data["coordinates"]
+    names = st.sampled_from(["t", *coordinates])
+    if draw(sometimes):
+        count = draw(st.sampled_from([len(coordinates) - 1, 0, len(coordinates)]))
+        data["base_split"] = {"base_count": count, "verticals": draw(
+            st.lists(names, min_size=2, max_size=2) | st.lists(names, min_size=1, max_size=3))}
+    if draw(sometimes):
+        data["coordinates"] = coordinates = draw(st.permutations(coordinates))
+    number = st.sampled_from(["0", "1", "-1", "0.5", "1e200", "-0", "nan", "inf", "-inf", "",
+                              "1e400", "x"])
+    command = draw(st.sampled_from(["verify", "verify", "characteristic", "characteristic",
+                                    "solve-gamma", "integrate", "integrate", "integrate",
+                                    "examples"]))
+    argv = [command, "@file"]
+    if command == "examples":
+        argv = [command, "--emit", draw(st.sampled_from(["@dir", "@file", "@missing"]))]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--hodge")
+    if command in ("verify", "characteristic") and draw(sometimes):
+        argv.append("--base-split=" + draw(
+            st.builds("{}:{},{}".format, st.integers(-1, len(coordinates) + 1), names, names)
+            | st.sampled_from(["", ":", "1:", "x1", "1:x1", "a:b,c", "1:x1,x2,x3", "1:,"])))
+    if command == "integrate":
+        dim = len(coordinates)
+        good_x0 = st.lists(st.sampled_from(["0", "1", "-1", "0.5"]), min_size=dim, max_size=dim)
+        bad_x0 = st.lists(number, min_size=max(dim - 1, 1), max_size=dim + 1)
+        argv.append("--x0=" + ",".join(draw(bad_x0 if draw(sometimes) else good_x0)))
+        h, T = "1e-3", "0.1"
+        if draw(sometimes):
+            h = draw(st.sampled_from(["0.1", "1", "0", "-1e-3", "1e-320", "nan", "inf"]))
+            T = draw(st.sampled_from(["0", "0.01", "1", "-1", "nan", "inf", "1e300"]))
+        argv += ["--h=" + h, "--T=" + T]
+        items = [f"{p}=1" for p in params]
+        if draw(sometimes):
+            items = draw(st.lists(
+                st.builds("{}={}".format, st.sampled_from(["", "mu", *params, *coordinates]), number)
+                | st.sampled_from(["=", "A", *params]), max_size=3))
+        argv += ["--param=" + item for item in items]
+        for flag in ("--tangent", "--sweep"):
+            if draw(st.booleans()):
+                argv.append(flag)
+        if draw(sometimes):
+            argv += ["--csv", draw(st.sampled_from(["@dir/x.csv", "@missing/x.csv"]))]
+    if draw(sometimes):
+        argv += ["--out", draw(st.sampled_from(["@dir/report.json", "@missing/report.json"]))]
+    return data, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_hostile_runs())
+def test_hostile_edits_of_bundled_files_exit_0_1_or_2_without_a_traceback(fuzz_dir, run):
+    """Every subcommand, in process, on type-valid but hostile edits of the
+    bundled files and edge values of its flags.  An exit code of 2 comes
+    with an ``error:`` line, and each run ends within the deadline."""
+    data, argv = run
+    case_dir = Path(tempfile.mkdtemp(dir=fuzz_dir))
+    path = case_dir / "system.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    paths = {"@file": str(path), "@dir": str(case_dir), "@missing": str(case_dir / "missing")}
+    argv = [re.sub("@file|@dir|@missing", lambda m: paths[m.group()], a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    assert elapsed < _FUZZ_DEADLINE_S

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from liouvar.expr import (
 from liouvar.exterior import (
     DegreeError,
     DiffForm,
+    GeometryError,
     Space,
     VectorField,
     basis_form,
@@ -50,8 +52,10 @@ from liouvar.liouville import (
     roundtrip_characteristic,
     section_residuals,
     solve_gamma,
+    split_chart,
     validate_system,
     verify_characteristic,
+    vertical_pair,
 )
 from liouvar.systems import bundled_systems, build_euler_top, build_hamiltonian
 
@@ -394,6 +398,36 @@ def test_improper_form():
 def test_proper_vertical_area():
     sp = Space("d", ("x", "z", "w"))
     assert is_proper(basis_form(sp, "z", "w")).value
+
+
+def test_improper_refusal_ends_with_the_certainty_of_its_zero_tests():
+    sp = Space("d", ("x", "z", "w"))
+    dec = decompose_beta(basis_form(sp, "x", "z", coeff=sp.parse("x")))
+    with pytest.raises(ImproperPrincipleError) as exact:
+        characteristic_field(dec)
+    assert exact.value.certainty == "exact" and str(exact.value).endswith(" (exact)")
+    # a trig identity is decided by sampling
+    dec = replace(dec, coefficients=(sp.parse("sin(x)^2 + cos(x)^2 - 1"),))
+    with pytest.raises(ImproperPrincipleError) as sampled:
+        characteristic_field(dec)
+    assert sampled.value.certainty == "probabilistic"
+    assert str(sampled.value).endswith(" (probabilistic)")
+
+
+@pytest.mark.parametrize("verticals", [("z", "z"), ("z", "v"), ("z",), ("x", "z", "w")])
+def test_split_chart_and_is_proper_refuse_what_is_not_two_distinct_coordinates(verticals):
+    sp = Space("d", ("x", "z", "w"))
+    beta = basis_form(sp, "z", "w")
+    for check in (vertical_pair, split_chart, lambda sp, v: is_proper(beta, v)):
+        with pytest.raises(GeometryError, match="must be two distinct coordinates"):
+            check(sp, verticals)
+
+
+def test_a_vertical_pair_leaves_a_base_coordinate():
+    assert vertical_pair(Space("d", ("x", "z", "w"))) == ("z", "w")
+    assert vertical_pair(Space("d", ("x", "z", "w")), ["x", "w"]) == ("x", "w")
+    with pytest.raises(GeometryError, match="at least one base coordinate"):
+        vertical_pair(Space("d", ("z", "w")))
 
 
 # --------------------------------------------------------------------------
