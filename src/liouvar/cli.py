@@ -2,7 +2,9 @@
 
 Subcommands: verify, solve-gamma, characteristic, integrate, examples.
 Reports are UTF-8 JSON on stdout (or --out); exit codes are 0 for PASS,
-1 for any failed certificate or diagnostic, 2 for input/schema errors.
+1 for a failed certificate, a blow-up or a failed sweep, 2 for
+input/schema errors.  integrate reports its diagnostics without judging
+them, so its PASS means the run completed.
 The sampling seed of the probabilistic zero test can be overridden with
 --seed or the LIOUVILLE_SEED environment variable.
 """

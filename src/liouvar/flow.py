@@ -13,13 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .expr import NormalForm, compile_lambda, differentiate, nf_source, normal_form
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
+
+# numpy is imported inside the functions that use it, so a process that
+# only certifies (verify, characteristic, solve-gamma) never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Largest number of steps a trajectory or sweep may take.  It bounds the
@@ -161,6 +164,8 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
     It raises ``BlowupError(step)`` when a stage overflows or leaves the
     domain of sin/cos, or when the new state is not finite.
     """
+    import numpy as np
+
     namespace = {"math": math, "isfinite": math.isfinite, "empty": np.empty, "dot": np.dot,
                  "BlowupError": BlowupError}
     exec(_rk4_source(field, params, with_tangent), namespace)
@@ -208,6 +213,8 @@ class Trajectory:
         if self.tangents is None:
             raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
         if self._dets is None:
+            import numpy as np
+
             self._dets = np.linalg.det(self.tangents)
         return self._dets
 
@@ -253,6 +260,8 @@ def _grid(h: float, T: float) -> tuple[int, float]:
 
 
 def _initial_state(field: VectorField, x0: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     n = field.space.dim
     x0 = np.asarray([float(v) for v in x0], dtype=float)
     if x0.shape != (n,):
@@ -273,6 +282,8 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     Jacobian evaluated numerically.  The step loop is generated code
     (``_rk4_source``) whose results equal the array formula bit for bit.
     """
+    import numpy as np
+
     steps, h_eff = _grid(h, T)
     params = dict(params or {})
     x0 = _initial_state(field, x0)
@@ -283,12 +294,16 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
 
 def volume_diagnostic(traj: Trajectory) -> float:
     """Max |det(tangent map) - 1| along the trajectory (LU determinants)."""
+    import numpy as np
+
     return float(np.max(np.abs(traj.determinants() - 1.0)))
 
 
 def invariant_drift(traj: Trajectory,
                     invariants: Iterable[NormalForm]) -> tuple[float, ...]:
     """Max |inv(x(s)) - inv(x(0))| per declared first integral."""
+    import numpy as np
+
     drifts = []
     rows = traj.states.tolist()
     for inv in invariants:
@@ -300,6 +315,9 @@ def invariant_drift(traj: Trajectory,
         except OverflowError:   # float ** raises where * gives inf
             raise BlowupError(len(values), "invariant value") from None
         values = np.asarray(values)
+        finite = np.isfinite(values)
+        if not finite.all():    # float * gives inf where ** raises
+            raise BlowupError(int(np.argmin(finite)), "invariant value")
         drifts.append(float(np.max(np.abs(values - values[0]))))
     return tuple(drifts)
 
@@ -343,6 +361,8 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
     curve parameter and compared against f and g.  The residual is
     O(h^2) discretization error for exact characteristic data.
     """
+    import numpy as np
+
     if not seeds:
         raise FlowError("at least one seed is required")
     params = dict(params or {})

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -594,6 +596,23 @@ def test_integrate_invariant_beyond_the_float_range_exit_1(capsys):
     assert capsys.readouterr().err == "error: non-finite invariant value encountered at step 0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_invariant_product_beyond_the_float_range_exit_1(tmp_path, capsys):
+    # x1*x2 is inf at 1e200 each, where x1^2 raises: both are a blow-up
+    data = {
+        "name": "hyperbolic",
+        "coordinates": ["x1", "x2"],
+        "parameters": {},
+        "vector_field": ["x1", "-1*x2"],
+        "invariants": ["x1*x2"],
+    }
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0=1e200,1e200", "--h", "1e-2", "--T", "0.1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite invariant value encountered at step 0\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])
 def test_integrate_non_finite_param_exit_2(example_dir, capsys, value):
     rc = main(["integrate", str(example_dir / "euler_top.json"),
@@ -674,6 +693,52 @@ def test_integrate_sweep(example_dir, capsys):
     sweep = out["diagnostics"]["sweep"]
     assert sweep["seeds"] == 5
     assert sweep["max_residual"] <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# cold start: the other tests import numpy before the first call, so only a
+# fresh interpreter shows which commands load it
+
+COLD_SCRIPT = """
+import contextlib, io, json, sys
+import liouvar
+from liouvar import cli
+loaded = ["numpy" in sys.modules]
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_only_integrate_imports_numpy_in_a_fresh_interpreter(tmp_path, capsys):
+    path, csv = str(BENCH_BUNDLED / "euler_top.json"), tmp_path / "traj.csv"
+    argvs = [
+        ["verify", path, "--hodge"],
+        ["characteristic", path],
+        ["solve-gamma", path],
+        ["integrate", path, "--x0=0.3,-0.2,0.1", "--h", "1e-2", "--T", "1",
+         "--tangent", "--csv", str(csv)],
+    ]
+    src = str(Path(liouvar.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_SCRIPT, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    cold = json.loads(proc.stdout)
+    assert cold["loaded"] == [False, False, False, False, True]
+    assert [run[0] for run in cold["runs"]] == [0, 0, 0, 0]
+    cold_csv = csv.read_bytes()
+    for argv, run in zip(argvs, cold["runs"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert [code, out, err] == run, argv[0]
+    assert csv.read_bytes() == cold_csv
 
 
 # --------------------------------------------------------------------------
