@@ -517,14 +517,16 @@ def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
 # Numeric code generation: the one evaluator of normal forms
 
 
-def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str]) -> list[str]:
+def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str],
+                    atoms: Mapping[tuple, str] | None = None) -> list[str]:
     """Python source of each term of ``nf``, evaluated in IEEE doubles.
 
     A term reads ``c * atom * (atom)**e * ...`` left to right, without the
-    factor ``c`` when it is 1; sin/cos atoms call ``math.sin``/``math.cos``
-    on the ``nf_source`` of their argument.  ``symbols`` maps each free
-    symbol to the source of its value.  A raised atom is parenthesised, so
-    a negative literal such as ``-1.0`` is raised as a whole.
+    factor ``c`` when it is 1.  ``symbols`` maps each free symbol to the
+    source of its value.  A sin/cos atom reads the local name that
+    ``atoms`` gives it, if any, else it is written by ``atom_source``.  A
+    raised atom is parenthesised, so a negative literal such as ``-1.0``
+    is raised as a whole.
     """
     out = []
     for m, c in nf.terms:
@@ -533,35 +535,64 @@ def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str]) -> list[str]:
         except OverflowError:
             raise ExprError(f"coefficient with a {c.numerator.bit_length()}-bit numerator "
                             "is too large for a float") from None
-        for (kind, payload), e in m:
+        for atom, e in m:
+            kind, payload = atom
             if kind == _SYM:
                 try:
                     base = symbols[payload]
                 except KeyError:
                     raise UnboundSymbolError(f"unbound symbol '{payload}'") from None
+            elif atoms and atom in atoms:
+                base = atoms[atom]
             else:
-                name = "math.sin(" if kind == _SIN else "math.cos("
-                base = name + nf_source(payload, symbols) + ")"
+                base = atom_source(atom, symbols, atoms)
             factors.append(base if e == 1 else f"({base})**{e}")
         out.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
     return out
 
 
-def nf_source(nf: NormalForm, symbols: Mapping[str, str]) -> str:
+def nf_source(nf: NormalForm, symbols: Mapping[str, str],
+              atoms: Mapping[tuple, str] | None = None) -> str:
     """Python source of ``nf``: its terms summed left to right.
 
     The sum is written ``(t1 + t2 + ...)``; starting it from the first term
     rather than from 0 keeps the sign of a lone ``-0.0``.
     """
-    terms = nf_term_sources(nf, symbols)
+    terms = nf_term_sources(nf, symbols, atoms)
     if not terms:
         return "0.0"
     return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
 
 
+def atom_source(atom: tuple, symbols: Mapping[str, str],
+                atoms: Mapping[tuple, str] | None = None) -> str:
+    """Python source of a sin/cos atom: ``sin(<argument>)`` or ``cos(...)``,
+    which call the names ``sin`` and ``cos``."""
+    kind, payload = atom
+    return ("sin(" if kind == _SIN else "cos(") + nf_source(payload, symbols, atoms) + ")"
+
+
+def trig_atoms(nfs: Iterable[NormalForm]) -> list[tuple]:
+    """The distinct sin/cos atoms of ``nfs`` in order of first appearance,
+    each after the atoms of its argument.  An atom is ``(kind, argument)``,
+    and its argument is a normal form."""
+    seen: dict[tuple, None] = {}
+
+    def visit(nf):
+        for m, _c in nf.terms:
+            for atom, _e in m:
+                if atom[0] != _SYM and atom not in seen:
+                    visit(atom[1])
+                    seen[atom] = None
+
+    for nf in nfs:
+        visit(nf)
+    return list(seen)
+
+
 def compile_lambda(body: str):
-    """``lambda s: <body>`` with ``math`` in scope."""
-    return eval(f"lambda s: {body}", {"math": math})
+    """``lambda s: <body>`` with ``sin`` and ``cos`` in scope."""
+    return eval(f"lambda s: {body}", {"sin": math.sin, "cos": math.cos})
 
 
 # --------------------------------------------------------------------------

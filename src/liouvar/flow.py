@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .expr import NormalForm, compile_lambda, differentiate, nf_source, normal_form
+from .expr import (NormalForm, atom_source, compile_lambda, differentiate, nf_source,
+                   normal_form, trig_atoms)
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -29,6 +30,10 @@ if TYPE_CHECKING:
 # arrays that hold the states and tangent maps, which are allocated whole
 # before the first step.
 MAX_STEPS = 10_000_000
+
+# Steps the generated RK4 loop runs between two checks that its states and
+# tangent maps are finite.
+BLOCK_STEPS = 1024
 
 
 class FlowError(Exception):
@@ -79,7 +84,8 @@ def compile_jacobian(field: VectorField, params: Mapping[str, float]):
 
 
 def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: bool) -> str:
-    """Source of ``rk4(states, tangents, h)``: the whole RK4 step loop.
+    """Source of ``rk4(states, tangents, h, start, stop)``: RK4 steps
+    ``start`` to ``stop - 1``, resumed from row ``start - 1``.
 
     The state is held in floats ``x0..``, a stage state in ``y0..`` and the
     slopes in ``k1_0..k4_0..``.  Every operation is written in the order
@@ -90,25 +96,39 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
     numpy's elementwise arithmetic on float64 arrays does.  The tangent map
     M (entries ``m0..`` row by row) and its slopes ``K1_0..`` follow the
     same formula with J(y) @ N for f(y): the entries of J and of the stage
-    map N are written into two numpy buffers, and ``dot(J, N, K)`` writes
-    the product into a third buffer K allocated once per run, whose n*n
-    entries are read back in one unpack.  ``np.dot`` calls the same BLAS
-    gemm as ``@`` and rounds the same, differently from a float sum.
+    map N are written into two numpy buffers, and ``J.dot(N, K)`` writes
+    the product into a third buffer K, whose n*n entries are read back in
+    one unpack.  ``ndarray.dot`` calls the same BLAS gemm as ``@`` and
+    rounds the same, differently from a float sum.
+
+    Work that does not change from step to step is done once per call:
+    the entries of J with no coordinate among their free symbols, and
+    the sin/cos atoms of parameters alone.  Each other distinct sin/cos
+    atom of a stage's slopes and entries of J is evaluated once per stage
+    into a local ``a0..``, inner atoms first.  The loop writes every row
+    unchecked; the caller checks the rows for finite values, and a stage
+    that overflows or leaves the domain of sin/cos raises
+    ``BlowupError(step)``.
     """
     coords = field.space.coordinates
     n = len(coords)
     xs = [f"x{i}" for i in range(n)]
     ms = [f"m{p}" for p in range(n * n)]
     derivatives = [differentiate(c, x) for c in field.nfs for x in coords] if with_tangent else []
-    slopes, jacobian = {}, {}
-    for state in "xy":
-        sources = _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
-        slopes[state] = [nf_source(c, sources) for c in field.nfs]
-        jacobian[state] = [nf_source(d, sources) for d in derivatives]
+    constant = [p for p, d in enumerate(derivatives) if d.free_symbols().isdisjoint(coords)]
+    varying = [p for p in range(len(derivatives)) if p not in constant]
+    atoms = trig_atoms([*field.nfs, *derivatives])
+    names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
+    fixed = [a for a in atoms if a[1].free_symbols().isdisjoint(coords)]
+    moving = [a for a in atoms if a not in fixed]
+
+    def sources(state):
+        return _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
+
     lines = [
-        "def rk4(states, tangents, h):",
+        "def rk4(states, tangents, h, start, stop):",
         "    out = memoryview(states.reshape(-1))",
-        f"    {', '.join(xs)}, = out[:{n}].tolist()",
+        f"    {', '.join(xs)}, = out[(start - 1) * {n}:start * {n}].tolist()",
         "    h2 = 0.5 * h",
         "    h6 = h / 6.0",
     ]
@@ -121,22 +141,32 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
             "    nv = memoryview(N.reshape(-1))",
             "    kv = memoryview(K.reshape(-1))",
             "    tv = memoryview(tangents.reshape(-1))",
-            f"    {', '.join(ms)}, = tv[:{n * n}].tolist()",
+            f"    {', '.join(ms)}, = tv[(start - 1) * {n * n}:start * {n * n}].tolist()",
         ]
-    lines += ["    for step in range(1, len(states)):", "        try:"]
+    once = sources("x")
+    prelude = [f"        {names[a]} = {atom_source(a, once, names)}" for a in fixed]
+    prelude += [f"        jv[{p}] = {nf_source(derivatives[p], once, names)}" for p in constant]
+    if prelude:
+        lines += ["    try:", *prelude, "    except (OverflowError, ValueError):",
+                  "        raise BlowupError(start) from None"]
+    lines += ["    for step in range(start, stop):", "        try:"]
     for stage, factor in enumerate((None, "h2", "h2", "h"), start=1):
         state = "x" if factor is None else "y"
         if factor is not None:
             lines += [f"            y{i} = x{i} + {factor} * k{stage - 1}_{i}" for i in range(n)]
-        lines += [f"            k{stage}_{i} = {src}" for i, src in enumerate(slopes[state])]
+        symbols = sources(state)
+        lines += [f"            {names[a]} = {atom_source(a, symbols, names)}" for a in moving]
+        lines += [f"            k{stage}_{i} = {nf_source(c, symbols, names)}"
+                  for i, c in enumerate(field.nfs)]
         if with_tangent:
-            lines += [f"            jv[{p}] = {src}" for p, src in enumerate(jacobian[state])]
+            lines += [f"            jv[{p}] = {nf_source(derivatives[p], symbols, names)}"
+                      for p in varying]
             if factor is None:
-                lines.append("            dot(J, tangents[step - 1], K)")
+                lines.append("            J.dot(tangents[step - 1], K)")
             else:
                 lines += [f"            nv[{p}] = m{p} + {factor} * K{stage - 1}_{p}"
                           for p in range(n * n)]
-                lines.append("            dot(J, N, K)")
+                lines.append("            J.dot(N, K)")
             lines.append(f"            {', '.join(f'K{stage}_{p}' for p in range(n * n))}, = kv")
     lines += [
         "        except (OverflowError, ValueError):",
@@ -146,8 +176,6 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
               for i in range(n)]
     lines += [f"        m{p} = m{p} + h6 * (((K1_{p} + 2.0 * K2_{p}) + 2.0 * K3_{p}) + K4_{p})"
               for p in range(n * n) if with_tangent]
-    finite = " and ".join(f"isfinite({v})" for v in xs + (ms if with_tangent else []))
-    lines += [f"        if not ({finite}):", "            raise BlowupError(step)"]
     lines.append(f"        j = step * {n}")
     lines += [f"        out[j + {i}] = x{i}" for i in range(n)]
     if with_tangent:
@@ -156,17 +184,34 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
     return "\n".join(lines) + "\n"
 
 
+def _check_rows(states: np.ndarray, tangents: np.ndarray | None, start: int, stop: int) -> None:
+    """Raise ``BlowupError`` at the first step in [start, stop) whose state
+    or tangent map has a non-finite entry."""
+    import numpy as np
+
+    finite = np.isfinite(states[start:stop]).all(axis=1)
+    if tangents is not None:
+        finite &= np.isfinite(tangents[start:stop]).all(axis=(1, 2))
+    if not finite.all():
+        raise BlowupError(start + int(np.argmin(finite)))
+
+
 def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: bool):
     """Compile the RK4 loop of ``field`` once; the result runs it from a seed.
 
     ``run(x0, steps, h)`` returns the ``(steps + 1, n)`` states and, with
     ``with_tangent``, the ``(steps + 1, n, n)`` tangent maps (else None).
-    It raises ``BlowupError(step)`` when a stage overflows or leaves the
-    domain of sin/cos, or when the new state is not finite.
+    It raises ``BlowupError(step)`` at the first step whose state or
+    tangent map is not finite, or whose stage overflows or leaves the
+    domain of sin/cos.  The loop runs in blocks of ``BLOCK_STEPS`` steps,
+    each checked as a whole.  A non-finite state or tangent map stays
+    non-finite, so the first bad row of a block is the step at which the
+    values first stopped being finite, and a blow-up costs at most one
+    block of extra steps.
     """
     import numpy as np
 
-    namespace = {"math": math, "isfinite": math.isfinite, "empty": np.empty, "dot": np.dot,
+    namespace = {"sin": math.sin, "cos": math.cos, "empty": np.empty,
                  "BlowupError": BlowupError}
     exec(_rk4_source(field, params, with_tangent), namespace)
     loop = namespace["rk4"]
@@ -181,7 +226,15 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
             tangents[0] = np.eye(n)
         # a non-finite product is reported as a BlowupError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            loop(states, tangents, h)
+            for start in range(1, steps + 1, BLOCK_STEPS):
+                stop = min(start + BLOCK_STEPS, steps + 1)
+                try:
+                    loop(states, tangents, h, start, stop)
+                except BlowupError as err:
+                    # an earlier row of the block may have stopped being finite
+                    _check_rows(states, tangents, start, err.step)
+                    raise
+                _check_rows(states, tangents, start, stop)
         return states, tangents
 
     return run
@@ -318,7 +371,12 @@ def invariant_drift(traj: Trajectory,
         finite = np.isfinite(values)
         if not finite.all():    # float * gives inf where ** raises
             raise BlowupError(int(np.argmin(finite)), "invariant value")
-        drifts.append(float(np.max(np.abs(values - values[0]))))
+        with np.errstate(over="ignore"):    # finite values an overflow apart
+            drift = np.abs(values - values[0])
+        finite = np.isfinite(drift)
+        if not finite.all():
+            raise BlowupError(int(np.argmin(finite)), "invariant drift")
+        drifts.append(float(np.max(drift)))
     return tuple(drifts)
 
 

@@ -613,6 +613,24 @@ def test_integrate_invariant_product_beyond_the_float_range_exit_1(tmp_path, cap
     assert capsys.readouterr().err == "error: non-finite invariant value encountered at step 0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_invariant_drift_beyond_the_float_range_exit_1(tmp_path, capsys):
+    # every value of x1*x2 is finite, from -1e308 to 1e308, but their
+    # difference overflows from step 9 on
+    data = {
+        "name": "drift",
+        "coordinates": ["x1", "x2"],
+        "parameters": {"a": "200000000"},
+        "vector_field": ["0", "a"],
+        "invariants": ["x1*x2"],
+    }
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0=1e300,-1e8", "--h", "0.1", "--T", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite invariant drift encountered at step 9\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])
 def test_integrate_non_finite_param_exit_2(example_dir, capsys, value):
     rc = main(["integrate", str(example_dir / "euler_top.json"),

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,12 @@ def _reference_case(system, oscillator, euler_numeric):
     if system == "charged_particle":
         cp = build_charged_particle(("0", "0", "b"), parameters=("b",))
         return cp.field, {"k": 0.7, "b": 1.3}
+    if system in ("nested", "trig_power", "parameter_atom"):
+        sp = Space(system, ("x1", "x2"), ("a",))
+        field = {"nested": ("sin(x1 + cos(x2))", "-1*x1*cos(x2)"),
+                 "trig_power": ("cos(x1)^2", "x1*sin(x2)^3 - x2"),
+                 "parameter_atom": ("sin(a)*x1 + x2", "cos(a + 1)*x2 - sin(a)^2")}[system]
+        return VectorField(sp, tuple(sp.parse(c) for c in field)), {"a": 0.7}
     return {"euler": euler_numeric.field, "abc": build_abc_flow(1, 1, 1).bound().field,
             "oscillator": oscillator.field}[system], {}
 
@@ -184,6 +191,12 @@ def _reference_case(system, oscillator, euler_numeric):
     ("oscillator", (1.0, 0.0), True),
     ("oscillator_m2", (1.0, 0.0, 0.3, -0.4), True),
     ("charged_particle", (0.1, -0.2, 0.3, 0.5, -0.6, 0.2), True),
+    ("nested", (0.4, -1.1), False),
+    ("nested", (0.4, -1.1), True),
+    ("trig_power", (0.9, 0.2), False),
+    ("trig_power", (0.9, 0.2), True),
+    ("parameter_atom", (0.3, -0.5), False),
+    ("parameter_atom", (0.3, -0.5), True),
 ])
 def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscillator,
                                                 euler_numeric):
@@ -206,6 +219,72 @@ def test_blowup_step_equals_the_array_formula(with_tangent):
     with pytest.raises(BlowupError) as want:
         _array_rk4(field, (1.0, 0.0), 1e-3, 2.0, with_tangent)
     assert got.value.step == want.value.step
+
+
+def _blowup_steps(field, x0, h, T, with_tangent):
+    """The blow-up steps of ``integrate_rk4`` and of the array formula."""
+    with pytest.raises(BlowupError) as got:
+        integrate_rk4(field, x0, h, T, with_tangent=with_tangent)
+    with pytest.raises(BlowupError) as want, np.errstate(over="ignore", invalid="ignore"):
+        _array_rk4(field, x0, h, T, with_tangent)
+    return got.value, want.value.step
+
+
+@pytest.mark.parametrize("with_tangent", [False, True])
+def test_blowup_after_the_first_block_equals_the_array_formula(with_tangent):
+    sp = Space("b", ("x1", "x2"))
+    field = VectorField(sp, (sp.parse("1 + x1^2"), 0))
+    got, want = _blowup_steps(field, (1.0, 0.0), 2e-4, 1.0, with_tangent)
+    assert got.step == want > flow.BLOCK_STEPS
+
+
+def test_tangent_overflow_with_a_finite_state_equals_the_array_formula():
+    # the state stays at 0 while the tangent map grows as exp(1000 s)
+    sp = Space("g", ("x1",))
+    field = VectorField(sp, (sp.parse("1000*x1"),))
+    assert np.all(integrate_rk4(field, (0.0,), 1e-3, 1.0).states == 0.0)
+    got, want = _blowup_steps(field, (0.0,), 1e-3, 1.0, True)
+    assert got.step == want
+
+
+def test_stage_raising_one_step_after_the_state_overflowed_reports_the_overflow():
+    # x1 is finite in every stage but overflows in the update of some step;
+    # sin(inf) raises ValueError in the first stage of the next step
+    sp = Space("v", ("x1", "x2"))
+    field = VectorField(sp, (sp.parse("x1"), sp.parse("sin(x1)")))
+    got, want = _blowup_steps(field, (1e307, 0.0), 1e-3, 3.0, False)
+    assert got.step == want
+    raised = got.__context__
+    assert isinstance(raised, BlowupError) and raised.step == want + 1
+    assert isinstance(raised.__context__, ValueError)
+
+
+def test_early_tangent_blowup_in_a_grid_of_max_steps_stops_within_a_block():
+    # once infinite the tangent map stays so without raising, so only the
+    # block check stops the loop before the end of the grid
+    sp = Space("g", ("x1",))
+    field = VectorField(sp, (sp.parse("1000*x1"),))
+    started = time.perf_counter()
+    with pytest.raises(BlowupError) as err:
+        integrate_rk4(field, (0.0,), 1e-3, MAX_STEPS * 1e-3, with_tangent=True)
+    assert time.perf_counter() - started < 5.0
+    assert err.value.step < flow.BLOCK_STEPS
+
+
+def test_rk4_source_evaluates_each_atom_once_per_stage_and_constant_entries_once():
+    field = build_abc_flow(1, 1, 1).bound().field
+    source = flow._rk4_source(field, {}, True)
+    before, loop = source.split("    for step in range(start, stop):\n")
+    # six distinct atoms sin(x_i), cos(x_i) in each of the four stages
+    assert loop.count("sin(") == loop.count("cos(") == 12
+    atoms = [line.split(" = ")[1] for line in loop.splitlines() if line.lstrip().startswith("a")]
+    assert len(atoms) == 24 and len(set(atoms)) == 12
+    assert "math." not in source
+    # J has a zero diagonal, written once before the loop
+    for p in (0, 4, 8):
+        assert before.count(f"jv[{p}] = 0.0") == 1
+        assert f"jv[{p}] =" not in loop
+    assert loop.count("J.dot(") == 4 and "isfinite" not in source
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
