@@ -636,7 +636,10 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
     fixed seed; the verdict is then tagged probabilistic.  At each point
     the value must stay within ``rel_tol`` times the sum of the absolute
     term values there, so a small nonzero expression is not mistaken for
-    rounding error.
+    rounding error.  A point at which a term leaves the float range (an
+    overflowing power, sin or cos of an infinity, a non-finite sum of
+    absolute values) decides nothing and raises ``ExprError``, unless an
+    earlier point has already shown the expression nonzero.
     """
     nf = normal_form(e)
     if nf.is_zero():
@@ -647,11 +650,39 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
     symbols = sorted(nf.free_symbols())
     sources = nf_term_sources(nf, {v: f"s[{i}]" for i, v in enumerate(symbols)})
     term_values = compile_lambda("(" + "".join(t + ", " for t in sources) + ")")
-    for _ in range(config.points):
-        values = term_values([rng.uniform(config.low, config.high) for _ in symbols])
-        if abs(sum(values)) > config.rel_tol * sum(abs(v) for v in values):
+    for point in range(1, config.points + 1):
+        try:
+            values = term_values([rng.uniform(config.low, config.high) for _ in symbols])
+        except (OverflowError, ValueError):  # ValueError: sin or cos of an infinity
+            scale = math.inf
+        else:
+            scale = sum(abs(v) for v in values)
+        if not math.isfinite(scale):
+            raise ExprError(f"zero test: a term leaves the float range at sample point "
+                            f"{point} of {config.points} (seed {config.seed})")
+        if abs(sum(values)) > config.rel_tol * scale:
             return ZeroResult(False, PROBABILISTIC)
     return ZeroResult(True, PROBABILISTIC)
+
+
+def all_zero(nfs: Iterable[NormalForm], config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+    """Decide whether every one of ``nfs`` vanishes identically.
+
+    Zero normal forms are dropped.  A remaining one without sin/cos atoms
+    is an exact witness that not all vanish, so nothing is sampled.
+    Otherwise each remaining one goes to ``is_zero`` in turn and the first
+    nonzero verdict is returned; each call seeds its own generator, so
+    stopping early moves no other verdict.  When all vanish the verdict
+    is probabilistic if any of them was sampled.
+    """
+    nonzero = [nf for nf in nfs if not nf.is_zero()]
+    if not all(nf.has_trig() for nf in nonzero):
+        return ZeroResult(False, EXACT)
+    for nf in nonzero:
+        res = is_zero(nf, config)
+        if not res.value:
+            return res
+    return ZeroResult(True, PROBABILISTIC if nonzero else EXACT)
 
 
 # --------------------------------------------------------------------------

@@ -16,16 +16,14 @@ from math import isqrt, prod
 from typing import Iterable, Mapping
 
 from .expr import (
-    EXACT,
-    PROBABILISTIC,
     DEFAULT_ZERO_TEST,
     NF_ONE,
     NF_ZERO,
     NormalForm,
     ZeroResult,
     ZeroTestConfig,
+    all_zero,
     differentiate,
-    is_zero,
     nf_add,
     nf_mul,
     nf_neg,
@@ -541,29 +539,16 @@ def reorder_field(v: VectorField, new_space: Space) -> VectorField:
 
 
 def form_is_zero(a: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
-    certainty = EXACT
-    value = True
-    for c in a.nfs.values():
-        res = is_zero(c, config)
-        if res.certainty == PROBABILISTIC:
-            certainty = PROBABILISTIC
-        if not res.value:
-            value = False
-    return ZeroResult(value, certainty)
+    """Whether every coefficient of ``a`` vanishes, by ``all_zero``."""
+    return all_zero(a.nfs.values(), config)
 
 
 def fields_equal(u: VectorField, v: VectorField, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+    """Whether ``u`` and ``v`` agree in every component, by ``all_zero`` on
+    their differences."""
     if u.space != v.space:
         raise SpaceMismatchError("fields live on different spaces")
-    certainty = EXACT
-    value = True
-    for a, b in zip(u.nfs, v.nfs):
-        res = is_zero(nf_add(a, nf_neg(b)), config)
-        if res.certainty == PROBABILISTIC:
-            certainty = PROBABILISTIC
-        if not res.value:
-            value = False
-    return ZeroResult(value, certainty)
+    return all_zero((nf_add(a, nf_neg(b)) for a, b in zip(u.nfs, v.nfs)), config)
 
 
 def serialize_form(a: DiffForm) -> list[dict]:

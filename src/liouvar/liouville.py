@@ -17,9 +17,9 @@ from .expr import (
     EXACT,
     NF_ONE,
     NormalForm,
-    PROBABILISTIC,
     ZeroResult,
     ZeroTestConfig,
+    all_zero,
     differentiate,
     is_zero,
     nf_add,
@@ -511,14 +511,11 @@ def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
 def characteristic_field(dec: CharacteristicDecomposition,
                          config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> VectorField:
     """W = sum_mu A^mu d_mu + f d_z + g d_w; requires a proper principle."""
-    certainty = EXACT
-    for a in dec.coefficients:
-        res = is_zero(a, config)
-        if not res.value:
-            return VectorField(dec.space, dec.coefficients + (dec.f, dec.g))
-        if res.certainty == PROBABILISTIC:
-            certainty = PROBABILISTIC
-    raise ImproperPrincipleError("all base components vanish: improper principle", certainty)
+    vanish = all_zero(dec.coefficients, config)
+    if not vanish.value:
+        return VectorField(dec.space, dec.coefficients + (dec.f, dec.g))
+    raise ImproperPrincipleError("all base components vanish: improper principle",
+                                 vanish.certainty)
 
 
 def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,

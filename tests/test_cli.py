@@ -229,18 +229,19 @@ def test_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
 
 
 def test_verify_abc_flow_reports_the_certainty_of_each_zero_test(capsys):
-    # d(theta) has trig atoms, so the zero tests behind theta_nondegenerate
-    # and proper_principle are sampled, not decided by the normal form
+    # d(theta) has trig atoms, but dσ = Ω puts a constant coefficient in it,
+    # a trig-free witness that decides theta_nondegenerate and
+    # proper_principle exactly without sampling the trig coefficients
     rc = main(["verify", str(BENCH_BUNDLED / "abc_flow.json"), "--hodge"])
     report = read_json(capsys)
     assert rc == 0
     assert [(c["name"], c["verdict"], c["certainty"]) for c in report["certificates"]] == [
         ("liouville_flux_closed", "PASS", "exact"),
         ("gamma_flux_match", "PASS", "exact"),
-        ("theta_nondegenerate", "PASS", "probabilistic"),
+        ("theta_nondegenerate", "PASS", "exact"),
         ("characteristic_annihilation", "PASS", "exact"),
         ("characteristic_normalization", "PASS", "exact"),
-        ("proper_principle", "PASS", "probabilistic"),
+        ("proper_principle", "PASS", "exact"),
         ("psi1_annihilated_by_W", "PASS", "exact"),
         ("psi2_annihilated_by_W", "PASS", "exact"),
         ("hodge_duality", "PASS", "exact"),
@@ -304,6 +305,27 @@ def test_oversized_coefficients_exit_2(tmp_path, capsys, command, entry, message
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 8])
+def test_verify_zero_test_beyond_the_float_range_exit_2(tmp_path, capsys, seed):
+    # the flux residual x2^2000*cos(x1) overflows at a sample point before
+    # any point shows it nonzero
+    path = _write_system(tmp_path, ["x2^2000*sin(x1)", "0"])
+    assert main(["verify", str(path), "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: zero test: a term leaves the float range")
+    assert f"(seed {seed})" in captured.err
+
+
+def test_verify_nonzero_before_the_float_range_keeps_its_verdict(tmp_path, capsys):
+    # at the default seed the first point is finite and nonzero: flux FAIL
+    path = _write_system(tmp_path, ["x2^2000*sin(x1)", "0"])
+    assert main(["verify", str(path)]) == 1
+    report = read_json(capsys)
+    assert report["certificates"][0]["name"] == "liouville_flux_closed"
+    assert report["certificates"][0]["verdict"] == "FAIL"
 
 
 _PRODUCT_ARGS = {

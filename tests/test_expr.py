@@ -343,6 +343,32 @@ def test_is_zero_deterministic_and_seed_sensitive():
     assert other.value  # verdict stable under reseeding
 
 
+@pytest.mark.parametrize("text, seed, point", [
+    ("x2^2000*sin(x1)", 2, 1),     # the power overflows: OverflowError
+    ("x2^2000*sin(x1)", 3, 3),     # after two points whose power underflows to 0
+    ("x2^2000*sin(x1)", 4, 1),
+    ("x2^2000*sin(x1)", 8, 1),
+    ("sin(10^300*x1^40)", 2, 1),   # sin of an infinite argument: ValueError
+])
+def test_is_zero_refuses_a_sample_point_beyond_the_float_range(text, seed, point):
+    with pytest.raises(ExprError, match=f"float range at sample point {point} of 32 "
+                                        rf"\(seed {seed}\)"):
+        is_zero(q(text), ZeroTestConfig(seed=seed))
+
+
+def test_is_zero_keeps_a_nonzero_point_found_before_any_overflow():
+    # the default seed's first point is finite and shows the value nonzero
+    assert is_zero(q("x2^2000*sin(x1)")) == ZeroResult(False, "probabilistic")
+
+
+def test_is_zero_does_not_count_an_infinite_point_as_a_zero_point():
+    # every term is ±inf at every point of [1.5, 2]^2 and no operation
+    # raises; abs(inf) > rel_tol * inf is False, so counting such a point
+    # as a zero point would report this nonzero expression as zero
+    with pytest.raises(ExprError, match="float range at sample point 1 of 32"):
+        is_zero(q("10^308*x1^2*sin(x2)"), ZeroTestConfig(low=1.5, high=2.0))
+
+
 # --------------------------------------------------------------------------
 # Evaluation: compiled normal forms
 

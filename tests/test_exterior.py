@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liouvar.expr as expr_module
 from liouvar.expr import (
     ExprError,
     NormalForm,
+    ZeroResult,
     differentiate,
+    is_zero,
     nf_add,
     nf_mul,
     nf_neg,
@@ -35,6 +38,7 @@ from liouvar.exterior import (
     deserialize_field,
     deserialize_form,
     exterior_derivative,
+    fields_equal,
     form_is_zero,
     hodge_star,
     interior_product,
@@ -708,3 +712,65 @@ def test_normal_form_returns_a_normal_form_itself():
     nf = R3.parse("x1 - sin(x2)")
     assert normal_form(nf) is nf
     assert isinstance(normal_form(7), NormalForm) and normal_form(0).is_zero()
+
+
+# --------------------------------------------------------------------------
+# Aggregate zero tests: a trig-free nonzero coefficient decides at once
+
+# Coefficient pieces: trig-free ones, trig ones, and trig identities whose
+# normal form is nonzero although they vanish.  "x1" and "-x1" cancel.
+_PIECES = (
+    "x1", "-x1", "x2*x3 - 1/2", "3",
+    "sin(x1)", "x2*cos(x3)", "sin(x1 + x2) + 1",
+    "sin(x1)^2 + cos(x1)^2 - 1",
+    "x3*(sin(x2)^2 + cos(x2)^2 - 1)",
+    "sin(x1 - x2) - sin(x1)*cos(x2) + cos(x1)*sin(x2)",
+    "sin(2*x3) - 2*sin(x3)*cos(x3)",
+)
+_coefficients = st.lists(st.sampled_from(_PIECES), max_size=2).map(
+    lambda texts: R3.parse(" + ".join(f"({t})" for t in texts) or "0"))
+_triples = st.lists(_coefficients, min_size=3, max_size=3)
+
+
+def _exact_expected(nfs):
+    """A trig-free nonzero coefficient exists, or none carries trig."""
+    nonzero = [c for c in nfs if not c.is_zero()]
+    return any(not c.has_trig() for c in nonzero) or not any(c.has_trig() for c in nonzero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_triples)
+def test_form_is_zero_agrees_with_is_zero_and_is_exact_on_a_trig_free_witness(coeffs):
+    a = DiffForm(R3, 1, {(i,): c for i, c in enumerate(coeffs)})
+    res = form_is_zero(a)
+    assert res.value == all(is_zero(c).value for c in a.nfs.values())
+    assert (res.certainty == "exact") == _exact_expected(a.nfs.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_triples, _triples)
+def test_fields_equal_agrees_with_is_zero_and_is_exact_on_a_trig_free_witness(base, delta):
+    u = VectorField(R3, tuple(base))
+    v = VectorField(R3, tuple(nf_add(b, d) for b, d in zip(base, delta)))
+    differences = [nf_add(a, nf_neg(b)) for a, b in zip(u.nfs, v.nfs)]
+    res = fields_equal(u, v)
+    assert res.value == all(is_zero(d).value for d in differences)
+    assert (res.certainty == "exact") == _exact_expected(differences)
+
+
+def test_a_trig_free_witness_compiles_nothing(monkeypatch):
+    compiled = []
+    original = expr_module.compile_lambda
+    monkeypatch.setattr(expr_module, "compile_lambda",
+                        lambda body: compiled.append(body) or original(body))
+    trig, poly = R3.parse("sin(x3)"), R3.parse("x1*x2")
+    # the trig coefficient comes first in index order
+    assert form_is_zero(DiffForm(R3, 1, {(0,): trig, (1,): poly})) == ZeroResult(False, "exact")
+    assert fields_equal(VectorField(R3, (trig, poly, 0)),
+                        VectorField(R3, (0, 0, 0))) == ZeroResult(False, "exact")
+    assert compiled == []
+    # without the witness the trig coefficient is sampled
+    assert form_is_zero(DiffForm(R3, 1, {(0,): trig})) == ZeroResult(False, "probabilistic")
+    assert fields_equal(VectorField(R3, (trig, 0, 0)),
+                        VectorField(R3, (0, 0, 0))) == ZeroResult(False, "probabilistic")
+    assert len(compiled) == 2
