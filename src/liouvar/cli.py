@@ -30,8 +30,10 @@ from .exterior import (
     GeometryError,
     fields_equal,
     reorder_field,
+    reorder_form,
     serialize_field,
     serialize_form,
+    volume_form,
 )
 from .liouville import (
     Certificate,
@@ -198,11 +200,14 @@ def cmd_characteristic(args) -> int:
     config, sys = _load(args)
     b = sys.bound_copy
     ext = build_extended(b, config)
-    dec = decompose_beta(ext.dtheta, _verticals(args, ext, b), config)
+    dec = decompose_beta(ext.dtheta, _verticals(args, ext, b))
     W = characteristic_field(dec, config)
     Y = annihilator_field(ext.dtheta)
     Z = normalize_by_dt(Y)
-    witness = fields_equal(W, reorder_field(Y, dec.space), config)
+    # W ⌟ vol = beta in the split chart, whose volume form is +-1 times
+    # that of the original chart: W is Y reordered times that sign
+    orientation = reorder_form(volume_form(ext.space), dec.space).get_nf((1 << dec.space.dim) - 1)
+    witness = fields_equal(W, reorder_field(Y, dec.space) * orientation, config)
     out = {
         **_header(sys.name),
         "base": list(dec.base),
@@ -288,7 +293,7 @@ def cmd_integrate(args) -> int:
     if args.sweep:
         try:
             ext = build_extended(sys.bound_copy, config)
-            dec = decompose_beta(ext.dtheta, _verticals(args, ext, sys), config)
+            dec = decompose_beta(ext.dtheta, _verticals(args, ext, sys))
             k = dec.k
             base_seed = [0.0] + list(x0)
             seeds = []

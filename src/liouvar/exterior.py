@@ -412,6 +412,25 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
     return DiffForm(a.space, a.degree - 1, _sum_products(acc))
 
 
+def flux_field(alpha: DiffForm) -> VectorField:
+    """The field X with X ⌟ vol = alpha, for an (n-1)-form alpha.
+
+    The inverse of ``interior_product(X, volume_form(space))``: the entry
+    missing from alpha's index i moves past the i entries below it, so
+    X^i = (-1)^i alpha_(all but i).  The zero form gives the zero field.
+    """
+    space = alpha.space
+    n = space.dim
+    if alpha.degree != n - 1:
+        raise DegreeError(f"a flux field needs a degree-{n - 1} form, got degree {alpha.degree}")
+    everything = (1 << n) - 1
+    comps = []
+    for i in range(n):
+        c = alpha.nfs.get(everything ^ (1 << i), NF_ZERO)
+        comps.append(nf_neg(c) if i % 2 else c)
+    return VectorField(space, tuple(comps))
+
+
 def lie_derivative(v: VectorField, a: DiffForm) -> DiffForm:
     """Cartan formula; for top-degree forms only the d(v ⌟ a) term remains."""
     if v.space != a.space:

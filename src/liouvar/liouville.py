@@ -33,7 +33,6 @@ from .expr import (
     substitute,
 )
 from .exterior import (
-    DegreeError,
     DiffForm,
     GeometryError,
     Space,
@@ -41,6 +40,7 @@ from .exterior import (
     basis_form,
     coordinate_vector,
     exterior_derivative,
+    flux_field,
     form_is_zero,
     hodge_star,
     index_positions,
@@ -389,21 +389,14 @@ def verify_characteristic(ext: ExtendedSystem,
 def annihilator_field(alpha: DiffForm) -> VectorField:
     """Generator of the rank-one annihilator of a degree-(n-1) form.
 
-    With alpha = sum_mu A^mu (d_mu ⌟ vol), the field A^mu d_mu contracts
-    to zero with alpha; every other annihilating field is a scalar
-    multiple of it.
+    The field Y with Y ⌟ vol = alpha (``flux_field``) contracts to zero
+    with alpha, as Y ⌟ (Y ⌟ vol) = 0; every other annihilating field is a
+    scalar multiple of it.
     """
-    space = alpha.space
-    n = space.dim
-    if alpha.degree != n - 1:
-        raise DegreeError("annihilator extraction requires degree n-1")
+    Y = flux_field(alpha)
     if alpha.is_zero_form:
         raise LiouvilleError("annihilator of the zero form is not one-dimensional")
-    comps = []
-    for mu in range(n):
-        c = alpha.get_nf(tuple(i for i in range(n) if i != mu))
-        comps.append(nf_neg(c) if mu % 2 else c)
-    return VectorField(space, tuple(comps))
+    return Y
 
 
 def normalize_by_dt(Y: VectorField) -> VectorField:
@@ -463,46 +456,26 @@ class CharacteristicDecomposition:
         return len(self.base)
 
     def recompose(self) -> DiffForm:
-        k = self.k
-        zpos, wpos = k, k + 1
-        coeffs = {}
-        for mu, a in enumerate(self.coefficients):
-            coeffs[tuple(i for i in range(k) if i != mu) + (zpos, wpos)] = nf_neg(a) if mu % 2 else a
-        base_idx = tuple(range(k))
-        f, g = (nf_neg(self.f), self.g) if k % 2 else (self.f, nf_neg(self.g))
-        coeffs[base_idx + (wpos,)] = f
-        coeffs[base_idx + (zpos,)] = g
-        return DiffForm(self.space, self.space.dim - 1, coeffs)
+        """W ⌟ vol in the split chart, W = (A^mu, f, g): the decomposed form."""
+        W = VectorField(self.space, self.coefficients + (self.f, self.g))
+        return interior_product(W, volume_form(self.space))
 
 
-def decompose_beta(beta: DiffForm, verticals: tuple[str, str] | None = None,
-                   config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> CharacteristicDecomposition:
-    """Extract (A^mu, f, g) from a degree-(n-1) form in a split chart.
+def decompose_beta(beta: DiffForm,
+                   verticals: tuple[str, str] | None = None) -> CharacteristicDecomposition:
+    """Extract (A^mu, f, g) from a degree-(n-1) form in a split chart: the
+    components of its ``flux_field`` there.
 
     The recombination of the output reproduces the input exactly; this is
     asserted before returning.
     """
-    space = beta.space
-    n = space.dim
-    if beta.degree != n - 1:
-        raise DegreeError("decomposition requires a degree-(n-1) form")
-    chart = split_chart(space, verticals)
-    if chart != space:
+    chart = split_chart(beta.space, verticals)
+    if chart != beta.space:
         beta = reorder_form(beta, chart)
-    k = n - 2
-    zpos, wpos = k, k + 1
-    coefficients = []
-    for mu in range(k):
-        c = beta.get_nf(tuple(i for i in range(k) if i != mu) + (zpos, wpos))
-        coefficients.append(nf_neg(c) if mu % 2 else c)
-    base_idx = tuple(range(k))
-    f = beta.get_nf(base_idx + (wpos,))
-    g = nf_neg(beta.get_nf(base_idx + (zpos,)))
-    if k % 2:
-        f, g = nf_neg(f), nf_neg(g)
-    dec = CharacteristicDecomposition(
-        chart, chart.coordinates[:k], (chart.coordinates[k], chart.coordinates[k + 1]),
-        tuple(coefficients), f, g)
+    *coefficients, f, g = flux_field(beta).nfs
+    k = chart.dim - 2
+    dec = CharacteristicDecomposition(chart, chart.coordinates[:k], chart.coordinates[k:],
+                                      tuple(coefficients), f, g)
     if dec.recompose() != beta:
         raise LiouvilleError("internal error: decomposition does not recompose to the input")
     return dec
@@ -520,17 +493,14 @@ def characteristic_field(dec: CharacteristicDecomposition,
 
 def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,
               config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
-    """Double vertical contraction of beta must not vanish identically.
+    """The base components A^mu of beta must not all vanish, decided by
+    ``all_zero`` as in ``characteristic_field``.
 
-    ``value`` is True when it does not vanish; ``certainty`` is that of its
-    zero test.  A ZeroResult is always truthy: read ``value``.
+    ``value`` is True when they do not all vanish; ``certainty`` is that of
+    the zero tests.  A ZeroResult is always truthy: read ``value``.
     """
-    space = beta.space
-    z, w = vertical_pair(space, verticals)
-    inner = interior_product(coordinate_vector(space, w), beta)
-    inner = interior_product(coordinate_vector(space, z), inner)
-    vanishes = form_is_zero(inner, config)
-    return ZeroResult(not vanishes.value, vanishes.certainty)
+    vanish = all_zero(decompose_beta(beta, verticals).coefficients, config)
+    return ZeroResult(not vanish.value, vanish.certainty)
 
 
 @dataclass
@@ -556,7 +526,7 @@ def psi_forms(beta: DiffForm, verticals: tuple[str, str] | None = None,
     d_z, d_w = coordinate_vector(chart, z), coordinate_vector(chart, w)
     psi1 = interior_product(d_z, beta)
     psi2 = interior_product(d_w, beta)
-    dec = decompose_beta(beta, (z, w), config)
+    dec = decompose_beta(beta, (z, w))
     W = characteristic_field(dec, config)
     w_beta = interior_product(W, beta)
     certs = [

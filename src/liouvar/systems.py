@@ -44,7 +44,7 @@ from .exterior import (
     deserialize_form,
     exterior_derivative,
     fields_equal,
-    form_is_zero,
+    flux_field,
     index_positions,
     serialize_field,
     serialize_form,
@@ -54,14 +54,13 @@ from .exterior import (
 )
 from .liouville import (
     CertificateError,
-    DegenerateThetaError,
     ExtendedSystem,
     LiouvilleError,
     LiouvilleSystem,
     SystemInvariantError,
     TIME_COORDINATE,
+    build_extended,
     extended_space,
-    promote_field,
     promote_form,
     validate_system,
     verify_characteristic,
@@ -131,19 +130,13 @@ def solve_symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorFi
 
 def field_from_flux(chi: DiffForm, omega: DiffForm) -> VectorField:
     """Unique X with X ⌟ Omega = chi for a volume form Omega."""
-    space = chi.space
-    n = space.dim
+    n = chi.space.dim
     if chi.degree != n - 1:
         raise LiouvilleError("flux must have degree n-1")
     scale = _constant_coefficient(omega.get_nf(tuple(range(n))), "volume form")
     if scale == 0:
         raise LiouvilleError("volume form vanishes")
-    comps = []
-    for i in range(n):
-        idx = tuple(j for j in range(n) if j != i)
-        sign = -1 if i % 2 else 1
-        comps.append(nf_scale(chi.get_nf(idx), Fraction(sign) / scale))
-    return VectorField(space, tuple(comps))
+    return flux_field(chi) * (1 / scale)
 
 
 def curl3(space: Space, components: Iterable[NormalForm]) -> tuple[NormalForm, ...]:
@@ -279,8 +272,7 @@ class HyperkahlerData:
     orientation: int
 
 
-def validate_hyperkahler(data: HyperkahlerData,
-                         config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> int:
+def validate_hyperkahler(data: HyperkahlerData) -> int:
     """Check the data invariants; returns the triple's duality sign."""
     space = data.space
     if space.dim % 4:
@@ -319,7 +311,7 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
     factors cancel in the time term; the resulting characteristic
     identities are verified before returning.
     """
-    duality = validate_hyperkahler(data, config)
+    duality = validate_hyperkahler(data)
     space = data.space
     N = space.dim // 4
     X = None
@@ -334,14 +326,7 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
         zeta = wedge_power(omega, 2 * N - 1)
         theta = theta + wedge(promote_form(rho, ext_sp), promote_form(zeta, ext_sp))
         theta = theta + wedge(promote_form(zeta * h, ext_sp), dt) * time_factor
-    dtheta = exterior_derivative(theta)
-    nondeg = form_is_zero(dtheta, config)
-    if nondeg.value:
-        raise DegenerateThetaError("d(theta) is identically zero", nondeg.certainty)
-    Z = promote_field(X, ext_sp, time_component=1)
-    ext = ExtendedSystem(name, ext_sp, Z, theta, dtheta,
-                         base=LiouvilleSystem(name, space, X, theta=theta),
-                         dtheta_certainty=nondeg.certainty)
+    ext = build_extended(LiouvilleSystem(name, space, X, theta=theta), config)
     certs = verify_characteristic(ext, config)
     failed = [c for c in certs if not c.passed]
     if failed:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -472,6 +473,30 @@ def test_characteristic_euler_default_split(example_dir, capsys):
     assert out["base"] == ["t", "x1"]
     assert out["Z"][0] == "1"
     assert out["Z"][1:] == ["-1*x2*x3", "x1*x3", "-1/3*x1*x2"]
+
+
+def _bundled_coordinates(name):
+    return json.loads((BENCH_BUNDLED / f"{name}.json").read_text(encoding="utf-8"))["coordinates"]
+
+
+def _ordered_vertical_pairs(name):
+    return [(name, pair) for pair in itertools.permutations(["t", *_bundled_coordinates(name)], 2)]
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    _ordered_vertical_pairs("euler_top") + _ordered_vertical_pairs("hyperham_generic")
+    + [("abc_flow", ("x3", "x2")), ("abc_flow", ("t", "x2"))])
+def test_characteristic_matches_the_annihilator_for_every_ordered_vertical_pair(name, pair, capsys):
+    # W is built in the split chart; an odd reordering of the coordinates
+    # flips the sign of its volume form, and so the sign of W
+    base_count = len(_bundled_coordinates(name)) - 1
+    rc = main(["characteristic", str(BENCH_BUNDLED / f"{name}.json"),
+               "--base-split", f"{base_count}:{pair[0]},{pair[1]}"])
+    out = read_json(capsys)
+    assert rc == 0
+    assert out["verticals"] == list(pair)
+    assert out["W_matches_annihilator"] is True
 
 
 def test_characteristic_improper_exit_1(tmp_path, capsys):

@@ -39,6 +39,7 @@ from liouvar.exterior import (
     deserialize_form,
     exterior_derivative,
     fields_equal,
+    flux_field,
     form_is_zero,
     hodge_star,
     interior_product,
@@ -324,6 +325,35 @@ def test_interior_flux_components():
     assert flux.get_nf((1, 2)) == f[0]
     assert flux.get_nf((0, 2)) == nf_neg(f[1])
     assert flux.get_nf((0, 1)) == f[2]
+    assert flux_field(flux) == X
+
+
+_FACTOR_TEXTS = ("1", "1", "sin(x1)", "cos(x2 - x3)", "x2*sin(x1 + cos(x3))")
+
+
+def random_coefficient(rng, space):
+    """A random polynomial, times a sin/cos factor more often than not."""
+    return nf_mul(random_poly(rng, space.coordinates), space.parse(rng.choice(_FACTOR_TEXTS)))
+
+
+@pytest.mark.parametrize("space", [R3, R4], ids=["R3", "R4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_flux_field_inverts_the_contraction_with_the_volume_form(space, seed):
+    rng = random.Random(900 + seed)
+    vol = volume_form(space)
+    X = VectorField(space, tuple(random_coefficient(rng, space) for _ in space.coordinates))
+    assert flux_field(interior_product(X, vol)) == X
+    indices = list(itertools.combinations(range(space.dim), space.dim - 1))
+    chosen = rng.sample(indices, k=rng.randint(1, len(indices)))
+    alpha = DiffForm(space, space.dim - 1, {i: random_coefficient(rng, space) for i in chosen})
+    assert interior_product(flux_field(alpha), vol) == alpha
+
+
+def test_flux_field_of_the_zero_form_is_zero_and_other_degrees_are_refused():
+    assert flux_field(DiffForm(R3, 2, {})).is_zero
+    for degree in (0, 1, 3):
+        with pytest.raises(DegreeError, match="needs a degree-2 form, got degree"):
+            flux_field(DiffForm(R3, degree, {}))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,5 +1,6 @@
 """Tests for the certificate pipeline: potentials, extension, characteristics."""
 
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from liouvar.expr import (
+    ZeroResult,
     is_zero,
     nf_mul,
     normal_form,
@@ -22,6 +24,7 @@ from liouvar.exterior import (
     VectorField,
     basis_form,
     constant_form,
+    coordinate_vector,
     exterior_derivative,
     fields_equal,
     form_is_zero,
@@ -384,8 +387,9 @@ def test_proper_examples(bundle):
         proper = is_proper(ext.dtheta)
         assert proper.value, name
         # abc_flow's d(theta) has trig atoms, but dσ = Ω puts a constant
-        # coefficient in it, which the double vertical contraction keeps:
-        # a trig-free witness that it is nonzero, so nothing is sampled
+        # coefficient in it, the base component along t: a trig-free
+        # witness that the base components do not all vanish, so nothing
+        # is sampled
         assert proper.certainty == "exact", name
 
 
@@ -415,6 +419,42 @@ def test_improper_refusal_ends_with_the_certainty_of_its_zero_tests():
         characteristic_field(dec)
     assert sampled.value.certainty == "probabilistic"
     assert str(sampled.value).endswith(" (probabilistic)")
+
+
+def _double_contraction_is_nonzero(beta, verticals):
+    """Reference rule for properness: d_z ⌟ (d_w ⌟ beta) does not vanish
+    identically, with the certainty of ``form_is_zero`` on it."""
+    z, w = vertical_pair(beta.space, verticals)
+    inner = interior_product(coordinate_vector(beta.space, z),
+                             interior_product(coordinate_vector(beta.space, w), beta))
+    vanishes = form_is_zero(inner)
+    return ZeroResult(not vanishes.value, vanishes.certainty)
+
+
+_XZW = Space("d", ("x", "z", "w"))
+_SPLIT_FORMS = {
+    "improper x dx^dz": basis_form(_XZW, "x", "z", coeff=_XZW.parse("x")),
+    "vertical area": basis_form(_XZW, "z", "w"),
+    # a trig identity as the only base component is decided by sampling
+    "sampled identity": basis_form(_XZW, "z", "w", coeff=_XZW.parse("sin(x)^2 + cos(x)^2 - 1")),
+}
+
+
+def test_is_proper_agrees_with_the_double_vertical_contraction(bundle):
+    betas = {name: build_extended(system.bound()).dtheta
+             for name, system in bundle.items() if name != "abc_paper_verbatim"}
+    betas.update(_SPLIT_FORMS)
+    # H = q leaves d(theta) without a dt∧dp term: improper for (t, p)
+    betas["drift"] = build_extended(build_hamiltonian("q", 1, name="drift")).dtheta
+    verdicts = set()
+    for name, beta in betas.items():
+        for pair in itertools.permutations(beta.space.coordinates, 2):
+            proper = is_proper(beta, pair)
+            assert proper == _double_contraction_is_nonzero(beta, pair), (name, pair)
+            verdicts.add((proper.value, proper.certainty))
+    # abc_flow's trig-only base components are sampled for some pairs
+    assert verdicts == {(True, "exact"), (True, "probabilistic"),
+                        (False, "exact"), (False, "probabilistic")}
 
 
 @pytest.mark.parametrize("verticals", [("z", "z"), ("z", "v"), ("z",), ("x", "z", "w")])
