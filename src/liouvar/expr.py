@@ -31,14 +31,15 @@ MAX_NESTING = 32
 
 # Term budget of the normal-form kernel: ``nf_mul`` refuses a product of
 # more term pairs than this, ``nf_sum_of_products`` a sum of products with
-# more term pairs in all, and ``nf_pow`` a power whose multinomial bound
-# on the result's terms is larger, so that an input such as
-# ``(x1 + x2)^8000`` is refused at once instead of running for minutes.
-# The pair budget also holds for each squaring inside ``nf_pow``, so a
-# power within the multinomial bound can still be refused by ``nf_mul``.
-# The bundled systems and the benchmark ladders reach at most 4 term pairs
-# in a product of two non-constant forms, 96 in a sum of products and 14
-# terms in a normal form.
+# more term pairs in all, counted over the products left after commuted
+# pairs cancel, and ``nf_pow`` a power whose multinomial bound on the
+# result's terms is larger, so that an input such as ``(x1 + x2)^8000``
+# is refused at once instead of running for minutes.  The pair budget
+# also holds for each squaring inside ``nf_pow``, so a power within the
+# multinomial bound can still be refused by ``nf_mul``.  The bundled
+# systems and the benchmark ladders reach at most 4 term pairs in a
+# product of two non-constant forms, 18 in a sum of products (96 before
+# the cancelling) and 14 terms in a normal form.
 MAX_TERMS = 10000
 
 # Coefficient budget: ``nf_pow`` refuses to raise a one-term base when the
@@ -345,13 +346,53 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     return _int_sum(((1, a.int_view(), b.int_view()),))
 
 
+def _cancel_commuted(products):
+    """``products`` with like products grouped before any is multiplied.
+
+    A product with a zero factor is dropped.  A factor whose leading
+    coefficient is negative is negated and its sign moved into the
+    product's sign, so ``a`` and ``-a`` are one factor.  Products over the
+    same unordered pair of factors (``a * b``, ``b * a``, ``b * (-a)``)
+    are one product whose sign is the sum of theirs, and the ones whose
+    signs sum to 0 are dropped.  This is a ring identity, and the
+    accumulator's result is canonical, so the sum is unchanged.  When no
+    pair repeats, ``products`` itself is returned.
+
+    The term order ignores coefficients, so a negated factor's terms are
+    still in canonical order.  Products are keyed by their factors' terms:
+    a negated factor is a tuple and not a new normal form, whose hash
+    would be computed anew.
+    """
+    grouped: dict = {}
+    for sign, a, b in products:
+        ta, tb = a.terms, b.terms
+        if not ta or not tb:
+            continue
+        if ta[0][1] < 0:
+            ta, sign = tuple([(m, -c) for m, c in ta]), -sign
+        if tb[0][1] < 0:
+            tb, sign = tuple([(m, -c) for m, c in tb]), -sign
+        key = frozenset((ta, tb))
+        prev = grouped.get(key)
+        if prev is None:
+            grouped[key] = [sign, ta, tb]
+        else:
+            prev[0] += sign
+    if len(grouped) == len(products):
+        return products
+    return [(sign, NormalForm(ta), NormalForm(tb)) for sign, ta, tb in grouped.values() if sign]
+
+
 def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalForm:
     """Sum of ``sign * a * b`` over ``(sign, a, b)`` triples, sign +1 or -1.
 
-    Every product is accumulated into one integer accumulator and the sum
-    is sorted once.  A single product with a side equal to 1 or -1 returns
-    the other side or its negation.  A sum of more than ``MAX_TERMS`` term
-    products is refused before anything is multiplied.
+    A single product with a side equal to 1 or -1 returns the other side
+    or its negation.  Otherwise like products are grouped first (see
+    ``_cancel_commuted``): the commuted and negated copies of a product
+    add their signs, and those that cancel are never multiplied.  A sum of
+    more than ``MAX_TERMS`` term products, counted over the products that
+    are left, is refused before anything is multiplied.  The rest are
+    accumulated into one integer accumulator and the sum is sorted once.
     """
     if len(products) == 1:
         sign, a, b = products[0]
@@ -361,6 +402,7 @@ def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalF
         unit = _unit_sign(b)
         if unit:
             return a if sign * unit > 0 else nf_neg(a)
+    products = _cancel_commuted(products)
     pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products)
     if pairs > MAX_TERMS:
         raise ExprError(f"sum of {len(products)} products of {pairs} term products "

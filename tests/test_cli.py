@@ -275,19 +275,45 @@ def test_verify_over_the_term_budget_exit_2_within_a_second(tmp_path, capsys, ex
     assert "budget" in capsys.readouterr().err
 
 
+_WIDE_FIELD = {"name": "s", "coordinates": ["x1", "x2", "x3"],
+               "vector_field": ["(x2 + x3 + 1)^20", "(x1 + x3 + 1)^20", "(x1 + x2 + 1)^20"]}
+
+
 def test_verify_over_the_term_budget_of_a_contraction_exit_2_within_a_second(tmp_path, capsys):
-    """Each entry loads within the budget (231 terms); the contractions of
-    the certificates multiply them and are refused before multiplying."""
+    """Each entry loads within the budget (231 terms), and so does the
+    theta coefficient (231 terms).  In Z ⌟ d(theta) each entry multiplies
+    the coefficient's 210-term derivative; these products do not pair, so
+    they are refused before multiplying."""
     path = tmp_path / "system.json"
-    path.write_text(json.dumps({"name": "s", "coordinates": ["x1", "x2", "x3"],
-                                "vector_field": ["(x2 + x3 + 1)^20", "(x1 + x3 + 1)^20",
-                                                 "(x1 + x2 + 1)^20"]}), encoding="utf-8")
+    path.write_text(json.dumps({**_WIDE_FIELD,
+                                "theta": [{"index": [2, 3], "coeff": "(x1 + x2 + x3)^20"}]}),
+                    encoding="utf-8")
     t0 = time.perf_counter()
     rc = main(["verify", str(path)])
     elapsed = time.perf_counter() - t0
     assert rc == 2 and elapsed < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "budget of 10000 term products" in err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--hodge"], ["characteristic"]])
+def test_contraction_products_that_cancel_pairwise_are_not_refused(tmp_path, capsys, argv):
+    """Each X^i is free of x_i, so the field is Liouville.  The products of
+    Z ⌟ d(theta) and of the psi certificates are X^i·X^j − X^j·X^i, each
+    far over the term budget, and they cancel before they are multiplied."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_WIDE_FIELD), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main([argv[0], str(path)] + argv[1:])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and elapsed < 1.0
+    report = read_json(capsys)
+    if argv[0] == "verify":
+        assert report["overall"] == "PASS"
+        assert all(c["verdict"] == "PASS" and c["certainty"] == "exact"
+                   for c in report["certificates"])
+    else:
+        assert report["W_matches_annihilator"] is True and report["certainty"] == "exact"
 
 
 _HUGE = "7" * 401

@@ -23,6 +23,7 @@ from liouvar.expr import (
     ZeroTestConfig,
     differentiate,
     NF_ONE,
+    NF_ZERO,
     NormalForm,
     _COS,
     _SIN,
@@ -903,6 +904,47 @@ def test_kernel_equals_the_fraction_reference_term_for_term(products):
     _assert_same_terms(nf_add(forms[0]), _reference_add(forms[0]))
     for nf in forms:
         _assert_canonical(nf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), _kernel_forms(), _kernel_forms()),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=6))
+def test_commuted_and_negated_copies_equal_the_fraction_reference(products, copies):
+    """Each copy of a drawn product is ``(s, b, a)``, ``(-s, -a, b)`` or
+    ``(s, -b, -a)``: commuted, negated, or both."""
+    products = list(products)
+    for index, how in copies:
+        s, a, b = products[index % len(products)]
+        products.append((s, b, a) if how == 0 else (-s, nf_neg(a), b) if how == 1
+                        else (s, nf_neg(b), nf_neg(a)))
+    _assert_same_terms(nf_sum_of_products(*products), _reference_sum_of_products(*products))
+
+
+def test_sum_of_products_that_cancels_completely_multiplies_nothing(monkeypatch):
+    a = q("2/3*x1*sin(x2) - x3 + 1")
+    b = q("-1/7*x2^2*cos(x1 + x3) + x1")
+
+    def fail(m1, m2):
+        raise AssertionError("multiplied a product that cancels")
+
+    monkeypatch.setattr(expr_module, "_mono_mul", fail)
+    assert nf_sum_of_products((1, a, b), (-1, b, a)) == NF_ZERO
+    assert nf_sum_of_products((1, a, b), (1, nf_neg(b), a), (-1, a, NF_ZERO)) == NF_ZERO
+    assert nf_sum_of_products((1, a, b), (1, b, nf_neg(a)), (1, nf_neg(b), nf_neg(a)),
+                              (-1, b, a)) == NF_ZERO
+
+
+def test_sum_of_products_counts_the_budget_after_cancelling():
+    wide = q(" + ".join(f"x1^{k}" for k in range(1, 101)))
+    other = q(" + ".join(f"x2^{k}" for k in range(1, 101)))
+    assert len(wide.terms) * len(other.terms) == MAX_TERMS
+    # 30000 raw term products, of which 10000 survive
+    got = nf_sum_of_products((1, wide, other), (-1, other, wide), (1, nf_neg(other), nf_neg(wide)))
+    assert got == nf_mul(wide, other)
+    # a product counted twice is one product of sign 2
+    doubled = nf_sum_of_products((1, wide, other), (1, other, wide))
+    assert doubled == nf_scale(nf_mul(wide, other), 2)
 
 
 def test_int_view_scales_coefficients_to_their_lcm():
