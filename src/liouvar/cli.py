@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
     try:
         ext = build_extended(b, config)
     except PotentialError as exc:
-        certs.append(Certificate("potential_available", False, "exact", detail=str(exc)))
+        certs.append(Certificate("potential_available", False, exc.certainty, detail=str(exc)))
     except DegenerateThetaError as exc:
         certs.append(Certificate("theta_nondegenerate", False, exc.certainty, detail=str(exc)))
     if ext is not None:
@@ -150,14 +150,13 @@ def cmd_verify(args) -> int:
             "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))
         certs.extend(verify_characteristic(ext, config))
-        verticals = _verticals(args, ext, b)
-        proper = is_proper(ext.dtheta, verticals, config)
+        dec = decompose_beta(ext.dtheta, _verticals(args, ext, b))
+        proper = is_proper(dec, config)
         certs.append(Certificate("proper_principle", proper.value, proper.certainty,
                                  detail="double vertical contraction of d(theta) is nonzero"
                                  if proper.value else "double vertical contraction vanishes"))
         if proper.value:
-            pf = psi_forms(ext.dtheta, verticals, config)
-            certs.extend(pf.certificates)
+            certs.extend(psi_forms(dec, config).certificates)
         if args.hodge:
             certs.append(hodge_check(ext, config=config))
     passed = all(c.passed for c in certs)
@@ -178,10 +177,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_gamma(args) -> int:
-    _, sys = _load(args)
+    config, sys = _load(args)
     b = sys.bound_copy
     flux = interior_product(b.field, b.omega)
-    gamma = solve_gamma(flux)
+    gamma = solve_gamma(flux, config)
     residual = exterior_derivative(gamma) - flux
     out = {
         **_header(sys.name),

@@ -296,14 +296,24 @@ def nf_term(monomial, coeff) -> NormalForm:
     return NormalForm(((monomial, _coeff(coeff)),)) if coeff else NF_ZERO
 
 
-def nf_add(*forms: NormalForm) -> NormalForm:
-    """Sum of any number of normal forms, sorted once.
+def nf_from_terms(terms: Iterable[tuple[tuple, int | Fraction]]) -> NormalForm:
+    """The normal form of the sum of ``coeff * monomial`` over ``(monomial,
+    coeff)`` pairs with rational coefficients, sorted once.
 
-    A sum multiplies nothing, so it adds the stored coefficients in one
-    dict rather than through the integer accumulator: a coefficient whose
-    monomial occurs once is kept as it is, and only colliding ones are
-    added.
+    It multiplies nothing, so it adds the coefficients in one dict rather
+    than through the integer accumulator: a coefficient whose monomial
+    occurs once is kept as it is, only colliding ones are added, and the
+    zeros are dropped.
     """
+    acc: dict = {}
+    for m, c in terms:
+        _acc_add(acc, m, c)
+    return _freeze(acc)
+
+
+def nf_add(*forms: NormalForm) -> NormalForm:
+    """Sum of any number of normal forms: ``nf_from_terms`` over their
+    terms, with its loop written out, which saves the chained iterator."""
     acc: dict = {}
     for f in forms:
         for m, c in f.terms:

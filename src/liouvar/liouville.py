@@ -24,10 +24,10 @@ from .expr import (
     is_zero,
     nf_add,
     nf_divide,
+    nf_from_terms,
     nf_neg,
     nf_scale,
     nf_sum_of_products,
-    nf_term,
     normal_form,
     render,
     substitute,
@@ -73,7 +73,12 @@ class DegenerateThetaError(SystemInvariantError):
 
 
 class PotentialError(LiouvilleError):
-    pass
+    """No potential is solved; ``certainty`` is that of the verdict behind
+    the refusal, which is a zero test's only for a form found not closed."""
+
+    def __init__(self, message: str, certainty: str = EXACT):
+        super().__init__(message)
+        self.certainty = certainty
 
 
 class NormalizationError(LiouvilleError):
@@ -300,36 +305,40 @@ def is_liouville(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_TES
 # Potentials
 
 
-def solve_gamma(chi: DiffForm) -> DiffForm:
+def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> DiffForm:
     """Radial homotopy potential: returns gamma with d(gamma) = chi.
 
-    Requires polynomial coefficients and a closed input; each monomial
-    c dx^I of coordinate degree d contributes
-    sum_j (-1)^(j-1) x^(i_j) c / (k + d) dx^(I without i_j).
+    The input must be closed, as ``form_is_zero`` decides d(chi) at
+    ``config``, and then polynomial.  The operator is rational-linear on
+    monomials: each term c m dx^I, with m of coordinate degree d,
+    contributes sum_j (-1)^(j-1) c / (k + d) m x^(i_j) dx^(I without i_j).
+    The contributions are collected per output index by ``nf_from_terms``,
+    so nothing is multiplied but monomials by one coordinate.
     """
     space = chi.space
     k = chi.degree
     if k < 1:
         raise PotentialError("potential solving requires degree >= 1")
+    if k < space.dim:
+        closed = form_is_zero(exterior_derivative(chi), config)
+        if not closed.value:
+            raise PotentialError("input form is not closed", closed.certainty)
     if any(c.has_trig() for c in chi.nfs.values()):
         raise PotentialError("non-polynomial coefficients: supply the potential explicitly")
-    if k < space.dim:
-        closure = exterior_derivative(chi)
-        if not closure.is_zero_form:
-            raise PotentialError("input form is not closed")
-    coords = set(space.coordinates)
-    position_nf = [space.parse(c) for c in space.coordinates]
-    acc: dict[int, list] = {}
+    # every atom is a symbol now; a coordinate's is (0, name)
+    positions = [(0, x) for x in space.coordinates]
+    coords = set(positions)
+    terms: dict[int, list] = {}
     for K, c in chi.nfs.items():
+        targets = [(terms.setdefault(K ^ (1 << pos), []).append, j % 2, positions[pos])
+                   for j, pos in enumerate(index_positions(K))]
         for mono, coeff in c.terms:
-            coord_degree = sum(e for (kind, payload), e in mono
-                               if kind == 0 and payload in coords)
-            term = nf_term(mono, Fraction(coeff, k + coord_degree))
-            for j, pos in enumerate(index_positions(K)):
-                acc.setdefault(K ^ (1 << pos), []).append(
-                    (-1 if j % 2 else 1, position_nf[pos], term))
-    return DiffForm(space, k - 1, {K: nf_sum_of_products(*products)
-                                   for K, products in acc.items()})
+            exps = dict(mono)
+            q = Fraction(coeff, k + sum(e for atom, e in mono if atom in coords))
+            signed = (q, -q)
+            for append, odd, x in targets:
+                append((tuple(sorted({**exps, x: exps.get(x, 0) + 1}.items())), signed[odd]))
+    return DiffForm(space, k - 1, {K: nf_from_terms(pairs) for K, pairs in terms.items()})
 
 
 def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
@@ -358,7 +367,7 @@ def build_extended(sys: LiouvilleSystem,
     else:
         sigma = sys.sigma if sys.sigma is not None else default_sigma(sys.space, sys.omega)
         gamma = sys.gamma if sys.gamma is not None else solve_gamma(
-            interior_product(sys.field, sys.omega))
+            interior_product(sys.field, sys.omega), config)
         dt = basis_form(ext, TIME_COORDINATE)
         theta = promote_form(sigma, ext) + wedge(dt, promote_form(gamma, ext))
     dtheta = exterior_derivative(theta)
@@ -441,8 +450,8 @@ def split_chart(space: Space, verticals: tuple[str, str] | None = None) -> Space
 
 @dataclass
 class CharacteristicDecomposition:
-    """Components (A^mu, f, g), as normal forms, of a degree-(n-1) form in a
-    split chart."""
+    """Components (A^mu, f, g), as normal forms, of a degree-(n-1) form
+    ``beta`` in a split chart; ``beta`` is the form in that chart."""
 
     space: Space
     base: tuple[str, ...]
@@ -450,6 +459,7 @@ class CharacteristicDecomposition:
     coefficients: tuple[NormalForm, ...]
     f: NormalForm
     g: NormalForm
+    beta: DiffForm
 
     @property
     def k(self) -> int:
@@ -475,7 +485,7 @@ def decompose_beta(beta: DiffForm,
     *coefficients, f, g = flux_field(beta).nfs
     k = chart.dim - 2
     dec = CharacteristicDecomposition(chart, chart.coordinates[:k], chart.coordinates[k:],
-                                      tuple(coefficients), f, g)
+                                      tuple(coefficients), f, g, beta)
     if dec.recompose() != beta:
         raise LiouvilleError("internal error: decomposition does not recompose to the input")
     return dec
@@ -491,15 +501,15 @@ def characteristic_field(dec: CharacteristicDecomposition,
                                  vanish.certainty)
 
 
-def is_proper(beta: DiffForm, verticals: tuple[str, str] | None = None,
+def is_proper(dec: CharacteristicDecomposition,
               config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
-    """The base components A^mu of beta must not all vanish, decided by
-    ``all_zero`` as in ``characteristic_field``.
+    """The base components A^mu of the decomposed form must not all vanish,
+    decided by ``all_zero`` as in ``characteristic_field``.
 
     ``value`` is True when they do not all vanish; ``certainty`` is that of
     the zero tests.  A ZeroResult is always truthy: read ``value``.
     """
-    vanish = all_zero(decompose_beta(beta, verticals).coefficients, config)
+    vanish = all_zero(dec.coefficients, config)
     return ZeroResult(not vanish.value, vanish.certainty)
 
 
@@ -510,23 +520,19 @@ class PsiForms:
     certificates: list[Certificate]
 
 
-def psi_forms(beta: DiffForm, verticals: tuple[str, str] | None = None,
+def psi_forms(dec: CharacteristicDecomposition,
               config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> PsiForms:
-    """Vertical contractions Psi_i of beta plus the W ⌟ Psi_i = 0 certificates.
+    """Vertical contractions Psi_i of the decomposed form beta, in its split
+    chart, plus the W ⌟ Psi_i = 0 certificates.
 
     Psi_1 = d_z ⌟ beta and Psi_2 = d_w ⌟ beta.  Interior products
     anticommute, so W ⌟ Psi_i is taken as -(d_z ⌟ (W ⌟ beta)) and
     -(d_w ⌟ (W ⌟ beta)), contracting W with beta once.
     """
-    space = beta.space
-    chart = split_chart(space, verticals)
-    if chart != space:
-        beta = reorder_form(beta, chart)
-    z, w = chart.coordinates[-2], chart.coordinates[-1]
-    d_z, d_w = coordinate_vector(chart, z), coordinate_vector(chart, w)
+    beta = dec.beta
+    d_z, d_w = (coordinate_vector(dec.space, v) for v in dec.verticals)
     psi1 = interior_product(d_z, beta)
     psi2 = interior_product(d_w, beta)
-    dec = decompose_beta(beta, (z, w))
     W = characteristic_field(dec, config)
     w_beta = interior_product(W, beta)
     certs = [

@@ -462,6 +462,26 @@ def test_solve_gamma_trig_rejected(example_dir, capsys):
     assert "non-polynomial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve-gamma", "characteristic"])
+def test_a_flux_that_is_not_closed_is_refused_as_such(example_dir, capsys, command):
+    # abc_paper_verbatim has trig coefficients, and no potential exists
+    rc = main([command, str(example_dir / "abc_paper_verbatim.json")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: input form is not closed\n"
+
+
+def test_verify_names_a_flux_that_is_not_closed_as_the_missing_potential(example_dir, capsys):
+    rc = main(["verify", str(example_dir / "abc_paper_verbatim.json")])
+    report = read_json(capsys)
+    assert rc == 1
+    certs = {c["name"]: c for c in report["certificates"]}
+    assert certs["potential_available"] == {
+        "name": "potential_available", "verdict": "FAIL", "certainty": "probabilistic",
+        "detail": "input form is not closed"}
+    assert certs["liouville_flux_closed"]["certainty"] == "probabilistic"
+
+
 def test_solve_gamma_free_particle_matches_stored(example_dir, capsys):
     # the homotopy representative differs from the stored potential by a closed form
     rc = main(["solve-gamma", str(example_dir / "free_particle.json")])

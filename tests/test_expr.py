@@ -1,6 +1,7 @@
 """Unit tests for the exact scalar-expression kernel."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import liouvar.expr as expr_module
+import liouvar.liouville as liouville_module
 from liouvar.expr import (
     EXACT,
     MAX_COEFF_BITS,
@@ -47,7 +49,7 @@ from liouvar.expr import (
     render,
     substitute,
 )
-from liouvar.exterior import DiffForm, Space, exterior_derivative
+from liouvar.exterior import DiffForm, Space, exterior_derivative, index_positions
 from liouvar.flow import compile_scalar
 from liouvar.liouville import solve_gamma
 
@@ -802,6 +804,78 @@ def test_solve_gamma_exact_with_denominators(coefficients):
     assert exterior_derivative(gamma) == chi
     for nf in gamma.nfs.values():
         _assert_canonical(nf)
+
+
+def _reference_solve_gamma(chi):
+    """The radial homotopy as a sum of products: each term c m dx^I of
+    coordinate degree d becomes the one-term normal form c / (k + d) m, and
+    every output coefficient is one ``nf_sum_of_products`` over the products
+    +-x^(i_j) * (c / (k + d) m)."""
+    space = chi.space
+    k = chi.degree
+    coords = set(space.coordinates)
+    position_nf = [space.parse(c) for c in space.coordinates]
+    acc = {}
+    for K, c in chi.nfs.items():
+        for mono, coeff in c.terms:
+            coord_degree = sum(e for (kind, payload), e in mono
+                               if kind == _SYM and payload in coords)
+            term = nf_term(mono, Fraction(coeff, k + coord_degree))
+            for j, pos in enumerate(index_positions(K)):
+                acc.setdefault(K ^ (1 << pos), []).append(
+                    (-1 if j % 2 else 1, position_nf[pos], term))
+    return DiffForm(space, k - 1, {K: nf_sum_of_products(*products)
+                                   for K, products in acc.items()})
+
+
+@st.composite
+def _closed_forms(draw):
+    """chi = d(alpha) on R3 to R5, alpha of any degree below n, with
+    Fraction coefficients over the coordinates and the parameters a and b,
+    which do not count towards a monomial's coordinate degree."""
+    n = draw(st.integers(3, 5))
+    coords = tuple(f"x{i}" for i in range(1, n + 1))
+    space = Space(f"r{n}", coords, ("a", "b"))
+    degree = draw(st.integers(0, n - 1))
+    indices = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), degree))),
+                            min_size=1, max_size=3, unique=True))
+    return exterior_derivative(DiffForm(space, degree, {
+        idx: draw(polynomials(symbols=coords + ("a", "b"), max_terms=4)) for idx in indices}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_forms())
+def test_solve_gamma_equals_the_sum_of_products_reference(chi):
+    gamma = solve_gamma(chi)
+    want = _reference_solve_gamma(chi)
+    assert gamma.nfs.keys() == want.nfs.keys()
+    for K, nf in want.nfs.items():
+        _assert_same_terms(gamma.nfs[K], nf)
+    assert exterior_derivative(gamma) == chi
+    for nf in gamma.nfs.values():
+        _assert_canonical(nf)
+
+
+def test_solve_gamma_multiplies_no_normal_forms(monkeypatch):
+    space = Space("r4", ("x1", "x2", "x3", "x4"), ("a",))
+    chi = exterior_derivative(DiffForm(space, 2, {
+        (0, 1): space.parse("a*x3^2*x4 - 1/3*x1"),
+        (1, 3): space.parse("x1*x2*x3 + 2/5*a"),
+        (2, 3): space.parse("a^2*x1*x2 - 7*x4^3"),
+    }))
+    want = _reference_solve_gamma(chi)
+    # the closure check differentiates chi's coefficients, which keep their
+    # derivatives: taken here, they are not taken again inside solve_gamma
+    assert exterior_derivative(chi).is_zero_form
+
+    def refuse(*_args):
+        raise AssertionError("the radial homotopy multiplied normal forms")
+
+    monkeypatch.setattr(expr_module, "_int_sum", refuse)
+    monkeypatch.setattr(expr_module, "nf_sum_of_products", refuse)
+    monkeypatch.setattr(liouville_module, "nf_sum_of_products", refuse)
+    gamma = solve_gamma(chi)
+    assert gamma == want and not gamma.is_zero_form
 
 
 # --------------------------------------------------------------------------

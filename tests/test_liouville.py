@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import liouvar.liouville as liouville_module
 from liouvar.expr import (
     ZeroResult,
+    ZeroTestConfig,
     is_zero,
     nf_mul,
     normal_form,
@@ -151,6 +153,40 @@ def test_solve_gamma_non_polynomial():
     chi = DiffForm(sp, 1, {(0,): sp.parse("cos(x2)*0 + sin(x2)")})
     with pytest.raises(PotentialError):
         solve_gamma(chi)
+
+
+_R2 = Space("s", ("x1", "x2"))
+
+
+@pytest.mark.parametrize("coeffs, message, certainty", [
+    # decided exactly: a polynomial closure
+    ({(1,): "x1*x2"}, "input form is not closed", "exact"),
+    # decided by sampling: a trig-only closure, -cos(x2) dx1^dx2
+    ({(0,): "sin(x2)"}, "input form is not closed", "probabilistic"),
+    # closed: d(sin(x1) dx1) is the zero form
+    ({(0,): "sin(x1)"}, "non-polynomial", "exact"),
+    # closed by angle addition, a sampled identity
+    ({(0,): "sin(x1 + x2)", (1,): "sin(x1)*cos(x2) + cos(x1)*sin(x2)"}, "non-polynomial", "exact"),
+])
+def test_solve_gamma_decides_closure_before_refusing_trig(coeffs, message, certainty):
+    chi = DiffForm(_R2, 1, {idx: _R2.parse(text) for idx, text in coeffs.items()})
+    with pytest.raises(PotentialError, match=message) as refusal:
+        solve_gamma(chi)
+    assert refusal.value.certainty == certainty
+
+
+def test_solve_gamma_decides_closure_at_the_callers_zero_test(bundle, monkeypatch):
+    configs = []
+
+    def recording(form, config):
+        configs.append(config)
+        return form_is_zero(form, config)
+
+    monkeypatch.setattr(liouville_module, "form_is_zero", recording)
+    config = ZeroTestConfig(seed=7)
+    with pytest.raises(PotentialError, match="not closed"):
+        build_extended(bundle["abc_paper_verbatim"].bound(), config)
+    assert configs == [config]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -384,7 +420,7 @@ def test_proper_examples(bundle):
                  "harmonic_oscillator_m2", "pauli_spin", "nambu_rotor",
                  "charged_particle_constB", "free_particle", "hyperham_generic"):
         ext = build_extended(bundle[name].bound())
-        proper = is_proper(ext.dtheta)
+        proper = is_proper(decompose_beta(ext.dtheta))
         assert proper.value, name
         # abc_flow's d(theta) has trig atoms, but dσ = Ω puts a constant
         # coefficient in it, the base component along t: a trig-free
@@ -396,7 +432,7 @@ def test_proper_examples(bundle):
 def test_improper_form():
     sp = Space("d", ("x", "z", "w"))
     beta = basis_form(sp, "x", "z", coeff=sp.parse("x"))
-    proper = is_proper(beta)
+    proper = is_proper(decompose_beta(beta))
     assert not proper.value and proper.certainty == "exact"
     with pytest.raises(ImproperPrincipleError):
         characteristic_field(decompose_beta(beta))
@@ -404,7 +440,7 @@ def test_improper_form():
 
 def test_proper_vertical_area():
     sp = Space("d", ("x", "z", "w"))
-    assert is_proper(basis_form(sp, "z", "w")).value
+    assert is_proper(decompose_beta(basis_form(sp, "z", "w"))).value
 
 
 def test_improper_refusal_ends_with_the_certainty_of_its_zero_tests():
@@ -449,7 +485,7 @@ def test_is_proper_agrees_with_the_double_vertical_contraction(bundle):
     verdicts = set()
     for name, beta in betas.items():
         for pair in itertools.permutations(beta.space.coordinates, 2):
-            proper = is_proper(beta, pair)
+            proper = is_proper(decompose_beta(beta, pair))
             assert proper == _double_contraction_is_nonzero(beta, pair), (name, pair)
             verdicts.add((proper.value, proper.certainty))
     # abc_flow's trig-only base components are sampled for some pairs
@@ -461,7 +497,7 @@ def test_is_proper_agrees_with_the_double_vertical_contraction(bundle):
 def test_split_chart_and_is_proper_refuse_what_is_not_two_distinct_coordinates(verticals):
     sp = Space("d", ("x", "z", "w"))
     beta = basis_form(sp, "z", "w")
-    for check in (vertical_pair, split_chart, lambda sp, v: is_proper(beta, v)):
+    for check in (vertical_pair, split_chart, lambda sp, v: is_proper(decompose_beta(beta, v))):
         with pytest.raises(GeometryError, match="must be two distinct coordinates"):
             check(sp, verticals)
 
@@ -479,7 +515,7 @@ def test_a_vertical_pair_leaves_a_base_coordinate():
 
 def test_psi_oscillator(oscillator):
     ext = build_extended(oscillator)
-    pf = psi_forms(ext.dtheta)
+    pf = psi_forms(decompose_beta(ext.dtheta))
     # Psi_1 = dp + q dt, Psi_2 = -dq + p dt
     sp = ext.space
     assert pf.psi1 == DiffForm(sp, 1, {(2,): 1, (0,): sp.parse("q")})
@@ -489,14 +525,14 @@ def test_psi_oscillator(oscillator):
 
 def test_psi_euler(euler_symbolic):
     ext = build_extended(euler_symbolic)
-    pf = psi_forms(ext.dtheta)
+    pf = psi_forms(decompose_beta(ext.dtheta))
     assert all(c.passed and c.certainty == "exact" for c in pf.certificates)
 
 
 def test_psi_vertical_area():
     sp = Space("d", ("x", "z", "w"))
     beta = basis_form(sp, "z", "w")
-    pf = psi_forms(beta)
+    pf = psi_forms(decompose_beta(beta))
     assert pf.psi1 == basis_form(sp, "w")
     assert pf.psi2 == -basis_form(sp, "z")
     assert all(c.passed for c in pf.certificates)
@@ -513,8 +549,9 @@ def test_psi_certificates_equal_the_direct_contraction_on_every_bundled_system(b
             # abc_paper_verbatim: not volume-preserving, so it has no gamma
             continue
         checked.append(name)
-        pf = psi_forms(beta)
-        W = characteristic_field(decompose_beta(beta))
+        dec = decompose_beta(beta)
+        pf = psi_forms(dec)
+        W = characteristic_field(dec)
         direct = [Certificate(f"psi{i}_annihilated_by_W", *_verdict(interior_product(W, psi)))
                   for i, psi in ((1, pf.psi1), (2, pf.psi2))]
         assert pf.certificates == direct, name
