@@ -300,7 +300,7 @@ def cmd_integrate(args) -> int:
                 seed = list(base_seed)
                 seed[k] += offset
                 seeds.append(seed)
-            report = section_sweep(dec, seeds, args.h, args.T, params=bindings)
+            report = section_sweep(dec, seeds, args.h, args.T, params=bindings, config=config)
             diagnostics["sweep"] = report.to_json()
         except (LiouvilleError, BlowupError) as exc:
             raise LiouvilleError(f"sweep failed: {exc}") from exc

@@ -29,17 +29,17 @@ PROBABILISTIC = "probabilistic"
 # generated Python source well inside the interpreter's limits.
 MAX_NESTING = 32
 
-# Term budget of the normal-form kernel: ``nf_mul`` refuses a product of
-# more term pairs than this, ``nf_sum_of_products`` a sum of products with
-# more term pairs in all, counted over the products left after commuted
-# pairs cancel, and ``nf_pow`` a power whose multinomial bound on the
-# result's terms is larger, so that an input such as ``(x1 + x2)^8000``
-# is refused at once instead of running for minutes.  The pair budget
-# also holds for each squaring inside ``nf_pow``, so a power within the
-# multinomial bound can still be refused by ``nf_mul``.  The bundled
-# systems and the benchmark ladders reach at most 4 term pairs in a
-# product of two non-constant forms, 18 in a sum of products (96 before
-# the cancelling) and 14 terms in a normal form.
+# Term budget of the normal-form kernel, whose products all enter through
+# ``nf_sum_of_products`` (``nf_mul`` is its one-product case) and whose
+# sums, which have no budget, through ``nf_from_terms``.  The one product
+# rule: a sum of products taking more term products than this is refused
+# before anything is multiplied, counted after commuted pairs cancel and
+# without the products with a constant side, which only scale.  ``nf_pow``
+# refuses a power whose multinomial bound on the result's terms is larger,
+# so ``(x1 + x2)^8000`` is refused at once; each of its squarings is a
+# product under the rule.  The bundled systems and the benchmark ladders
+# reach at most 4 term pairs in a product of two non-constant forms, 18 in
+# a sum of products (96 before the cancelling) and 14 terms in a form.
 MAX_TERMS = 10000
 
 # Coefficient budget: ``nf_pow`` refuses to raise a one-term base when the
@@ -220,11 +220,6 @@ def _freeze(acc: dict) -> NormalForm:
     return NormalForm(tuple(items))
 
 
-def _acc_add(acc: dict, monomial, coeff) -> None:
-    prev = acc.get(monomial)
-    acc[monomial] = coeff if prev is None else prev + coeff
-
-
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -244,8 +239,8 @@ _UNIT_VIEW = (1, _ONE_TERMS)
 
 
 def _int_sum(products) -> NormalForm:
-    """The product accumulator of the kernel (``nf_mul``,
-    ``nf_sum_of_products``, ``differentiate``): the sum of ``sign * a * b`` over
+    """The product accumulator of the kernel (``nf_sum_of_products`` and
+    ``differentiate``): the sum of ``sign * a * b`` over
     ``(sign, a, b)``, where ``a`` and ``b`` are integer views (see
     ``NormalForm.int_view``) and ``sign`` is an int.
 
@@ -300,25 +295,23 @@ def nf_from_terms(terms: Iterable[tuple[tuple, int | Fraction]]) -> NormalForm:
     """The normal form of the sum of ``coeff * monomial`` over ``(monomial,
     coeff)`` pairs with rational coefficients, sorted once.
 
-    It multiplies nothing, so it adds the coefficients in one dict rather
-    than through the integer accumulator: a coefficient whose monomial
-    occurs once is kept as it is, only colliding ones are added, and the
-    zeros are dropped.
+    The sum accumulator of the kernel: it multiplies nothing, so it adds
+    the coefficients in one dict rather than through the integer
+    accumulator.  A coefficient whose monomial occurs once is kept as it
+    is, only colliding ones are added, and the zeros are dropped.
     """
     acc: dict = {}
+    get = acc.get
     for m, c in terms:
-        _acc_add(acc, m, c)
+        prev = get(m)
+        acc[m] = c if prev is None else prev + c
     return _freeze(acc)
 
 
 def nf_add(*forms: NormalForm) -> NormalForm:
-    """Sum of any number of normal forms: ``nf_from_terms`` over their
-    terms, with its loop written out, which saves the chained iterator."""
-    acc: dict = {}
-    for f in forms:
-        for m, c in f.terms:
-            _acc_add(acc, m, c)
-    return _freeze(acc)
+    """Sum of any number of normal forms, by ``nf_from_terms`` over their
+    terms; a lone form is returned itself."""
+    return forms[0] if len(forms) == 1 else nf_from_terms([t for f in forms for t in f.terms])
 
 
 def nf_neg(a: NormalForm) -> NormalForm:
@@ -340,20 +333,8 @@ def nf_scale(a: NormalForm, factor) -> NormalForm:
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Product; refused when it takes more than ``MAX_TERMS`` term products.
-    A side equal to 1 or -1 returns the other side or its negation."""
-    if not a.terms or not b.terms:
-        return NF_ZERO
-    unit = _unit_sign(a)
-    if unit:
-        return b if unit > 0 else nf_neg(b)
-    unit = _unit_sign(b)
-    if unit:
-        return a if unit > 0 else nf_neg(a)
-    if not (a.is_constant() or b.is_constant()) and len(a.terms) * len(b.terms) > MAX_TERMS:
-        raise ExprError(f"product of a {len(a.terms)}-term and a {len(b.terms)}-term expression "
-                        f"exceeds the budget of {MAX_TERMS} term products")
-    return _int_sum(((1, a.int_view(), b.int_view()),))
+    """Product: the one-product case of ``nf_sum_of_products``."""
+    return nf_sum_of_products((1, a, b))
 
 
 def _cancel_commuted(products):
@@ -396,24 +377,27 @@ def _cancel_commuted(products):
 def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalForm:
     """Sum of ``sign * a * b`` over ``(sign, a, b)`` triples, sign +1 or -1.
 
-    A single product with a side equal to 1 or -1 returns the other side
-    or its negation.  Otherwise like products are grouped first (see
-    ``_cancel_commuted``): the commuted and negated copies of a product
-    add their signs, and those that cancel are never multiplied.  A sum of
-    more than ``MAX_TERMS`` term products, counted over the products that
-    are left, is refused before anything is multiplied.  The rest are
-    accumulated into one integer accumulator and the sum is sorted once.
+    A single product with a zero side is zero, and one with a side equal
+    to 1 or -1 returns the other side or its negation.  Several products
+    are grouped first (see ``_cancel_commuted``): the commuted and negated
+    copies of a product add their signs, and those that cancel are never
+    multiplied.  The ``MAX_TERMS`` rule is checked before anything is
+    multiplied; the rest go into one integer accumulator, sorted once.
     """
     if len(products) == 1:
         sign, a, b = products[0]
+        if not a.terms or not b.terms:
+            return NF_ZERO
         unit = _unit_sign(a)
         if unit:
             return b if sign * unit > 0 else nf_neg(b)
         unit = _unit_sign(b)
         if unit:
             return a if sign * unit > 0 else nf_neg(a)
-    products = _cancel_commuted(products)
-    pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products)
+    else:
+        products = _cancel_commuted(products)
+    pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products
+                if not (a.is_constant() or b.is_constant()))
     if pairs > MAX_TERMS:
         raise ExprError(f"sum of {len(products)} products of {pairs} term products "
                         f"exceeds the budget of {MAX_TERMS} term products")
@@ -951,22 +935,14 @@ class _Parser:
         tok = self.tokens[self.index]
         if tok != "+" and tok != "-":
             return first
-        # every term goes into one accumulator, which is sorted once
-        acc = dict(first.terms)
+        # the terms of every summand are added up once, by ``nf_from_terms``
+        terms = list(first.terms)
         while tok == "+" or tok == "-":
             self.index += 1
-            term = self._term()
-            get = acc.get
-            if tok == "+":
-                for m, c in term.terms:
-                    prev = get(m)
-                    acc[m] = c if prev is None else prev + c
-            else:
-                for m, c in term.terms:
-                    prev = get(m)
-                    acc[m] = -c if prev is None else prev - c
+            summand = self._term().terms
+            terms += summand if tok == "+" else [(m, -c) for m, c in summand]
             tok = self.tokens[self.index]
-        return _freeze(acc)
+        return nf_from_terms(terms)
 
     def _nested(self, parse, index: int) -> NormalForm:
         self.depth += 1

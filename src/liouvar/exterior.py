@@ -130,16 +130,6 @@ def _checked_nf(value, space: Space, what: str) -> NormalForm:
     return nf
 
 
-def _sum_terms(acc: dict) -> dict:
-    """Collapse {index: [normal forms]} into {index: their sum}."""
-    return {K: terms[0] if len(terms) == 1 else nf_add(*terms) for K, terms in acc.items()}
-
-
-def _sum_products(acc: dict) -> dict:
-    """Collapse {index: [(sign, a, b)]} into {index: sum of sign * a * b}."""
-    return {K: nf_sum_of_products(*products) for K, products in acc.items()}
-
-
 def _mask(idx, degree: int, dim: int) -> int:
     """The mask of a multi-index given as a mask or as a sequence of
     positions.  It must match ``degree``, lie in range and, as a sequence,
@@ -369,7 +359,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
         for J, cb in b.nfs.items():
             if not I & J:
                 acc.setdefault(I | J, []).append((_merge_sign(I, J), ca, cb))
-    return DiffForm(a.space, degree, _sum_products(acc))
+    return DiffForm(a.space, degree, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
 
 
 def wedge_power(a: DiffForm, power: int) -> DiffForm:
@@ -393,7 +383,7 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
                 continue
             # dx^pos moves past the entries of I below it
             acc.setdefault(I | bit, []).append(nf_neg(dc) if (I & (bit - 1)).bit_count() & 1 else dc)
-    return DiffForm(a.space, a.degree + 1, _sum_terms(acc))
+    return DiffForm(a.space, a.degree + 1, {K: nf_add(*terms) for K, terms in acc.items()})
 
 
 def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
@@ -409,7 +399,7 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
                 # the contracted entry moves to the front past the entries below it
                 acc.setdefault(I ^ bit, []).append(
                     (-1 if (I & (bit - 1)).bit_count() & 1 else 1, comp, c))
-    return DiffForm(a.space, a.degree - 1, _sum_products(acc))
+    return DiffForm(a.space, a.degree - 1, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
 
 
 def flux_field(alpha: DiffForm) -> VectorField:
@@ -514,14 +504,14 @@ def hodge_star(a: DiffForm, metric: Iterable[Fraction] | None = None) -> DiffFor
         raise MetricError("metric length must equal the dimension")
     sqrt_det = metric_sqrt_det(g)
     everything = (1 << n) - 1
-    acc: dict[int, list[NormalForm]] = {}
+    out: dict[int, NormalForm] = {}  # I -> J is one-to-one: nothing is summed
     for I, c in a.nfs.items():
         J = everything ^ I
         factor = sqrt_det * _merge_sign(I, J)
         for i in index_positions(I):
             factor /= g[i]
-        acc.setdefault(J, []).append(nf_scale(c, factor))
-    return DiffForm(a.space, n - a.degree, _sum_terms(acc))
+        out[J] = nf_scale(c, factor)
+    return DiffForm(a.space, n - a.degree, out)
 
 
 # --------------------------------------------------------------------------
@@ -540,12 +530,12 @@ def reordered_space(space: Space, new_order: Iterable[str]) -> Space:
 
 def reorder_form(a: DiffForm, new_space: Space) -> DiffForm:
     position = {c: i for i, c in enumerate(new_space.coordinates)}
-    acc: dict[int, list[NormalForm]] = {}
+    out: dict[int, NormalForm] = {}  # a permutation of indices: nothing is summed
     for I, c in a.nfs.items():
         mapped = [position[a.space.coordinates[i]] for i in index_positions(I)]
         sign = _permutation_sign(mapped)
-        acc.setdefault(sum(1 << i for i in mapped), []).append(c if sign > 0 else nf_neg(c))
-    return DiffForm(new_space, a.degree, _sum_terms(acc))
+        out[sum(1 << i for i in mapped)] = c if sign > 0 else nf_neg(c)
+    return DiffForm(new_space, a.degree, out)
 
 
 def reorder_field(v: VectorField, new_space: Space) -> VectorField:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .expr import (NormalForm, atom_source, compile_lambda, differentiate, nf_source,
-                   normal_form, trig_atoms)
+from .expr import (DEFAULT_ZERO_TEST, NormalForm, ZeroTestConfig, atom_source, compile_lambda,
+                   differentiate, nf_source, normal_form, trig_atoms)
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -408,8 +408,8 @@ class SweepReport:
 
 
 def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[float]],
-                  h: float, T: float,
-                  params: Mapping[str, float] | None = None) -> SweepReport:
+                  h: float, T: float, params: Mapping[str, float] | None = None,
+                  config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> SweepReport:
     """Sweep a section from seed points and report quasilinear residuals.
 
     Each seed is a full initial state (base coordinates, z, w).  Along an
@@ -417,14 +417,15 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
     section's directional derivatives A^mu du/dx^mu coincide with du/ds;
     they are approximated by second-order central differences on the
     curve parameter and compared against f and g.  The residual is
-    O(h^2) discretization error for exact characteristic data.
+    O(h^2) discretization error for exact characteristic data.  W is
+    ``characteristic_field(dec, config)``, which refuses an improper principle.
     """
     import numpy as np
 
     if not seeds:
         raise FlowError("at least one seed is required")
     params = dict(params or {})
-    W = characteristic_field(dec)
+    W = characteristic_field(dec, config)
     k = dec.k
     f_fn = compile_scalar(dec.f, dec.space.coordinates, params)
     g_fn = compile_scalar(dec.g, dec.space.coordinates, params)

@@ -383,8 +383,8 @@ def verify_characteristic(ext: ExtendedSystem,
     """Certify Z ⌟ d(theta) = 0 and Z ⌟ dt = 1."""
     annihilation = interior_product(ext.field, ext.dtheta)
     cert1 = _zero_certificate("characteristic_annihilation", annihilation, config)
-    dt = basis_form(ext.space, TIME_COORDINATE)
-    normalization = nf_add(interior_product(ext.field, dt).get_nf(()), nf_neg(NF_ONE))
+    # Z ⌟ dt is Z's time component
+    normalization = nf_add(ext.field.nfs[0], nf_neg(NF_ONE))
     res = is_zero(normalization, config)
     cert2 = Certificate("characteristic_normalization", res.value, res.certainty,
                         residual=None if res.value else normalization)
@@ -465,10 +465,14 @@ class CharacteristicDecomposition:
     def k(self) -> int:
         return len(self.base)
 
+    @property
+    def field(self) -> VectorField:
+        """W = sum_mu A^mu d_mu + f d_z + g d_w in the split chart."""
+        return VectorField(self.space, self.coefficients + (self.f, self.g))
+
     def recompose(self) -> DiffForm:
-        """W ⌟ vol in the split chart, W = (A^mu, f, g): the decomposed form."""
-        W = VectorField(self.space, self.coefficients + (self.f, self.g))
-        return interior_product(W, volume_form(self.space))
+        """W ⌟ vol in the split chart: the decomposed form."""
+        return interior_product(self.field, volume_form(self.space))
 
 
 def decompose_beta(beta: DiffForm,
@@ -493,18 +497,18 @@ def decompose_beta(beta: DiffForm,
 
 def characteristic_field(dec: CharacteristicDecomposition,
                          config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> VectorField:
-    """W = sum_mu A^mu d_mu + f d_z + g d_w; requires a proper principle."""
-    vanish = all_zero(dec.coefficients, config)
-    if not vanish.value:
-        return VectorField(dec.space, dec.coefficients + (dec.f, dec.g))
-    raise ImproperPrincipleError("all base components vanish: improper principle",
-                                 vanish.certainty)
+    """``dec.field``; requires a proper principle, as ``is_proper`` decides it."""
+    proper = is_proper(dec, config)
+    if not proper.value:
+        raise ImproperPrincipleError("all base components vanish: improper principle",
+                                     proper.certainty)
+    return dec.field
 
 
 def is_proper(dec: CharacteristicDecomposition,
               config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
     """The base components A^mu of the decomposed form must not all vanish,
-    decided by ``all_zero`` as in ``characteristic_field``.
+    decided by ``all_zero``: the one properness verdict.
 
     ``value`` is True when they do not all vanish; ``certainty`` is that of
     the zero tests.  A ZeroResult is always truthy: read ``value``.
@@ -527,14 +531,14 @@ def psi_forms(dec: CharacteristicDecomposition,
 
     Psi_1 = d_z ⌟ beta and Psi_2 = d_w ⌟ beta.  Interior products
     anticommute, so W ⌟ Psi_i is taken as -(d_z ⌟ (W ⌟ beta)) and
-    -(d_w ⌟ (W ⌟ beta)), contracting W with beta once.
+    -(d_w ⌟ (W ⌟ beta)), contracting W with beta once.  W is ``dec.field``:
+    the caller decides properness first, as ``cmd_verify`` does.
     """
     beta = dec.beta
     d_z, d_w = (coordinate_vector(dec.space, v) for v in dec.verticals)
     psi1 = interior_product(d_z, beta)
     psi2 = interior_product(d_w, beta)
-    W = characteristic_field(dec, config)
-    w_beta = interior_product(W, beta)
+    w_beta = interior_product(dec.field, beta)
     certs = [
         _zero_certificate("psi1_annihilated_by_W", -interior_product(d_z, w_beta), config),
         _zero_certificate("psi2_annihilated_by_W", -interior_product(d_w, w_beta), config),

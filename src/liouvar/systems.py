@@ -23,12 +23,12 @@ from .expr import (
     differentiate,
     is_zero,
     nf_add,
+    nf_from_terms,
     nf_mul,
     nf_neg,
     nf_pow,
     nf_scale,
     nf_sum_of_products,
-    nf_term,
     normal_form,
     parse_rational,
     render,
@@ -422,14 +422,16 @@ def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
 
 
 def _poly_antiderivative(nf: NormalForm, coord: str) -> NormalForm:
-    """Monomial-wise antiderivative with zero integration constant."""
-    if nf.has_trig():
-        raise LiouvilleError("magnetic components must be polynomial")
-    pos_atom = (0, coord)
-    x = nf_term(((pos_atom, 1),), 1)
-    return nf_sum_of_products(
-        *((1, x, nf_term(mono, Fraction(coeff, dict(mono).get(pos_atom, 0) + 1)))
-          for mono, coeff in nf.terms))
+    """Monomial-wise antiderivative of a polynomial with zero integration
+    constant: c m, with e - 1 factors of ``coord`` in m, becomes c / e m
+    ``coord``, a rational-linear map on monomials as in ``solve_gamma``."""
+    x = (0, coord)
+    terms = []
+    for mono, coeff in nf.terms:
+        exps = dict(mono)
+        e = exps[x] = exps.get(x, 0) + 1
+        terms.append((tuple(sorted(exps.items())), Fraction(coeff, e)))
+    return nf_from_terms(terms)
 
 
 def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: Iterable[str] = (),

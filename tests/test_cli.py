@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import liouvar
 import liouvar.cli as cli
+import liouvar.liouville as liouville
 from liouvar.cli import main
 from liouvar.flow import integrate_rk4
 from liouvar.systems import build_hamiltonian, load_system, save_system
@@ -804,6 +805,29 @@ def test_integrate_sweep(example_dir, capsys):
     sweep = out["diagnostics"]["sweep"]
     assert sweep["seeds"] == 5
     assert sweep["max_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("argv, env, seed", [(["--seed", "777"], None, 777),
+                                             ([], "4242", 4242), ([], None, 314159)])
+def test_integrate_sweep_decides_properness_at_the_commands_seed(example_dir, capsys, monkeypatch,
+                                                                 argv, env, seed):
+    seen = []
+    decide = liouville.is_proper
+
+    def recording(dec, config):
+        seen.append(config.seed)
+        return decide(dec, config)
+
+    monkeypatch.setattr(liouville, "is_proper", recording)
+    if env is None:
+        monkeypatch.delenv("LIOUVILLE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LIOUVILLE_SEED", env)
+    rc = main(["integrate", str(example_dir / "abc_flow.json"), "--param", "A=1", "B=1", "C=1",
+               "--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "0.1", "--sweep", *argv])
+    out = read_json(capsys)
+    assert rc == 0 and out["zero_test"]["seed"] == seed
+    assert seen == [seed]
 
 
 # --------------------------------------------------------------------------

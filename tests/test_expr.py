@@ -976,6 +976,7 @@ def test_kernel_equals_the_fraction_reference_term_for_term(products):
     forms = [f for _sign, a, b in products for f in (a, b)]
     _assert_same_terms(nf_add(*forms), _reference_add(*forms))
     _assert_same_terms(nf_add(forms[0]), _reference_add(forms[0]))
+    assert nf_add(forms[0]) is forms[0]
     for nf in forms:
         _assert_canonical(nf)
 
@@ -1041,6 +1042,50 @@ def test_unit_side_returns_the_other_operand_itself():
     # a negation keeps the free symbols already computed
     symbols = a.free_symbols()
     assert nf_neg(a).free_symbols() is symbols
+
+
+def _product_outcome(entry, a, b):
+    try:
+        return entry(a, b)
+    except ExprError as exc:
+        return str(exc)
+
+
+_ONE_PRODUCT_ENTRIES = (nf_mul, lambda a, b: nf_sum_of_products((1, a, b)))
+
+
+def test_nf_mul_is_the_one_product_case_of_the_sum_of_products():
+    a = q("2/3*x1*sin(x2) - x3")
+    b = q("-1/7*x2^2*cos(x1 + x3) + x1 + 5")
+    wide = q(" + ".join(f"x1^{k}" for k in range(1, 101)))
+    wider = nf_add(wide, q("x2"))
+    cases = [(a, b), (b, a), (wide, wide), (q("3/4"), a), (a, q("-2")), (q("x2"), wide),
+             (wide, wider), (wider, wide)]
+    for x, y in cases:
+        got, want = (_product_outcome(entry, x, y) for entry in _ONE_PRODUCT_ENTRIES)
+        if isinstance(want, str):
+            assert got == want and "budget of 10000 term products" in want
+        else:
+            _assert_same_terms(got, want)
+    for entry in _ONE_PRODUCT_ENTRIES:
+        # the shortcuts return the same objects through either entry
+        assert entry(NF_ZERO, a) is NF_ZERO and entry(a, NF_ZERO) is NF_ZERO
+        assert entry(NF_ONE, a) is a and entry(a, q("1")) is a
+        assert entry(q("-1"), a) == nf_neg(a)
+
+
+def test_a_constant_side_is_a_scaling_outside_the_term_budget():
+    big = nf_add(*(nf_term((((_SYM, "x1"), k),), 1) for k in range(1, MAX_TERMS + 2)))
+    assert len(big.terms) == MAX_TERMS + 1
+    for entry in _ONE_PRODUCT_ENTRIES:
+        assert entry(q("2"), big) == nf_scale(big, 2)
+        assert entry(big, q("-3/2")) == nf_scale(big, Fraction(-3, 2))
+        assert entry(NF_ONE, big) is big
+    # in a sum too, a product with a constant side is not counted
+    got = nf_sum_of_products((1, q("2"), big), (1, q("x2"), q("x3")))
+    assert got == nf_add(nf_scale(big, 2), q("x2*x3"))
+    with pytest.raises(ExprError, match="budget"):
+        nf_mul(q("x2"), big)
 
 
 def test_sum_of_products_beyond_the_term_budget_is_refused_before_multiplying(monkeypatch):

@@ -150,8 +150,8 @@ def test_solve_gamma_not_closed():
 
 def test_solve_gamma_non_polynomial():
     sp = Space("s", ("x1", "x2"))
-    chi = DiffForm(sp, 1, {(0,): sp.parse("cos(x2)*0 + sin(x2)")})
-    with pytest.raises(PotentialError):
+    chi = DiffForm(sp, 1, {(0,): sp.parse("cos(x2)*0 + sin(x1)")})
+    with pytest.raises(PotentialError, match="non-polynomial"):
         solve_gamma(chi)
 
 
