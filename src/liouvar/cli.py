@@ -30,10 +30,8 @@ from .exterior import (
     GeometryError,
     fields_equal,
     reorder_field,
-    reorder_form,
     serialize_field,
     serialize_form,
-    volume_form,
 )
 from .liouville import (
     Certificate,
@@ -41,7 +39,6 @@ from .liouville import (
     LiouvilleError,
     PotentialError,
     SystemInvariantError,
-    annihilator_field,
     build_extended,
     characteristic_field,
     decompose_beta,
@@ -201,12 +198,10 @@ def cmd_characteristic(args) -> int:
     ext = build_extended(b, config)
     dec = decompose_beta(ext.dtheta, _verticals(args, ext, b))
     W = characteristic_field(dec, config)
-    Y = annihilator_field(ext.dtheta)
-    Z = normalize_by_dt(Y)
-    # W ⌟ vol = beta in the split chart, whose volume form is +-1 times
-    # that of the original chart: W is Y reordered times that sign
-    orientation = reorder_form(volume_form(ext.space), dec.space).get_nf((1 << dec.space.dim) - 1)
-    witness = fields_equal(W, reorder_field(Y, dec.space) * orientation, config)
+    # W spans ker d(theta): divided by its time component and read in the
+    # original chart, it must be d_t + X
+    Z = normalize_by_dt(reorder_field(W, ext.space))
+    witness = fields_equal(Z, ext.field, config)
     out = {
         **_header(sys.name),
         "base": list(dec.base),

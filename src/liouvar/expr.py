@@ -399,7 +399,8 @@ def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalF
     pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products
                 if not (a.is_constant() or b.is_constant()))
     if pairs > MAX_TERMS:
-        raise ExprError(f"sum of {len(products)} products of {pairs} term products "
+        what = "product" if len(products) == 1 else f"sum of {len(products)} products"
+        raise ExprError(f"{what} of {pairs} term products "
                         f"exceeds the budget of {MAX_TERMS} term products")
     return _int_sum([(sign, a.int_view(), b.int_view()) for sign, a, b in products])
 
@@ -854,6 +855,18 @@ def _tokens(text: str) -> list[str]:
             if c and not (c.isdigit() or c.isalpha() or c in _OPERATORS):
                 raise ParseError(f"unexpected character {c!r}", _position(text, i))
     return tokens
+
+
+def symbol_name_error(name: str) -> str | None:
+    """Why ``name`` cannot be a symbol, or None when it can: a symbol is
+    one word token that the parser reads as an identifier and not as a
+    reserved function name."""
+    if _TOKEN.match(name).group(1) != name or not name[:1].isalpha():
+        return (f"name {name!r} is not an identifier "
+                "(a letter, then letters, digits and underscores)")
+    if name in _RESERVED:
+        return f"'{name}' is a reserved function name"
+    return None
 
 
 def _position(text: str, index: int) -> int:

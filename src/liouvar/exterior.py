@@ -33,6 +33,7 @@ from .expr import (
     parse_expr,
     render,
     substitute,
+    symbol_name_error,
 )
 
 
@@ -50,9 +51,6 @@ class SpaceMismatchError(GeometryError):
 
 class MetricError(GeometryError):
     pass
-
-
-_RESERVED_NAMES = {"sin", "cos"}
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,9 @@ class Space:
         if len(set(names)) != len(names):
             raise GeometryError("coordinate and parameter names must be distinct")
         for n in names:
-            if n in _RESERVED_NAMES:
-                raise GeometryError(f"'{n}' is a reserved function name")
+            problem = symbol_name_error(n)
+            if problem:
+                raise GeometryError(problem)
         if self.metric is not None:
             if len(self.metric) != len(self.coordinates):
                 raise MetricError("metric length must equal the dimension")

@@ -262,13 +262,22 @@ class Trajectory:
     _dets: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def determinants(self) -> np.ndarray:
-        """det of every tangent map (LU determinants), computed once."""
+        """det of every tangent map (LU determinants), computed once.
+
+        Raises ``BlowupError`` at the first step whose finite tangent map
+        has a determinant that overflows.
+        """
         if self.tangents is None:
             raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
         if self._dets is None:
             import numpy as np
 
-            self._dets = np.linalg.det(self.tangents)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dets = np.linalg.det(self.tangents)
+            finite = np.isfinite(dets)
+            if not finite.all():
+                raise BlowupError(int(np.argmin(finite)), "tangent-map determinant")
+            self._dets = dets
         return self._dets
 
 

@@ -184,6 +184,7 @@ def test_verify_bad_base_split(example_dir, capsys):
 _XT = {"name": "xt", "coordinates": ["x", "t"], "vector_field": ["t", "-1*x"]}
 _X1_X1 = {"base_split": {"base_count": 2, "verticals": ["x1", "x1"]}}
 _FLOW = ["--x0", "1,0.5,0.25", "--h", "0.01", "--T", "0.1"]
+_NAMES = {"name": "names", "coordinates": ["x1", "x2"], "vector_field": ["x2", "1"]}
 
 # malformed inputs that reach past the loader's type checks: the system
 # file (a bundled stem or the whole file), the entries that replace its
@@ -208,6 +209,14 @@ _INPUT_ERRORS = {
     "integrate --csv in a missing directory": (
         "euler_top", {}, ["integrate", *_FLOW, "--csv", "@missing/x.csv"],
         "No such file or directory"),
+    "coordinate 1": (_NAMES, {"coordinates": ["1", "x2"]}, ["verify"],
+                     "name '1' is not an identifier"),
+    "coordinate empty": (_NAMES, {"coordinates": ["", "x2"]}, ["characteristic"],
+                         "name '' is not an identifier"),
+    "coordinate x 1": (_NAMES, {"coordinates": ["x 1", "x2"]}, ["verify"],
+                       "name 'x 1' is not an identifier"),
+    "parameter 2a": (_NAMES, {"parameters": {"2a": "1"}}, ["verify"],
+                     "name '2a' is not an identifier"),
     "--param mu=5": ("euler_top", {}, ["integrate", *_FLOW, "--param", "mu=5"],
                      "'mu' is not a parameter of this system"),
     "--param =3": ("euler_top", {}, ["integrate", *_FLOW, "--param", "=3"],
@@ -535,8 +544,9 @@ def _ordered_vertical_pairs(name):
     _ordered_vertical_pairs("euler_top") + _ordered_vertical_pairs("hyperham_generic")
     + [("abc_flow", ("x3", "x2")), ("abc_flow", ("t", "x2"))])
 def test_characteristic_matches_the_annihilator_for_every_ordered_vertical_pair(name, pair, capsys):
-    # W is built in the split chart; an odd reordering of the coordinates
-    # flips the sign of its volume form, and so the sign of W
+    # W is built in the split chart, where an odd reordering of the
+    # coordinates flips its sign; divided by its time component and read
+    # in the original chart it is d_t + X whatever the sign
     base_count = len(_bundled_coordinates(name)) - 1
     rc = main(["characteristic", str(BENCH_BUNDLED / f"{name}.json"),
                "--base-split", f"{base_count}:{pair[0]},{pair[1]}"])
@@ -544,6 +554,34 @@ def test_characteristic_matches_the_annihilator_for_every_ordered_vertical_pair(
     assert rc == 0
     assert out["verticals"] == list(pair)
     assert out["W_matches_annihilator"] is True
+
+
+def test_characteristic_of_a_theta_whose_kernel_is_not_the_flow_exit_1(tmp_path, capsys):
+    # d(theta) = -x1 dt∧dx1 + dx1∧dx2 is annihilated by d_t - x1 d_x2, not
+    # by the rotation d_t + x2 d_x1 - x1 d_x2
+    data = {"name": "wrong_theta", "coordinates": ["x1", "x2"], "vector_field": ["x2", "-1*x1"],
+            "theta": [{"index": [3], "coeff": "x1"}, {"index": [1], "coeff": "1/2*x1^2"}]}
+    path = tmp_path / "wrong_theta.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["characteristic", str(path)])
+    out = read_json(capsys)
+    assert rc == 1
+    assert out["Z"] == ["1", "0", "-1*x1"]
+    assert out["W_matches_annihilator"] is False and out["certainty"] == "exact"
+
+
+def test_characteristic_takes_the_flux_field_of_dtheta_once(example_dir, capsys, monkeypatch):
+    original = liouville.flux_field
+    calls = []
+
+    def counting(alpha):
+        calls.append(1)
+        return original(alpha)
+
+    monkeypatch.setattr(liouville, "flux_field", counting)
+    assert main(["characteristic", str(example_dir / "euler_top.json")]) == 0
+    assert read_json(capsys)["W_matches_annihilator"] is True
+    assert len(calls) == 1
 
 
 def test_characteristic_improper_exit_1(tmp_path, capsys):
@@ -723,6 +761,17 @@ def test_integrate_invariant_drift_beyond_the_float_range_exit_1(tmp_path, capsy
     rc = main(["integrate", str(path), "--x0=1e300,-1e8", "--h", "0.1", "--T", "1"])
     assert rc == 1
     assert capsys.readouterr().err == "error: non-finite invariant drift encountered at step 9\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_tangent_determinant_beyond_the_float_range_exit_1(tmp_path, capsys):
+    # every tangent map diag(e^(100 s), e^(100 s)) stays finite, but its
+    # determinant e^(200 s) overflows from s = 3.55 on
+    path = _write_system(tmp_path, ["100*x1", "100*x2"])
+    rc = main(["integrate", str(path), "--x0", "1,1", "--h", "1e-3", "--T", "5", "--tangent"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: non-finite tangent-map determinant encountered at step 3549\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -277,6 +278,24 @@ def test_wedge_bilinear_and_associative():
         c = random_form(rng, R3, 1)
         assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+@pytest.mark.parametrize("coordinates, parameters, message", [
+    (("1", "x2"), (), "name '1' is not an identifier"),
+    (("", "x2"), (), "name '' is not an identifier"),
+    (("x 1", "x2"), (), "name 'x 1' is not an identifier"),
+    (("x1", "x2"), ("mu ",), "name 'mu ' is not an identifier"),
+    (("x1", "x2"), ("_a",), "name '_a' is not an identifier"),
+    (("x1", "x2"), ("\u00b2a",), "name '\u00b2a' is not an identifier"),
+    (("x1", "cos"), (), "'cos' is a reserved function name"),
+])
+def test_space_refuses_a_name_that_is_not_one_identifier_token(coordinates, parameters, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
+        Space("S", coordinates, parameters)
+
+
+def test_space_accepts_unicode_and_underscore_identifiers():
+    assert Space("S", ("x_1", "\u03b8"), ("mu_2",)).symbols == ("x_1", "\u03b8", "mu_2")
 
 
 def test_wedge_degree_overflow():
