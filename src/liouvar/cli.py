@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
         certs.append(Certificate("theta_nondegenerate", False, exc.certainty, detail=str(exc)))
     if ext is not None:
         if b.gamma is None and b.theta is None:
-            warnings.append("flux potential solved by the radial homotopy operator")
+            warnings.append("flux potential solved by the one-axis homotopy operator")
         certs.append(Certificate(
             "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))

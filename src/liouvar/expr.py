@@ -526,6 +526,21 @@ def differentiate(nf: NormalForm, v: str) -> NormalForm:
     return result
 
 
+def nf_antiderivative(nf: NormalForm, x: str) -> NormalForm:
+    """The integral of the polynomial ``nf`` in the symbol ``x`` from 0,
+    monomial by monomial: c m x^(e-1) becomes c / e m x^e.  It is
+    rational-linear on monomials and multiplies nothing."""
+    if nf.has_trig():
+        raise ExprError("antiderivative of a non-polynomial normal form")
+    atom = (_SYM, x)
+    terms = []
+    for m, c in nf.terms:
+        exps = dict(m)
+        e = exps[atom] = exps.get(atom, 0) + 1
+        terms.append((tuple(sorted(exps.items())), Fraction(c, e)))
+    return nf_from_terms(terms)
+
+
 # --------------------------------------------------------------------------
 # Substitution
 

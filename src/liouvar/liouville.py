@@ -23,6 +23,7 @@ from .expr import (
     differentiate,
     is_zero,
     nf_add,
+    nf_antiderivative,
     nf_divide,
     nf_from_terms,
     nf_neg,
@@ -43,7 +44,6 @@ from .exterior import (
     flux_field,
     form_is_zero,
     hodge_star,
-    index_positions,
     interior_product,
     metric_sqrt_det,
     reorder_form,
@@ -306,14 +306,17 @@ def is_liouville(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_TES
 
 
 def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> DiffForm:
-    """Radial homotopy potential: returns gamma with d(gamma) = chi.
+    """One-axis homotopy potential: returns gamma with d(gamma) = chi.
 
-    The input must be closed, as ``form_is_zero`` decides d(chi) at
-    ``config``, and then polynomial.  The operator is rational-linear on
-    monomials: each term c m dx^I, with m of coordinate degree d,
-    contributes sum_j (-1)^(j-1) c / (k + d) m x^(i_j) dx^(I without i_j).
-    The contributions are collected per output index by ``nf_from_terms``,
-    so nothing is multiplied but monomials by one coordinate.
+    Below top degree the input must be closed, as ``form_is_zero`` decides
+    d(chi) at ``config``; then it must be polynomial.  This is the box form
+    of the Poincare lemma.  For each coordinate x in order, a component of
+    chi whose index holds x (always as its lowest entry, so with no sign)
+    adds its antiderivative in x from 0 to gamma on the index without x;
+    the other components are set to x = 0, by dropping the monomials in
+    x, and go on to the next coordinate.  A volume form rho dx^1 ... dx^n
+    so gives (integral of rho in x^1) dx^2 ... dx^n.  Each output
+    coefficient is summed once, and nothing is multiplied.
     """
     space = chi.space
     k = chi.degree
@@ -325,28 +328,22 @@ def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Di
             raise PotentialError("input form is not closed", closed.certainty)
     if any(c.has_trig() for c in chi.nfs.values()):
         raise PotentialError("non-polynomial coefficients: supply the potential explicitly")
-    # every atom is a symbol now; a coordinate's is (0, name)
-    positions = [(0, x) for x in space.coordinates]
-    coords = set(positions)
-    terms: dict[int, list] = {}
-    for K, c in chi.nfs.items():
-        targets = [(terms.setdefault(K ^ (1 << pos), []).append, j % 2, positions[pos])
-                   for j, pos in enumerate(index_positions(K))]
-        for mono, coeff in c.terms:
-            exps = dict(mono)
-            q = Fraction(coeff, k + sum(e for atom, e in mono if atom in coords))
-            signed = (q, -q)
-            for append, odd, x in targets:
-                append((tuple(sorted({**exps, x: exps.get(x, 0) + 1}.items())), signed[odd]))
-    return DiffForm(space, k - 1, {K: nf_from_terms(pairs) for K, pairs in terms.items()})
-
-
-def default_sigma(space: Space, omega: DiffForm | None = None) -> DiffForm:
-    """x^1 dx^2 ∧ ... ∧ dx^N, valid only for the standard volume form."""
-    if omega is not None and omega != volume_form(space):
-        raise PotentialError("nonstandard volume form: supply sigma explicitly")
-    n = space.dim
-    return DiffForm(space, n - 1, {tuple(range(1, n)): space.parse(space.coordinates[0])})
+    parts: dict[int, list] = {}
+    cur = chi.nfs
+    for pos, x in enumerate(space.coordinates):
+        bit, atom = 1 << pos, (0, x)
+        rest = {}
+        for K, c in cur.items():
+            if K & bit:
+                parts.setdefault(K ^ bit, []).append(nf_antiderivative(c, x))
+            else:
+                kept = nf_from_terms([t for t in c.terms if all(a != atom for a, _e in t[0])])
+                if kept.terms:
+                    rest[K] = kept
+        cur = rest
+        if not cur:
+            break
+    return DiffForm(space, k - 1, {K: nf_add(*forms) for K, forms in parts.items()})
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def build_extended(sys: LiouvilleSystem,
     if sys.theta is not None:
         theta = sys.theta
     else:
-        sigma = sys.sigma if sys.sigma is not None else default_sigma(sys.space, sys.omega)
+        sigma = sys.sigma if sys.sigma is not None else solve_gamma(sys.omega, config)
         gamma = sys.gamma if sys.gamma is not None else solve_gamma(
             interior_product(sys.field, sys.omega), config)
         dt = basis_form(ext, TIME_COORDINATE)
@@ -603,12 +600,3 @@ def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
     dual = hodge_star(z_flat, g) * (scale / sqrt_det)
     residual = ext.dtheta - dual
     return _zero_certificate("hodge_duality", residual, config)
-
-
-# --------------------------------------------------------------------------
-# Convenience round trip used by reports and tests
-
-
-def roundtrip_characteristic(ext: ExtendedSystem) -> VectorField:
-    """annihilator_field(d theta) normalized by its time component."""
-    return normalize_by_dt(annihilator_field(ext.dtheta))

@@ -23,7 +23,7 @@ from .expr import (
     differentiate,
     is_zero,
     nf_add,
-    nf_from_terms,
+    nf_antiderivative,
     nf_mul,
     nf_neg,
     nf_pow,
@@ -421,19 +421,6 @@ def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
 # Charged particle in a stationary magnetic field
 
 
-def _poly_antiderivative(nf: NormalForm, coord: str) -> NormalForm:
-    """Monomial-wise antiderivative of a polynomial with zero integration
-    constant: c m, with e - 1 factors of ``coord`` in m, becomes c / e m
-    ``coord``, a rational-linear map on monomials as in ``solve_gamma``."""
-    x = (0, coord)
-    terms = []
-    for mono, coeff in nf.terms:
-        exps = dict(mono)
-        e = exps[x] = exps.get(x, 0) + 1
-        terms.append((tuple(sorted(exps.items())), Fraction(coeff, e)))
-    return nf_from_terms(terms)
-
-
 def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: Iterable[str] = (),
                            name: str = "charged_particle",
                            config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
@@ -475,12 +462,12 @@ def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: It
     h1, h2, h3 = (nf_scale(sq, Fraction(1, 2)) for sq in squares)
     gamma1 = pair[0] * h1 + pair[1] * h2 + pair[2] * h3
     kB1, kB2, kB3 = (nf_mul(kk, b) for b in b_comps)
-    F_a = _poly_antiderivative(kB3, "x1")
-    F_b = _poly_antiderivative(nf_neg(kB2), "x1")
-    G_a = _poly_antiderivative(nf_neg(kB3), "x2")
-    G_b = _poly_antiderivative(kB1, "x2")
-    H_a = _poly_antiderivative(kB2, "x3")
-    H_b = _poly_antiderivative(nf_neg(kB1), "x3")
+    F_a = nf_antiderivative(kB3, "x1")
+    F_b = nf_antiderivative(nf_neg(kB2), "x1")
+    G_a = nf_antiderivative(nf_neg(kB3), "x2")
+    G_b = nf_antiderivative(kB1, "x2")
+    H_a = nf_antiderivative(kB2, "x3")
+    H_b = nf_antiderivative(nf_neg(kB1), "x3")
     gamma2 = (pair[0] * nf_sum_of_products((1, F_a, v2), (1, F_b, v3))
               + pair[1] * nf_sum_of_products((1, G_a, v1), (1, G_b, v3))
               + pair[2] * nf_sum_of_products((1, H_a, v1), (1, H_b, v2)))

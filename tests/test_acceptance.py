@@ -28,12 +28,13 @@ from liouvar.exterior import (
     wedge,
 )
 from liouvar.liouville import (
+    annihilator_field,
     build_extended,
     decompose_beta,
     hodge_check,
     is_liouville,
+    normalize_by_dt,
     psi_forms,
-    roundtrip_characteristic,
     section_residuals,
     solve_gamma,
     verify_characteristic,
@@ -124,7 +125,7 @@ def test_criterion_05_roundtrip_uniqueness(bundle):
         if name == "abc_paper_verbatim":
             continue
         ext = build_extended(sys.bound())
-        Z = roundtrip_characteristic(ext)
+        Z = normalize_by_dt(annihilator_field(ext.dtheta))
         match = fields_equal(Z, ext.field)
         assert match.value and match.certainty == "exact", name
     _report(5, "annihilator extraction + dt normalization reproduces d_t + X for every bundled system")

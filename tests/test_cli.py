@@ -509,6 +509,52 @@ def test_solve_gamma_missing_file(capsys):
 
 
 # --------------------------------------------------------------------------
+# sigma solved from a nonstandard volume form
+
+_ROTATION_R2 = {"coordinates": ["x1", "x2"], "vector_field": ["x2", "-1*x1"]}
+_ROTATION_R3 = {"coordinates": ["x1", "x2", "x3"], "vector_field": ["x2", "-1*x1", "0"]}
+
+
+def _volume_system(tmp_path, base, density, **extra):
+    path = tmp_path / "volume.json"
+    index = list(range(1, len(base["coordinates"]) + 1))
+    path.write_text(json.dumps({"name": "rotation", **base, **extra,
+                                "volume": [{"index": index, "coeff": density}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("base, density", [(_ROTATION_R2, "2"), (_ROTATION_R3, "1 + x3^2")])
+def test_a_polynomial_volume_form_gets_a_solved_sigma(tmp_path, capsys, base, density):
+    path = _volume_system(tmp_path, base, density)
+    rc = main(["verify", path])
+    report = read_json(capsys)
+    assert rc == 0 and report["overall"] == "PASS"
+    assert all(c["verdict"] == "PASS" for c in report["certificates"])
+    rc = main(["characteristic", path])
+    out = read_json(capsys)
+    assert rc == 0 and out["W_matches_annihilator"] is True
+    assert out["Z"] == ["1"] + base["vector_field"]
+
+
+@pytest.mark.parametrize("base, density, extra", [
+    (_ROTATION_R2, "2 + sin(x1)", {}),
+    # an invariant density with its flux potential supplied: only sigma is missing
+    (_ROTATION_R3, "2 + sin(x3)",
+     {"gamma": [{"index": [3], "coeff": "1/2*(2 + sin(x3))*(x1^2 + x2^2)"}]}),
+])
+def test_a_trig_volume_form_is_refused_as_non_polynomial(tmp_path, capsys, base, density, extra):
+    path = _volume_system(tmp_path, base, density, **extra)
+    rc = main(["verify", path])
+    report = read_json(capsys)
+    assert rc == 1
+    certs = {c["name"]: c for c in report["certificates"]}
+    assert certs["potential_available"]["verdict"] == "FAIL"
+    assert "non-polynomial" in certs["potential_available"]["detail"]
+    assert main(["characteristic", path]) == 1
+    assert "non-polynomial" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
 # characteristic
 
 

@@ -47,14 +47,12 @@ from liouvar.liouville import (
     build_extended,
     characteristic_field,
     decompose_beta,
-    default_sigma,
     hodge_check,
     is_liouville,
     is_proper,
     normalize_by_dt,
     promote_field,
     psi_forms,
-    roundtrip_characteristic,
     section_residuals,
     solve_gamma,
     split_chart,
@@ -125,11 +123,8 @@ def test_solve_gamma_constant_two_form():
     sp = Space("s", ("x1", "x2", "x3"))
     chi = basis_form(sp, "x1", "x2")
     gamma = solve_gamma(chi)
-    expected = DiffForm(sp, 1, {
-        (0,): sp.parse("-1/2*x2"),
-        (1,): sp.parse("1/2*x1"),
-    })
-    assert gamma == expected
+    # one-axis homotopy: the antiderivative in x1 from 0 on the index without x1
+    assert gamma == DiffForm(sp, 1, {(1,): sp.parse("x1")})
     assert exterior_derivative(gamma) == chi
 
 
@@ -210,25 +205,32 @@ def test_solve_gamma_random_closed(n):
 
 
 # --------------------------------------------------------------------------
-# Default sigma
+# Default sigma: the potential of the volume form
 
 
 def test_default_sigma_r3():
     sp = Space("s", ("x1", "x2", "x3"))
-    sigma = default_sigma(sp)
+    sigma = solve_gamma(volume_form(sp))
     assert sigma == DiffForm(sp, 2, {(1, 2): sp.parse("x1")})
     assert exterior_derivative(sigma) == volume_form(sp)
 
 
 def test_default_sigma_r2():
     sp = Space("s", ("q", "p"))
-    assert default_sigma(sp) == DiffForm(sp, 1, {(1,): sp.parse("q")})
+    assert solve_gamma(volume_form(sp)) == DiffForm(sp, 1, {(1,): sp.parse("q")})
 
 
 def test_default_sigma_nonstandard_volume():
     sp = Space("s", ("x1", "x2"))
-    with pytest.raises(PotentialError):
-        default_sigma(sp, volume_form(sp) * 2)
+    assert solve_gamma(volume_form(sp) * 2) == DiffForm(sp, 1, {(1,): sp.parse("2*x1")})
+
+
+def test_default_sigma_polynomial_density():
+    sp = Space("s", ("x1", "x2", "x3"), ("a",))
+    omega = volume_form(sp) * sp.parse("1 + a*x1^2*x3 - 3*x2")
+    sigma = solve_gamma(omega)
+    assert sigma == DiffForm(sp, 2, {(1, 2): sp.parse("x1 + 1/3*a*x1^3*x3 - 3*x1*x2")})
+    assert exterior_derivative(sigma) == omega
 
 
 def test_charged_particle_sigma_verified(bundle):
@@ -269,7 +271,7 @@ def test_extended_abc_theta(bundle):
     dt = basis_form(sp, "t")
     from liouvar.liouville import promote_form
     gamma_m = promote_form(sys.gamma, sp)
-    sigma_m = promote_form(default_sigma(sys.space), sp)
+    sigma_m = promote_form(solve_gamma(volume_form(sys.space)), sp)
     assert ext.theta == sigma_m - wedge(gamma_m, dt)
 
 
@@ -627,7 +629,7 @@ def test_roundtrip_uniqueness_all(bundle):
             continue
         b = sys.bound()
         ext = build_extended(b)
-        Z = roundtrip_characteristic(ext)
+        Z = normalize_by_dt(annihilator_field(ext.dtheta))
         match = fields_equal(Z, ext.field)
         assert match.value and match.certainty == "exact", name
 
