@@ -286,14 +286,15 @@ def cmd_integrate(args) -> int:
         diagnostics["csv_rows"] = rows
     if args.sweep:
         try:
-            ext = build_extended(sys.bound_copy, config)
+            # unbound, so the sweep takes the parameters of the trajectory
+            ext = build_extended(sys, config)
             dec = decompose_beta(ext.dtheta, _verticals(args, ext, sys))
-            k = dec.k
-            base_seed = [0.0] + list(x0)
+            start = dict(zip(ext.space.coordinates, [0.0] + x0))
+            base_seed = [start[c] for c in dec.space.coordinates]
             seeds = []
             for offset in (-0.1, -0.05, 0.0, 0.05, 0.1):
                 seed = list(base_seed)
-                seed[k] += offset
+                seed[dec.k] += offset
                 seeds.append(seed)
             report = section_sweep(dec, seeds, args.h, args.T, params=bindings, config=config)
             diagnostics["sweep"] = report.to_json()

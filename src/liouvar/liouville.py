@@ -571,13 +571,13 @@ def section_residuals(u_z: NormalForm, u_w: NormalForm,
 
 def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
                 config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
-    """Verify d(theta) = c * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
+    """Verify d(theta) = rho * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
 
     The metric covers the extended space with its time entry equal to 1;
     when omitted, the base system's metric (or the Euclidean one) is used.
-    The constant c is the coefficient of d(theta) on the spatial top
-    index, i.e. the effective volume scale of the principle (1 for the
-    standard volume form).
+    rho is the coefficient of d(theta) on the spatial top index, i.e. the
+    volume density of the principle (1 for the standard volume form); it
+    may be any normal form.
     """
     space = ext.space
     if metric is not None:
@@ -591,12 +591,8 @@ def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
     if g[0] != 1:
         raise GeometryError("the time entry of the extended metric must be 1")
     sqrt_det = metric_sqrt_det(g)
-    spatial_top = tuple(range(1, space.dim))
-    scale_nf = ext.dtheta.get_nf(spatial_top)
-    if not scale_nf.is_constant() or scale_nf.is_zero():
-        raise GeometryError("duality check requires a constant nonzero effective volume coefficient")
-    scale = scale_nf.constant_value()
+    rho = ext.dtheta.get_nf(tuple(range(1, space.dim)))
     z_flat = DiffForm(space, 1, {(i,): nf_scale(c, g[i]) for i, c in enumerate(ext.field.nfs)})
-    dual = hodge_star(z_flat, g) * (scale / sqrt_det)
+    dual = hodge_star(z_flat, g) * nf_scale(rho, 1 / sqrt_det)
     residual = ext.dtheta - dual
     return _zero_certificate("hodge_duality", residual, config)

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .expr import (
     DEFAULT_ZERO_TEST,
+    NF_ZERO,
     ExprError,
     ParseError,
     NormalForm,
@@ -45,7 +46,6 @@ from .exterior import (
     exterior_derivative,
     fields_equal,
     flux_field,
-    index_positions,
     serialize_field,
     serialize_form,
     volume_form,
@@ -72,25 +72,7 @@ class SystemFileError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Exact linear algebra over rationals
-
-
-def invert_fraction_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+# Fields from forms
 
 
 def _constant_coefficient(nf: NormalForm, what: str) -> Fraction:
@@ -99,44 +81,25 @@ def _constant_coefficient(nf: NormalForm, what: str) -> Fraction:
     return nf.constant_value()
 
 
-def _omega_matrix(omega: DiffForm) -> list[list[Fraction]]:
-    n = omega.space.dim
+def symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
+    """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form.
+
+    Liouville's identity X ⌟ omega^m = m (X ⌟ omega) ∧ omega^(m-1) on
+    R^{2m}, with omega^m = c vol, gives X = (m/c) flux_field(dH ∧ omega^(m-1)).
+    """
+    space = omega.space
     if omega.degree != 2:
         raise LiouvilleError("symplectic input must be a 2-form")
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for K, c in omega.nfs.items():
-        i, j = index_positions(K)
-        v = _constant_coefficient(c, "symplectic form")
-        M[i][j] = v
-        M[j][i] = -v
-    return M
-
-
-def solve_symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
-    """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form."""
-    space = omega.space
-    n = space.dim
-    M = _omega_matrix(omega)
-    # (X ⌟ omega)_j = sum_i X^i M[i][j]
-    system = [[M[i][j] for i in range(n)] for j in range(n)]
-    inv = invert_fraction_matrix(system)
-    if inv is None:
-        raise LiouvilleError("degenerate symplectic form: linear solve failed")
+    m = space.dim // 2
+    zeta = wedge_power(omega, m - 1)
+    # an odd dimension leaves the top index empty
+    top = wedge(omega, zeta).nfs.get((1 << space.dim) - 1, NF_ZERO)
+    c = _constant_coefficient(top, "top power of the symplectic form")
+    if c == 0:
+        raise LiouvilleError("degenerate symplectic form: its top power vanishes")
     h = normal_form(hamiltonian)
-    dH = [differentiate(h, x) for x in space.coordinates]
-    comps = [nf_add(*(nf_scale(dH[j], inv[i][j]) for j in range(n))) for i in range(n)]
-    return VectorField(space, tuple(comps))
-
-
-def field_from_flux(chi: DiffForm, omega: DiffForm) -> VectorField:
-    """Unique X with X ⌟ Omega = chi for a volume form Omega."""
-    n = chi.space.dim
-    if chi.degree != n - 1:
-        raise LiouvilleError("flux must have degree n-1")
-    scale = _constant_coefficient(omega.get_nf(tuple(range(n))), "volume form")
-    if scale == 0:
-        raise LiouvilleError("volume form vanishes")
-    return flux_field(chi) * (1 / scale)
+    dH = DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(space.coordinates)})
+    return flux_field(wedge(dH, zeta)) * Fraction(m, c)
 
 
 def curl3(space: Space, components: Iterable[NormalForm]) -> tuple[NormalForm, ...]:
@@ -216,7 +179,7 @@ def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = 
     space = Space(name or f"hamiltonian_m{m}", coords, tuple(parameters))
     H = hamiltonian if isinstance(hamiltonian, NormalForm) else space.parse(hamiltonian)
     omega = canonical_symplectic(space, m)
-    X = solve_symplectic_field(omega, H)
+    X = symplectic_field(omega, H)
     zeta = wedge_power(omega, m - 1) * Fraction(1, math.factorial(m - 1))
     gamma = zeta * H
     rho = canonical_potential(space, m)
@@ -241,14 +204,13 @@ def build_nambu(hamiltonians: Sequence[NormalForm | str], coordinates: Iterable[
         raise LiouvilleError("need n coordinates for n-1 Hamiltonians")
     space = Space(name, coords, tuple(parameters))
     hs = [h if isinstance(h, NormalForm) else space.parse(h) for h in hamiltonians]
-    omega = volume_form(space)
     chi = constant_form(space)
     dhs = []
     for h in hs:
         dhs.append(DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(coords)}))
     for dh in dhs:
         chi = wedge(chi, dh)
-    X = field_from_flux(chi, omega)
+    X = flux_field(chi)
     gamma = constant_form(space, hs[0])
     for dh in dhs[1:]:
         gamma = wedge(gamma, dh)
@@ -269,16 +231,14 @@ class HyperkahlerData:
     omegas: tuple[DiffForm, DiffForm, DiffForm]
     hamiltonians: tuple[NormalForm, NormalForm, NormalForm]
     potentials: tuple[DiffForm, DiffForm, DiffForm]
-    orientation: int
 
 
-def validate_hyperkahler(data: HyperkahlerData) -> int:
-    """Check the data invariants; returns the triple's duality sign."""
+def validate_hyperkahler(data: HyperkahlerData) -> None:
+    """Check the data invariants: dimension 4N, d(rho_a) = omega_a, each
+    omega_a nondegenerate, and one sign for the three top powers."""
     space = data.space
     if space.dim % 4:
         raise LiouvilleError("hyperkahler data requires dimension 4N")
-    if data.orientation not in (1, -1):
-        raise LiouvilleError("orientation sign must be +1 or -1")
     half = space.dim // 2
     signs = set()
     for i, (omega, rho) in enumerate(zip(data.omegas, data.potentials), start=1):
@@ -293,12 +253,6 @@ def validate_hyperkahler(data: HyperkahlerData) -> int:
         signs.add(1 if coeff > 0 else -1)
     if len(signs) != 1:
         raise LiouvilleError("the three symplectic structures have mixed duality signs")
-    duality = signs.pop()
-    if duality != data.orientation:
-        raise LiouvilleError(
-            f"declared orientation sign {data.orientation:+d} does not match the "
-            f"duality sign {duality:+d} of the symplectic triple")
-    return duality
 
 
 def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian",
@@ -306,26 +260,24 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
     """Sum the three symplectic gradients and build the extended form.
 
     theta = sum_a rho_a ∧ zeta_a + 6N * sum_a H^a zeta_a ∧ dt with
-    zeta_a the (2N-1)-th power of omega_a.  The declared orientation sign
-    is validated against the duality sign of the triple, and the two sign
-    factors cancel in the time term; the resulting characteristic
-    identities are verified before returning.
+    zeta_a the (2N-1)-th power of omega_a, after ``validate_hyperkahler``;
+    each X_a is ``symplectic_field(omega_a, H^a)``.  The resulting
+    characteristic identities are verified before returning.
     """
-    duality = validate_hyperkahler(data)
+    validate_hyperkahler(data)
     space = data.space
     N = space.dim // 4
     X = None
     for omega, h in zip(data.omegas, data.hamiltonians):
-        Xa = solve_symplectic_field(omega, h)
+        Xa = symplectic_field(omega, h)
         X = Xa if X is None else X + Xa
     ext_sp = extended_space(space)
     dt = basis_form(ext_sp, TIME_COORDINATE)
-    time_factor = 6 * N * data.orientation * duality
     theta = DiffForm(ext_sp, space.dim - 1, {})
     for omega, h, rho in zip(data.omegas, data.hamiltonians, data.potentials):
         zeta = wedge_power(omega, 2 * N - 1)
         theta = theta + wedge(promote_form(rho, ext_sp), promote_form(zeta, ext_sp))
-        theta = theta + wedge(promote_form(zeta * h, ext_sp), dt) * time_factor
+        theta = theta + wedge(promote_form(zeta * h, ext_sp), dt) * (6 * N)
     ext = build_extended(LiouvilleSystem(name, space, X, theta=theta), config)
     certs = verify_characteristic(ext, config)
     failed = [c for c in certs if not c.passed]
@@ -526,7 +478,7 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
     norm2 = space.parse("x1^2 + x2^2 + x3^2 + x4^2")
     hamiltonians = tuple(nf_mul(space.parse(f"1/2*kappa*{b}"), norm2) for b in ("By", "Bx", "Bz"))
     omegas, potentials = _anti_self_dual_triple(space)
-    data = HyperkahlerData(space, omegas, hamiltonians, potentials, orientation=-1)
+    data = HyperkahlerData(space, omegas, hamiltonians, potentials)
     ext = build_hyperhamiltonian(data, name="pauli_spin", config=config)
     expected = VectorField(space, tuple(map(space.parse, (
         "kappa*(-Bz*x2 + By*x3 - Bx*x4)",
@@ -550,7 +502,7 @@ def build_hyperham_generic(config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Extend
     space = Space("hyperham_generic", ("x1", "x2", "x3", "x4"))
     hamiltonians = tuple(map(space.parse, ("1/2*(x1^2 + x2^2)", "x1*x3", "1/2*x4^2")))
     omegas, potentials = _anti_self_dual_triple(space)
-    data = HyperkahlerData(space, omegas, hamiltonians, potentials, orientation=-1)
+    data = HyperkahlerData(space, omegas, hamiltonians, potentials)
     return build_hyperhamiltonian(data, name="hyperham_generic", config=config)
 
 

@@ -536,6 +536,24 @@ def test_a_polynomial_volume_form_gets_a_solved_sigma(tmp_path, capsys, base, de
     assert out["Z"] == ["1"] + base["vector_field"]
 
 
+@pytest.mark.parametrize("extra", [{}, {"metric": ["4", "9", "1"]}])
+def test_verify_hodge_takes_a_polynomial_volume_density(tmp_path, capsys, extra):
+    path = _volume_system(tmp_path, _ROTATION_R3, "1 + x3^2", **extra)
+    rc = main(["verify", path, "--hodge"])
+    certs = {c["name"]: c for c in read_json(capsys)["certificates"]}
+    assert rc == 0
+    assert (certs["hodge_duality"]["verdict"], certs["hodge_duality"]["certainty"]) == ("PASS", "exact")
+
+
+def test_verify_hodge_fails_a_dtheta_without_a_spatial_top_term(tmp_path, capsys):
+    path = tmp_path / "notop.json"
+    path.write_text(json.dumps({"name": "notop", **_ROTATION_R2,
+                                "theta": [{"index": [1], "coeff": "1/2*x1^2 + 1/2*x2^2"}]}))
+    rc = main(["verify", str(path), "--hodge"])
+    certs = {c["name"]: c for c in read_json(capsys)["certificates"]}
+    assert rc == 1 and certs["hodge_duality"]["verdict"] == "FAIL"
+
+
 @pytest.mark.parametrize("base, density, extra", [
     (_ROTATION_R2, "2 + sin(x1)", {}),
     # an invariant density with its flux potential supplied: only sigma is missing
@@ -900,6 +918,41 @@ def test_integrate_sweep(example_dir, capsys):
     sweep = out["diagnostics"]["sweep"]
     assert sweep["seeds"] == 5
     assert sweep["max_residual"] <= 1e-6
+
+
+def test_integrate_sweep_seeds_the_split_chart_by_coordinate_name(tmp_path, capsys, monkeypatch):
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    data["base_split"] = {"base_count": 2, "verticals": ["x1", "x2"]}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    seen = []
+    sweep = cli.section_sweep
+
+    def recording(dec, seeds, *args, **kwargs):
+        seen.append((dec.space.coordinates, dec.k, seeds))
+        return sweep(dec, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "section_sweep", recording)
+    assert main(["integrate", str(path), "--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "0.1",
+                 "--sweep"]) == 0
+    capsys.readouterr()
+    [(chart, k, seeds)] = seen
+    assert chart == ("t", "x3", "x1", "x2")
+    centre = dict(zip(chart, seeds[2]))
+    assert centre == {"t": 0.0, "x1": 0.1, "x2": 0.2, "x3": 0.3}
+    assert [seed[k] - seeds[2][k] for seed in seeds] == pytest.approx([-0.1, -0.05, 0, 0.05, 0.1])
+
+
+def test_integrate_sweep_takes_the_parameter_overrides(tmp_path, capsys):
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    data["parameters"]["mu1"] = "-2"
+    path = tmp_path / "mu1.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    flow = ["--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "1", "--sweep"]
+    assert main(["integrate", str(BENCH_BUNDLED / "euler_top.json"), "--param", "mu1=-2", *flow]) == 0
+    overridden = read_json(capsys)["diagnostics"]["sweep"]
+    assert main(["integrate", str(path), *flow]) == 0
+    assert overridden == read_json(capsys)["diagnostics"]["sweep"]
 
 
 @pytest.mark.parametrize("argv, env, seed", [(["--seed", "777"], None, 777),

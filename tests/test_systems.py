@@ -1,11 +1,14 @@
 """Tests for the system builders and the JSON file format."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from liouvar.expr import is_zero, nf_add, nf_neg, normal_form, parse_expr, render, substitute
+from liouvar.expr import (
+    differentiate, is_zero, nf_add, nf_neg, normal_form, parse_expr, render, substitute,
+)
 from liouvar.exterior import (
     DiffForm,
     Space,
@@ -16,6 +19,7 @@ from liouvar.exterior import (
     fields_equal,
     interior_product,
     wedge,
+    wedge_power,
 )
 from liouvar.liouville import (
     LiouvilleError,
@@ -41,7 +45,7 @@ from liouvar.systems import (
     curl3,
     load_system,
     save_system,
-    solve_symplectic_field,
+    symplectic_field,
     system_to_dict,
 )
 
@@ -91,7 +95,38 @@ def test_hamiltonian_rejects_degenerate():
     sp = Space("bad", ("q", "p"))
     degenerate = DiffForm(sp, 2, {})
     with pytest.raises(LiouvilleError):
-        solve_symplectic_field(degenerate, sp.parse("q"))
+        symplectic_field(degenerate, sp.parse("q"))
+
+
+def _random_symplectic(rng, space):
+    """A constant 2-form with rational entries on every pair dx_i ∧ dx_j,
+    redrawn until its top power is nonzero."""
+    n = space.dim
+    while True:
+        omega = DiffForm(space, 2, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                    for i in range(n) for j in range(i + 1, n)})
+        if not wedge_power(omega, n // 2).is_zero_form:
+            return omega
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_symplectic_field_solves_the_interior_equation(m, seed):
+    rng = random.Random(100 * m + seed)
+    space = Space("sym", tuple(f"x{i}" for i in range(1, 2 * m + 1)))
+    omega = _random_symplectic(rng, space)
+    H = space.parse(" + ".join(
+        f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}*{a}*{b}^{rng.randint(1, 3)}"
+        for a, b in zip(space.coordinates, space.coordinates[1:] + space.coordinates[:1])))
+    dH = DiffForm(space, 1, {(i,): differentiate(H, x) for i, x in enumerate(space.coordinates)})
+    X = symplectic_field(omega, H)
+    assert interior_product(X, omega) == dH
+
+
+def test_symplectic_field_rejects_a_form_with_vanishing_top_power():
+    sp = Space("bad4", ("q1", "q2", "p1", "p2"))
+    with pytest.raises(LiouvilleError, match="top power vanishes"):
+        symplectic_field(basis_form(sp, "q1", "q2"), sp.parse("q1*p1"))
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +177,7 @@ def test_hyperhamiltonian_zero_hamiltonians():
     space = Space("h0", ("x1", "x2", "x3", "x4"))
     omegas, potentials = _pauli_triple(space)
     zero = normal_form(0)
-    data = HyperkahlerData(space, omegas, (zero, zero, zero), potentials, orientation=-1)
+    data = HyperkahlerData(space, omegas, (zero, zero, zero), potentials)
     ext = build_hyperhamiltonian(data)
     assert ext.base.field.is_zero
     assert [render(c) for c in ext.field.nfs] == ["1", "0", "0", "0", "0"]
@@ -153,7 +188,7 @@ def test_hyperhamiltonian_single_matches_canonical():
     omegas, potentials = _pauli_triple(space)
     H = parse_expr("1/2*x1^2 + 1/2*x2^2 + 1/2*x3^2 + 1/2*x4^2", space.symbols)
     zero = normal_form(0)
-    data = HyperkahlerData(space, omegas, (H, zero, zero), potentials, orientation=-1)
+    data = HyperkahlerData(space, omegas, (H, zero, zero), potentials)
     ext = build_hyperhamiltonian(data)
     # omega_1 is canonical under (q1,p1,q2,p2) = (x1,x3,x2,x4)
     ham = build_hamiltonian("1/2*q1^2 + 1/2*p1^2 + 1/2*q2^2 + 1/2*p2^2", 2)
@@ -164,15 +199,6 @@ def test_hyperhamiltonian_single_matches_canonical():
         want = parse_expr(comp, ham.space.symbols)
         want = substitute(want, {k: space.parse(v) for k, v in relabel.items()})
         assert got == want
-
-
-def test_hyperhamiltonian_orientation_mismatch():
-    space = Space("h2", ("x1", "x2", "x3", "x4"))
-    omegas, potentials = _pauli_triple(space)
-    zero = normal_form(0)
-    data = HyperkahlerData(space, omegas, (zero, zero, zero), potentials, orientation=1)
-    with pytest.raises(LiouvilleError):
-        build_hyperhamiltonian(data)
 
 
 def test_hyperham_generic_passes():
