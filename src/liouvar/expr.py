@@ -651,22 +651,25 @@ def compile_lambda(body: str):
 # Zero testing
 
 
+SAMPLE_POINTS = 32
+SAMPLE_RANGE = (-2.0, 2.0)
+REL_TOL = 1e-9
+
+
 @dataclass(frozen=True, slots=True)
 class ZeroTestConfig:
-    """Sampling parameters for the probabilistic zero test."""
+    """The seed of the probabilistic zero test; the points, the interval and
+    the tolerance are the constants ``SAMPLE_POINTS``, ``SAMPLE_RANGE`` and
+    ``REL_TOL``."""
 
     seed: int = 314159
-    points: int = 32
-    low: float = -2.0
-    high: float = 2.0
-    rel_tol: float = 1e-9
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
-            "points": self.points,
-            "range": [self.low, self.high],
-            "rel_tol": self.rel_tol,
+            "points": SAMPLE_POINTS,
+            "range": list(SAMPLE_RANGE),
+            "rel_tol": REL_TOL,
         }
 
 
@@ -683,10 +686,10 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
     """Decide whether ``e`` (a normal form, or a rational) vanishes identically.
 
     Exact verdicts come from the normal form alone.  Normal forms that
-    contain trigonometric atoms are sampled at ``config.points`` points
-    with every free symbol drawn uniformly from [low, high] using the
-    fixed seed; the verdict is then tagged probabilistic.  At each point
-    the value must stay within ``rel_tol`` times the sum of the absolute
+    contain trigonometric atoms are sampled at ``SAMPLE_POINTS`` points
+    with every free symbol drawn uniformly from ``SAMPLE_RANGE`` using the
+    seed of ``config``; the verdict is then tagged probabilistic.  At each
+    point the value must stay within ``REL_TOL`` times the sum of the absolute
     term values there, so a small nonzero expression is not mistaken for
     rounding error.  A point at which a term leaves the float range (an
     overflowing power, sin or cos of an infinity, a non-finite sum of
@@ -702,17 +705,18 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
     symbols = sorted(nf.free_symbols())
     sources = nf_term_sources(nf, {v: f"s[{i}]" for i, v in enumerate(symbols)})
     term_values = compile_lambda("(" + "".join(t + ", " for t in sources) + ")")
-    for point in range(1, config.points + 1):
+    low, high = SAMPLE_RANGE
+    for point in range(1, SAMPLE_POINTS + 1):
         try:
-            values = term_values([rng.uniform(config.low, config.high) for _ in symbols])
+            values = term_values([rng.uniform(low, high) for _ in symbols])
         except (OverflowError, ValueError):  # ValueError: sin or cos of an infinity
             scale = math.inf
         else:
             scale = sum(abs(v) for v in values)
         if not math.isfinite(scale):
             raise ExprError(f"zero test: a term leaves the float range at sample point "
-                            f"{point} of {config.points} (seed {config.seed})")
-        if abs(sum(values)) > config.rel_tol * scale:
+                            f"{point} of {SAMPLE_POINTS} (seed {config.seed})")
+        if abs(sum(values)) > REL_TOL * scale:
             return ZeroResult(False, PROBABILISTIC)
     return ZeroResult(True, PROBABILISTIC)
 

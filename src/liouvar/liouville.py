@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Iterable
 
 from .expr import (
     DEFAULT_ZERO_TEST,
@@ -237,8 +236,9 @@ def promote_form(a: DiffForm, ext: Space) -> DiffForm:
     return DiffForm(ext, a.degree, {K << 1: c for K, c in a.nfs.items()})
 
 
-def promote_field(v: VectorField, ext: Space, time_component=0) -> VectorField:
-    return VectorField(ext, (normal_form(time_component),) + v.nfs)
+def promote_field(v: VectorField, ext: Space) -> VectorField:
+    """d_t + v on R x P."""
+    return VectorField(ext, (NF_ONE,) + v.nfs)
 
 
 def validate_system(sys: LiouvilleSystem,
@@ -358,7 +358,7 @@ def build_extended(sys: LiouvilleSystem,
     over the sigma/gamma construction.
     """
     ext = extended_space(sys.space)
-    Z = promote_field(sys.field, ext, time_component=1)
+    Z = promote_field(sys.field, ext)
     if sys.theta is not None:
         theta = sys.theta
     else:
@@ -569,27 +569,17 @@ def section_residuals(u_z: NormalForm, u_w: NormalForm,
 # Hodge duality certificate
 
 
-def hodge_check(ext: ExtendedSystem, metric: Iterable[Fraction] | None = None,
-                config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
+def hodge_check(ext: ExtendedSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
     """Verify d(theta) = rho * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
 
-    The metric covers the extended space with its time entry equal to 1;
-    when omitted, the base system's metric (or the Euclidean one) is used.
-    rho is the coefficient of d(theta) on the spatial top index, i.e. the
-    volume density of the principle (1 for the standard volume form); it
-    may be any normal form.
+    The metric is that of ``ext.space``: the system's metric with the time
+    entry 1 in front (``extended_space``), or the Euclidean one when the
+    system has none.  rho is the coefficient of d(theta) on the spatial top
+    index, i.e. the volume density of the principle (1 for the standard
+    volume form); it may be any normal form.
     """
     space = ext.space
-    if metric is not None:
-        g = tuple(Fraction(x) for x in metric)
-    elif space.metric is not None:
-        g = space.metric
-    else:
-        g = tuple(Fraction(1) for _ in range(space.dim))
-    if len(g) != space.dim:
-        raise GeometryError("metric length must equal the extended dimension")
-    if g[0] != 1:
-        raise GeometryError("the time entry of the extended metric must be 1")
+    g = space.metric if space.metric is not None else (Fraction(1),) * space.dim
     sqrt_det = metric_sqrt_det(g)
     rho = ext.dtheta.get_nf(tuple(range(1, space.dim)))
     z_flat = DiffForm(space, 1, {(i,): nf_scale(c, g[i]) for i, c in enumerate(ext.field.nfs)})

@@ -3,6 +3,9 @@
 Every builder returns a system whose structural invariants have been
 verified at construction time (potentials match fluxes, symplectic data
 is nondegenerate, declared first integrals are annihilated by the flow).
+Builders self-check at the default zero-test seed (``DEFAULT_ZERO_TEST``);
+only ``system_from_dict`` and ``load_system`` take a config, so that a
+command's seed reaches the checks of the file it loads.
 """
 
 from __future__ import annotations
@@ -81,25 +84,40 @@ def _constant_coefficient(nf: NormalForm, what: str) -> Fraction:
     return nf.constant_value()
 
 
-def symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
-    """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form.
+def symplectic_powers(omega: DiffForm) -> tuple[DiffForm, NormalForm]:
+    """zeta = omega^(m-1) and c with omega^m = c vol, for a 2-form on R^{2m}.
+
+    The one place that takes a symplectic form's powers (one ``wedge_power``
+    call); c is a normal form, zero when omega is degenerate or the
+    dimension is odd (which leaves the top index empty).
+    """
+    dim = omega.space.dim
+    zeta = wedge_power(omega, dim // 2 - 1)
+    return zeta, wedge(omega, zeta).nfs.get((1 << dim) - 1, NF_ZERO)
+
+
+def _symplectic_gradient(powers: tuple[DiffForm, NormalForm],
+                         hamiltonian: NormalForm) -> VectorField:
+    """X = (m/c) flux_field(dH ∧ zeta) from ``symplectic_powers(omega)``.
 
     Liouville's identity X ⌟ omega^m = m (X ⌟ omega) ∧ omega^(m-1) on
-    R^{2m}, with omega^m = c vol, gives X = (m/c) flux_field(dH ∧ omega^(m-1)).
+    R^{2m} makes it the unique X with X ⌟ omega = dH.
     """
-    space = omega.space
-    if omega.degree != 2:
-        raise LiouvilleError("symplectic input must be a 2-form")
-    m = space.dim // 2
-    zeta = wedge_power(omega, m - 1)
-    # an odd dimension leaves the top index empty
-    top = wedge(omega, zeta).nfs.get((1 << space.dim) - 1, NF_ZERO)
+    zeta, top = powers
+    space = zeta.space
     c = _constant_coefficient(top, "top power of the symplectic form")
     if c == 0:
         raise LiouvilleError("degenerate symplectic form: its top power vanishes")
     h = normal_form(hamiltonian)
     dH = DiffForm(space, 1, {(i,): differentiate(h, x) for i, x in enumerate(space.coordinates)})
-    return flux_field(wedge(dH, zeta)) * Fraction(m, c)
+    return flux_field(wedge(dH, zeta)) * Fraction(space.dim // 2, c)
+
+
+def symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
+    """Unique X with X ⌟ omega = dH for a constant nondegenerate 2-form."""
+    if omega.degree != 2:
+        raise LiouvilleError("symplectic input must be a 2-form")
+    return _symplectic_gradient(symplectic_powers(omega), hamiltonian)
 
 
 def curl3(space: Space, components: Iterable[NormalForm]) -> tuple[NormalForm, ...]:
@@ -127,20 +145,20 @@ def _bind(value) -> Fraction | None:
     return Fraction(value)
 
 
-def _check_invariants(sys: LiouvilleSystem, config: ZeroTestConfig) -> None:
+def _check_invariants(sys: LiouvilleSystem) -> None:
     b = sys.bound()
     for inv in b.invariants:
-        verdict = is_zero(b.field.apply_to_nf(inv), config)
+        verdict = is_zero(b.field.apply_to_nf(inv))
         if not verdict.value:
             raise SystemInvariantError(
                 f"declared invariant {render(inv)} is not conserved by the field")
 
 
-def _validate(sys: LiouvilleSystem, config: ZeroTestConfig) -> None:
+def _validate(sys: LiouvilleSystem) -> None:
     """``validate_system`` and ``_check_invariants`` on one bound copy."""
     b = sys.bound()
-    validate_system(b, config)
-    _check_invariants(b, config)
+    validate_system(b)
+    _check_invariants(b)
 
 
 # --------------------------------------------------------------------------
@@ -163,8 +181,7 @@ def canonical_potential(space: Space, m: int) -> DiffForm:
 
 
 def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = None,
-                      parameters: Iterable[str] = (),
-                      config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+                      parameters: Iterable[str] = ()) -> LiouvilleSystem:
     """Canonical system on R^{2m} with interleaved coordinates q_i, p_i.
 
     X solves X ⌟ omega = dH; the flux potential is H * zeta with
@@ -178,15 +195,15 @@ def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = 
         coords = tuple(n for i in range(1, m + 1) for n in (f"q{i}", f"p{i}"))
     space = Space(name or f"hamiltonian_m{m}", coords, tuple(parameters))
     H = hamiltonian if isinstance(hamiltonian, NormalForm) else space.parse(hamiltonian)
-    omega = canonical_symplectic(space, m)
-    X = symplectic_field(omega, H)
-    zeta = wedge_power(omega, m - 1) * Fraction(1, math.factorial(m - 1))
+    powers = symplectic_powers(canonical_symplectic(space, m))
+    X = _symplectic_gradient(powers, H)
+    zeta = powers[0] * Fraction(1, math.factorial(m - 1))
     gamma = zeta * H
     rho = canonical_potential(space, m)
     sigma = wedge(rho, zeta)
     sys = LiouvilleSystem(name or f"hamiltonian_m{m}", space, X,
                           gamma=gamma, sigma=sigma, invariants=(H,))
-    _validate(sys, config)
+    _validate(sys)
     return sys
 
 
@@ -195,8 +212,7 @@ def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = 
 
 
 def build_nambu(hamiltonians: Sequence[NormalForm | str], coordinates: Iterable[str] | None = None,
-                parameters: Iterable[str] = (), name: str = "nambu",
-                config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+                parameters: Iterable[str] = (), name: str = "nambu") -> LiouvilleSystem:
     """Field defined by X ⌟ Omega = dH_2 ∧ ... ∧ dH_n on R^n."""
     n = len(hamiltonians) + 1
     coords = tuple(coordinates) if coordinates is not None else tuple(f"x{i}" for i in range(1, n + 1))
@@ -215,7 +231,7 @@ def build_nambu(hamiltonians: Sequence[NormalForm | str], coordinates: Iterable[
     for dh in dhs[1:]:
         gamma = wedge(gamma, dh)
     sys = LiouvilleSystem(name, space, X, gamma=gamma, invariants=tuple(hs))
-    _validate(sys, config)
+    _validate(sys)
     return sys
 
 
@@ -233,59 +249,59 @@ class HyperkahlerData:
     potentials: tuple[DiffForm, DiffForm, DiffForm]
 
 
-def validate_hyperkahler(data: HyperkahlerData) -> None:
+def validate_hyperkahler(data: HyperkahlerData) -> list[tuple[DiffForm, NormalForm]]:
     """Check the data invariants: dimension 4N, d(rho_a) = omega_a, each
-    omega_a nondegenerate, and one sign for the three top powers."""
-    space = data.space
-    if space.dim % 4:
+    omega_a nondegenerate, and one sign for the three top powers.
+
+    Returns ``symplectic_powers(omega_a)`` for each a."""
+    if data.space.dim % 4:
         raise LiouvilleError("hyperkahler data requires dimension 4N")
-    half = space.dim // 2
     signs = set()
+    powers = []
     for i, (omega, rho) in enumerate(zip(data.omegas, data.potentials), start=1):
         if omega.degree != 2 or rho.degree != 1:
             raise LiouvilleError("omegas must be 2-forms and potentials 1-forms")
         if exterior_derivative(rho) != omega:
             raise SystemInvariantError(f"d(rho_{i}) does not equal omega_{i}")
-        top = wedge_power(omega, half)
-        if top.is_zero_form:
+        zeta, top = symplectic_powers(omega)
+        if top.is_zero():
             raise LiouvilleError(f"omega_{i} is degenerate: its top power vanishes")
-        coeff = _constant_coefficient(top.get_nf(tuple(range(space.dim))), "top power")
-        signs.add(1 if coeff > 0 else -1)
+        signs.add(1 if _constant_coefficient(top, "top power") > 0 else -1)
+        powers.append((zeta, top))
     if len(signs) != 1:
         raise LiouvilleError("the three symplectic structures have mixed duality signs")
+    return powers
 
 
-def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian",
-                           config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
+def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian") -> ExtendedSystem:
     """Sum the three symplectic gradients and build the extended form.
 
     theta = sum_a rho_a ∧ zeta_a + 6N * sum_a H^a zeta_a ∧ dt with
     zeta_a the (2N-1)-th power of omega_a, after ``validate_hyperkahler``;
-    each X_a is ``symplectic_field(omega_a, H^a)``.  The resulting
+    X_a, the field of ``symplectic_field(omega_a, H^a)``, and zeta_a are
+    both read from one ``symplectic_powers(omega_a)``.  The resulting
     characteristic identities are verified before returning.
     """
-    validate_hyperkahler(data)
+    powers = validate_hyperkahler(data)
     space = data.space
     N = space.dim // 4
-    X = None
-    for omega, h in zip(data.omegas, data.hamiltonians):
-        Xa = symplectic_field(omega, h)
-        X = Xa if X is None else X + Xa
     ext_sp = extended_space(space)
     dt = basis_form(ext_sp, TIME_COORDINATE)
+    X = None
     theta = DiffForm(ext_sp, space.dim - 1, {})
-    for omega, h, rho in zip(data.omegas, data.hamiltonians, data.potentials):
-        zeta = wedge_power(omega, 2 * N - 1)
+    for (zeta, top), h, rho in zip(powers, data.hamiltonians, data.potentials):
+        Xa = _symplectic_gradient((zeta, top), h)
+        X = Xa if X is None else X + Xa
         theta = theta + wedge(promote_form(rho, ext_sp), promote_form(zeta, ext_sp))
         theta = theta + wedge(promote_form(zeta * h, ext_sp), dt) * (6 * N)
-    ext = build_extended(LiouvilleSystem(name, space, X, theta=theta), config)
-    certs = verify_characteristic(ext, config)
+    ext = build_extended(LiouvilleSystem(name, space, X, theta=theta))
+    certs = verify_characteristic(ext)
     failed = [c for c in certs if not c.passed]
     if failed:
         raise CertificateError(
             "hyperhamiltonian construction failed verification: "
             + ", ".join(c.name for c in failed))
-    validate_system(ext.base, config)
+    validate_system(ext.base)
     return ext
 
 
@@ -293,8 +309,7 @@ def build_hyperhamiltonian(data: HyperkahlerData, name: str = "hyperhamiltonian"
 # Rigid-body rotations
 
 
-def build_euler_top(inertia: tuple | None = None,
-                    config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+def build_euler_top(inertia: tuple | None = None) -> LiouvilleSystem:
     """Free rigid-body angular-velocity flow on R^3.
 
     With inertia moments given, the quadratic coefficients mu_i are bound
@@ -325,7 +340,7 @@ def build_euler_top(inertia: tuple | None = None,
     sys = LiouvilleSystem("euler_top", space, X, gamma=gamma,
                           invariants=tuple(map(space.parse, invariants)),
                           params={p: bindings[p] for p in parameters})
-    _validate(sys, config)
+    _validate(sys)
     return sys
 
 
@@ -341,8 +356,7 @@ def _abc_components(space: Space, corrected: bool) -> tuple[NormalForm, ...]:
     return tuple(map(space.parse, texts))
 
 
-def build_abc_flow(a=None, b=None, c=None,
-                   config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+def build_abc_flow(a=None, b=None, c=None) -> LiouvilleSystem:
     """Solenoidal Beltrami field: the curl of the field equals the field.
 
     The flux potential is the one-form with the same components as the
@@ -354,7 +368,7 @@ def build_abc_flow(a=None, b=None, c=None,
     gamma = DiffForm(space, 1, {(i,): comp for i, comp in enumerate(comps)})
     sys = LiouvilleSystem("abc_flow", space, X, gamma=gamma,
                           params={"A": _bind(a), "B": _bind(b), "C": _bind(c)})
-    validate_system(sys, config)
+    validate_system(sys)
     return sys
 
 
@@ -374,8 +388,7 @@ def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
 
 
 def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: Iterable[str] = (),
-                           name: str = "charged_particle",
-                           config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+                           name: str = "charged_particle") -> LiouvilleSystem:
     """First-order system on R^6 for a particle steered by a magnetic field.
 
     ``B`` gives three polynomial components over the position coordinates;
@@ -433,14 +446,14 @@ def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: It
 
     warnings = ()
     divB = nf_add(differentiate(B1, "x1"), differentiate(B2, "x2"), differentiate(B3, "x3"))
-    if not is_zero(divB, config).value:
+    if not is_zero(divB).value:
         warnings = (f"magnetic field has nonzero divergence {render(divB)}",)
 
     sys = LiouvilleSystem(name, space, X, omega=omega, gamma=gamma, sigma=sigma,
                           invariants=(nf_add(*squares),),
                           params={"k": _bind(k), **{p: None for p in extra}},
                           warnings=warnings)
-    _validate(sys, config)
+    _validate(sys)
     return sys
 
 
@@ -465,8 +478,7 @@ def _anti_self_dual_triple(space: Space) -> tuple[tuple[DiffForm, ...], tuple[Di
     return omegas, potentials
 
 
-def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
-                     config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
+def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None) -> ExtendedSystem:
     """Real four-dimensional form of spin precession in a constant field.
 
     Delegates to the hyperhamiltonian builder with the standard
@@ -479,31 +491,31 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None,
     hamiltonians = tuple(nf_mul(space.parse(f"1/2*kappa*{b}"), norm2) for b in ("By", "Bx", "Bz"))
     omegas, potentials = _anti_self_dual_triple(space)
     data = HyperkahlerData(space, omegas, hamiltonians, potentials)
-    ext = build_hyperhamiltonian(data, name="pauli_spin", config=config)
+    ext = build_hyperhamiltonian(data, name="pauli_spin")
     expected = VectorField(space, tuple(map(space.parse, (
         "kappa*(-Bz*x2 + By*x3 - Bx*x4)",
         "kappa*(Bz*x1 + Bx*x3 + By*x4)",
         "kappa*(-By*x1 - Bx*x2 + Bz*x4)",
         "kappa*(Bx*x1 - By*x2 - Bz*x3)",
     ))))
-    match = fields_equal(ext.base.field, expected, config)
+    match = fields_equal(ext.base.field, expected)
     if not match.value:
         raise CertificateError(
             "hyperhamiltonian sum does not reproduce the expected linear field; "
             "check the Hamiltonian/component pairing")
     ext.base.invariants = (norm2,)
     ext.base.params = {"Bx": _bind(Bx), "By": _bind(By), "Bz": _bind(Bz), "kappa": _bind(kappa)}
-    _check_invariants(ext.base, config)
+    _check_invariants(ext.base)
     return ext
 
 
-def build_hyperham_generic(config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
+def build_hyperham_generic() -> ExtendedSystem:
     """Bundled example with three distinct quadratic Hamiltonians."""
     space = Space("hyperham_generic", ("x1", "x2", "x3", "x4"))
     hamiltonians = tuple(map(space.parse, ("1/2*(x1^2 + x2^2)", "x1*x3", "1/2*x4^2")))
     omegas, potentials = _anti_self_dual_triple(space)
     data = HyperkahlerData(space, omegas, hamiltonians, potentials)
-    return build_hyperhamiltonian(data, name="hyperham_generic", config=config)
+    return build_hyperhamiltonian(data, name="hyperham_generic")
 
 
 # --------------------------------------------------------------------------
@@ -655,23 +667,21 @@ def load_system(path, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSy
 # Bundled examples
 
 
-def bundled_systems(config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> dict[str, LiouvilleSystem]:
+def bundled_systems() -> dict[str, LiouvilleSystem]:
     """One ready-to-save system per bundled example file."""
-    ho1 = build_hamiltonian("1/2*q^2 + 1/2*p^2", 1, name="harmonic_oscillator_m1", config=config)
+    ho1 = build_hamiltonian("1/2*q^2 + 1/2*p^2", 1, name="harmonic_oscillator_m1")
     ho2 = build_hamiltonian("1/2*q1^2 + 1/2*p1^2 + 1/2*q2^2 + 1/2*p2^2", 2,
-                            name="harmonic_oscillator_m2", config=config)
+                            name="harmonic_oscillator_m2")
     return {
-        "euler_top": build_euler_top((1, 2, 3), config=config),
-        "abc_flow": build_abc_flow(config=config),
+        "euler_top": build_euler_top((1, 2, 3)),
+        "abc_flow": build_abc_flow(),
         "abc_paper_verbatim": build_abc_flow_variant(),
         "charged_particle_constB": build_charged_particle(
-            ("0", "0", "b"), parameters=("b",), name="charged_particle_constB", config=config),
-        "free_particle": build_charged_particle(
-            ("0", "0", "0"), name="free_particle", config=config),
-        "pauli_spin": build_pauli_spin(config=config).base,
+            ("0", "0", "b"), parameters=("b",), name="charged_particle_constB"),
+        "free_particle": build_charged_particle(("0", "0", "0"), name="free_particle"),
+        "pauli_spin": build_pauli_spin().base,
         "harmonic_oscillator_m1": ho1,
         "harmonic_oscillator_m2": ho2,
-        "nambu_rotor": build_nambu(["1/2*x1^2 + 1/2*x2^2", "x3"],
-                                   name="nambu_rotor", config=config),
-        "hyperham_generic": build_hyperham_generic(config=config).base,
+        "nambu_rotor": build_nambu(["1/2*x1^2 + 1/2*x2^2", "x3"], name="nambu_rotor"),
+        "hyperham_generic": build_hyperham_generic().base,
     }

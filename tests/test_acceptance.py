@@ -48,6 +48,8 @@ from liouvar.systems import (
     build_pauli_spin,
     bundled_systems,
     curl3,
+    system_from_dict,
+    system_to_dict,
 )
 from liouvar.flow import integrate_rk4, invariant_drift, section_sweep, volume_diagnostic
 
@@ -231,7 +233,8 @@ def test_criterion_09_hodge_lemma(oscillator):
     euler_ext = build_extended(build_euler_top())
     cert = hodge_check(euler_ext)
     assert cert.passed and cert.certainty == "exact"
-    cert = hodge_check(euler_ext, metric=(1, 4, 4, 4))
+    scaled = system_from_dict({**system_to_dict(build_euler_top()), "metric": ["4", "4", "4"]})
+    cert = hodge_check(build_extended(scaled))
     assert cert.passed and cert.certainty == "exact"
     _report(9, "metric duality of d(theta): Euclidean oscillator/rigid body and one scaled metric")
 

@@ -160,14 +160,6 @@ def test_verify_seed_override_reported(example_dir, capsys):
     assert report["zero_test"]["seed"] == 777
 
 
-def test_verify_seed_env(example_dir, capsys, monkeypatch):
-    monkeypatch.setenv("LIOUVILLE_SEED", "4242")
-    rc = main(["verify", str(example_dir / "abc_flow.json")])
-    report = read_json(capsys)
-    assert rc == 0
-    assert report["zero_test"]["seed"] == 4242
-
-
 def test_verify_base_split_override(example_dir, capsys):
     rc = main(["verify", str(example_dir / "euler_top.json"),
                "--base-split", "2:x1,x3"])
@@ -955,10 +947,9 @@ def test_integrate_sweep_takes_the_parameter_overrides(tmp_path, capsys):
     assert overridden == read_json(capsys)["diagnostics"]["sweep"]
 
 
-@pytest.mark.parametrize("argv, env, seed", [(["--seed", "777"], None, 777),
-                                             ([], "4242", 4242), ([], None, 314159)])
+@pytest.mark.parametrize("argv, seed", [(["--seed", "777"], 777), ([], 314159)])
 def test_integrate_sweep_decides_properness_at_the_commands_seed(example_dir, capsys, monkeypatch,
-                                                                 argv, env, seed):
+                                                                 argv, seed):
     seen = []
     decide = liouville.is_proper
 
@@ -967,10 +958,6 @@ def test_integrate_sweep_decides_properness_at_the_commands_seed(example_dir, ca
         return decide(dec, config)
 
     monkeypatch.setattr(liouville, "is_proper", recording)
-    if env is None:
-        monkeypatch.delenv("LIOUVILLE_SEED", raising=False)
-    else:
-        monkeypatch.setenv("LIOUVILLE_SEED", env)
     rc = main(["integrate", str(example_dir / "abc_flow.json"), "--param", "A=1", "B=1", "C=1",
                "--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "0.1", "--sweep", *argv])
     out = read_json(capsys)
@@ -1050,6 +1037,15 @@ def test_emitted_examples_equal_the_benchmark_inputs_byte_for_byte(example_dir):
     assert emitted == sorted(p.name for p in BENCH_BUNDLED.glob("*.json"))
     for name in emitted:
         assert (example_dir / name).read_bytes() == (BENCH_BUNDLED / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "report.json"]])
+def test_examples_takes_only_emit(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "--emit", "emit", *flag])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_examples_emit_into_file_path_fails(tmp_path, capsys):
@@ -1137,7 +1133,7 @@ def _hostile_runs(draw):
                 argv.append(flag)
         if draw(sometimes):
             argv += ["--csv", draw(st.sampled_from(["@dir/x.csv", "@missing/x.csv"]))]
-    if draw(sometimes):
+    if command != "examples" and draw(sometimes):
         argv += ["--out", draw(st.sampled_from(["@dir/report.json", "@missing/report.json"]))]
     return data, argv
 

@@ -366,11 +366,12 @@ def test_is_zero_keeps_a_nonzero_point_found_before_any_overflow():
 
 
 def test_is_zero_does_not_count_an_infinite_point_as_a_zero_point():
-    # every term is ±inf at every point of [1.5, 2]^2 and no operation
-    # raises; abs(inf) > rel_tol * inf is False, so counting such a point
-    # as a zero point would report this nonzero expression as zero
+    # at seed 1 the first point is x1 = -1.46..., x2 = 1.39..., where the
+    # one term 1e308 * x1**40 * sin(x2) is inf by multiplication and no
+    # operation raises; abs(inf) > REL_TOL * inf is False, so counting such
+    # a point as a zero point would report this nonzero expression as zero
     with pytest.raises(ExprError, match="float range at sample point 1 of 32"):
-        is_zero(q("10^308*x1^2*sin(x2)"), ZeroTestConfig(low=1.5, high=2.0))
+        is_zero(q("10^308*x1^40*sin(x2)"), ZeroTestConfig(seed=1))
 
 
 # --------------------------------------------------------------------------

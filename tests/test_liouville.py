@@ -60,7 +60,8 @@ from liouvar.liouville import (
     verify_characteristic,
     vertical_pair,
 )
-from liouvar.systems import bundled_systems, build_euler_top, build_hamiltonian
+from liouvar.systems import (bundled_systems, build_euler_top, build_hamiltonian, system_from_dict,
+                             system_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +334,7 @@ def test_annihilator_oscillator(oscillator):
 def test_annihilator_euler_proportional_to_evolution(euler_symbolic):
     ext = build_extended(euler_symbolic)
     Y = annihilator_field(ext.dtheta)
-    Z = promote_field(euler_symbolic.field, ext.space, time_component=1)
+    Z = promote_field(euler_symbolic.field, ext.space)
     assert fields_equal(Y, Z).value
 
 
@@ -607,16 +608,11 @@ def test_hodge_euler(euler_symbolic):
 
 
 def test_hodge_scaled_metric(euler_symbolic):
-    ext = build_extended(euler_symbolic)
-    cert = hodge_check(ext, metric=(1, 4, 4, 4))
+    scaled = system_from_dict({**system_to_dict(euler_symbolic), "metric": ["4", "4", "4"]})
+    ext = build_extended(scaled)
+    assert ext.space.metric == (1, 4, 4, 4)
+    cert = hodge_check(ext)
     assert cert.passed and cert.certainty == "exact"
-
-
-def test_hodge_bad_time_entry(euler_symbolic):
-    ext = build_extended(euler_symbolic)
-    from liouvar.exterior import GeometryError
-    with pytest.raises(GeometryError):
-        hodge_check(ext, metric=(2, 1, 1, 1))
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import liouvar.systems as systems_module
 from liouvar.expr import (
     differentiate, is_zero, nf_add, nf_neg, normal_form, parse_expr, render, substitute,
 )
@@ -127,6 +128,23 @@ def test_symplectic_field_rejects_a_form_with_vanishing_top_power():
     sp = Space("bad4", ("q1", "q2", "p1", "p2"))
     with pytest.raises(LiouvilleError, match="top power vanishes"):
         symplectic_field(basis_form(sp, "q1", "q2"), sp.parse("q1*p1"))
+
+
+@pytest.mark.parametrize("build, calls", [
+    (build_hyperham_generic, 3),
+    (lambda: build_hamiltonian("1/2*q1^2 + 1/2*p1^2 + 1/2*q2^2 + 1/2*p2^2", 2), 1),
+])
+def test_builders_take_each_symplectic_forms_powers_once(monkeypatch, build, calls):
+    powers = []
+    take = systems_module.wedge_power
+
+    def recording(omega, k):
+        powers.append(k)
+        return take(omega, k)
+
+    monkeypatch.setattr(systems_module, "wedge_power", recording)
+    build()
+    assert len(powers) == calls, powers
 
 
 # --------------------------------------------------------------------------
