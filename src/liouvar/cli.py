@@ -46,12 +46,12 @@ from .liouville import (
     normalize_by_dt,
     psi_forms,
     solve_gamma,
+    split_verticals,
     verify_characteristic,
 )
 from .exterior import exterior_derivative, interior_product
 from .flow import (
     BlowupError,
-    FlowDiagnostics,
     FlowError,
     integrate_rk4,
     invariant_drift,
@@ -89,10 +89,11 @@ def _header(system: str) -> dict:
     return {"tool": TOOL_NAME, "version": __version__, "system": system}
 
 
-def _verticals(args, ext, system) -> tuple[str, str] | None:
+def _verticals(args, system) -> tuple[str, str] | None:
     """The vertical pair of ``--base-split 'k:z,w'`` if given, else that of
-    the file's split, else None (the last two coordinates).  The pair itself
-    is checked where it is used (``liouville.vertical_pair``)."""
+    the file's split, else None (the last two coordinates).  The flag is
+    checked by ``liouville.split_verticals``, as the file's split was when
+    the file was loaded."""
     text = getattr(args, "base_split", None)
     if text is None:
         return None if system.base_split is None else tuple(system.base_split[1])
@@ -102,9 +103,7 @@ def _verticals(args, ext, system) -> tuple[str, str] | None:
         z, w = (v.strip() for v in verts.split(","))
     except ValueError:
         raise SystemFileError(f"bad --base-split {text!r}; expected 'k:z,w'")
-    if k != ext.space.dim - 2:
-        raise SystemFileError(f"base count {k} must equal {ext.space.dim - 2} for this system")
-    return (z, w)
+    return split_verticals(system.space, (k, (z, w)))
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +112,7 @@ def _verticals(args, ext, system) -> tuple[str, str] | None:
 
 def cmd_verify(args) -> int:
     config, sys = _load(args)
+    verticals = _verticals(args, sys)
     b = sys.bound_copy
     warnings = list(sys.warnings)
     # gamma_flux_match and sigma_volume_match were decided while loading
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
             "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))
         certs.extend(verify_characteristic(ext, config))
-        dec = decompose_beta(ext.dtheta, _verticals(args, ext, b))
+        dec = decompose_beta(ext.dtheta, verticals)
         proper = is_proper(dec, config)
         certs.append(Certificate("proper_principle", proper.value, proper.certainty,
                                  detail="double vertical contraction of d(theta) is nonzero"
@@ -178,9 +178,10 @@ def cmd_solve_gamma(args) -> int:
 
 def cmd_characteristic(args) -> int:
     config, sys = _load(args)
+    verticals = _verticals(args, sys)
     b = sys.bound_copy
     ext = build_extended(b, config)
-    dec = decompose_beta(ext.dtheta, _verticals(args, ext, b))
+    dec = decompose_beta(ext.dtheta, verticals)
     W = characteristic_field(dec, config)
     # W spans ker d(theta): divided by its time component and read in the
     # original chart, it must be d_t + X
@@ -261,9 +262,13 @@ def cmd_integrate(args) -> int:
         raise SystemFileError(f"--x0 needs {sys.space.dim} components")
     traj = integrate_rk4(sys.field, x0, args.h, args.T,
                          with_tangent=args.tangent, params=bindings)
-    drifts = invariant_drift(traj, sys.invariants)
-    det_dev = volume_diagnostic(traj) if args.tangent else None
-    diagnostics = FlowDiagnostics(traj.step, traj.duration, drifts, det_dev).to_json()
+    diagnostics = {
+        "step": traj.step,
+        "duration": traj.duration,
+        "invariant_drifts": list(invariant_drift(traj, sys.invariants)),
+    }
+    if args.tangent:
+        diagnostics["det_deviation"] = volume_diagnostic(traj)
     diagnostics["invariants"] = [render(e) for e in sys.invariants]
     if args.csv:
         rows = write_trajectory_csv(traj, args.csv)
@@ -272,7 +277,7 @@ def cmd_integrate(args) -> int:
         try:
             # unbound, so the sweep takes the parameters of the trajectory
             ext = build_extended(sys, config)
-            dec = decompose_beta(ext.dtheta, _verticals(args, ext, sys))
+            dec = decompose_beta(ext.dtheta, _verticals(args, sys))
             start = dict(zip(ext.space.coordinates, [0.0] + x0))
             base_seed = [start[c] for c in dec.space.coordinates]
             seeds = []

@@ -481,11 +481,16 @@ def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
     return total
 
 
+def diagonal_metric(space: Space) -> tuple[Fraction, ...]:
+    """The diagonal metric of ``space``: its own, or the Euclidean one when
+    it has none."""
+    return space.metric if space.metric is not None else (Fraction(1),) * space.dim
+
+
 def metric_sqrt_det(g: tuple[Fraction, ...]) -> Fraction:
     """sqrt|det g| of the diagonal metric ``g``, which exact duality needs
-    to be rational; raises MetricError otherwise."""
-    if any(x == 0 for x in g):
-        raise MetricError("metric entries must be nonzero")
+    to be rational; raises MetricError otherwise.  ``g`` has no zero entry:
+    ``Space`` refuses one."""
     det_abs = abs(prod(g))
     num_root, den_root = isqrt(det_abs.numerator), isqrt(det_abs.denominator)
     if num_root * num_root != det_abs.numerator or den_root * den_root != det_abs.denominator:
@@ -493,14 +498,11 @@ def metric_sqrt_det(g: tuple[Fraction, ...]) -> Fraction:
     return Fraction(num_root, den_root)
 
 
-def hodge_star(a: DiffForm, metric: Iterable[Fraction] | None = None) -> DiffForm:
-    """Metric duality on basis forms, indices raised by the diagonal metric."""
-    g = tuple(Fraction(x) for x in metric) if metric is not None else a.space.metric
-    if g is None:
-        raise MetricError(f"space '{a.space.name}' has no metric")
+def hodge_star(a: DiffForm) -> DiffForm:
+    """Metric duality on basis forms, indices raised by the ``diagonal_metric``
+    of the form's space."""
+    g = diagonal_metric(a.space)
     n = a.space.dim
-    if len(g) != n:
-        raise MetricError("metric length must equal the dimension")
     sqrt_det = metric_sqrt_det(g)
     everything = (1 << n) - 1
     out: dict[int, NormalForm] = {}  # I -> J is one-to-one: nothing is summed

@@ -281,31 +281,6 @@ class Trajectory:
         return self._dets
 
 
-@dataclass
-class FlowDiagnostics:
-    step: float
-    duration: float
-    invariant_drifts: tuple[float, ...]
-    det_deviation: float | None
-
-    def __post_init__(self):
-        values = list(self.invariant_drifts) + [self.step, self.duration]
-        if self.det_deviation is not None:
-            values.append(self.det_deviation)
-        if not all(math.isfinite(v) for v in values):
-            raise FlowError("diagnostics must be finite")
-
-    def to_json(self) -> dict:
-        out = {
-            "step": self.step,
-            "duration": self.duration,
-            "invariant_drifts": list(self.invariant_drifts),
-        }
-        if self.det_deviation is not None:
-            out["det_deviation"] = self.det_deviation
-        return out
-
-
 def _grid(h: float, T: float) -> tuple[int, float]:
     """Step count and step of the uniform grid on [0, T]: T / round(T/h)."""
     if not (math.isfinite(h) and math.isfinite(T)):

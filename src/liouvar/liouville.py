@@ -39,6 +39,7 @@ from .exterior import (
     VectorField,
     basis_form,
     coordinate_vector,
+    diagonal_metric,
     exterior_derivative,
     flux_field,
     form_is_zero,
@@ -108,7 +109,7 @@ class Certificate:
     name: str
     passed: bool
     certainty: str
-    residual: object | None = None
+    residual: DiffForm | NormalForm | None = None
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -122,10 +123,8 @@ class Certificate:
         if not self.passed and self.residual is not None:
             if isinstance(self.residual, DiffForm):
                 out["residual"] = serialize_form(self.residual)
-            elif isinstance(self.residual, NormalForm):
-                out["residual"] = render(self.residual)
             else:
-                out["residual"] = str(self.residual)
+                out["residual"] = render(self.residual)
         return out
 
 
@@ -256,37 +255,31 @@ def validate_system(sys: LiouvilleSystem,
     if len(sys.omega.nfs) != 1:
         raise SystemInvariantError("volume form must have a single nonvanishing coefficient")
     b = sys.bound()
+
+    def matched(name: str, equation: str, residual: DiffForm) -> Certificate:
+        cert = _zero_certificate(name, residual, config)
+        if not cert.passed:
+            raise SystemInvariantError(f"{equation}; residual: {serialize_form(residual)}")
+        return cert
+
     certs = []
     if sys.gamma is not None:
         if sys.gamma.degree != n - 2:
             raise SystemInvariantError(f"gamma must have degree {n - 2}")
-        residual = exterior_derivative(b.gamma) - interior_product(b.field, b.omega)
-        res = form_is_zero(residual, config)
-        if not res.value:
-            raise SystemInvariantError(
-                "gamma does not satisfy d(gamma) = X . Omega; residual: "
-                + str(serialize_form(residual)))
-        certs.append(Certificate("gamma_flux_match", True, res.certainty))
+        certs.append(matched("gamma_flux_match", "gamma does not satisfy d(gamma) = X . Omega",
+                             exterior_derivative(b.gamma) - interior_product(b.field, b.omega)))
     if sys.sigma is not None:
         if sys.sigma.degree != n - 1:
             raise SystemInvariantError(f"sigma must have degree {n - 1}")
-        residual = exterior_derivative(b.sigma) - b.omega
-        res = form_is_zero(residual, config)
-        if not res.value:
-            raise SystemInvariantError(
-                "sigma does not satisfy d(sigma) = Omega; residual: "
-                + str(serialize_form(residual)))
-        certs.append(Certificate("sigma_volume_match", True, res.certainty))
+        certs.append(matched("sigma_volume_match", "sigma does not satisfy d(sigma) = Omega",
+                             exterior_derivative(b.sigma) - b.omega))
     if sys.theta is not None:
         ext = extended_space(space)
         if sys.theta.space != ext or sys.theta.degree != n - 1:
             raise SystemInvariantError(
                 f"theta must be a degree-{n - 1} form on the extended space")
     if sys.base_split is not None:
-        k, verts = sys.base_split
-        if k != n - 1:
-            raise SystemInvariantError("base_split must name k = dim(M)-2 and two vertical coordinates")
-        vertical_pair(extended_space(space), verts)
+        split_verticals(space, sys.base_split)
     return certs
 
 
@@ -436,6 +429,17 @@ def vertical_pair(space: Space, verticals: tuple[str, str] | None = None) -> tup
     return pair
 
 
+def split_verticals(space: Space, split: tuple[int, tuple[str, str]]) -> tuple[str, str]:
+    """The vertical pair of a split ``(k, (z, w))`` of the time extension
+    of ``space``: the one check of a split, whether a system file or
+    ``--base-split`` names it.  The base count k must be dim(M) - 2, and
+    the pair is checked by ``vertical_pair``."""
+    k, verticals = split
+    if k != space.dim - 1:
+        raise GeometryError(f"base count {k} must equal {space.dim - 1} for this system")
+    return vertical_pair(extended_space(space), verticals)
+
+
 def split_chart(space: Space, verticals: tuple[str, str] | None = None) -> Space:
     """Return the chart with the two vertical coordinates moved last."""
     z, w = vertical_pair(space, verticals)
@@ -572,17 +576,17 @@ def section_residuals(u_z: NormalForm, u_w: NormalForm,
 def hodge_check(ext: ExtendedSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
     """Verify d(theta) = rho * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
 
-    The metric is that of ``ext.space``: the system's metric with the time
-    entry 1 in front (``extended_space``), or the Euclidean one when the
-    system has none.  rho is the coefficient of d(theta) on the spatial top
+    The metric is the ``diagonal_metric`` of ``ext.space``: the system's
+    metric with the time entry 1 in front (``extended_space``), or the
+    Euclidean one when the system has none.  rho is the coefficient of d(theta) on the spatial top
     index, i.e. the volume density of the principle (1 for the standard
     volume form); it may be any normal form.
     """
     space = ext.space
-    g = space.metric if space.metric is not None else (Fraction(1),) * space.dim
+    g = diagonal_metric(space)
     sqrt_det = metric_sqrt_det(g)
     rho = ext.dtheta.get_nf(tuple(range(1, space.dim)))
     z_flat = DiffForm(space, 1, {(i,): nf_scale(c, g[i]) for i, c in enumerate(ext.field.nfs)})
-    dual = hodge_star(z_flat, g) * nf_scale(rho, 1 / sqrt_det)
+    dual = hodge_star(z_flat) * nf_scale(rho, 1 / sqrt_det)
     residual = ext.dtheta - dual
     return _zero_certificate("hodge_duality", residual, config)

@@ -196,6 +196,18 @@ _INPUT_ERRORS = {
                                            "two distinct coordinates"),
     "--base-split 1:q,q: verify": ("harmonic_oscillator_m1", {}, ["verify", "--base-split", "1:q,q"],
                                    "two distinct coordinates"),
+    # abc_paper_verbatim has no flux potential: the flag is checked before
+    # any certificate, so a bad one exits 2 here too
+    "--base-split garbage: verify, no potential": (
+        "abc_paper_verbatim", {}, ["verify", "--base-split", "garbage"], "bad --base-split"),
+    "--base-split 2:x1,nope: verify, no potential": (
+        "abc_paper_verbatim", {}, ["verify", "--base-split", "2:x1,nope"],
+        "two distinct coordinates"),
+    "--base-split 2:x1,x1: characteristic, no potential": (
+        "abc_paper_verbatim", {}, ["characteristic", "--base-split", "2:x1,x1"],
+        "two distinct coordinates"),
+    "base_count 3: verify": ("euler_top", {"base_split": {"base_count": 3, "verticals": ["x1", "x2"]}},
+                             ["verify"], "base count 3 must equal 2"),
     "verify --out in a missing directory": ("euler_top", {}, ["verify", "--out", "@missing/r.json"],
                                             "No such file or directory"),
     "integrate --csv in a missing directory": (
@@ -410,6 +422,16 @@ def test_verify_hodge_with_a_non_square_metric_determinant_exit_2(tmp_path, caps
     assert captured.out == ""
     assert captured.err == \
         "error: metric determinant must be a perfect rational square for exact duality\n"
+
+
+def test_verify_hodge_reads_a_space_without_a_metric_as_euclidean(tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**data, "metric": ["1", "1", "1"]}), encoding="utf-8")
+    assert main(["verify", str(BENCH_BUNDLED / "euler_top.json"), "--hodge"]) == 0
+    bundled = capsys.readouterr().out
+    assert main(["verify", str(path), "--hodge"]) == 0
+    assert capsys.readouterr().out == bundled
 
 
 def test_verify_deterministic_bytes(example_dir, tmp_path):

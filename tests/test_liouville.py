@@ -599,7 +599,7 @@ def test_hodge_oscillator_euclidean(oscillator):
     assert cert.passed and cert.certainty == "exact"
     # independent expansion: d theta equals star(dt + p dq - q dp)
     z_flat = DiffForm(ext.space, 1, {(0,): 1, (1,): ext.space.parse("p"), (2,): ext.space.parse("-q")})
-    assert ext.dtheta == hodge_star(z_flat, (1, 1, 1))
+    assert ext.dtheta == hodge_star(z_flat)
 
 
 def test_hodge_euler(euler_symbolic):
