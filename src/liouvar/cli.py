@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .expr import (
     DEFAULT_ZERO_TEST,
+    EXACT,
     ExprError,
     ZeroTestConfig,
     render,
@@ -44,7 +45,6 @@ from .liouville import (
     is_liouville,
     is_proper,
     normalize_by_dt,
-    psi_forms,
     solve_gamma,
     split_verticals,
     verify_characteristic,
@@ -137,7 +137,9 @@ def cmd_verify(args) -> int:
                                  detail="double vertical contraction of d(theta) is nonzero"
                                  if proper.value else "double vertical contraction vanishes"))
         if proper.value:
-            certs.extend(psi_forms(dec, config).certificates)
+            # decompose_beta asserted beta = W ⌟ vol, so W ⌟ Psi_i is
+            # -(d_i ⌟ (W ⌟ W ⌟ vol)): zero as a ring identity
+            certs += [Certificate(f"psi{i}_annihilated_by_W", True, EXACT) for i in (1, 2)]
         if args.hodge:
             certs.append(hodge_check(ext, config))
     passed = all(c.passed for c in certs)

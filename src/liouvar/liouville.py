@@ -26,7 +26,6 @@ from .expr import (
     nf_divide,
     nf_from_terms,
     nf_neg,
-    nf_scale,
     nf_sum_of_products,
     normal_form,
     render,
@@ -43,7 +42,6 @@ from .exterior import (
     exterior_derivative,
     flux_field,
     form_is_zero,
-    hodge_star,
     interior_product,
     metric_sqrt_det,
     reorder_form,
@@ -368,11 +366,26 @@ def build_extended(sys: LiouvilleSystem,
                           dtheta_certainty=nondeg.certainty)
 
 
+def kernel_residual(ext: ExtendedSystem) -> DiffForm:
+    """R = d(theta) - rho * (Z ⌟ vol_M): zero exactly when Z spans the
+    kernel of d(theta).
+
+    rho is d(theta)'s coefficient on the spatial top index, the time
+    component of W = ``flux_field(d(theta))``, so R = (W - rho Z) ⌟ vol_M.
+    Z ⌟ d(theta) = Z ⌟ (W ⌟ vol_M) vanishes exactly when Z ∧ W does, and
+    as Z^t = 1 the t-row of Z ∧ W is W - rho Z.  R has one component per
+    coordinate, each a single product, where Z ⌟ d(theta) sums products
+    on every (n-1)-index of M.
+    """
+    space = ext.space
+    rho = ext.dtheta.get_nf(tuple(range(1, space.dim)))
+    return ext.dtheta - interior_product(ext.field, volume_form(space)) * rho
+
+
 def verify_characteristic(ext: ExtendedSystem,
                           config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> list[Certificate]:
-    """Certify Z ⌟ d(theta) = 0 and Z ⌟ dt = 1."""
-    annihilation = interior_product(ext.field, ext.dtheta)
-    cert1 = _zero_certificate("characteristic_annihilation", annihilation, config)
+    """Certify Z ⌟ d(theta) = 0, through ``kernel_residual``, and Z ⌟ dt = 1."""
+    cert1 = _zero_certificate("characteristic_annihilation", kernel_residual(ext), config)
     # Z ⌟ dt is Z's time component
     normalization = nf_add(ext.field.nfs[0], nf_neg(NF_ONE))
     res = is_zero(normalization, config)
@@ -522,29 +535,19 @@ def is_proper(dec: CharacteristicDecomposition,
 class PsiForms:
     psi1: DiffForm
     psi2: DiffForm
-    certificates: list[Certificate]
 
 
-def psi_forms(dec: CharacteristicDecomposition,
-              config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> PsiForms:
-    """Vertical contractions Psi_i of the decomposed form beta, in its split
-    chart, plus the W ⌟ Psi_i = 0 certificates.
+def psi_forms(dec: CharacteristicDecomposition) -> PsiForms:
+    """Vertical contractions Psi_1 = d_z ⌟ beta and Psi_2 = d_w ⌟ beta of
+    the decomposed form beta, in its split chart.
 
-    Psi_1 = d_z ⌟ beta and Psi_2 = d_w ⌟ beta.  Interior products
-    anticommute, so W ⌟ Psi_i is taken as -(d_z ⌟ (W ⌟ beta)) and
-    -(d_w ⌟ (W ⌟ beta)), contracting W with beta once.  W is ``dec.field``:
-    the caller decides properness first, as ``cmd_verify`` does.
+    W = ``dec.field`` annihilates both: beta = W ⌟ vol (``decompose_beta``
+    asserts it), so W ⌟ Psi_i = -(d_i ⌟ (W ⌟ W ⌟ vol)) is zero as a ring
+    identity.
     """
     beta = dec.beta
     d_z, d_w = (coordinate_vector(dec.space, v) for v in dec.verticals)
-    psi1 = interior_product(d_z, beta)
-    psi2 = interior_product(d_w, beta)
-    w_beta = interior_product(dec.field, beta)
-    certs = [
-        _zero_certificate("psi1_annihilated_by_W", -interior_product(d_z, w_beta), config),
-        _zero_certificate("psi2_annihilated_by_W", -interior_product(d_w, w_beta), config),
-    ]
-    return PsiForms(psi1, psi2, certs)
+    return PsiForms(interior_product(d_z, beta), interior_product(d_w, beta))
 
 
 def section_residuals(u_z: NormalForm, u_w: NormalForm,
@@ -578,15 +581,12 @@ def hodge_check(ext: ExtendedSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST)
 
     The metric is the ``diagonal_metric`` of ``ext.space``: the system's
     metric with the time entry 1 in front (``extended_space``), or the
-    Euclidean one when the system has none.  rho is the coefficient of d(theta) on the spatial top
-    index, i.e. the volume density of the principle (1 for the standard
-    volume form); it may be any normal form.
+    Euclidean one when the system has none.  Exact duality needs sqrt|det g|
+    rational, and ``metric_sqrt_det`` refuses a metric without it.  For a
+    diagonal g, star(Z-flat) = sqrt|det g| * (Z ⌟ vol_M), so the right side
+    is rho * (Z ⌟ vol_M) and the residual is ``kernel_residual``; rho is
+    the volume density of the principle (1 for the standard volume form)
+    and may be any normal form.
     """
-    space = ext.space
-    g = diagonal_metric(space)
-    sqrt_det = metric_sqrt_det(g)
-    rho = ext.dtheta.get_nf(tuple(range(1, space.dim)))
-    z_flat = DiffForm(space, 1, {(i,): nf_scale(c, g[i]) for i, c in enumerate(ext.field.nfs)})
-    dual = hodge_star(z_flat) * nf_scale(rho, 1 / sqrt_det)
-    residual = ext.dtheta - dual
-    return _zero_certificate("hodge_duality", residual, config)
+    metric_sqrt_det(diagonal_metric(ext.space))
+    return _zero_certificate("hodge_duality", kernel_residual(ext), config)

@@ -295,9 +295,10 @@ _WIDE_FIELD = {"name": "s", "coordinates": ["x1", "x2", "x3"],
 
 def test_verify_over_the_term_budget_of_a_contraction_exit_2_within_a_second(tmp_path, capsys):
     """Each entry loads within the budget (231 terms), and so does the
-    theta coefficient (231 terms).  In Z ⌟ d(theta) each entry multiplies
-    the coefficient's 210-term derivative; these products do not pair, so
-    they are refused before multiplying."""
+    theta coefficient (231 terms).  rho, d(theta)'s spatial top
+    coefficient, is that coefficient's 210-term x3-derivative, and the
+    residual's rho·Z^i multiplies it by each entry: 48510 term products,
+    refused before multiplying."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps({**_WIDE_FIELD,
                                 "theta": [{"index": [2, 3], "coeff": "(x1 + x2 + x3)^20"}]}),
@@ -313,8 +314,11 @@ def test_verify_over_the_term_budget_of_a_contraction_exit_2_within_a_second(tmp
 @pytest.mark.parametrize("argv", [["verify"], ["verify", "--hodge"], ["characteristic"]])
 def test_contraction_products_that_cancel_pairwise_are_not_refused(tmp_path, capsys, argv):
     """Each X^i is free of x_i, so the field is Liouville.  The products of
-    Z ⌟ d(theta) and of the psi certificates are X^i·X^j − X^j·X^i, each
-    far over the term budget, and they cancel before they are multiplied."""
+    Z ⌟ d(theta) are X^i·X^j − X^j·X^i, each far over the term budget, and
+    they cancel before they are multiplied (the equivalence tests of
+    ``kernel_residual`` take that contraction).  ``verify`` decides the
+    residual instead: with rho = 1 its products rho·Z^i hold one factor 1,
+    and the psi rows are stated, not computed."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps(_WIDE_FIELD), encoding="utf-8")
     t0 = time.perf_counter()
@@ -424,6 +428,16 @@ def test_verify_hodge_with_a_non_square_metric_determinant_exit_2(tmp_path, caps
         "error: metric determinant must be a perfect rational square for exact duality\n"
 
 
+def test_verify_hodge_takes_the_metric_square_root_once(monkeypatch, capsys):
+    """``hodge_check`` refuses a non-square determinant through
+    ``metric_sqrt_det`` and then decides the kernel residual, in which the
+    square root cancels; no Hodge star takes it a second time."""
+    calls = _count_calls(monkeypatch, liouvar.exterior.metric_sqrt_det)
+    assert main(["verify", str(BENCH_BUNDLED / "euler_top.json"), "--hodge"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_verify_hodge_reads_a_space_without_a_metric_as_euclidean(tmp_path, capsys):
     path = tmp_path / "metric.json"
     data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
@@ -441,24 +455,23 @@ def test_verify_deterministic_bytes(example_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _count_substitute_calls(monkeypatch):
-    """Wrap ``substitute`` in every liouvar module that imports it."""
-    original = liouvar.expr.substitute
+def _count_calls(monkeypatch, original):
+    """Wrap ``original`` in every liouvar module that holds it by name."""
     calls = []
 
-    def counting(nf, mapping):
+    def counting(*args):
         calls.append(1)
-        return original(nf, mapping)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("liouvar") and getattr(module, "substitute", None) is original:
-            monkeypatch.setattr(module, "substitute", counting)
+        if name.startswith("liouvar") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counting)
     return calls
 
 
 def test_verify_binds_the_loaded_system_once(example_dir, monkeypatch, capsys):
     path = str(example_dir / "euler_top.json")
-    calls = _count_substitute_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, liouvar.expr.substitute)
     load_system(path)
     at_load = len(calls)
     assert at_load > 0  # euler_top binds its inertia moments and mu_i

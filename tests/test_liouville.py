@@ -1,15 +1,22 @@
 """Tests for the certificate pipeline: potentials, extension, characteristics."""
 
+import functools
+import importlib.util
 import itertools
+import json
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liouvar.liouville as liouville_module
 from liouvar.expr import (
+    DEFAULT_ZERO_TEST,
+    EXACT,
     ZeroResult,
     ZeroTestConfig,
     is_zero,
@@ -37,7 +44,7 @@ from liouvar.exterior import (
     wedge,
 )
 from liouvar.liouville import (
-    Certificate,
+    ExtendedSystem,
     ImproperPrincipleError,
     LiouvilleSystem,
     NormalizationError,
@@ -50,6 +57,7 @@ from liouvar.liouville import (
     hodge_check,
     is_liouville,
     is_proper,
+    kernel_residual,
     normalize_by_dt,
     promote_field,
     psi_forms,
@@ -60,8 +68,10 @@ from liouvar.liouville import (
     verify_characteristic,
     vertical_pair,
 )
-from liouvar.systems import (bundled_systems, build_euler_top, build_hamiltonian, system_from_dict,
-                             system_to_dict)
+from liouvar.systems import (bundled_systems, build_euler_top, build_hamiltonian, load_system,
+                             system_from_dict, system_to_dict)
+from test_cli import _ROTATION_R3, _WIDE_FIELD
+from test_exterior import dense_interior, dense_tensor, value as dense_value
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +323,115 @@ def test_verify_characteristic_perturbed_fails(euler_symbolic):
 
 
 # --------------------------------------------------------------------------
+# The kernel residual: one check of W = rho·Z
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_DENSITY_ROTATION = {"name": "rotation", **_ROTATION_R3,
+                     "volume": [{"index": [1, 2, 3], "coeff": "1 + x3^2"}]}
+# the wrong_theta file of the CI smoke test
+_WRONG_THETA = {"name": "wrong_theta", "coordinates": ["x1", "x2"], "vector_field": ["x2", "-1*x1"],
+                "theta": [{"index": [3], "coeff": "x1"}, {"index": [1], "coeff": "1/2*x1^2"}]}
+
+
+@functools.cache
+def _gen_system(kind, size):
+    """A ``bench/gen.py`` system, loaded from the file without importing
+    the bench directory."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return json.loads(gen.system_text(kind, size, random.Random(f"{kind}:{size}")))
+
+
+def _perturbed_euler(config):
+    """The bad d(theta) of ``test_verify_characteristic_perturbed_fails``."""
+    ext = build_extended(build_euler_top(), config)
+    bad_theta = ext.theta + DiffForm(ext.space, 2, {(1, 3): ext.space.parse("x2")})
+    return replace(ext, theta=bad_theta, dtheta=exterior_derivative(bad_theta))
+
+
+# abc_paper_verbatim is not volume-preserving and builds no extended system
+_KERNEL_CASES = {
+    **{name: lambda config, name=name: load_system(BENCH / "bundled" / f"{name}.json", config)
+       for name in sorted(p.stem for p in (BENCH / "bundled").glob("*.json"))
+       if name != "abc_paper_verbatim"},
+    "perturbed_euler_top": _perturbed_euler,
+    "wrong_theta": lambda config: system_from_dict(_WRONG_THETA, config),
+    "density_rotation": lambda config: system_from_dict(_DENSITY_ROTATION, config),
+    "wide_field": lambda config: system_from_dict(_WIDE_FIELD, config),
+    "cubic_nambu_8": lambda config: system_from_dict(_gen_system("cubic_nambu", 8), config),
+    "cubic_nambu_6": lambda config: system_from_dict(_gen_system("cubic_nambu", 6), config),
+}
+_FAILING = {"perturbed_euler_top", "wrong_theta"}
+# a dense tensor of degree n on M = R × R^n has (n + 1)^n entries: 9^8 at n = 8
+_DENSE_CASES = [name for name in _KERNEL_CASES if name != "cubic_nambu_8"]
+
+
+@functools.cache
+def _kernel_case(name, seed):
+    config = DEFAULT_ZERO_TEST if seed is None else ZeroTestConfig(seed=seed)
+    built = _KERNEL_CASES[name](config)
+    ext = built if isinstance(built, ExtendedSystem) else build_extended(built.bound(), config)
+    return ext, config
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", list(_KERNEL_CASES))
+def test_kernel_residual_decides_what_the_contraction_and_characteristic_decide(name, seed):
+    """form_is_zero(R), the contraction Z ⌟ d(theta) that R replaced, and
+    ``characteristic``'s W_matches_annihilator agree in value and
+    certainty."""
+    ext, config = _kernel_case(name, seed)
+    residual = form_is_zero(kernel_residual(ext), config)
+    contraction = form_is_zero(interior_product(ext.field, ext.dtheta), config)
+    W = characteristic_field(decompose_beta(ext.dtheta), config)
+    try:
+        matches = fields_equal(normalize_by_dt(reorder_field(W, ext.space)), ext.field, config)
+    except NormalizationError:
+        # characteristic exits 1 on a W it cannot divide by W^t, such as a
+        # vertical one; exact division decides that without sampling
+        matches = ZeroResult(False, EXACT)
+    assert residual == contraction == matches
+    assert residual.value == (name not in _FAILING)
+    [cert] = [c for c in verify_characteristic(ext, config)
+              if c.name == "characteristic_annihilation"]
+    assert (cert.passed, cert.certainty) == (residual.value, residual.certainty)
+
+
+@pytest.mark.parametrize("name", _DENSE_CASES)
+def test_characteristic_annihilation_passes_where_the_dense_contraction_vanishes(name):
+    """Z ⌟ d(theta) evaluated as dense tensors at three rational points,
+    with no interior product, flux field or kernel residual: it is 0 up
+    to rounding exactly where ``characteristic_annihilation`` passes."""
+    ext, config = _kernel_case(name, None)
+    [cert] = [c for c in verify_characteristic(ext, config)
+              if c.name == "characteristic_annihilation"]
+    rng = random.Random(name)
+    vanishes = []
+    for _ in range(3):
+        point = {s: float(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                 for s in ext.space.coordinates + ext.space.parameters}
+        z = np.array([dense_value(c, point) for c in ext.field.nfs])
+        dtheta = dense_tensor(ext.dtheta, point)
+        scale = 1 + np.abs(z).sum() * np.abs(dtheta).max()
+        vanishes.append(np.abs(dense_interior(z, dtheta)).max() <= 1e-9 * scale)
+    assert all(vanishes) == cert.passed
+    assert any(vanishes) == cert.passed
+
+
+def test_kernel_residual_is_dtheta_minus_rho_times_the_flux_of_Z():
+    sp = Space("d", ("t", "x1", "x2"))
+    rho = sp.parse("1 + x1^2")
+    Z = VectorField(sp, (1, sp.parse("x2"), sp.parse("-1*x1")))
+    dtheta = interior_product(Z, volume_form(sp)) * rho
+    ext = ExtendedSystem("d", sp, Z, dtheta, dtheta)
+    assert kernel_residual(ext).is_zero_form
+    bad = dtheta + DiffForm(sp, 2, {(0, 2): sp.parse("x1")})
+    residual = kernel_residual(replace(ext, dtheta=bad))
+    assert residual == DiffForm(sp, 2, {(0, 2): sp.parse("x1")})
+
+
+# --------------------------------------------------------------------------
 # Annihilator and normalization
 
 
@@ -523,13 +642,16 @@ def test_psi_oscillator(oscillator):
     sp = ext.space
     assert pf.psi1 == DiffForm(sp, 1, {(2,): 1, (0,): sp.parse("q")})
     assert pf.psi2 == DiffForm(sp, 1, {(1,): -1, (0,): sp.parse("p")})
-    assert all(c.passed and c.certainty == "exact" for c in pf.certificates)
 
 
 def test_psi_euler(euler_symbolic):
+    """With symbolic parameters, W still annihilates both Psi forms."""
     ext = build_extended(euler_symbolic)
-    pf = psi_forms(decompose_beta(ext.dtheta))
-    assert all(c.passed and c.certainty == "exact" for c in pf.certificates)
+    dec = decompose_beta(ext.dtheta)
+    pf = psi_forms(dec)
+    assert not pf.psi1.is_zero_form and not pf.psi2.is_zero_form
+    assert interior_product(dec.field, pf.psi1).is_zero_form
+    assert interior_product(dec.field, pf.psi2).is_zero_form
 
 
 def test_psi_vertical_area():
@@ -538,12 +660,11 @@ def test_psi_vertical_area():
     pf = psi_forms(decompose_beta(beta))
     assert pf.psi1 == basis_form(sp, "w")
     assert pf.psi2 == -basis_form(sp, "z")
-    assert all(c.passed for c in pf.certificates)
 
 
-def test_psi_certificates_equal_the_direct_contraction_on_every_bundled_system(bundle):
-    """psi_forms contracts W with beta once; its certificates must be those
-    of contracting W with each Psi_i directly."""
+def test_W_annihilates_both_psi_forms_on_every_bundled_system(bundle):
+    """The psi rows of ``verify`` are stated PASS (exact) without a zero
+    test; the fact they state is that W ⌟ Psi_i vanishes identically."""
     checked = []
     for name, system in bundle.items():
         try:
@@ -555,15 +676,9 @@ def test_psi_certificates_equal_the_direct_contraction_on_every_bundled_system(b
         dec = decompose_beta(beta)
         pf = psi_forms(dec)
         W = characteristic_field(dec)
-        direct = [Certificate(f"psi{i}_annihilated_by_W", *_verdict(interior_product(W, psi)))
-                  for i, psi in ((1, pf.psi1), (2, pf.psi2))]
-        assert pf.certificates == direct, name
+        for psi in (pf.psi1, pf.psi2):
+            assert interior_product(W, psi).is_zero_form, name
     assert len(checked) == len(bundle) - 1
-
-
-def _verdict(residual):
-    res = form_is_zero(residual)
-    return res.value, res.certainty, None if res.value else residual
 
 
 def test_section_residuals_exact_solution(oscillator):
