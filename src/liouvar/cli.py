@@ -5,8 +5,9 @@ Reports are UTF-8 JSON on stdout (or --out); exit codes are 0 for PASS,
 1 for a failed certificate, a blow-up or a failed sweep, 2 for
 input/schema errors.  integrate reports its diagnostics without judging
 them, so its PASS means the run completed.
-The sampling seed of the probabilistic zero test can be overridden with
---seed; its points, interval and tolerance are fixed.
+The sampling seed of the probabilistic zero test is set with --seed
+(default ``DEFAULT_SEED``, 314159); its points, interval and tolerance
+are fixed.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from pathlib import Path
 
 from . import __version__
 from .expr import (
-    DEFAULT_ZERO_TEST,
+    DEFAULT_SEED,
     EXACT,
     ExprError,
-    ZeroTestConfig,
     render,
+    zero_test_json,
 )
 from .exterior import (
     GeometryError,
@@ -65,13 +66,13 @@ TOOL_NAME = "liouvar"
 
 
 def _load(args):
-    """The zero-test config of ``args`` and the system file it names.
+    """The zero-test seed of ``args`` and the system file it names, loaded
+    at that seed.
 
     A system invariant that the file breaks is an input error (exit 2),
     unlike one that fails later in a pipeline (exit 1)."""
-    config = DEFAULT_ZERO_TEST if args.seed is None else ZeroTestConfig(seed=args.seed)
     try:
-        return config, load_system(args.path, config)
+        return args.seed, load_system(args.path, args.seed)
     except SystemInvariantError as exc:
         raise SystemFileError(str(exc)) from exc
 
@@ -111,15 +112,15 @@ def _verticals(args, system) -> tuple[str, str] | None:
 
 
 def cmd_verify(args) -> int:
-    config, sys = _load(args)
+    seed, sys = _load(args)
     verticals = _verticals(args, sys)
     b = sys.bound_copy
     warnings = list(sys.warnings)
     # gamma_flux_match and sigma_volume_match were decided while loading
-    certs: list[Certificate] = [is_liouville(b, config), *sys.checks]
+    certs: list[Certificate] = [is_liouville(b, seed), *sys.checks]
     ext = None
     try:
-        ext = build_extended(b, config)
+        ext = build_extended(b, seed)
     except PotentialError as exc:
         certs.append(Certificate("potential_available", False, exc.certainty, detail=str(exc)))
     except DegenerateThetaError as exc:
@@ -130,9 +131,10 @@ def cmd_verify(args) -> int:
         certs.append(Certificate(
             "theta_nondegenerate", True, ext.dtheta_certainty,
             detail="certified not identically zero; pointwise nonvanishing is not decided symbolically"))
-        certs.extend(verify_characteristic(ext, config))
+        annihilation, normalization = verify_characteristic(ext, seed)
+        certs += [annihilation, normalization]
         dec = decompose_beta(ext.dtheta, verticals)
-        proper = is_proper(dec, config)
+        proper = is_proper(dec, seed)
         certs.append(Certificate("proper_principle", proper.value, proper.certainty,
                                  detail="double vertical contraction of d(theta) is nonzero"
                                  if proper.value else "double vertical contraction vanishes"))
@@ -141,11 +143,11 @@ def cmd_verify(args) -> int:
             # -(d_i ⌟ (W ⌟ W ⌟ vol)): zero as a ring identity
             certs += [Certificate(f"psi{i}_annihilated_by_W", True, EXACT) for i in (1, 2)]
         if args.hodge:
-            certs.append(hodge_check(ext, config))
+            certs.append(hodge_check(ext, annihilation))
     passed = all(c.passed for c in certs)
     report = {
         **_header(sys.name),
-        "zero_test": config.to_json(),
+        "zero_test": zero_test_json(seed),
         "certificates": [c.to_json() for c in certs],
         "diagnostics": None,
         "warnings": warnings,
@@ -160,10 +162,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_gamma(args) -> int:
-    config, sys = _load(args)
+    seed, sys = _load(args)
     b = sys.bound_copy
     flux = interior_product(b.field, b.omega)
-    gamma = solve_gamma(flux, config)
+    gamma = solve_gamma(flux, seed)
     residual = exterior_derivative(gamma) - flux
     out = {
         **_header(sys.name),
@@ -179,16 +181,16 @@ def cmd_solve_gamma(args) -> int:
 
 
 def cmd_characteristic(args) -> int:
-    config, sys = _load(args)
+    seed, sys = _load(args)
     verticals = _verticals(args, sys)
     b = sys.bound_copy
-    ext = build_extended(b, config)
+    ext = build_extended(b, seed)
     dec = decompose_beta(ext.dtheta, verticals)
-    W = characteristic_field(dec, config)
+    W = characteristic_field(dec, seed)
     # W spans ker d(theta): divided by its time component and read in the
     # original chart, it must be d_t + X
     Z = normalize_by_dt(reorder_field(W, ext.space))
-    witness = fields_equal(Z, ext.field, config)
+    witness = fields_equal(Z, ext.field, seed)
     out = {
         **_header(sys.name),
         "base": list(dec.base),
@@ -239,7 +241,7 @@ def _float_params(params) -> dict[str, float]:
 
 
 def cmd_integrate(args) -> int:
-    config, sys = _load(args)
+    seed, sys = _load(args)
     overrides = _parse_params(args.param, sys.space.parameters)
     bindings = _float_params(sys.params)
     changed = sorted(n for n in set(overrides) & set(bindings) if overrides[n] != bindings[n])
@@ -278,22 +280,22 @@ def cmd_integrate(args) -> int:
     if args.sweep:
         try:
             # unbound, so the sweep takes the parameters of the trajectory
-            ext = build_extended(sys, config)
+            ext = build_extended(sys, seed)
             dec = decompose_beta(ext.dtheta, _verticals(args, sys))
-            start = dict(zip(ext.space.coordinates, [0.0] + x0))
-            base_seed = [start[c] for c in dec.space.coordinates]
-            seeds = []
+            state = dict(zip(ext.space.coordinates, [0.0] + x0))
+            centre = [state[c] for c in dec.space.coordinates]
+            starts = []
             for offset in (-0.1, -0.05, 0.0, 0.05, 0.1):
-                seed = list(base_seed)
-                seed[dec.k] += offset
-                seeds.append(seed)
-            report = section_sweep(dec, seeds, args.h, args.T, params=bindings, config=config)
+                start = list(centre)
+                start[dec.k] += offset
+                starts.append(start)
+            report = section_sweep(dec, starts, args.h, args.T, params=bindings, seed=seed)
             diagnostics["sweep"] = report.to_json()
         except (LiouvilleError, BlowupError) as exc:
             raise LiouvilleError(f"sweep failed: {exc}") from exc
     out = {
         **_header(sys.name),
-        "zero_test": config.to_json(),
+        "zero_test": zero_test_json(seed),
         "diagnostics": diagnostics,
         "warnings": warnings,
         "overall": "PASS",
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="override the probabilistic zero-test seed")
         p.add_argument("--out", default=None, help="write the JSON report to a file")
 

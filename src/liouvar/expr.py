@@ -654,26 +654,18 @@ def compile_lambda(body: str):
 SAMPLE_POINTS = 32
 SAMPLE_RANGE = (-2.0, 2.0)
 REL_TOL = 1e-9
+DEFAULT_SEED = 314159
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroTestConfig:
-    """The seed of the probabilistic zero test; the points, the interval and
-    the tolerance are the constants ``SAMPLE_POINTS``, ``SAMPLE_RANGE`` and
-    ``REL_TOL``."""
-
-    seed: int = 314159
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "points": SAMPLE_POINTS,
-            "range": list(SAMPLE_RANGE),
-            "rel_tol": REL_TOL,
-        }
-
-
-DEFAULT_ZERO_TEST = ZeroTestConfig()
+def zero_test_json(seed: int) -> dict:
+    """The ``zero_test`` object of a report: the seed of the probabilistic
+    zero test and its fixed points, interval and tolerance."""
+    return {
+        "seed": seed,
+        "points": SAMPLE_POINTS,
+        "range": list(SAMPLE_RANGE),
+        "rel_tol": REL_TOL,
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -682,16 +674,16 @@ class ZeroResult:
     certainty: str
 
 
-def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+def is_zero(e: NormalForm, seed: int = DEFAULT_SEED) -> ZeroResult:
     """Decide whether ``e`` (a normal form, or a rational) vanishes identically.
 
     Exact verdicts come from the normal form alone.  Normal forms that
     contain trigonometric atoms are sampled at ``SAMPLE_POINTS`` points
-    with every free symbol drawn uniformly from ``SAMPLE_RANGE`` using the
-    seed of ``config``; the verdict is then tagged probabilistic.  At each
-    point the value must stay within ``REL_TOL`` times the sum of the absolute
-    term values there, so a small nonzero expression is not mistaken for
-    rounding error.  A point at which a term leaves the float range (an
+    with every free symbol drawn uniformly from ``SAMPLE_RANGE`` by a
+    generator seeded with ``seed``; the verdict is then tagged
+    probabilistic.  At each point the value must stay within ``REL_TOL``
+    times the sum of the absolute term values there, so a small nonzero
+    expression is not mistaken for rounding error.  A point at which a term leaves the float range (an
     overflowing power, sin or cos of an infinity, a non-finite sum of
     absolute values) decides nothing and raises ``ExprError``, unless an
     earlier point has already shown the expression nonzero.
@@ -701,7 +693,7 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
         return ZeroResult(True, EXACT)
     if not nf.has_trig():
         return ZeroResult(False, EXACT)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     symbols = sorted(nf.free_symbols())
     sources = nf_term_sources(nf, {v: f"s[{i}]" for i, v in enumerate(symbols)})
     term_values = compile_lambda("(" + "".join(t + ", " for t in sources) + ")")
@@ -715,13 +707,13 @@ def is_zero(e: NormalForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroRe
             scale = sum(abs(v) for v in values)
         if not math.isfinite(scale):
             raise ExprError(f"zero test: a term leaves the float range at sample point "
-                            f"{point} of {SAMPLE_POINTS} (seed {config.seed})")
+                            f"{point} of {SAMPLE_POINTS} (seed {seed})")
         if abs(sum(values)) > REL_TOL * scale:
             return ZeroResult(False, PROBABILISTIC)
     return ZeroResult(True, PROBABILISTIC)
 
 
-def all_zero(nfs: Iterable[NormalForm], config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+def all_zero(nfs: Iterable[NormalForm], seed: int = DEFAULT_SEED) -> ZeroResult:
     """Decide whether every one of ``nfs`` vanishes identically.
 
     Zero normal forms are dropped.  A remaining one without sin/cos atoms
@@ -735,7 +727,7 @@ def all_zero(nfs: Iterable[NormalForm], config: ZeroTestConfig = DEFAULT_ZERO_TE
     if not all(nf.has_trig() for nf in nonzero):
         return ZeroResult(False, EXACT)
     for nf in nonzero:
-        res = is_zero(nf, config)
+        res = is_zero(nf, seed)
         if not res.value:
             return res
     return ZeroResult(True, PROBABILISTIC if nonzero else EXACT)

@@ -16,12 +16,11 @@ from math import isqrt, prod
 from typing import Iterable, Mapping
 
 from .expr import (
-    DEFAULT_ZERO_TEST,
+    DEFAULT_SEED,
     NF_ONE,
     NF_ZERO,
     NormalForm,
     ZeroResult,
-    ZeroTestConfig,
     all_zero,
     differentiate,
     nf_add,
@@ -548,17 +547,17 @@ def reorder_field(v: VectorField, new_space: Space) -> VectorField:
 # Aggregate zero tests and serialization
 
 
-def form_is_zero(a: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+def form_is_zero(a: DiffForm, seed: int = DEFAULT_SEED) -> ZeroResult:
     """Whether every coefficient of ``a`` vanishes, by ``all_zero``."""
-    return all_zero(a.nfs.values(), config)
+    return all_zero(a.nfs.values(), seed)
 
 
-def fields_equal(u: VectorField, v: VectorField, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+def fields_equal(u: VectorField, v: VectorField, seed: int = DEFAULT_SEED) -> ZeroResult:
     """Whether ``u`` and ``v`` agree in every component, by ``all_zero`` on
     their differences."""
     if u.space != v.space:
         raise SpaceMismatchError("fields live on different spaces")
-    return all_zero((nf_add(a, nf_neg(b)) for a, b in zip(u.nfs, v.nfs)), config)
+    return all_zero((nf_add(a, nf_neg(b)) for a, b in zip(u.nfs, v.nfs)), seed)
 
 
 def serialize_form(a: DiffForm) -> list[dict]:

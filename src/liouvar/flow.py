@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .expr import (DEFAULT_ZERO_TEST, NormalForm, ZeroTestConfig, atom_source, compile_lambda,
-                   differentiate, nf_source, normal_form, trig_atoms)
+from .expr import (DEFAULT_SEED, NormalForm, atom_source, compile_lambda, differentiate,
+                   nf_source, normal_form, trig_atoms)
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -197,7 +197,7 @@ def _check_rows(states: np.ndarray, tangents: np.ndarray | None, start: int, sto
 
 
 def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: bool):
-    """Compile the RK4 loop of ``field`` once; the result runs it from a seed.
+    """Compile the RK4 loop of ``field`` once; the result runs it from an initial state.
 
     ``run(x0, steps, h)`` returns the ``(steps + 1, n)`` states and, with
     ``with_tangent``, the ``(steps + 1, n, n)`` tangent maps (else None).
@@ -374,7 +374,7 @@ class SweepReport:
     max_residual_w: float
     step: float
     duration: float
-    seeds: int
+    starts: int
 
     @property
     def max_residual(self) -> float:
@@ -387,29 +387,30 @@ class SweepReport:
             "max_residual_w": self.max_residual_w,
             "step": self.step,
             "duration": self.duration,
-            "seeds": self.seeds,
+            "seeds": self.starts,
         }
 
 
-def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[float]],
+def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[float]],
                   h: float, T: float, params: Mapping[str, float] | None = None,
-                  config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> SweepReport:
-    """Sweep a section from seed points and report quasilinear residuals.
+                  seed: int = DEFAULT_SEED) -> SweepReport:
+    """Sweep a section from start points and report quasilinear residuals.
 
-    Each seed is a full initial state (base coordinates, z, w).  Along an
+    Each start is a full initial state (base coordinates, z, w).  Along an
     integral curve the base velocity equals the A-components, so the
     section's directional derivatives A^mu du/dx^mu coincide with du/ds;
     they are approximated by second-order central differences on the
     curve parameter and compared against f and g.  The residual is
     O(h^2) discretization error for exact characteristic data.  W is
-    ``characteristic_field(dec, config)``, which refuses an improper principle.
+    ``characteristic_field(dec, seed)``, which refuses an improper
+    principle as the zero test at ``seed`` decides it.
     """
     import numpy as np
 
-    if not seeds:
+    if not starts:
         raise FlowError("at least one seed is required")
     params = dict(params or {})
-    W = characteristic_field(dec, config)
+    W = characteristic_field(dec, seed)
     k = dec.k
     f_fn = compile_scalar(dec.f, dec.space.coordinates, params)
     g_fn = compile_scalar(dec.g, dec.space.coordinates, params)
@@ -419,8 +420,8 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
     run = _compile_rk4(W, params, False)
     max_rz = 0.0
     max_rw = 0.0
-    for seed in seeds:
-        states, _ = run(_initial_state(W, seed), steps, h_eff)
+    for start in starts:
+        states, _ = run(_initial_state(W, start), steps, h_eff)
         z = states[:, k]
         w = states[:, k + 1]
         dz = (z[2:] - z[:-2]) / (2.0 * h_eff)
@@ -430,7 +431,7 @@ def section_sweep(dec: CharacteristicDecomposition, seeds: Sequence[Sequence[flo
         gv = np.asarray([g_fn(row) for row in interior])
         max_rz = max(max_rz, float(np.max(np.abs(dz - fv))))
         max_rw = max(max_rw, float(np.max(np.abs(dw - gv))))
-    return SweepReport(max_rz, max_rw, h_eff, T, len(seeds))
+    return SweepReport(max_rz, max_rw, h_eff, T, len(starts))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> int:

@@ -12,12 +12,11 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .expr import (
-    DEFAULT_ZERO_TEST,
+    DEFAULT_SEED,
     EXACT,
     NF_ONE,
     NormalForm,
     ZeroResult,
-    ZeroTestConfig,
     all_zero,
     differentiate,
     is_zero,
@@ -126,11 +125,10 @@ class Certificate:
         return out
 
 
-def _zero_certificate(name: str, residual: DiffForm,
-                      config: ZeroTestConfig, detail: str = "") -> Certificate:
-    res = form_is_zero(residual, config)
+def _zero_certificate(name: str, residual: DiffForm, seed: int) -> Certificate:
+    res = form_is_zero(residual, seed)
     return Certificate(name, res.value, res.certainty,
-                       residual=None if res.value else residual, detail=detail)
+                       residual=None if res.value else residual)
 
 
 # --------------------------------------------------------------------------
@@ -238,8 +236,7 @@ def promote_field(v: VectorField, ext: Space) -> VectorField:
     return VectorField(ext, (NF_ONE,) + v.nfs)
 
 
-def validate_system(sys: LiouvilleSystem,
-                    config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> list[Certificate]:
+def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Certificate]:
     """Enforce the structural invariants of a system bundle.
 
     Returns the passed ``gamma_flux_match`` and ``sigma_volume_match``
@@ -255,7 +252,7 @@ def validate_system(sys: LiouvilleSystem,
     b = sys.bound()
 
     def matched(name: str, equation: str, residual: DiffForm) -> Certificate:
-        cert = _zero_certificate(name, residual, config)
+        cert = _zero_certificate(name, residual, seed)
         if not cert.passed:
             raise SystemInvariantError(f"{equation}; residual: {serialize_form(residual)}")
         return cert
@@ -285,22 +282,22 @@ def validate_system(sys: LiouvilleSystem,
 # Liouville condition and measure rescaling
 
 
-def is_liouville(sys: LiouvilleSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
+def is_liouville(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> Certificate:
     """PASS when the flux X ⌟ Omega is closed, i.e. the flow preserves Omega."""
     b = sys.bound()
     residual = exterior_derivative(interior_product(b.field, b.omega))
-    return _zero_certificate("liouville_flux_closed", residual, config)
+    return _zero_certificate("liouville_flux_closed", residual, seed)
 
 
 # --------------------------------------------------------------------------
 # Potentials
 
 
-def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> DiffForm:
+def solve_gamma(chi: DiffForm, seed: int = DEFAULT_SEED) -> DiffForm:
     """One-axis homotopy potential: returns gamma with d(gamma) = chi.
 
     Below top degree the input must be closed, as ``form_is_zero`` decides
-    d(chi) at ``config``; then it must be polynomial.  This is the box form
+    d(chi) at ``seed``; then it must be polynomial.  This is the box form
     of the Poincare lemma.  For each coordinate x in order, a component of
     chi whose index holds x (always as its lowest entry, so with no sign)
     adds its antiderivative in x from 0 to gamma on the index without x;
@@ -314,7 +311,7 @@ def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Di
     if k < 1:
         raise PotentialError("potential solving requires degree >= 1")
     if k < space.dim:
-        closed = form_is_zero(exterior_derivative(chi), config)
+        closed = form_is_zero(exterior_derivative(chi), seed)
         if not closed.value:
             raise PotentialError("input form is not closed", closed.certainty)
     if any(c.has_trig() for c in chi.nfs.values()):
@@ -341,8 +338,7 @@ def solve_gamma(chi: DiffForm, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Di
 # Extended system
 
 
-def build_extended(sys: LiouvilleSystem,
-                   config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ExtendedSystem:
+def build_extended(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> ExtendedSystem:
     """Assemble M = R x P, Z = d_t + X, and theta = sigma + dt ∧ gamma.
 
     A theta stored on the system (already living on M) takes precedence
@@ -353,13 +349,13 @@ def build_extended(sys: LiouvilleSystem,
     if sys.theta is not None:
         theta = sys.theta
     else:
-        sigma = sys.sigma if sys.sigma is not None else solve_gamma(sys.omega, config)
+        sigma = sys.sigma if sys.sigma is not None else solve_gamma(sys.omega, seed)
         gamma = sys.gamma if sys.gamma is not None else solve_gamma(
-            interior_product(sys.field, sys.omega), config)
+            interior_product(sys.field, sys.omega), seed)
         dt = basis_form(ext, TIME_COORDINATE)
         theta = promote_form(sigma, ext) + wedge(dt, promote_form(gamma, ext))
     dtheta = exterior_derivative(theta)
-    nondeg = form_is_zero(dtheta, config)
+    nondeg = form_is_zero(dtheta, seed)
     if nondeg.value:
         raise DegenerateThetaError("d(theta) is identically zero", nondeg.certainty)
     return ExtendedSystem(sys.name, ext, Z, theta, dtheta, base=sys,
@@ -382,13 +378,12 @@ def kernel_residual(ext: ExtendedSystem) -> DiffForm:
     return ext.dtheta - interior_product(ext.field, volume_form(space)) * rho
 
 
-def verify_characteristic(ext: ExtendedSystem,
-                          config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> list[Certificate]:
+def verify_characteristic(ext: ExtendedSystem, seed: int = DEFAULT_SEED) -> list[Certificate]:
     """Certify Z ⌟ d(theta) = 0, through ``kernel_residual``, and Z ⌟ dt = 1."""
-    cert1 = _zero_certificate("characteristic_annihilation", kernel_residual(ext), config)
+    cert1 = _zero_certificate("characteristic_annihilation", kernel_residual(ext), seed)
     # Z ⌟ dt is Z's time component
     normalization = nf_add(ext.field.nfs[0], nf_neg(NF_ONE))
-    res = is_zero(normalization, config)
+    res = is_zero(normalization, seed)
     cert2 = Certificate("characteristic_normalization", res.value, res.certainty,
                         residual=None if res.value else normalization)
     return [cert1, cert2]
@@ -509,25 +504,23 @@ def decompose_beta(beta: DiffForm,
     return dec
 
 
-def characteristic_field(dec: CharacteristicDecomposition,
-                         config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> VectorField:
+def characteristic_field(dec: CharacteristicDecomposition, seed: int = DEFAULT_SEED) -> VectorField:
     """``dec.field``; requires a proper principle, as ``is_proper`` decides it."""
-    proper = is_proper(dec, config)
+    proper = is_proper(dec, seed)
     if not proper.value:
         raise ImproperPrincipleError("all base components vanish: improper principle",
                                      proper.certainty)
     return dec.field
 
 
-def is_proper(dec: CharacteristicDecomposition,
-              config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> ZeroResult:
+def is_proper(dec: CharacteristicDecomposition, seed: int = DEFAULT_SEED) -> ZeroResult:
     """The base components A^mu of the decomposed form must not all vanish,
     decided by ``all_zero``: the one properness verdict.
 
     ``value`` is True when they do not all vanish; ``certainty`` is that of
     the zero tests.  A ZeroResult is always truthy: read ``value``.
     """
-    vanish = all_zero(dec.coefficients, config)
+    vanish = all_zero(dec.coefficients, seed)
     return ZeroResult(not vanish.value, vanish.certainty)
 
 
@@ -576,17 +569,20 @@ def section_residuals(u_z: NormalForm, u_w: NormalForm,
 # Hodge duality certificate
 
 
-def hodge_check(ext: ExtendedSystem, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> Certificate:
-    """Verify d(theta) = rho * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
+def hodge_check(ext: ExtendedSystem, annihilation: Certificate) -> Certificate:
+    """Certify d(theta) = rho * sqrt(|g^-1|) * star(Z-flat) for a diagonal metric.
 
     The metric is the ``diagonal_metric`` of ``ext.space``: the system's
     metric with the time entry 1 in front (``extended_space``), or the
     Euclidean one when the system has none.  Exact duality needs sqrt|det g|
     rational, and ``metric_sqrt_det`` refuses a metric without it.  For a
     diagonal g, star(Z-flat) = sqrt|det g| * (Z ⌟ vol_M), so the right side
-    is rho * (Z ⌟ vol_M) and the residual is ``kernel_residual``; rho is
-    the volume density of the principle (1 for the standard volume form)
-    and may be any normal form.
+    is rho * (Z ⌟ vol_M) and the residual is ``kernel_residual``.
+    ``annihilation``, the ``characteristic_annihilation`` certificate of
+    ``verify_characteristic``, has decided that residual, so its verdict
+    is returned as ``hodge_duality`` and R is not built again.  rho is the
+    volume density of the principle (1 for the standard volume form) and
+    may be any normal form.
     """
     metric_sqrt_det(diagonal_metric(ext.space))
-    return _zero_certificate("hodge_duality", kernel_residual(ext), config)
+    return replace(annihilation, name="hodge_duality")

@@ -3,8 +3,8 @@
 Every builder returns a system whose structural invariants have been
 verified at construction time (potentials match fluxes, symplectic data
 is nondegenerate, declared first integrals are annihilated by the flow).
-Builders self-check at the default zero-test seed (``DEFAULT_ZERO_TEST``);
-only ``system_from_dict`` and ``load_system`` take a config, so that a
+Builders self-check at the default zero-test seed (``DEFAULT_SEED``);
+only ``system_from_dict`` and ``load_system`` take a seed, so that a
 command's seed reaches the checks of the file it loads.
 """
 
@@ -18,12 +18,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .expr import (
-    DEFAULT_ZERO_TEST,
+    DEFAULT_SEED,
     NF_ZERO,
     ExprError,
     ParseError,
     NormalForm,
-    ZeroTestConfig,
     differentiate,
     is_zero,
     nf_add,
@@ -579,7 +578,7 @@ def _form_entries(data: dict, key: str) -> list:
     return entries
 
 
-def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+def system_from_dict(data: dict, seed: int = DEFAULT_SEED) -> LiouvilleSystem:
     try:
         name = data["name"]
         coordinates = data["coordinates"]
@@ -647,11 +646,11 @@ def system_from_dict(data: dict, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> 
                           theta=theta, invariants=invariants, params=params,
                           base_split=base_split)
     sys.bound_copy = sys.bound()
-    sys.checks = tuple(validate_system(sys.bound_copy, config))
+    sys.checks = tuple(validate_system(sys.bound_copy, seed))
     return sys
 
 
-def load_system(path, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSystem:
+def load_system(path, seed: int = DEFAULT_SEED) -> LiouvilleSystem:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -660,7 +659,7 @@ def load_system(path, config: ZeroTestConfig = DEFAULT_ZERO_TEST) -> LiouvilleSy
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SystemFileError(f"invalid JSON in {path}: {exc}") from exc
-    return system_from_dict(data, config)
+    return system_from_dict(data, seed)
 
 
 # --------------------------------------------------------------------------

@@ -227,15 +227,12 @@ def test_criterion_08_calculus_property_suite():
 
 
 def test_criterion_09_hodge_lemma(oscillator):
-    ho_ext = build_extended(oscillator)
-    cert = hodge_check(ho_ext)
-    assert cert.passed and cert.certainty == "exact"
-    euler_ext = build_extended(build_euler_top())
-    cert = hodge_check(euler_ext)
-    assert cert.passed and cert.certainty == "exact"
     scaled = system_from_dict({**system_to_dict(build_euler_top()), "metric": ["4", "4", "4"]})
-    cert = hodge_check(build_extended(scaled))
-    assert cert.passed and cert.certainty == "exact"
+    for sys in (oscillator, build_euler_top(), scaled):
+        ext = build_extended(sys)
+        annihilation, _ = verify_characteristic(ext)
+        cert = hodge_check(ext, annihilation)
+        assert cert.passed and cert.certainty == "exact"
     _report(9, "metric duality of d(theta): Euclidean oscillator/rigid body and one scaled metric")
 
 

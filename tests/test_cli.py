@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -430,12 +431,50 @@ def test_verify_hodge_with_a_non_square_metric_determinant_exit_2(tmp_path, caps
 
 def test_verify_hodge_takes_the_metric_square_root_once(monkeypatch, capsys):
     """``hodge_check`` refuses a non-square determinant through
-    ``metric_sqrt_det`` and then decides the kernel residual, in which the
-    square root cancels; no Hodge star takes it a second time."""
-    calls = _count_calls(monkeypatch, liouvar.exterior.metric_sqrt_det)
+    ``metric_sqrt_det`` and then restates the verdict on the kernel
+    residual, in which the square root cancels; no Hodge star takes it a
+    second time."""
+    calls = _record_calls(monkeypatch, liouvar.exterior.metric_sqrt_det)
     assert main(["verify", str(BENCH_BUNDLED / "euler_top.json"), "--hodge"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_verify_hodge_builds_the_kernel_residual_once(monkeypatch, capsys):
+    """``hodge_duality`` and ``characteristic_annihilation`` decide the one
+    residual R, so R is built, and zero-tested, once per job."""
+    calls = _record_calls(monkeypatch, liouville.kernel_residual)
+    assert main(["verify", str(BENCH_BUNDLED / "euler_top.json"), "--hodge"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+_ABC_SWEEP = ["--param", "A=1", "B=1", "C=1", "--x0", "0.1,0.2,0.3", "--h", "1e-2", "--T", "0.1",
+              "--sweep"]
+
+
+@pytest.mark.parametrize("flag, seed", [(["--seed", "7"], 7), ([], 314159)],
+                         ids=["seed-7", "default"])
+@pytest.mark.parametrize("name, argv, code", [
+    ("abc_flow", ["verify", "--hodge"], 0),
+    ("abc_flow", ["characteristic"], 0),
+    ("abc_flow", ["integrate", *_ABC_SWEEP], 0),
+    ("abc_paper_verbatim", ["verify"], 1),
+], ids=["verify-hodge", "characteristic", "integrate-sweep", "verify-sampled-fail"])
+def test_every_zero_test_takes_the_commands_seed(monkeypatch, capsys, name, argv, code,
+                                                 flag, seed):
+    """``is_zero`` and ``all_zero``, wrapped in every liouvar namespace
+    that binds them, record the seed of each call: none falls back to the
+    default when ``--seed`` is given.  abc_flow's sin/cos terms cancel in
+    the normal form; abc_paper_verbatim's flux closure fails by sampling,
+    so ``all_zero`` must also pass the seed on to ``is_zero``."""
+    recorded = [_record_calls(monkeypatch, test) for test in (liouvar.expr.is_zero,
+                                                              liouvar.expr.all_zero)]
+    path = str(BENCH_BUNDLED / f"{name}.json")
+    assert main([argv[0], path, *argv[1:], *flag]) == code
+    capsys.readouterr()
+    calls = [call for record in recorded for call in record]
+    assert calls and {call["seed"] for call in calls} == {seed}
 
 
 def test_verify_hodge_reads_a_space_without_a_metric_as_euclidean(tmp_path, capsys):
@@ -455,23 +494,27 @@ def test_verify_deterministic_bytes(example_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _count_calls(monkeypatch, original):
-    """Wrap ``original`` in every liouvar module that holds it by name."""
+def _record_calls(monkeypatch, original):
+    """Wrap ``original`` in every liouvar module that holds it by name; each
+    call appends its arguments by parameter name, defaults filled in."""
     calls = []
+    signature = inspect.signature(original)
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("liouvar") and getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, counting)
+            monkeypatch.setattr(module, original.__name__, recording)
     return calls
 
 
 def test_verify_binds_the_loaded_system_once(example_dir, monkeypatch, capsys):
     path = str(example_dir / "euler_top.json")
-    calls = _count_calls(monkeypatch, liouvar.expr.substitute)
+    calls = _record_calls(monkeypatch, liouvar.expr.substitute)
     load_system(path)
     at_load = len(calls)
     assert at_load > 0  # euler_top binds its inertia moments and mu_i
@@ -988,9 +1031,9 @@ def test_integrate_sweep_decides_properness_at_the_commands_seed(example_dir, ca
     seen = []
     decide = liouville.is_proper
 
-    def recording(dec, config):
-        seen.append(config.seed)
-        return decide(dec, config)
+    def recording(dec, seed):
+        seen.append(seed)
+        return decide(dec, seed)
 
     monkeypatch.setattr(liouville, "is_proper", recording)
     rc = main(["integrate", str(example_dir / "abc_flow.json"), "--param", "A=1", "B=1", "C=1",

@@ -22,7 +22,6 @@ from liouvar.expr import (
     UnboundSymbolError,
     UndeclaredSymbolError,
     ZeroResult,
-    ZeroTestConfig,
     differentiate,
     NF_ONE,
     NF_ZERO,
@@ -343,7 +342,7 @@ def test_is_zero_deterministic_and_seed_sensitive():
     first = is_zero(e)
     second = is_zero(e)
     assert first == second
-    other = is_zero(e, ZeroTestConfig(seed=99))
+    other = is_zero(e, 99)
     assert other.value  # verdict stable under reseeding
 
 
@@ -357,7 +356,7 @@ def test_is_zero_deterministic_and_seed_sensitive():
 def test_is_zero_refuses_a_sample_point_beyond_the_float_range(text, seed, point):
     with pytest.raises(ExprError, match=f"float range at sample point {point} of 32 "
                                         rf"\(seed {seed}\)"):
-        is_zero(q(text), ZeroTestConfig(seed=seed))
+        is_zero(q(text), seed)
 
 
 def test_is_zero_keeps_a_nonzero_point_found_before_any_overflow():
@@ -371,7 +370,7 @@ def test_is_zero_does_not_count_an_infinite_point_as_a_zero_point():
     # operation raises; abs(inf) > REL_TOL * inf is False, so counting such
     # a point as a zero point would report this nonzero expression as zero
     with pytest.raises(ExprError, match="float range at sample point 1 of 32"):
-        is_zero(q("10^308*x1^40*sin(x2)"), ZeroTestConfig(seed=1))
+        is_zero(q("10^308*x1^40*sin(x2)"), 1)
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,9 @@ import pytest
 
 import liouvar.liouville as liouville_module
 from liouvar.expr import (
-    DEFAULT_ZERO_TEST,
+    DEFAULT_SEED,
     EXACT,
     ZeroResult,
-    ZeroTestConfig,
     is_zero,
     nf_mul,
     normal_form,
@@ -182,17 +181,16 @@ def test_solve_gamma_decides_closure_before_refusing_trig(coeffs, message, certa
 
 
 def test_solve_gamma_decides_closure_at_the_callers_zero_test(bundle, monkeypatch):
-    configs = []
+    seeds = []
 
-    def recording(form, config):
-        configs.append(config)
-        return form_is_zero(form, config)
+    def recording(form, seed):
+        seeds.append(seed)
+        return form_is_zero(form, seed)
 
     monkeypatch.setattr(liouville_module, "form_is_zero", recording)
-    config = ZeroTestConfig(seed=7)
     with pytest.raises(PotentialError, match="not closed"):
-        build_extended(bundle["abc_paper_verbatim"].bound(), config)
-    assert configs == [config]
+        build_extended(bundle["abc_paper_verbatim"].bound(), 7)
+    assert seeds == [7]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -343,24 +341,24 @@ def _gen_system(kind, size):
     return json.loads(gen.system_text(kind, size, random.Random(f"{kind}:{size}")))
 
 
-def _perturbed_euler(config):
+def _perturbed_euler(seed):
     """The bad d(theta) of ``test_verify_characteristic_perturbed_fails``."""
-    ext = build_extended(build_euler_top(), config)
+    ext = build_extended(build_euler_top(), seed)
     bad_theta = ext.theta + DiffForm(ext.space, 2, {(1, 3): ext.space.parse("x2")})
     return replace(ext, theta=bad_theta, dtheta=exterior_derivative(bad_theta))
 
 
 # abc_paper_verbatim is not volume-preserving and builds no extended system
 _KERNEL_CASES = {
-    **{name: lambda config, name=name: load_system(BENCH / "bundled" / f"{name}.json", config)
+    **{name: lambda seed, name=name: load_system(BENCH / "bundled" / f"{name}.json", seed)
        for name in sorted(p.stem for p in (BENCH / "bundled").glob("*.json"))
        if name != "abc_paper_verbatim"},
     "perturbed_euler_top": _perturbed_euler,
-    "wrong_theta": lambda config: system_from_dict(_WRONG_THETA, config),
-    "density_rotation": lambda config: system_from_dict(_DENSITY_ROTATION, config),
-    "wide_field": lambda config: system_from_dict(_WIDE_FIELD, config),
-    "cubic_nambu_8": lambda config: system_from_dict(_gen_system("cubic_nambu", 8), config),
-    "cubic_nambu_6": lambda config: system_from_dict(_gen_system("cubic_nambu", 6), config),
+    "wrong_theta": lambda seed: system_from_dict(_WRONG_THETA, seed),
+    "density_rotation": lambda seed: system_from_dict(_DENSITY_ROTATION, seed),
+    "wide_field": lambda seed: system_from_dict(_WIDE_FIELD, seed),
+    "cubic_nambu_8": lambda seed: system_from_dict(_gen_system("cubic_nambu", 8), seed),
+    "cubic_nambu_6": lambda seed: system_from_dict(_gen_system("cubic_nambu", 6), seed),
 }
 _FAILING = {"perturbed_euler_top", "wrong_theta"}
 # a dense tensor of degree n on M = R × R^n has (n + 1)^n entries: 9^8 at n = 8
@@ -369,10 +367,10 @@ _DENSE_CASES = [name for name in _KERNEL_CASES if name != "cubic_nambu_8"]
 
 @functools.cache
 def _kernel_case(name, seed):
-    config = DEFAULT_ZERO_TEST if seed is None else ZeroTestConfig(seed=seed)
-    built = _KERNEL_CASES[name](config)
-    ext = built if isinstance(built, ExtendedSystem) else build_extended(built.bound(), config)
-    return ext, config
+    seed = DEFAULT_SEED if seed is None else seed
+    built = _KERNEL_CASES[name](seed)
+    ext = built if isinstance(built, ExtendedSystem) else build_extended(built.bound(), seed)
+    return ext, seed
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -381,19 +379,19 @@ def test_kernel_residual_decides_what_the_contraction_and_characteristic_decide(
     """form_is_zero(R), the contraction Z ⌟ d(theta) that R replaced, and
     ``characteristic``'s W_matches_annihilator agree in value and
     certainty."""
-    ext, config = _kernel_case(name, seed)
-    residual = form_is_zero(kernel_residual(ext), config)
-    contraction = form_is_zero(interior_product(ext.field, ext.dtheta), config)
-    W = characteristic_field(decompose_beta(ext.dtheta), config)
+    ext, seed = _kernel_case(name, seed)
+    residual = form_is_zero(kernel_residual(ext), seed)
+    contraction = form_is_zero(interior_product(ext.field, ext.dtheta), seed)
+    W = characteristic_field(decompose_beta(ext.dtheta), seed)
     try:
-        matches = fields_equal(normalize_by_dt(reorder_field(W, ext.space)), ext.field, config)
+        matches = fields_equal(normalize_by_dt(reorder_field(W, ext.space)), ext.field, seed)
     except NormalizationError:
         # characteristic exits 1 on a W it cannot divide by W^t, such as a
         # vertical one; exact division decides that without sampling
         matches = ZeroResult(False, EXACT)
     assert residual == contraction == matches
     assert residual.value == (name not in _FAILING)
-    [cert] = [c for c in verify_characteristic(ext, config)
+    [cert] = [c for c in verify_characteristic(ext, seed)
               if c.name == "characteristic_annihilation"]
     assert (cert.passed, cert.certainty) == (residual.value, residual.certainty)
 
@@ -403,8 +401,8 @@ def test_characteristic_annihilation_passes_where_the_dense_contraction_vanishes
     """Z ⌟ d(theta) evaluated as dense tensors at three rational points,
     with no interior product, flux field or kernel residual: it is 0 up
     to rounding exactly where ``characteristic_annihilation`` passes."""
-    ext, config = _kernel_case(name, None)
-    [cert] = [c for c in verify_characteristic(ext, config)
+    ext, seed = _kernel_case(name, None)
+    [cert] = [c for c in verify_characteristic(ext, seed)
               if c.name == "characteristic_annihilation"]
     rng = random.Random(name)
     vanishes = []
@@ -710,7 +708,8 @@ def test_section_residuals_trivial_constants():
 
 def test_hodge_oscillator_euclidean(oscillator):
     ext = build_extended(oscillator)
-    cert = hodge_check(ext)
+    annihilation, _ = verify_characteristic(ext)
+    cert = hodge_check(ext, annihilation)
     assert cert.passed and cert.certainty == "exact"
     # independent expansion: d theta equals star(dt + p dq - q dp)
     z_flat = DiffForm(ext.space, 1, {(0,): 1, (1,): ext.space.parse("p"), (2,): ext.space.parse("-q")})
@@ -719,14 +718,16 @@ def test_hodge_oscillator_euclidean(oscillator):
 
 def test_hodge_euler(euler_symbolic):
     ext = build_extended(euler_symbolic)
-    assert hodge_check(ext).passed
+    annihilation, _ = verify_characteristic(ext)
+    assert hodge_check(ext, annihilation).passed
 
 
 def test_hodge_scaled_metric(euler_symbolic):
     scaled = system_from_dict({**system_to_dict(euler_symbolic), "metric": ["4", "4", "4"]})
     ext = build_extended(scaled)
     assert ext.space.metric == (1, 4, 4, 4)
-    cert = hodge_check(ext)
+    annihilation, _ = verify_characteristic(ext)
+    cert = hodge_check(ext, annihilation)
     assert cert.passed and cert.certainty == "exact"
 
 
