@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", nargs="*", action="extend", default=None,
                    metavar="NAME=VALUE", help="numeric parameter bindings")
     p.add_argument("--tangent", action="store_true",
-                   help="co-integrate the tangent map and report det deviation")
+                   help="compute the tangent maps and report det deviation")
     p.add_argument("--sweep", action="store_true",
                    help="run a critical-section sweep around the initial state")
     p.add_argument("--csv", default=None, help="write the trajectory CSV to a file")

@@ -3,14 +3,18 @@
 The integrator is classical fourth-order Runge-Kutta; the field is
 certified symbolically elsewhere, so the integrator only needs accuracy,
 not structure preservation.  Volume preservation is monitored through
-the determinant of a co-integrated tangent map, first integrals through
-their drift along the trajectory, and swept sections through
-finite-difference residuals of the quasilinear system.
+the determinant of the tangent map, the product of the exact Jacobians of
+the RK4 steps; first integrals through their drift along the trajectory,
+and swept sections through finite-difference residuals of the
+quasilinear system.  The step loop is generated Python over floats; the
+tangent maps and the diagnostics evaluate normal forms column-wise over
+the state array (``compile_columns``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -32,7 +36,8 @@ if TYPE_CHECKING:
 MAX_STEPS = 10_000_000
 
 # Steps the generated RK4 loop runs between two checks that its states and
-# tangent maps are finite.
+# tangent maps are finite; the tangent maps of a block's rows are computed
+# together, so their scratch arrays hold O(BLOCK_STEPS * n * n) floats.
 BLOCK_STEPS = 1024
 
 
@@ -83,9 +88,85 @@ def compile_jacobian(field: VectorField, params: Mapping[str, float]):
     return compile_lambda("[" + ", ".join(rows) + "]")
 
 
-def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: bool) -> str:
-    """Source of ``rk4(states, tangents, h, start, stop)``: RK4 steps
-    ``start`` to ``stop - 1``, resumed from row ``start - 1``.
+def _float_power(v: float, e: int) -> float:
+    """``v ** e``, or the infinity numpy would give where it overflows."""
+    try:
+        return v ** e
+    except OverflowError:
+        return math.copysign(math.inf, v) if e % 2 else math.inf
+
+
+def _column_power(base, e: int):
+    """``base ** e`` with Python's float power on every element.
+
+    numpy's float64 ``**`` differs from Python's by an ulp on some squares
+    and cubes, so it would break the bit-identity with ``compile_scalar``.
+    """
+    import numpy as np
+
+    values = np.asarray(base, dtype=float)
+    if values.ndim == 0:
+        return _float_power(float(values), e)
+    values = values.tolist()
+    try:
+        return np.array([v ** e for v in values])
+    except OverflowError:
+        return np.array([_float_power(v, e) for v in values])
+
+
+def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str],
+                    params: Mapping[str, float]):
+    """Compile ``nfs`` for many states at once.
+
+    The result maps ``s``, whose row i holds coordinate i's values along
+    the states, to the array whose row j holds the values of ``nfs[j]``;
+    a form free of coordinates fills its row with one value.  It runs
+    ``nf_source``'s code with ``sin``/``cos`` bound to ``np.sin``/``np.cos``,
+    each distinct sin/cos atom evaluated once and each distinct
+    ``(base)**e`` taken once by ``_column_power``, so every value equals
+    ``compile_scalar``'s on its state bit for bit.  A value that overflows
+    or leaves the domain of sin/cos is written as inf or nan, without a
+    warning; callers check the values.
+    """
+    import numpy as np
+
+    nfs = [normal_form(e) for e in nfs]
+    symbols = _symbol_sources(coordinates, params)
+    atoms = trig_atoms(nfs)
+    names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
+    body = [f"{names[a]} = {atom_source(a, symbols, names)}" for a in atoms]
+    body.append("return [" + ", ".join(nf_source(nf, symbols, names) for nf in nfs) + "]")
+    lines = ["def columns(s):"]
+    powers: dict[str, str] = {}
+
+    def power_name(match):
+        if match[0] not in powers:
+            powers[match[0]] = f"p{len(powers)}"
+            lines.append(f"    {powers[match[0]]} = power({match[1]}, {match[2]})")
+        return powers[match[0]]
+
+    for line in body:
+        # with every sin/cos atom named, nf_source writes a power as
+        # (base)**e, and its base (s[i], a float literal or an atom name)
+        # holds no parenthesis
+        lines.append("    " + re.sub(r"\(([^()]+)\)\*\*(\d+)", power_name, line))
+    namespace = {"sin": np.sin, "cos": np.cos, "power": _column_power}
+    exec("\n".join(lines) + "\n", namespace)
+    values = namespace["columns"]
+
+    def columns(s: np.ndarray) -> np.ndarray:
+        out = np.empty((len(nfs), s.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, value in zip(out, values(s)):
+                row[...] = value
+        return out
+
+    return columns
+
+
+def _rk4_source(field: VectorField, params: Mapping[str, float]) -> str:
+    """Source of ``rk4(states, h, start, stop)``: RK4 steps ``start`` to
+    ``stop - 1``, resumed from row ``start - 1``.
 
     The state is held in floats ``x0..``, a stage state in ``y0..`` and the
     slopes in ``k1_0..k4_0..``.  Every operation is written in the order
@@ -93,31 +174,21 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
         k1 = f(x), k2 = f(x + h2*k1), k3 = f(x + h2*k2), k4 = f(x + h*k3),
         x + h6*(((k1 + 2.0*k2) + 2.0*k3) + k4)
     with h2 = 0.5*h and h6 = h/6.0, so each component rounds exactly as
-    numpy's elementwise arithmetic on float64 arrays does.  The tangent map
-    M (entries ``m0..`` row by row) and its slopes ``K1_0..`` follow the
-    same formula with J(y) @ N for f(y): the entries of J and of the stage
-    map N are written into two numpy buffers, and ``J.dot(N, K)`` writes
-    the product into a third buffer K, whose n*n entries are read back in
-    one unpack.  ``ndarray.dot`` calls the same BLAS gemm as ``@`` and
-    rounds the same, differently from a float sum.
+    numpy's elementwise arithmetic on float64 arrays does.  The loop
+    carries states only; ``_tangent_transport`` derives the tangent maps
+    from them.
 
-    Work that does not change from step to step is done once per call:
-    the entries of J with no coordinate among their free symbols, and
-    the sin/cos atoms of parameters alone.  Each other distinct sin/cos
-    atom of a stage's slopes and entries of J is evaluated once per stage
-    into a local ``a0..``, inner atoms first.  The loop writes every row
-    unchecked; the caller checks the rows for finite values, and a stage
-    that overflows or leaves the domain of sin/cos raises
+    The sin/cos atoms of parameters alone are evaluated once per call.
+    Each other distinct sin/cos atom of a stage's slopes is evaluated once
+    per stage into a local ``a0..``, inner atoms first.  The loop writes
+    every row unchecked; the caller checks the rows for finite values, and
+    a stage that overflows or leaves the domain of sin/cos raises
     ``BlowupError(step)``.
     """
     coords = field.space.coordinates
     n = len(coords)
     xs = [f"x{i}" for i in range(n)]
-    ms = [f"m{p}" for p in range(n * n)]
-    derivatives = [differentiate(c, x) for c in field.nfs for x in coords] if with_tangent else []
-    constant = [p for p, d in enumerate(derivatives) if d.free_symbols().isdisjoint(coords)]
-    varying = [p for p in range(len(derivatives)) if p not in constant]
-    atoms = trig_atoms([*field.nfs, *derivatives])
+    atoms = trig_atoms(field.nfs)
     names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
     fixed = [a for a in atoms if a[1].free_symbols().isdisjoint(coords)]
     moving = [a for a in atoms if a not in fixed]
@@ -126,26 +197,14 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
         return _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
 
     lines = [
-        "def rk4(states, tangents, h, start, stop):",
+        "def rk4(states, h, start, stop):",
         "    out = memoryview(states.reshape(-1))",
         f"    {', '.join(xs)}, = out[(start - 1) * {n}:start * {n}].tolist()",
         "    h2 = 0.5 * h",
         "    h6 = h / 6.0",
     ]
-    if with_tangent:
-        lines += [
-            f"    J = empty(({n}, {n}))",
-            f"    N = empty(({n}, {n}))",
-            f"    K = empty(({n}, {n}))",
-            "    jv = memoryview(J.reshape(-1))",
-            "    nv = memoryview(N.reshape(-1))",
-            "    kv = memoryview(K.reshape(-1))",
-            "    tv = memoryview(tangents.reshape(-1))",
-            f"    {', '.join(ms)}, = tv[(start - 1) * {n * n}:start * {n * n}].tolist()",
-        ]
     once = sources("x")
     prelude = [f"        {names[a]} = {atom_source(a, once, names)}" for a in fixed]
-    prelude += [f"        jv[{p}] = {nf_source(derivatives[p], once, names)}" for p in constant]
     if prelude:
         lines += ["    try:", *prelude, "    except (OverflowError, ValueError):",
                   "        raise BlowupError(start) from None"]
@@ -158,30 +217,64 @@ def _rk4_source(field: VectorField, params: Mapping[str, float], with_tangent: b
         lines += [f"            {names[a]} = {atom_source(a, symbols, names)}" for a in moving]
         lines += [f"            k{stage}_{i} = {nf_source(c, symbols, names)}"
                   for i, c in enumerate(field.nfs)]
-        if with_tangent:
-            lines += [f"            jv[{p}] = {nf_source(derivatives[p], symbols, names)}"
-                      for p in varying]
-            if factor is None:
-                lines.append("            J.dot(tangents[step - 1], K)")
-            else:
-                lines += [f"            nv[{p}] = m{p} + {factor} * K{stage - 1}_{p}"
-                          for p in range(n * n)]
-                lines.append("            J.dot(N, K)")
-            lines.append(f"            {', '.join(f'K{stage}_{p}' for p in range(n * n))}, = kv")
     lines += [
         "        except (OverflowError, ValueError):",
         "            raise BlowupError(step) from None",
     ]
     lines += [f"        x{i} = x{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
               for i in range(n)]
-    lines += [f"        m{p} = m{p} + h6 * (((K1_{p} + 2.0 * K2_{p}) + 2.0 * K3_{p}) + K4_{p})"
-              for p in range(n * n) if with_tangent]
     lines.append(f"        j = step * {n}")
     lines += [f"        out[j + {i}] = x{i}" for i in range(n)]
-    if with_tangent:
-        lines.append(f"        j = step * {n * n}")
-        lines += [f"        tv[j + {p}] = m{p}" for p in range(n * n)]
     return "\n".join(lines) + "\n"
+
+
+def _tangent_transport(field: VectorField, params: Mapping[str, float]):
+    """Compile the tangent maps of the RK4 loop of ``field``.
+
+    The result, ``transport(states, tangents, h, start, stop)``, writes
+    tangent rows ``start`` to ``stop - 1`` from the states of rows
+    ``start - 1`` to ``stop - 2`` and the tangent map of row ``start - 1``.
+    The Jacobian of the RK4 step from x_k is the same RK method applied to
+    the variational equation (Hairer, Lubich and Wanner, *Geometric
+    Numerical Integration*):
+        R_k = I + h6*(((A1 + 2.0*A2) + 2.0*A3) + A4),
+        A1 = J(x_k), A2 = J(y2)(I + h2*A1), A3 = J(y3)(I + h2*A2),
+        A4 = J(y4)(I + h*A3),
+    with the stage states y2, y3, y4 of the loop.  The stage states of all
+    the rows take one ``compile_columns`` pass per stage, their Jacobian
+    entries one pass over the four stages together, and the A's one
+    stacked matmul each; only M_{k+1} = R_k M_k runs per step, as one
+    ``ndarray.dot`` into ``tangents[k + 1]``.  Non-finite values are
+    written, not raised: the caller checks the rows.
+    """
+    import numpy as np
+
+    coords = field.space.coordinates
+    n = len(coords)
+    slopes = compile_columns(field.nfs, coords, params)
+    jacobian = compile_columns([differentiate(c, x) for c in field.nfs for x in coords],
+                               coords, params)
+    eye = np.eye(n)
+
+    def transport(states, tangents, h, start, stop):
+        rows = stop - start
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        x = np.ascontiguousarray(states[start - 1:stop - 1].T)
+        y2 = x + h2 * slopes(x)
+        y3 = x + h2 * slopes(y2)
+        y4 = x + h * slopes(y3)
+        stages = np.concatenate((x, y2, y3, y4), axis=1)
+        j1, j2, j3, j4 = jacobian(stages).T.reshape(4, rows, n, n)
+        a2 = j2 @ (eye + h2 * j1)
+        a3 = j3 @ (eye + h2 * a2)
+        a4 = j4 @ (eye + h * a3)
+        step_jacobians = eye + h6 * (((j1 + 2.0 * a2) + 2.0 * a3) + a4)
+        maps = list(tangents[start - 1:stop])
+        for r, m, out in zip(step_jacobians, maps, maps[1:]):
+            r.dot(m, out)
+
+    return transport
 
 
 def _check_rows(states: np.ndarray, tangents: np.ndarray | None, start: int, stop: int) -> None:
@@ -203,18 +296,19 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
     ``with_tangent``, the ``(steps + 1, n, n)`` tangent maps (else None).
     It raises ``BlowupError(step)`` at the first step whose state or
     tangent map is not finite, or whose stage overflows or leaves the
-    domain of sin/cos.  The loop runs in blocks of ``BLOCK_STEPS`` steps,
-    each checked as a whole.  A non-finite state or tangent map stays
-    non-finite, so the first bad row of a block is the step at which the
-    values first stopped being finite, and a blow-up costs at most one
-    block of extra steps.
+    domain of sin/cos.  The loop runs in blocks of ``BLOCK_STEPS`` steps;
+    after each block ``_tangent_transport`` writes the block's tangent
+    maps, and the block is checked as a whole.  A non-finite state or
+    tangent map stays non-finite, so the first bad row of a block is the
+    step at which the values first stopped being finite, and a blow-up
+    costs at most one block of extra steps.
     """
     import numpy as np
 
-    namespace = {"sin": math.sin, "cos": math.cos, "empty": np.empty,
-                 "BlowupError": BlowupError}
-    exec(_rk4_source(field, params, with_tangent), namespace)
+    namespace = {"sin": math.sin, "cos": math.cos, "BlowupError": BlowupError}
+    exec(_rk4_source(field, params), namespace)
     loop = namespace["rk4"]
+    transport = _tangent_transport(field, params) if with_tangent else None
     n = field.space.dim
 
     def run(x0: np.ndarray, steps: int, h: float):
@@ -224,17 +318,23 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
         if with_tangent:
             tangents = np.empty((steps + 1, n, n))
             tangents[0] = np.eye(n)
+
+        def finish(start, stop):
+            if transport is not None:
+                transport(states, tangents, h, start, stop)
+            _check_rows(states, tangents, start, stop)
+
         # a non-finite product is reported as a BlowupError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(1, steps + 1, BLOCK_STEPS):
                 stop = min(start + BLOCK_STEPS, steps + 1)
                 try:
-                    loop(states, tangents, h, start, stop)
+                    loop(states, h, start, stop)
                 except BlowupError as err:
                     # an earlier row of the block may have stopped being finite
-                    _check_rows(states, tangents, start, err.step)
+                    finish(start, err.step)
                     raise
-                _check_rows(states, tangents, start, stop)
+                finish(start, stop)
         return states, tangents
 
     return run
@@ -314,10 +414,12 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     """Classical RK4 over [0, T].
 
     The step is adjusted to T / round(T/h) so the uniform grid ends
-    exactly at T.  With ``with_tangent`` the variational equation
-    M' = J(x) M, M(0) = I is co-integrated using the exact symbolic
-    Jacobian evaluated numerically.  The step loop is generated code
-    (``_rk4_source``) whose results equal the array formula bit for bit.
+    exactly at T.  The step loop is generated code (``_rk4_source``)
+    whose states equal the array formula bit for bit.  With
+    ``with_tangent`` the tangent map M_k, M_0 = I, is the product of the
+    exact Jacobians of the RK4 steps (``_tangent_transport``): RK4 applied
+    to the variational equation M' = J(x) M with the exact symbolic
+    Jacobian, evaluated numerically.
     """
     import numpy as np
 
@@ -338,22 +440,19 @@ def volume_diagnostic(traj: Trajectory) -> float:
 
 def invariant_drift(traj: Trajectory,
                     invariants: Iterable[NormalForm]) -> tuple[float, ...]:
-    """Max |inv(x(s)) - inv(x(0))| per declared first integral."""
+    """Max |inv(x(s)) - inv(x(0))| per declared first integral.
+
+    The invariants are evaluated once over the whole state array
+    (``compile_columns``), sharing their atoms and powers.  A value or a
+    drift that is not finite raises ``BlowupError`` at its first step.
+    """
     import numpy as np
 
     drifts = []
-    rows = traj.states.tolist()
-    for inv in invariants:
-        fn = compile_scalar(inv, traj.coordinates, traj.params)
-        values = []
-        try:
-            for row in rows:
-                values.append(fn(row))
-        except OverflowError:   # float ** raises where * gives inf
-            raise BlowupError(len(values), "invariant value") from None
-        values = np.asarray(values)
+    columns = compile_columns(list(invariants), traj.coordinates, traj.params)
+    for values in columns(traj.states.T):
         finite = np.isfinite(values)
-        if not finite.all():    # float * gives inf where ** raises
+        if not finite.all():
             raise BlowupError(int(np.argmin(finite)), "invariant value")
         with np.errstate(over="ignore"):    # finite values an overflow apart
             drift = np.abs(values - values[0])
@@ -412,8 +511,7 @@ def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[fl
     params = dict(params or {})
     W = characteristic_field(dec, seed)
     k = dec.k
-    f_fn = compile_scalar(dec.f, dec.space.coordinates, params)
-    g_fn = compile_scalar(dec.g, dec.space.coordinates, params)
+    f_and_g = compile_columns([dec.f, dec.g], dec.space.coordinates, params)
     steps, h_eff = _grid(h, T)
     if steps < 2:
         raise FlowError("sweep needs at least two integration steps")
@@ -426,9 +524,7 @@ def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[fl
         w = states[:, k + 1]
         dz = (z[2:] - z[:-2]) / (2.0 * h_eff)
         dw = (w[2:] - w[:-2]) / (2.0 * h_eff)
-        interior = states[1:-1].tolist()
-        fv = np.asarray([f_fn(row) for row in interior])
-        gv = np.asarray([g_fn(row) for row in interior])
+        fv, gv = f_and_g(states[1:-1].T)
         max_rz = max(max_rz, float(np.max(np.abs(dz - fv))))
         max_rw = max(max_rw, float(np.max(np.abs(dw - gv))))
     return SweepReport(max_rz, max_rw, h_eff, T, len(starts))

@@ -897,6 +897,23 @@ def test_integrate_invariant_drift_beyond_the_float_range_exit_1(tmp_path, capsy
     assert capsys.readouterr().err == "error: non-finite invariant drift encountered at step 9\n"
 
 
+def test_integrate_invariant_coefficient_beyond_the_float_range_exit_2(tmp_path, capsys):
+    # the invariants are compiled together before any value is judged, so
+    # the input error wins over the first invariant's overflow at step 0
+    data = {
+        "name": "wide",
+        "coordinates": ["x1", "x2", "x3"],
+        "vector_field": ["x2", "-1*x1", "0"],
+        "invariants": ["x1^2 + x2^2", "10^400*x3"],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0=1e200,1,1", "--h", "1e-2", "--T", "0.1"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: coefficient with a 1329-bit numerator "
+                                       "is too large for a float\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_integrate_tangent_determinant_beyond_the_float_range_exit_1(tmp_path, capsys):
     # every tangent map diag(e^(100 s), e^(100 s)) stays finite, but its

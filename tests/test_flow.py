@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouvar.exterior import Space, VectorField, basis_form
 from liouvar.liouville import build_extended, decompose_beta
@@ -14,8 +15,10 @@ from liouvar.flow import (
     MAX_STEPS,
     BlowupError,
     FlowError,
+    compile_columns,
     compile_field,
     compile_jacobian,
+    compile_scalar,
     integrate_rk4,
     invariant_drift,
     section_sweep,
@@ -205,9 +208,63 @@ def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscill
     states, tangents = _array_rk4(field, x0, 1e-3, 2.0, with_tangent, params)
     assert np.array_equal(traj.states, states)
     if with_tangent:
-        assert np.array_equal(traj.tangents, tangents)
+        # products of step Jacobians round differently from the co-integrated
+        # maps; each map is compared against its largest entry
+        error = np.abs(traj.tangents - tangents).max(axis=(1, 2))
+        assert np.all(error <= 1e-12 * np.abs(tangents).max(axis=(1, 2)))
     else:
         assert traj.tangents is None
+
+
+def _step_jacobian_rk4(field, x0, h, T, params):
+    """Reference tangent maps, one step at a time: M_{k+1} = R_k @ M_k with
+    the Jacobian R_k of the RK4 step from x_k, written with 2-D arrays."""
+    f = compile_field(field, params)
+    jac = compile_jacobian(field, params)
+    steps = max(1, round(T / h))
+    h = T / steps
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    x = np.asarray(x0, dtype=float)
+    eye = np.eye(len(x))
+    states, tangents = [x], [eye]
+    for _ in range(steps):
+        k1 = np.asarray(f(x.tolist()), dtype=float)
+        y2 = x + h2 * k1
+        k2 = np.asarray(f(y2.tolist()), dtype=float)
+        y3 = x + h2 * k2
+        k3 = np.asarray(f(y3.tolist()), dtype=float)
+        y4 = x + h * k3
+        k4 = np.asarray(f(y4.tolist()), dtype=float)
+        a1, j2, j3, j4 = (np.asarray(jac(y.tolist()), dtype=float) for y in (x, y2, y3, y4))
+        a2 = j2 @ (eye + h2 * a1)
+        a3 = j3 @ (eye + h2 * a2)
+        a4 = j4 @ (eye + h * a3)
+        step = eye + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+        x = x + h6 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        states.append(x)
+        tangents.append(step @ tangents[-1])
+    return np.array(states), np.array(tangents)
+
+
+@pytest.mark.parametrize("system, x0", [
+    ("euler", (0.3, -0.8, 0.5)),
+    ("abc", (0.3, 1.2, 2.5)),
+    ("line", (0.5,)),
+    ("oscillator_m2", (1.0, 0.0, 0.3, -0.4)),
+    ("charged_particle", (0.1, -0.2, 0.3, 0.5, -0.6, 0.2)),
+    ("nested", (0.4, -1.1)),
+    ("trig_power", (0.9, 0.2)),
+    ("parameter_atom", (0.3, -0.5)),
+])
+def test_tangent_maps_are_products_of_the_rk4_step_jacobians(system, x0, oscillator,
+                                                             euler_numeric):
+    # T = 2.5 at h = 1e-3 spans three blocks, the last one partial
+    field, params = _reference_case(system, oscillator, euler_numeric)
+    traj = integrate_rk4(field, x0, 1e-3, 2.5, with_tangent=True, params=params)
+    states, tangents = _step_jacobian_rk4(field, x0, 1e-3, 2.5, params)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.tangents, tangents)
 
 
 @pytest.mark.parametrize("with_tangent", [False, True])
@@ -238,13 +295,15 @@ def test_blowup_after_the_first_block_equals_the_array_formula(with_tangent):
     assert got.step == want > flow.BLOCK_STEPS
 
 
-def test_tangent_overflow_with_a_finite_state_equals_the_array_formula():
-    # the state stays at 0 while the tangent map grows as exp(1000 s)
+def test_tangent_overflow_with_a_finite_state_is_the_first_infinite_map():
+    # the state stays at 0 while the tangent map is R^k, R = 1 + 1 + 1/2 +
+    # 1/6 + 1/24, which overflows at k = 713; the co-integrated formula
+    # overflows earlier, in its stage products K
     sp = Space("g", ("x1",))
     field = VectorField(sp, (sp.parse("1000*x1"),))
     assert np.all(integrate_rk4(field, (0.0,), 1e-3, 1.0).states == 0.0)
     got, want = _blowup_steps(field, (0.0,), 1e-3, 1.0, True)
-    assert got.step == want
+    assert (got.step, want) == (713, 705)
 
 
 def test_stage_raising_one_step_after_the_state_overflowed_reports_the_overflow():
@@ -271,20 +330,60 @@ def test_early_tangent_blowup_in_a_grid_of_max_steps_stops_within_a_block():
     assert err.value.step < flow.BLOCK_STEPS
 
 
-def test_rk4_source_evaluates_each_atom_once_per_stage_and_constant_entries_once():
+def test_rk4_source_evaluates_each_atom_once_per_stage():
     field = build_abc_flow(1, 1, 1).bound().field
-    source = flow._rk4_source(field, {}, True)
-    before, loop = source.split("    for step in range(start, stop):\n")
+    source = flow._rk4_source(field, {})
+    loop = source.split("    for step in range(start, stop):\n")[1]
     # six distinct atoms sin(x_i), cos(x_i) in each of the four stages
     assert loop.count("sin(") == loop.count("cos(") == 12
     atoms = [line.split(" = ")[1] for line in loop.splitlines() if line.lstrip().startswith("a")]
     assert len(atoms) == 24 and len(set(atoms)) == 12
-    assert "math." not in source
-    # J has a zero diagonal, written once before the loop
-    for p in (0, 4, 8):
-        assert before.count(f"jv[{p}] = 0.0") == 1
-        assert f"jv[{p}] =" not in loop
-    assert loop.count("J.dot(") == 4 and "isfinite" not in source
+    assert "math." not in source and "isfinite" not in source and "tangent" not in source
+
+
+_COLUMN_SPACE = Space("c", ("x1", "x2"), ("a",))
+_FACTORS = ("x1", "x2", "a", "sin(x1)", "cos(x2 + a)", "sin(x1*x2 - 1/3)", "cos(a)")
+
+
+@st.composite
+def _column_forms(draw):
+    """Sums of rational multiples of products of powers 1-5 of symbols,
+    the parameter and sin/cos atoms; a term may be a constant."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        term = [f"{draw(st.integers(-9, 9))}/{draw(st.integers(1, 7))}"]
+        for _ in range(draw(st.integers(0, 3))):
+            term.append(f"{draw(st.sampled_from(_FACTORS))}^{draw(st.integers(1, 5))}")
+        terms.append("*".join(term))
+    return _COLUMN_SPACE.parse(" + ".join(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_column_forms(), min_size=1, max_size=3), st.floats(-3, 3),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=20))
+def test_column_values_equal_compile_scalar_row_values(nfs, a, rows):
+    values = compile_columns(nfs, ("x1", "x2"), {"a": a})(np.array(rows).T)
+    for nf, column in zip(nfs, values):
+        scalar = compile_scalar(nf, ("x1", "x2"), {"a": a})
+        assert np.array_equal(column, [scalar(list(row)) for row in rows])
+
+
+def test_column_power_overflows_to_infinity():
+    # where Python's float ** raises OverflowError, as compile_scalar's does
+    sp = Space("c", ("x1",))
+    columns = compile_columns([sp.parse("x1^3 + x1^2")], ("x1",), {})
+    (value,) = columns(np.array([[1e200, -1e200, 2.0]]))
+    assert value[0] == math.inf and math.isnan(value[1]) and value[2] == 12.0
+
+
+def test_column_evaluator_takes_each_distinct_power_once(monkeypatch):
+    sp = Space("c", ("x1", "x2"))
+    nfs = [sp.parse("x1^2*sin(x2)^3 + x1^2"), sp.parse("x2 - sin(x2)^3 + x1^3")]
+    powers = []
+    monkeypatch.setattr(flow, "_column_power",
+                        lambda base, e, _f=flow._column_power: powers.append(e) or _f(base, e))
+    compile_columns(nfs, ("x1", "x2"), {})(np.array([[0.5, 1.5], [0.25, -2.0]]))
+    assert sorted(powers) == [2, 3, 3]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
