@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys as _sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -211,7 +214,10 @@ def cmd_characteristic(args) -> int:
 # integrate
 
 
-def _parse_params(items, declared) -> dict[str, float]:
+def _parse_params(items, declared) -> dict[str, Fraction]:
+    """``--param name=value`` items as exact bindings: each value is read
+    as a float, refused unless finite, and bound as its exact binary
+    rational."""
     out = {}
     for item in items or []:
         name, eq, value = item.partition("=")
@@ -222,40 +228,28 @@ def _parse_params(items, declared) -> dict[str, float]:
             raise SystemFileError(
                 f"bad --param {item!r}: {name!r} is not a parameter of this system")
         try:
-            out[name] = float(value)
+            number = float(value)
         except ValueError:
             raise SystemFileError(f"bad numeric value in --param {item!r}")
-    return out
-
-
-def _float_params(params) -> dict[str, float]:
-    """File-bound parameter values as floats."""
-    out = {}
-    for name, value in params.items():
-        if value is not None:
-            try:
-                out[name] = float(value)
-            except OverflowError:
-                raise SystemFileError(f"parameter '{name}' is too large for a float") from None
+        if not math.isfinite(number):
+            raise SystemFileError(f"parameter '{name}' must be finite, got {number}")
+        out[name] = Fraction(number)
     return out
 
 
 def cmd_integrate(args) -> int:
     seed, sys = _load(args)
     overrides = _parse_params(args.param, sys.space.parameters)
-    bindings = _float_params(sys.params)
-    changed = sorted(n for n in set(overrides) & set(bindings) if overrides[n] != bindings[n])
+    changed = sorted(n for n, v in overrides.items() if sys.params[n] not in (None, v))
     warnings = list(sys.warnings)
     if changed:
         warnings.append(f"overriding file-bound parameters: {', '.join(changed)}")
-    bindings.update(overrides)
-    needed = set()
-    for comp in sys.field.nfs:
-        needed |= comp.free_symbols()
-    for inv in sys.invariants:
-        needed |= inv.free_symbols()
-    needed &= set(sys.space.parameters)
-    missing = sorted(needed - set(bindings))
+    # one exact binding: the field, invariants and sweep are read from b
+    b = replace(sys, params={**sys.params, **overrides}).bound() if overrides else sys.bound_copy
+    left = set()
+    for nf in (*b.field.nfs, *b.invariants):
+        left |= nf.free_symbols()
+    missing = sorted(left & set(sys.space.parameters))
     if missing:
         raise SystemFileError(f"unbound parameters: {', '.join(missing)}")
     try:
@@ -264,12 +258,11 @@ def cmd_integrate(args) -> int:
         raise SystemFileError(f"bad --x0 {args.x0!r}")
     if len(x0) != sys.space.dim:
         raise SystemFileError(f"--x0 needs {sys.space.dim} components")
-    traj = integrate_rk4(sys.field, x0, args.h, args.T,
-                         with_tangent=args.tangent, params=bindings)
+    traj = integrate_rk4(b.field, x0, args.h, args.T, with_tangent=args.tangent)
     diagnostics = {
         "step": traj.step,
         "duration": traj.duration,
-        "invariant_drifts": list(invariant_drift(traj, sys.invariants)),
+        "invariant_drifts": list(invariant_drift(traj, b.invariants)),
     }
     if args.tangent:
         diagnostics["det_deviation"] = volume_diagnostic(traj)
@@ -279,8 +272,7 @@ def cmd_integrate(args) -> int:
         diagnostics["csv_rows"] = rows
     if args.sweep:
         try:
-            # unbound, so the sweep takes the parameters of the trajectory
-            ext = build_extended(sys, seed)
+            ext = build_extended(b, seed)
             dec = decompose_beta(ext.dtheta, _verticals(args, sys))
             state = dict(zip(ext.space.coordinates, [0.0] + x0))
             centre = [state[c] for c in dec.space.coordinates]
@@ -289,7 +281,7 @@ def cmd_integrate(args) -> int:
                 start = list(centre)
                 start[dec.k] += offset
                 starts.append(start)
-            report = section_sweep(dec, starts, args.h, args.T, params=bindings, seed=seed)
+            report = section_sweep(dec, starts, args.h, args.T, seed=seed)
             diagnostics["sweep"] = report.to_json()
         except (LiouvilleError, BlowupError) as exc:
             raise LiouvilleError(f"sweep failed: {exc}") from exc

@@ -9,6 +9,11 @@ and swept sections through finite-difference residuals of the
 quasilinear system.  The step loop is generated Python over floats; the
 tangent maps and the diagnostics evaluate normal forms column-wise over
 the state array (``compile_columns``).
+
+Every normal form given to this module is closed: its parameters were
+bound exactly beforehand (``LiouvilleSystem.bound()``), so generated code
+reads the coordinates and nothing else, and a symbol left unbound is
+refused (``UnboundSymbolError``) when the code is generated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .expr import (DEFAULT_SEED, NormalForm, atom_source, compile_lambda, differentiate,
                    nf_source, normal_form, trig_atoms)
@@ -55,34 +60,26 @@ class BlowupError(FlowError):
 # Compilation of exact expressions to fast numeric callables
 
 
-def _symbol_sources(coordinates: Sequence[str], params: Mapping[str, float],
+def _symbol_sources(coordinates: Sequence[str],
                     state: Sequence[str] | None = None) -> dict[str, str]:
-    """Coordinate i reads ``state[i]`` (default ``s[i]``); parameters
-    become float literals, so they must be finite."""
-    sources = {}
-    for name, value in params.items():
-        value = float(value)
-        if not math.isfinite(value):
-            raise FlowError(f"parameter '{name}' must be finite, got {value}")
-        sources[name] = repr(value)
+    """Coordinate i reads ``state[i]`` (default ``s[i]``)."""
     if state is None:
         state = [f"s[{i}]" for i in range(len(coordinates))]
-    sources.update(zip(coordinates, state))
-    return sources
+    return dict(zip(coordinates, state))
 
 
-def compile_scalar(e: NormalForm, coordinates: Sequence[str], params: Mapping[str, float]):
-    return compile_lambda(nf_source(normal_form(e), _symbol_sources(coordinates, params)))
+def compile_scalar(e: NormalForm, coordinates: Sequence[str]):
+    return compile_lambda(nf_source(normal_form(e), _symbol_sources(coordinates)))
 
 
-def compile_field(field: VectorField, params: Mapping[str, float]):
-    sources = _symbol_sources(field.space.coordinates, params)
+def compile_field(field: VectorField):
+    sources = _symbol_sources(field.space.coordinates)
     return compile_lambda("[" + ", ".join(nf_source(c, sources) for c in field.nfs) + "]")
 
 
-def compile_jacobian(field: VectorField, params: Mapping[str, float]):
+def compile_jacobian(field: VectorField):
     coordinates = field.space.coordinates
-    sources = _symbol_sources(coordinates, params)
+    sources = _symbol_sources(coordinates)
     rows = ("[" + ", ".join(nf_source(differentiate(c, x), sources) for x in coordinates) + "]"
             for c in field.nfs)
     return compile_lambda("[" + ", ".join(rows) + "]")
@@ -114,8 +111,7 @@ def _column_power(base, e: int):
         return np.array([_float_power(v, e) for v in values])
 
 
-def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str],
-                    params: Mapping[str, float]):
+def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
     """Compile ``nfs`` for many states at once.
 
     The result maps ``s``, whose row i holds coordinate i's values along
@@ -131,7 +127,7 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str],
     import numpy as np
 
     nfs = [normal_form(e) for e in nfs]
-    symbols = _symbol_sources(coordinates, params)
+    symbols = _symbol_sources(coordinates)
     atoms = trig_atoms(nfs)
     names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
     body = [f"{names[a]} = {atom_source(a, symbols, names)}" for a in atoms]
@@ -164,7 +160,7 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str],
     return columns
 
 
-def _rk4_source(field: VectorField, params: Mapping[str, float]) -> str:
+def _rk4_source(field: VectorField) -> str:
     """Source of ``rk4(states, h, start, stop)``: RK4 steps ``start`` to
     ``stop - 1``, resumed from row ``start - 1``.
 
@@ -178,7 +174,8 @@ def _rk4_source(field: VectorField, params: Mapping[str, float]) -> str:
     carries states only; ``_tangent_transport`` derives the tangent maps
     from them.
 
-    The sin/cos atoms of parameters alone are evaluated once per call.
+    The sin/cos atoms free of the coordinates, such as ``sin(1)`` of a
+    bound parameter, are evaluated once per call.
     Each other distinct sin/cos atom of a stage's slopes is evaluated once
     per stage into a local ``a0..``, inner atoms first.  The loop writes
     every row unchecked; the caller checks the rows for finite values, and
@@ -194,7 +191,7 @@ def _rk4_source(field: VectorField, params: Mapping[str, float]) -> str:
     moving = [a for a in atoms if a not in fixed]
 
     def sources(state):
-        return _symbol_sources(coords, params, [f"{state}{i}" for i in range(n)])
+        return _symbol_sources(coords, [f"{state}{i}" for i in range(n)])
 
     lines = [
         "def rk4(states, h, start, stop):",
@@ -228,7 +225,7 @@ def _rk4_source(field: VectorField, params: Mapping[str, float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tangent_transport(field: VectorField, params: Mapping[str, float]):
+def _tangent_transport(field: VectorField):
     """Compile the tangent maps of the RK4 loop of ``field``.
 
     The result, ``transport(states, tangents, h, start, stop)``, writes
@@ -251,9 +248,8 @@ def _tangent_transport(field: VectorField, params: Mapping[str, float]):
 
     coords = field.space.coordinates
     n = len(coords)
-    slopes = compile_columns(field.nfs, coords, params)
-    jacobian = compile_columns([differentiate(c, x) for c in field.nfs for x in coords],
-                               coords, params)
+    slopes = compile_columns(field.nfs, coords)
+    jacobian = compile_columns([differentiate(c, x) for c in field.nfs for x in coords], coords)
     eye = np.eye(n)
 
     def transport(states, tangents, h, start, stop):
@@ -289,7 +285,7 @@ def _check_rows(states: np.ndarray, tangents: np.ndarray | None, start: int, sto
         raise BlowupError(start + int(np.argmin(finite)))
 
 
-def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: bool):
+def _compile_rk4(field: VectorField, with_tangent: bool):
     """Compile the RK4 loop of ``field`` once; the result runs it from an initial state.
 
     ``run(x0, steps, h)`` returns the ``(steps + 1, n)`` states and, with
@@ -306,9 +302,9 @@ def _compile_rk4(field: VectorField, params: Mapping[str, float], with_tangent: 
     import numpy as np
 
     namespace = {"sin": math.sin, "cos": math.cos, "BlowupError": BlowupError}
-    exec(_rk4_source(field, params), namespace)
+    exec(_rk4_source(field), namespace)
     loop = namespace["rk4"]
-    transport = _tangent_transport(field, params) if with_tangent else None
+    transport = _tangent_transport(field) if with_tangent else None
     n = field.space.dim
 
     def run(x0: np.ndarray, steps: int, h: float):
@@ -356,7 +352,6 @@ class Trajectory:
     grid: np.ndarray
     states: np.ndarray
     tangents: np.ndarray | None
-    params: dict[str, float]
     step: float
     duration: float
     _dets: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
@@ -409,8 +404,7 @@ def _initial_state(field: VectorField, x0: Sequence[float]) -> np.ndarray:
 
 
 def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
-                  with_tangent: bool = False,
-                  params: Mapping[str, float] | None = None) -> Trajectory:
+                  with_tangent: bool = False) -> Trajectory:
     """Classical RK4 over [0, T].
 
     The step is adjusted to T / round(T/h) so the uniform grid ends
@@ -419,16 +413,16 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     ``with_tangent`` the tangent map M_k, M_0 = I, is the product of the
     exact Jacobians of the RK4 steps (``_tangent_transport``): RK4 applied
     to the variational equation M' = J(x) M with the exact symbolic
-    Jacobian, evaluated numerically.
+    Jacobian, evaluated numerically.  ``field`` is closed: its parameters
+    are bound before the call, as ``LiouvilleSystem.bound()`` binds them.
     """
     import numpy as np
 
     steps, h_eff = _grid(h, T)
-    params = dict(params or {})
     x0 = _initial_state(field, x0)
-    states, tangents = _compile_rk4(field, params, with_tangent)(x0, steps, h_eff)
+    states, tangents = _compile_rk4(field, with_tangent)(x0, steps, h_eff)
     grid = np.arange(steps + 1) * h_eff
-    return Trajectory(field.space.coordinates, grid, states, tangents, params, h_eff, T)
+    return Trajectory(field.space.coordinates, grid, states, tangents, h_eff, T)
 
 
 def volume_diagnostic(traj: Trajectory) -> float:
@@ -449,7 +443,7 @@ def invariant_drift(traj: Trajectory,
     import numpy as np
 
     drifts = []
-    columns = compile_columns(list(invariants), traj.coordinates, traj.params)
+    columns = compile_columns(list(invariants), traj.coordinates)
     for values in columns(traj.states.T):
         finite = np.isfinite(values)
         if not finite.all():
@@ -491,8 +485,7 @@ class SweepReport:
 
 
 def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[float]],
-                  h: float, T: float, params: Mapping[str, float] | None = None,
-                  seed: int = DEFAULT_SEED) -> SweepReport:
+                  h: float, T: float, seed: int = DEFAULT_SEED) -> SweepReport:
     """Sweep a section from start points and report quasilinear residuals.
 
     Each start is a full initial state (base coordinates, z, w).  Along an
@@ -502,20 +495,22 @@ def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[fl
     curve parameter and compared against f and g.  The residual is
     O(h^2) discretization error for exact characteristic data.  W is
     ``characteristic_field(dec, seed)``, which refuses an improper
-    principle as the zero test at ``seed`` decides it.
+    principle as the zero test at ``seed`` decides it.  ``dec`` is the
+    decomposition of a bound system, so W, f and g are closed and
+    properness is decided at the values the sweep integrates with.
+    ``starts`` may be any sequence, a numpy array included.
     """
     import numpy as np
 
-    if not starts:
+    if len(starts) == 0:
         raise FlowError("at least one seed is required")
-    params = dict(params or {})
     W = characteristic_field(dec, seed)
     k = dec.k
-    f_and_g = compile_columns([dec.f, dec.g], dec.space.coordinates, params)
+    f_and_g = compile_columns([dec.f, dec.g], dec.space.coordinates)
     steps, h_eff = _grid(h, T)
     if steps < 2:
         raise FlowError("sweep needs at least two integration steps")
-    run = _compile_rk4(W, params, False)
+    run = _compile_rk4(W, False)
     max_rz = 0.0
     max_rw = 0.0
     for start in starts:

@@ -637,7 +637,8 @@ def system_from_dict(data: dict, seed: int = DEFAULT_SEED) -> LiouvilleSystem:
     if "base_split" in data:
         bs = data["base_split"]
         try:
-            base_split = (bs["base_count"], tuple(bs["verticals"]))
+            base_split = (bs["base_count"],
+                          tuple(_strings(bs["verticals"], "verticals", "coordinate names")))
         except (KeyError, TypeError) as exc:
             raise SystemFileError(f"bad base_split: {exc}") from exc
         if type(base_split[0]) is not int:

@@ -7,11 +7,14 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ import liouvar
 import liouvar.cli as cli
 import liouvar.liouville as liouville
 from liouvar.cli import main
-from liouvar.flow import integrate_rk4
+from liouvar.flow import integrate_rk4, write_trajectory_csv
 from liouvar.systems import build_hamiltonian, load_system, save_system
 
 DATA = Path(__file__).parent / "data"
@@ -124,6 +127,8 @@ _MALFORMED = {
     "coordinates 'x1x2x3'": (("coordinates",), "x1x2x3", "'coordinates' must be a list of names"),
     "base_count 2.7": (("base_split",), {"base_count": 2.7, "verticals": ["t", "x3"]},
                        "bad base_split: 'base_count' must be an integer"),
+    "verticals 'x2x3'": (("base_split",), {"base_count": 2, "verticals": "x2x3"},
+                         "'verticals' must be a list of coordinate names"),
 }
 
 
@@ -766,8 +771,7 @@ def test_integrate_tangent_csv_takes_the_determinants_once(example_dir, capsys, 
     assert rc == 0 and shapes == [(101, 3, 3)]
     # the report and the CSV hold the determinants of the array formula
     system = load_system(path)
-    traj = integrate_rk4(system.field, x0, h, T, with_tangent=True,
-                         params={p: float(v) for p, v in system.params.items()})
+    traj = integrate_rk4(system.bound_copy.field, x0, h, T, with_tangent=True)
     dets = det(traj.tangents)
     assert out["diagnostics"]["det_deviation"] == float(np.max(np.abs(dets - 1.0)))
     rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % (s, *x, d)
@@ -940,7 +944,84 @@ def test_integrate_file_param_too_large_for_a_float_exit_2(example_dir, capsys, 
     path.write_text(json.dumps(data), encoding="utf-8")
     rc = main(["integrate", str(path), "--x0", "1,1,1", "--h", "1e-3", "--T", "1"])
     assert rc == 2
-    assert "'mu1'" in capsys.readouterr().err
+    # mu1 is bound exactly; its coefficient in mu1*x2*x3 is refused as code is generated
+    assert capsys.readouterr().err == (
+        "error: coefficient with a 1329-bit numerator is too large for a float\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--param", "k=2"]])
+def test_integrate_an_unused_huge_bound_parameter_exit_0(example_dir, capsys, tmp_path, argv):
+    # verify never converts k to a float, and integrate binds it exactly too
+    data = json.loads((example_dir / "euler_top.json").read_text(encoding="utf-8"))
+    data["parameters"]["k"] = "1" + "0" * 400
+    path = tmp_path / "unused_huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in (["verify", str(path)],
+                    ["integrate", str(path), "--x0", "1,1,1", "--h", "1e-2", "--T", "0.1", *argv]):
+        assert main(command) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["overall"] == "PASS"
+
+
+def test_integrate_pauli_spin_csv_equals_the_exactly_bound_field(example_dir, capsys, tmp_path):
+    rng = random.Random("pauli_spin")
+    values = {p: repr(rng.uniform(0.5, 1.5)) for p in ("Bx", "By", "Bz", "kappa")}
+    x0 = [rng.uniform(-1.5, 1.5) for _ in range(4)]
+    path, csv = example_dir / "pauli_spin.json", tmp_path / "cli.csv"
+    rc = main(["integrate", str(path), "--x0", ",".join(map(repr, x0)), "--h", "1e-3",
+               "--T", "1.5", "--tangent", "--csv", str(csv),
+               "--param", *(f"{p}={v}" for p, v in values.items())])
+    assert rc == 0
+    capsys.readouterr()
+    system = load_system(path)
+    bound = replace(system, params={p: Fraction(float(v)) for p, v in values.items()}).bound()
+    traj = integrate_rk4(bound.field, x0, 1e-3, 1.5, with_tangent=True)
+    write_trajectory_csv(traj, tmp_path / "reference.csv")
+    assert csv.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_integrate_compares_overridden_values_exactly(tmp_path, capsys):
+    # 0.3333333333333333 is the float nearest 1/3, yet not 1/3
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"name": "third", "coordinates": ["x1", "x2"],
+                                "parameters": {"k": "1/3"},
+                                "vector_field": ["k*x2", "-1*k*x1"]}), encoding="utf-8")
+    flow = ["integrate", str(path), "--x0", "1,0", "--h", "1e-2", "--T", "0.1"]
+    assert main([*flow, "--param", "k=0.3333333333333333"]) == 0
+    assert read_json(capsys)["warnings"] == ["overriding file-bound parameters: k"]
+    assert main(flow) == 0
+    assert read_json(capsys)["warnings"] == []
+
+
+def test_integrate_binds_the_loaded_system_once(example_dir, monkeypatch, capsys):
+    path = str(example_dir / "euler_top.json")
+    calls = _record_calls(monkeypatch, liouvar.expr.substitute)
+    load_system(path)
+    at_load = len(calls)
+    flow = ["integrate", path, "--x0", "1,1,1", "--h", "1e-2", "--T", "0.1", "--sweep"]
+    for argv, binds in (([], 1), (["--param", "I1=2"], 2)):
+        calls.clear()
+        assert main(flow + argv) == 0
+        assert len(calls) == binds * at_load
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verticals", ["bc", {"b": 1, "c": 2}])
+def test_verify_verticals_that_are_not_a_list_exit_2(capsys, tmp_path, verticals):
+    # with coordinates a, b, c, each would iterate to the pair (b, c)
+    data = json.loads((BENCH_BUNDLED / "euler_top.json").read_text(encoding="utf-8"))
+    for old, new in (("x1", "a"), ("x2", "b"), ("x3", "c")):
+        data = _rename(data, old, new)
+    data["base_split"] = {"base_count": 2, "verticals": verticals}
+    path = tmp_path / "abc_coordinates.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'verticals' must be a list of coordinate names\n")
+    data["base_split"]["verticals"] = ["b", "c"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_integrate_sweep_of_one_step_exit_2(example_dir, capsys):

@@ -378,21 +378,22 @@ def test_is_zero_does_not_count_an_infinite_point_as_a_zero_point():
 
 
 def test_evaluate_product():
-    assert compile_scalar(q("x1*x2*x3"), ("x1", "x2", "x3"), {})([1, 2, 3]) == 6.0
+    assert compile_scalar(q("x1*x2*x3"), ("x1", "x2", "x3"))([1, 2, 3]) == 6.0
 
 
 def test_evaluate_sin_zero():
-    assert compile_scalar(q("sin(x1)"), ("x1",), {})([0.0]) == 0.0
+    assert compile_scalar(q("sin(x1)"), ("x1",))([0.0]) == 0.0
 
 
 def test_evaluate_rigid_body_component():
-    # mu1 = (I2 - I3)/I1 = -1 for moments (1, 2, 3)
-    assert compile_scalar(q("mu1*x2*x3"), ("x1", "x2", "x3"), {"mu1": -1.0})([1, 1, 1]) == -1.0
+    # mu1 = (I2 - I3)/I1 = -1 for moments (1, 2, 3), bound before compiling
+    bound = substitute(q("mu1*x2*x3"), {"mu1": normal_form(-1)})
+    assert compile_scalar(bound, ("x1", "x2", "x3"))([1, 1, 1]) == -1.0
 
 
 def test_evaluate_unbound():
     with pytest.raises(UnboundSymbolError):
-        compile_scalar(q("x1 + x2"), ("x1",), {})
+        compile_scalar(q("x1 + x2"), ("x1",))
 
 
 # --------------------------------------------------------------------------
@@ -593,10 +594,10 @@ def test_normal_form_and_derivative_match_sympy(case):
 @given(st.one_of(_cases(2).map(_built), polynomials(trig=True)), st.floats(-2, 2), st.floats(-2, 2))
 def test_compiled_normal_form_matches_tree_evaluation(nf, a, b):
     # bit for bit up to the sign of zero (the reference sum starts from
-    # 0.0); with x2 as a parameter its value is compiled in as a float literal
+    # 0.0); coordinate i reads s[i] in whatever order the coordinates come
     want = _evaluate(nf, {"x1": a, "x2": b, "mu1": 0.5})
-    assert compile_scalar(nf, ("x1", "x2"), {"mu1": 0.5})([a, b]) == want
-    assert compile_scalar(nf, ("x1",), {"x2": b, "mu1": 0.5})([a]) == want
+    assert compile_scalar(nf, ("x1", "x2", "mu1"))([a, b, 0.5]) == want
+    assert compile_scalar(nf, ("mu1", "x2", "x1"))([0.5, b, a]) == want
 
 
 @settings(max_examples=150, deadline=None)

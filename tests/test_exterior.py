@@ -75,7 +75,7 @@ def random_poly(rng, coords, max_terms=2, max_deg=2):
 
 def value(nf, point):
     """Float value of a coefficient at ``point``, a {coordinate: float} map."""
-    return compile_scalar(nf, tuple(point), {})(list(point.values()))
+    return compile_scalar(nf, tuple(point))(list(point.values()))
 
 
 def random_form(rng, space, degree, entries=2):
