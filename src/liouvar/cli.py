@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate the field and report flow diagnostics")
     p.add_argument("path")
-    p.add_argument("--x0", required=True, help="comma-separated initial state")
+    p.add_argument("--x0", required=True,
+                   help="comma-separated initial state; write --x0=-1,0 when it starts with '-'")
     p.add_argument("--h", type=float, required=True, help="requested step size")
     p.add_argument("--T", type=float, required=True, help="duration")
     p.add_argument("--param", nargs="*", action="extend", default=None,

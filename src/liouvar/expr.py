@@ -570,15 +570,20 @@ def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
 
 
 def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str],
-                    atoms: Mapping[tuple, str] | None = None) -> list[str]:
+                    names: dict | None = None) -> list[str]:
     """Python source of each term of ``nf``, evaluated in IEEE doubles.
 
     A term reads ``c * atom * (atom)**e * ...`` left to right, without the
     factor ``c`` when it is 1.  ``symbols`` maps each free symbol to the
-    source of its value.  A sin/cos atom reads the local name that
-    ``atoms`` gives it, if any, else it is written by ``atom_source``.  A
-    raised atom is parenthesised, so a negative literal such as ``-1.0``
-    is raised as a whole.
+    source of its value.  A raised atom is parenthesised, so a negative
+    literal such as ``-1.0`` is raised as a whole.
+
+    ``names``, when given, is the table of locals shared by the forms of
+    one program: each distinct sin/cos atom and each distinct power
+    ``(base, e)`` becomes a local that the terms read, and the table maps
+    it to ``(local, source)`` in assignment order, an atom after the locals
+    of its argument.  A power is then written ``pow(base, e)``, which calls
+    the name ``pow``.
     """
     out = []
     for m, c in nf.terms:
@@ -594,52 +599,42 @@ def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str],
                     base = symbols[payload]
                 except KeyError:
                     raise UnboundSymbolError(f"unbound symbol '{payload}'") from None
-            elif atoms and atom in atoms:
-                base = atoms[atom]
+            elif names is None:
+                base = atom_source(atom, symbols)
             else:
-                base = atom_source(atom, symbols, atoms)
-            factors.append(base if e == 1 else f"({base})**{e}")
+                if atom not in names:
+                    source = atom_source(atom, symbols, names)
+                    names[atom] = (f"a{len(names)}", source)
+                base = names[atom][0]
+            if e != 1:
+                if names is None:
+                    base = f"({base})**{e}"
+                else:
+                    if (base, e) not in names:
+                        names[base, e] = (f"p{len(names)}", f"pow({base}, {e})")
+                    base = names[base, e][0]
+            factors.append(base)
         out.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
     return out
 
 
-def nf_source(nf: NormalForm, symbols: Mapping[str, str],
-              atoms: Mapping[tuple, str] | None = None) -> str:
+def nf_source(nf: NormalForm, symbols: Mapping[str, str], names: dict | None = None) -> str:
     """Python source of ``nf``: its terms summed left to right.
 
     The sum is written ``(t1 + t2 + ...)``; starting it from the first term
     rather than from 0 keeps the sign of a lone ``-0.0``.
     """
-    terms = nf_term_sources(nf, symbols, atoms)
+    terms = nf_term_sources(nf, symbols, names)
     if not terms:
         return "0.0"
     return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
 
 
-def atom_source(atom: tuple, symbols: Mapping[str, str],
-                atoms: Mapping[tuple, str] | None = None) -> str:
+def atom_source(atom: tuple, symbols: Mapping[str, str], names: dict | None = None) -> str:
     """Python source of a sin/cos atom: ``sin(<argument>)`` or ``cos(...)``,
     which call the names ``sin`` and ``cos``."""
     kind, payload = atom
-    return ("sin(" if kind == _SIN else "cos(") + nf_source(payload, symbols, atoms) + ")"
-
-
-def trig_atoms(nfs: Iterable[NormalForm]) -> list[tuple]:
-    """The distinct sin/cos atoms of ``nfs`` in order of first appearance,
-    each after the atoms of its argument.  An atom is ``(kind, argument)``,
-    and its argument is a normal form."""
-    seen: dict[tuple, None] = {}
-
-    def visit(nf):
-        for m, _c in nf.terms:
-            for atom, _e in m:
-                if atom[0] != _SYM and atom not in seen:
-                    visit(atom[1])
-                    seen[atom] = None
-
-    for nf in nfs:
-        visit(nf)
-    return list(seen)
+    return ("sin(" if kind == _SIN else "cos(") + nf_source(payload, symbols, names) + ")"
 
 
 def compile_lambda(body: str):

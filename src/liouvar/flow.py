@@ -19,13 +19,11 @@ refused (``UnboundSymbolError``) when the code is generated.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .expr import (DEFAULT_SEED, NormalForm, atom_source, compile_lambda, differentiate,
-                   nf_source, normal_form, trig_atoms)
+from .expr import DEFAULT_SEED, NormalForm, compile_lambda, differentiate, nf_source, normal_form
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -117,36 +115,22 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
     The result maps ``s``, whose row i holds coordinate i's values along
     the states, to the array whose row j holds the values of ``nfs[j]``;
     a form free of coordinates fills its row with one value.  It runs
-    ``nf_source``'s code with ``sin``/``cos`` bound to ``np.sin``/``np.cos``,
-    each distinct sin/cos atom evaluated once and each distinct
-    ``(base)**e`` taken once by ``_column_power``, so every value equals
-    ``compile_scalar``'s on its state bit for bit.  A value that overflows
-    or leaves the domain of sin/cos is written as inf or nan, without a
-    warning; callers check the values.
+    ``nf_source``'s code with one table of locals for all of ``nfs``, so
+    each distinct sin/cos atom is evaluated once, by ``np.sin``/``np.cos``,
+    and each distinct power once, by ``_column_power`` bound to ``pow``;
+    every value equals ``compile_scalar``'s on its state bit for bit.  A
+    value that overflows or leaves the domain of sin/cos is written as inf
+    or nan, without a warning; callers check the values.
     """
     import numpy as np
 
     nfs = [normal_form(e) for e in nfs]
     symbols = _symbol_sources(coordinates)
-    atoms = trig_atoms(nfs)
-    names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
-    body = [f"{names[a]} = {atom_source(a, symbols, names)}" for a in atoms]
-    body.append("return [" + ", ".join(nf_source(nf, symbols, names) for nf in nfs) + "]")
-    lines = ["def columns(s):"]
-    powers: dict[str, str] = {}
-
-    def power_name(match):
-        if match[0] not in powers:
-            powers[match[0]] = f"p{len(powers)}"
-            lines.append(f"    {powers[match[0]]} = power({match[1]}, {match[2]})")
-        return powers[match[0]]
-
-    for line in body:
-        # with every sin/cos atom named, nf_source writes a power as
-        # (base)**e, and its base (s[i], a float literal or an atom name)
-        # holds no parenthesis
-        lines.append("    " + re.sub(r"\(([^()]+)\)\*\*(\d+)", power_name, line))
-    namespace = {"sin": np.sin, "cos": np.cos, "power": _column_power}
+    names: dict = {}
+    rows = ", ".join(nf_source(nf, symbols, names) for nf in nfs)
+    lines = ["def columns(s):", *(f"    {local} = {source}" for local, source in names.values()),
+             f"    return [{rows}]"]
+    namespace = {"sin": np.sin, "cos": np.cos, "pow": _column_power}
     exec("\n".join(lines) + "\n", namespace)
     values = namespace["columns"]
 
@@ -174,10 +158,11 @@ def _rk4_source(field: VectorField) -> str:
     carries states only; ``_tangent_transport`` derives the tangent maps
     from them.
 
-    The sin/cos atoms free of the coordinates, such as ``sin(1)`` of a
-    bound parameter, are evaluated once per call.
-    Each other distinct sin/cos atom of a stage's slopes is evaluated once
-    per stage into a local ``a0..``, inner atoms first.  The loop writes
+    Each stage's slopes are written by ``nf_source`` with a fresh table
+    of locals, so each distinct sin/cos atom and each distinct power of the
+    stage is evaluated once per stage, inner atoms first; an atom free of
+    the coordinates, such as ``sin(0.7)`` of a bound parameter, too.  A
+    power is the builtin ``pow``, Python's float ``**``.  The loop writes
     every row unchecked; the caller checks the rows for finite values, and
     a stage that overflows or leaves the domain of sin/cos raises
     ``BlowupError(step)``.
@@ -185,35 +170,24 @@ def _rk4_source(field: VectorField) -> str:
     coords = field.space.coordinates
     n = len(coords)
     xs = [f"x{i}" for i in range(n)]
-    atoms = trig_atoms(field.nfs)
-    names = {atom: f"a{i}" for i, atom in enumerate(atoms)}
-    fixed = [a for a in atoms if a[1].free_symbols().isdisjoint(coords)]
-    moving = [a for a in atoms if a not in fixed]
-
-    def sources(state):
-        return _symbol_sources(coords, [f"{state}{i}" for i in range(n)])
-
     lines = [
         "def rk4(states, h, start, stop):",
         "    out = memoryview(states.reshape(-1))",
         f"    {', '.join(xs)}, = out[(start - 1) * {n}:start * {n}].tolist()",
         "    h2 = 0.5 * h",
         "    h6 = h / 6.0",
+        "    for step in range(start, stop):",
+        "        try:",
     ]
-    once = sources("x")
-    prelude = [f"        {names[a]} = {atom_source(a, once, names)}" for a in fixed]
-    if prelude:
-        lines += ["    try:", *prelude, "    except (OverflowError, ValueError):",
-                  "        raise BlowupError(start) from None"]
-    lines += ["    for step in range(start, stop):", "        try:"]
     for stage, factor in enumerate((None, "h2", "h2", "h"), start=1):
         state = "x" if factor is None else "y"
         if factor is not None:
             lines += [f"            y{i} = x{i} + {factor} * k{stage - 1}_{i}" for i in range(n)]
-        symbols = sources(state)
-        lines += [f"            {names[a]} = {atom_source(a, symbols, names)}" for a in moving]
-        lines += [f"            k{stage}_{i} = {nf_source(c, symbols, names)}"
-                  for i, c in enumerate(field.nfs)]
+        symbols = _symbol_sources(coords, [f"{state}{i}" for i in range(n)])
+        names: dict = {}
+        slopes = [nf_source(c, symbols, names) for c in field.nfs]
+        lines += [f"            {local} = {source}" for local, source in names.values()]
+        lines += [f"            k{stage}_{i} = {slope}" for i, slope in enumerate(slopes)]
     lines += [
         "        except (OverflowError, ValueError):",
         "            raise BlowupError(step) from None",
@@ -387,7 +361,7 @@ def _grid(h: float, T: float) -> tuple[int, float]:
         raise FlowError(f"duration over step {T!r}/{h!r} overflows")
     steps = max(1, round(ratio))
     if steps > MAX_STEPS:
-        raise FlowError(f"{steps} steps exceed the limit of {MAX_STEPS}")
+        raise FlowError(f"{ratio:.8g} steps exceed the limit of {MAX_STEPS}")
     return steps, T / steps
 
 

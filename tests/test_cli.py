@@ -779,6 +779,14 @@ def test_integrate_tangent_csv_takes_the_determinants_once(example_dir, capsys, 
     assert csv.read_text(encoding="utf-8") == "\n".join(["s,x0,x1,x2,det"] + rows) + "\n"
 
 
+def test_integrate_takes_a_negative_first_component_joined_with_equals(example_dir, capsys):
+    # argparse would read a separate "-1,0" as an option
+    rc = main(["integrate", str(example_dir / "harmonic_oscillator_m1.json"), "--x0=-1,0",
+               "--h", "1e-2", "--T", "0.1", "--sweep"])
+    out = read_json(capsys)
+    assert rc == 0 and out["diagnostics"]["sweep"]["seeds"] > 0
+
+
 def test_integrate_missing_param_exit_2(example_dir, capsys):
     rc = main(["integrate", str(example_dir / "abc_flow.json"),
                "--x0", "0.1,0.2,0.3", "--h", "1e-3", "--T", "1"])

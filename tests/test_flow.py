@@ -108,14 +108,17 @@ def test_bad_arguments():
     (1e-320, 1e10, "overflows"),
     (1e-3, 1e5, "exceed the limit"),
     (1.0, MAX_STEPS + 1.0, "exceed the limit"),
+    (1e-300, 1.0, "exceed the limit"),
 ])
 def test_step_count_refused_before_allocation(monkeypatch, oscillator, h, T, message):
     def no_compile(*args):
         raise AssertionError("the step loop was compiled and its arrays allocated")
 
     monkeypatch.setattr(flow, "_compile_rk4", no_compile)
-    with pytest.raises(FlowError, match=message):
+    with pytest.raises(FlowError, match=message) as err:
         integrate_rk4(oscillator.field, (1.0, 0.0), h, T)
+    # the step count is named as a float, not written out in full
+    assert len(str(err.value)) < 100
     dec = decompose_beta(build_extended(oscillator).dtheta)
     with pytest.raises(FlowError, match=message):
         section_sweep(dec, [(0.0, 1.0, 0.0)], h, T)
@@ -180,10 +183,11 @@ def _reference_case(system, oscillator, euler_numeric):
     if system == "charged_particle":
         cp = build_charged_particle(("0", "0", "b"), parameters=("b",))
         return replace(cp, params={"k": Fraction(0.7), "b": Fraction(1.3)}).bound().field
-    if system in ("nested", "trig_power", "parameter_atom"):
+    if system in ("nested", "trig_power", "power_in_atom", "parameter_atom"):
         sp = Space(system, ("x1", "x2"), ("a",))
         field = {"nested": ("sin(x1 + cos(x2))", "-1*x1*cos(x2)"),
                  "trig_power": ("cos(x1)^2", "x1*sin(x2)^3 - x2"),
+                 "power_in_atom": ("sin(x1^2)^3 + x2^2", "-1*x1*x2^2"),
                  "parameter_atom": ("sin(a)*x1 + x2", "cos(a + 1)*x2 - sin(a)^2")}[system]
         field = VectorField(sp, tuple(sp.parse(c) for c in field))
         return LiouvilleSystem(system, sp, field, params={"a": Fraction(0.7)}).bound().field
@@ -204,6 +208,8 @@ def _reference_case(system, oscillator, euler_numeric):
     ("nested", (0.4, -1.1), True),
     ("trig_power", (0.9, 0.2), False),
     ("trig_power", (0.9, 0.2), True),
+    ("power_in_atom", (0.6, 0.4), False),
+    ("power_in_atom", (0.6, 0.4), True),
     ("parameter_atom", (0.3, -0.5), False),
     ("parameter_atom", (0.3, -0.5), True),
 ])
@@ -261,6 +267,7 @@ def _step_jacobian_rk4(field, x0, h, T):
     ("charged_particle", (0.1, -0.2, 0.3, 0.5, -0.6, 0.2)),
     ("nested", (0.4, -1.1)),
     ("trig_power", (0.9, 0.2)),
+    ("power_in_atom", (0.6, 0.4)),
     ("parameter_atom", (0.3, -0.5)),
 ])
 def test_tangent_maps_are_products_of_the_rk4_step_jacobians(system, x0, oscillator,
@@ -347,8 +354,29 @@ def test_rk4_source_evaluates_each_atom_once_per_stage():
     assert "math." not in source and "isfinite" not in source and "tangent" not in source
 
 
+def test_rk4_source_names_each_power_and_atom_once_per_stage():
+    sp = Space("r", ("x1", "x2"), ("a",))
+    field = VectorField(sp, (sp.parse("sin(a)*x2^3 + x2^3 + x1*x2^2"),
+                             sp.parse("-1*x2^2 + sin(x1^2)")))
+    field = LiouvilleSystem("r", sp, field, params={"a": Fraction(7, 10)}).bound().field
+    head, loop = flow._rk4_source(field).split("    for step in range(start, stop):\n")
+    # nothing sits between the state unpack and the loop but h2 and h6
+    assert head.splitlines()[2:] == ["    x0, x1, = out[(start - 1) * 2:start * 2].tolist()",
+                                     "    h2 = 0.5 * h", "    h6 = h / 6.0"]
+    assigned = [line.split(" = ") for line in map(str.strip, loop.splitlines())
+                if line[:1] in ("a", "p")]
+    # x2^3 and x2^2 are taken once per stage although each is read twice,
+    # and sin(a) of the bound parameter is evaluated in every stage
+    assert assigned == [[local, source.format(s=state)] for state in "xyyy"
+                        for local, source in (("p0", "pow({s}1, 3)"), ("a1", "sin(0.7)"),
+                                              ("p2", "pow({s}1, 2)"), ("p3", "pow({s}0, 2)"),
+                                              ("a4", "sin(p3)"))]
+    assert "**" not in loop
+
+
 _COLUMN_SPACE = Space("c", ("x1", "x2"), ("a",))
-_FACTORS = ("x1", "x2", "a", "sin(x1)", "cos(x2 + a)", "sin(x1*x2 - 1/3)", "cos(a)")
+_FACTORS = ("x1", "x2", "a", "sin(x1)", "cos(x2 + a)", "sin(x1*x2 - 1/3)", "cos(a)",
+            "sin(x1^3 - a)")
 
 
 @st.composite
