@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", nargs="*", action="extend", default=None,
                    metavar="NAME=VALUE", help="numeric parameter bindings")
     p.add_argument("--tangent", action="store_true",
-                   help="compute the tangent maps and report det deviation")
+                   help="compute the tangent-map determinants, each a running product of "
+                        "RK4 step-Jacobian determinants, and report max |det - 1|")
     p.add_argument("--sweep", action="store_true",
                    help="run a critical-section sweep around the initial state")
     p.add_argument("--csv", default=None, help="write the trajectory CSV to a file")

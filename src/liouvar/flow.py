@@ -3,12 +3,14 @@
 The integrator is classical fourth-order Runge-Kutta; the field is
 certified symbolically elsewhere, so the integrator only needs accuracy,
 not structure preservation.  Volume preservation is monitored through
-the determinant of the tangent map, the product of the exact Jacobians of
-the RK4 steps; first integrals through their drift along the trajectory,
-and swept sections through finite-difference residuals of the
-quasilinear system.  The step loop is generated Python over floats; the
-tangent maps and the diagnostics evaluate normal forms column-wise over
-the state array (``compile_columns``).
+the determinant of the tangent map, det M_k = prod_{j<k} det R_j, the
+running product of the determinants of the exact Jacobians R_j of the
+RK4 steps; the maps M_k themselves are never formed.  First integrals
+are monitored through their drift along the trajectory, and swept
+sections through finite-difference residuals of the quasilinear system.
+The step loop is generated Python over floats; the step Jacobians and
+the diagnostics evaluate normal forms column-wise over the state array
+(``compile_columns``).
 
 Every normal form given to this module is closed: its parameters were
 bound exactly beforehand (``LiouvilleSystem.bound()``), so generated code
@@ -19,7 +21,7 @@ refused (``UnboundSymbolError``) when the code is generated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -34,13 +36,15 @@ if TYPE_CHECKING:
 
 
 # Largest number of steps a trajectory or sweep may take.  It bounds the
-# arrays that hold the states and tangent maps, which are allocated whole
-# before the first step.
+# arrays that hold the states, (steps + 1) * n floats, and the tangent-map
+# determinants, steps + 1 floats, which are allocated whole before the
+# first step.
 MAX_STEPS = 10_000_000
 
-# Steps the generated RK4 loop runs between two checks that its states and
-# tangent maps are finite; the tangent maps of a block's rows are computed
-# together, so their scratch arrays hold O(BLOCK_STEPS * n * n) floats.
+# Steps the generated RK4 loop runs between two checks that its states,
+# step Jacobians and tangent-map determinants are finite; the step
+# Jacobians of a block's rows are computed together, so their scratch
+# arrays hold O(BLOCK_STEPS * n * n) floats.
 BLOCK_STEPS = 1024
 
 
@@ -155,8 +159,8 @@ def _rk4_source(field: VectorField) -> str:
         x + h6*(((k1 + 2.0*k2) + 2.0*k3) + k4)
     with h2 = 0.5*h and h6 = h/6.0, so each component rounds exactly as
     numpy's elementwise arithmetic on float64 arrays does.  The loop
-    carries states only; ``_tangent_transport`` derives the tangent maps
-    from them.
+    carries states only; ``_tangent_transport`` derives the step Jacobians
+    and the tangent-map determinants from them.
 
     Each stage's slopes are written by ``nf_source`` with a fresh table
     of locals, so each distinct sin/cos atom and each distinct power of the
@@ -200,22 +204,26 @@ def _rk4_source(field: VectorField) -> str:
 
 
 def _tangent_transport(field: VectorField):
-    """Compile the tangent maps of the RK4 loop of ``field``.
+    """Compile the tangent-map determinants of the RK4 loop of ``field``.
 
-    The result, ``transport(states, tangents, h, start, stop)``, writes
-    tangent rows ``start`` to ``stop - 1`` from the states of rows
-    ``start - 1`` to ``stop - 2`` and the tangent map of row ``start - 1``.
-    The Jacobian of the RK4 step from x_k is the same RK method applied to
-    the variational equation (Hairer, Lubich and Wanner, *Geometric
-    Numerical Integration*):
+    The result, ``transport(states, volume, h, start, stop)``, writes
+    ``volume`` rows ``start`` to ``stop - 1`` from the states of rows
+    ``start - 1`` to ``stop - 2`` and the volume of row ``start - 1``, and
+    returns the block's step Jacobians.  The Jacobian of the RK4 step
+    from x_k is the same RK method applied to the variational equation
+    (Hairer, Lubich and Wanner, *Geometric Numerical Integration*):
         R_k = I + h6*(((A1 + 2.0*A2) + 2.0*A3) + A4),
         A1 = J(x_k), A2 = J(y2)(I + h2*A1), A3 = J(y3)(I + h2*A2),
         A4 = J(y4)(I + h*A3),
     with the stage states y2, y3, y4 of the loop.  The stage states of all
     the rows take one ``compile_columns`` pass per stage, their Jacobian
-    entries one pass over the four stages together, and the A's one
-    stacked matmul each; only M_{k+1} = R_k M_k runs per step, as one
-    ``ndarray.dot`` into ``tangents[k + 1]``.  Non-finite values are
+    entries one pass over the four stages together, the A's one stacked
+    matmul each, and the det R_k one stacked ``np.linalg.det``.  The
+    tangent map M_k = R_{k-1} ... R_0 is never formed: its determinant,
+    the volume of row k, is the running product
+        volume[k] = (...((volume[0] * det R_0) * det R_1) ...) * det R_{k-1},
+    volume[0] = 1, taken in that order whatever the block boundaries, so
+    an ill-conditioned M_k does not spoil it.  Non-finite values are
     written, not raised: the caller checks the rows.
     """
     import numpy as np
@@ -226,7 +234,7 @@ def _tangent_transport(field: VectorField):
     jacobian = compile_columns([differentiate(c, x) for c in field.nfs for x in coords], coords)
     eye = np.eye(n)
 
-    def transport(states, tangents, h, start, stop):
+    def transport(states, volume, h, start, stop):
         rows = stop - start
         h2 = 0.5 * h
         h6 = h / 6.0
@@ -240,38 +248,43 @@ def _tangent_transport(field: VectorField):
         a3 = j3 @ (eye + h2 * a2)
         a4 = j4 @ (eye + h * a3)
         step_jacobians = eye + h6 * (((j1 + 2.0 * a2) + 2.0 * a3) + a4)
-        maps = list(tangents[start - 1:stop])
-        for r, m, out in zip(step_jacobians, maps, maps[1:]):
-            r.dot(m, out)
+        block = volume[start - 1:stop]
+        block[1:] = np.linalg.det(step_jacobians)
+        np.multiply.accumulate(block, out=block)
+        return step_jacobians
 
     return transport
 
 
-def _check_rows(states: np.ndarray, tangents: np.ndarray | None, start: int, stop: int) -> None:
-    """Raise ``BlowupError`` at the first step in [start, stop) whose state
-    or tangent map has a non-finite entry."""
+def _check_rows(start: int, rows: dict[str, np.ndarray]) -> None:
+    """Raise ``BlowupError`` at the first step from ``start`` on at which
+    one of ``rows`` (name to the values of steps ``start``, ``start + 1``,
+    ...) has a non-finite entry, naming the first such one in ``rows``."""
     import numpy as np
 
-    finite = np.isfinite(states[start:stop]).all(axis=1)
-    if tangents is not None:
-        finite &= np.isfinite(tangents[start:stop]).all(axis=(1, 2))
-    if not finite.all():
-        raise BlowupError(start + int(np.argmin(finite)))
+    finite = {what: np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+              for what, values in rows.items()}
+    every = np.logical_and.reduce(list(finite.values()))
+    if not every.all():
+        row = int(np.argmin(every))
+        raise BlowupError(start + row, next(what for what, ok in finite.items() if not ok[row]))
 
 
 def _compile_rk4(field: VectorField, with_tangent: bool):
     """Compile the RK4 loop of ``field`` once; the result runs it from an initial state.
 
     ``run(x0, steps, h)`` returns the ``(steps + 1, n)`` states and, with
-    ``with_tangent``, the ``(steps + 1, n, n)`` tangent maps (else None).
-    It raises ``BlowupError(step)`` at the first step whose state or
-    tangent map is not finite, or whose stage overflows or leaves the
-    domain of sin/cos.  The loop runs in blocks of ``BLOCK_STEPS`` steps;
-    after each block ``_tangent_transport`` writes the block's tangent
-    maps, and the block is checked as a whole.  A non-finite state or
-    tangent map stays non-finite, so the first bad row of a block is the
-    step at which the values first stopped being finite, and a blow-up
-    costs at most one block of extra steps.
+    ``with_tangent``, the ``(steps + 1,)`` tangent-map determinants
+    (else None).  It raises ``BlowupError(step, what)`` at the first step
+    whose state, step Jacobian (R_{step-1}) or tangent-map determinant is
+    not finite, naming the first of these three that is not, or whose
+    stage overflows or leaves the domain of sin/cos.  The loop runs in
+    blocks of ``BLOCK_STEPS`` steps; after each block
+    ``_tangent_transport`` writes the block's determinants, and the block
+    is checked as a whole.  A non-finite state or determinant stays
+    non-finite, so the first bad row of a block is the step at which the
+    values first stopped being finite, and a blow-up costs at most one
+    block of extra steps.
     """
     import numpy as np
 
@@ -284,15 +297,17 @@ def _compile_rk4(field: VectorField, with_tangent: bool):
     def run(x0: np.ndarray, steps: int, h: float):
         states = np.empty((steps + 1, n))
         states[0] = x0
-        tangents = None
+        volume = None
         if with_tangent:
-            tangents = np.empty((steps + 1, n, n))
-            tangents[0] = np.eye(n)
+            volume = np.empty(steps + 1)
+            volume[0] = 1.0
 
         def finish(start, stop):
+            rows = {"state": states[start:stop]}
             if transport is not None:
-                transport(states, tangents, h, start, stop)
-            _check_rows(states, tangents, start, stop)
+                rows["step Jacobian"] = transport(states, volume, h, start, stop)
+                rows["tangent-map determinant"] = volume[start:stop]
+            _check_rows(start, rows)
 
         # a non-finite product is reported as a BlowupError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -305,7 +320,7 @@ def _compile_rk4(field: VectorField, with_tangent: bool):
                     finish(start, err.step)
                     raise
                 finish(start, stop)
-        return states, tangents
+        return states, volume
 
     return run
 
@@ -316,38 +331,30 @@ def _compile_rk4(field: VectorField, with_tangent: bool):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled integral curve, optionally with tangent maps.
+    """Uniformly sampled integral curve, optionally with the determinants
+    of its tangent maps.
 
-    The determinants of the tangent maps are computed on first use and
-    kept, so the volume diagnostic and the CSV share one pass.
+    ``volume[k]`` is det M_k, the product of the determinants of the RK4
+    step Jacobians R_0 ... R_{k-1}; it holds steps + 1 floats, and no
+    tangent map is kept.
     """
 
     coordinates: tuple[str, ...]
     grid: np.ndarray
     states: np.ndarray
-    tangents: np.ndarray | None
+    volume: np.ndarray | None
     step: float
     duration: float
-    _dets: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def determinants(self) -> np.ndarray:
-        """det of every tangent map (LU determinants), computed once.
+        """det M_k of every row, the running product of the det R_j, j < k.
 
-        Raises ``BlowupError`` at the first step whose finite tangent map
-        has a determinant that overflows.
+        The integration checked every value finite, so this is the array
+        it wrote, shared by the volume diagnostic and the CSV.
         """
-        if self.tangents is None:
+        if self.volume is None:
             raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
-        if self._dets is None:
-            import numpy as np
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                dets = np.linalg.det(self.tangents)
-            finite = np.isfinite(dets)
-            if not finite.all():
-                raise BlowupError(int(np.argmin(finite)), "tangent-map determinant")
-            self._dets = dets
-        return self._dets
+        return self.volume
 
 
 def _grid(h: float, T: float) -> tuple[int, float]:
@@ -384,23 +391,25 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     The step is adjusted to T / round(T/h) so the uniform grid ends
     exactly at T.  The step loop is generated code (``_rk4_source``)
     whose states equal the array formula bit for bit.  With
-    ``with_tangent`` the tangent map M_k, M_0 = I, is the product of the
-    exact Jacobians of the RK4 steps (``_tangent_transport``): RK4 applied
-    to the variational equation M' = J(x) M with the exact symbolic
-    Jacobian, evaluated numerically.  ``field`` is closed: its parameters
-    are bound before the call, as ``LiouvilleSystem.bound()`` binds them.
+    ``with_tangent`` the trajectory holds det M_k of the tangent map
+    M_k = R_{k-1} ... R_0, M_0 = I, as the running product of the det R_j
+    (``_tangent_transport``).  R_j is the exact Jacobian of the RK4 step
+    from x_j: RK4 applied to the variational equation M' = J(x) M with the
+    exact symbolic Jacobian, evaluated numerically.  ``field`` is closed:
+    its parameters are bound before the call, as ``LiouvilleSystem.bound()``
+    binds them.
     """
     import numpy as np
 
     steps, h_eff = _grid(h, T)
     x0 = _initial_state(field, x0)
-    states, tangents = _compile_rk4(field, with_tangent)(x0, steps, h_eff)
+    states, volume = _compile_rk4(field, with_tangent)(x0, steps, h_eff)
     grid = np.arange(steps + 1) * h_eff
-    return Trajectory(field.space.coordinates, grid, states, tangents, h_eff, T)
+    return Trajectory(field.space.coordinates, grid, states, volume, h_eff, T)
 
 
 def volume_diagnostic(traj: Trajectory) -> float:
-    """Max |det(tangent map) - 1| along the trajectory (LU determinants)."""
+    """Max over k of |det M_k - 1| = |prod_{j<k} det R_j - 1| along the trajectory."""
     import numpy as np
 
     return float(np.max(np.abs(traj.determinants() - 1.0)))
@@ -500,10 +509,13 @@ def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[fl
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> int:
-    """CSV with header s,x0,...,x{n-1}[,det]; 17 significant digits."""
+    """CSV with header s,x0,...,x{n-1}[,det]; 17 significant digits.
+
+    ``det`` is the tangent-map determinant ``traj.determinants()``.
+    """
     columns = ["s"] + [f"x{i}" for i in range(traj.states.shape[1])]
     rows = traj.states.tolist()
-    if traj.tangents is not None:
+    if traj.volume is not None:
         columns.append("det")
         rows = [row + [det] for row, det in zip(rows, traj.determinants().tolist())]
     row_format = ",".join(["%.17g"] * len(columns))

@@ -768,11 +768,12 @@ def test_integrate_tangent_csv_takes_the_determinants_once(example_dir, capsys, 
     rc = main(["integrate", str(path), "--x0=0.3,-0.2,0.1", "--h", repr(h), "--T", repr(T),
                "--tangent", "--csv", str(csv)])
     out = read_json(capsys)
-    assert rc == 0 and shapes == [(101, 3, 3)]
-    # the report and the CSV hold the determinants of the array formula
+    # one stacked det of the block's step Jacobians, none of full tangent maps
+    assert rc == 0 and shapes == [(100, 3, 3)]
+    # the report and the CSV hold the one volume array of the trajectory
     system = load_system(path)
     traj = integrate_rk4(system.bound_copy.field, x0, h, T, with_tangent=True)
-    dets = det(traj.tangents)
+    dets = traj.determinants()
     assert out["diagnostics"]["det_deviation"] == float(np.max(np.abs(dets - 1.0)))
     rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % (s, *x, d)
             for s, x, d in zip(traj.grid.tolist(), traj.states.tolist(), dets.tolist())]
@@ -935,6 +936,32 @@ def test_integrate_tangent_determinant_beyond_the_float_range_exit_1(tmp_path, c
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "error: non-finite tangent-map determinant encountered at step 3549\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_tangent_blowup_on_a_finite_state_names_the_determinant(tmp_path, capsys):
+    # the state stays exactly 0 while det M_k = R^k, R = 1 + 1 + 1/2 + 1/6
+    # + 1/24, overflows
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"name": "g", "coordinates": ["x1"], "vector_field": ["1000*x1"]}),
+                    encoding="utf-8")
+    rc = main(["integrate", str(path), "--x0", "0", "--h", "1e-3", "--T", "1", "--tangent"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: non-finite tangent-map determinant encountered at step 713\n"
+
+
+@pytest.mark.parametrize("path, flags, bound", [
+    # det M_k of this run is a product of maps whose condition number
+    # exceeds 1e16; its LU determinant read 3.97e11
+    ("abc_flow.json", ["--param", "A=1", "B=0.7", "C=0.4", "--x0", "0.1,0.2,0.3",
+                       "--h", "1e-2", "--T", "200"], 1e-8),
+    ("euler_top.json", ["--x0", "1,1,1", "--h", "1e-3", "--T", "100"], 1e-6),
+])
+def test_integrate_long_tangent_runs_keep_volume(example_dir, capsys, path, flags, bound):
+    rc = main(["integrate", str(example_dir / path), *flags, "--tangent"])
+    out = read_json(capsys)
+    assert rc == 0 and out["diagnostics"]["det_deviation"] <= bound
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])

@@ -220,17 +220,17 @@ def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscill
     states, tangents = _array_rk4(field, x0, 1e-3, 2.0, with_tangent)
     assert np.array_equal(traj.states, states)
     if with_tangent:
-        # products of step Jacobians round differently from the co-integrated
-        # maps; each map is compared against its largest entry
-        error = np.abs(traj.tangents - tangents).max(axis=(1, 2))
-        assert np.all(error <= 1e-12 * np.abs(tangents).max(axis=(1, 2)))
+        # the product of the step-Jacobian determinants rounds differently
+        # from the LU determinant of the co-integrated map
+        dets = np.linalg.det(tangents)
+        assert np.all(np.abs(traj.determinants() - dets) <= 1e-12 * np.abs(dets))
     else:
-        assert traj.tangents is None
+        assert traj.volume is None
 
 
 def _step_jacobian_rk4(field, x0, h, T):
-    """Reference tangent maps, one step at a time: M_{k+1} = R_k @ M_k with
-    the Jacobian R_k of the RK4 step from x_k, written with 2-D arrays."""
+    """Reference states and the Jacobians R_k of the RK4 steps from x_k,
+    one step at a time, written with 2-D arrays."""
     f = compile_field(field)
     jac = compile_jacobian(field)
     steps = max(1, round(T / h))
@@ -239,7 +239,7 @@ def _step_jacobian_rk4(field, x0, h, T):
     h6 = h / 6.0
     x = np.asarray(x0, dtype=float)
     eye = np.eye(len(x))
-    states, tangents = [x], [eye]
+    states, step_jacobians = [x], []
     for _ in range(steps):
         k1 = np.asarray(f(x.tolist()), dtype=float)
         y2 = x + h2 * k1
@@ -255,8 +255,8 @@ def _step_jacobian_rk4(field, x0, h, T):
         step = eye + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
         x = x + h6 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
         states.append(x)
-        tangents.append(step @ tangents[-1])
-    return np.array(states), np.array(tangents)
+        step_jacobians.append(step)
+    return np.array(states), np.array(step_jacobians)
 
 
 @pytest.mark.parametrize("system, x0", [
@@ -275,9 +275,10 @@ def test_tangent_maps_are_products_of_the_rk4_step_jacobians(system, x0, oscilla
     # T = 2.5 at h = 1e-3 spans three blocks, the last one partial
     field = _reference_case(system, oscillator, euler_numeric)
     traj = integrate_rk4(field, x0, 1e-3, 2.5, with_tangent=True)
-    states, tangents = _step_jacobian_rk4(field, x0, 1e-3, 2.5)
+    states, step_jacobians = _step_jacobian_rk4(field, x0, 1e-3, 2.5)
     assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.tangents, tangents)
+    volume = np.cumprod(np.concatenate(([1.0], [np.linalg.det(r) for r in step_jacobians])))
+    assert np.all(np.abs(traj.determinants() - volume) <= 1e-13 * np.abs(volume))
 
 
 @pytest.mark.parametrize("with_tangent", [False, True])
@@ -317,6 +318,31 @@ def test_tangent_overflow_with_a_finite_state_is_the_first_infinite_map():
     assert np.all(integrate_rk4(field, (0.0,), 1e-3, 1.0).states == 0.0)
     got, want = _blowup_steps(field, (0.0,), 1e-3, 1.0, True)
     assert (got.step, want) == (713, 705)
+    assert str(got) == "non-finite tangent-map determinant encountered at step 713"
+
+
+@pytest.mark.parametrize("components, x0, step, what", [
+    # the state stays at 0 while R_0 = I + h/6*(J + 2*J(I + h/2*J) + ...)
+    # overflows in J @ J, J = [[0, 1e160], [1e160, 0]]
+    (("10^160*x2", "10^160*x1"), (0.0, 0.0), 1, "step Jacobian"),
+    (("1 + x1^2", "0"), (1.0, 0.0), 788, "state"),
+])
+def test_tangent_blowup_names_what_stopped_being_finite(components, x0, step, what):
+    sp = Space("g", tuple(f"x{i + 1}" for i in range(len(components))))
+    field = VectorField(sp, tuple(sp.parse(c) for c in components))
+    with pytest.raises(BlowupError) as err:
+        integrate_rk4(field, x0, 1e-3, 2.0, with_tangent=True)
+    assert str(err.value) == f"non-finite {what} encountered at step {step}"
+
+
+def test_tangent_trajectory_holds_no_matrix_per_step():
+    field = _reference_case("charged_particle", None, None)
+    traj = integrate_rk4(field, (0.1, -0.2, 0.3, 0.5, -0.6, 0.2), 1e-2, 1.0, with_tangent=True)
+    rows, n = traj.states.shape
+    arrays = [value for value in vars(traj).values() if isinstance(value, np.ndarray)]
+    assert n == 6 and len(arrays) == 3
+    assert all(array.size <= rows * n for array in arrays)
+    assert traj.determinants().shape == (rows,)
 
 
 def test_stage_raising_one_step_after_the_state_overflowed_reports_the_overflow():
@@ -465,7 +491,7 @@ def test_volume_growth_linear_field():
     sp = Space("g", ("x1", "x2", "x3"))
     field = VectorField(sp, (sp.parse("x1"), 0, 0))
     traj = integrate_rk4(field, (1.0, 1.0, 1.0), 1e-3, 1.0, with_tangent=True)
-    final_det = float(np.linalg.det(traj.tangents[-1]))
+    final_det = float(traj.determinants()[-1])
     assert abs(final_det - math.e) <= 1e-6
 
 
@@ -571,8 +597,8 @@ def test_trajectory_csv(tmp_path, euler_numeric):
 def _reference_csv(traj):
     """The trajectory CSV written row by row from the numpy arrays."""
     n = traj.states.shape[1]
-    lines = ["s," + ",".join(f"x{i}" for i in range(n)) + (",det" if traj.tangents is not None else "")]
-    dets = np.linalg.det(traj.tangents) if traj.tangents is not None else None
+    lines = ["s," + ",".join(f"x{i}" for i in range(n)) + (",det" if traj.volume is not None else "")]
+    dets = traj.volume
     for i, (s, row) in enumerate(zip(traj.grid, traj.states)):
         cells = [f"{s:.17g}"] + [f"{v:.17g}" for v in row]
         if dets is not None:
