@@ -32,14 +32,14 @@ MAX_NESTING = 32
 # Term budget of the normal-form kernel, whose products all enter through
 # ``nf_sum_of_products`` (``nf_mul`` is its one-product case) and whose
 # sums, which have no budget, through ``nf_from_terms``.  The one product
-# rule: a sum of products taking more term products than this is refused
-# before anything is multiplied, counted after commuted pairs cancel and
-# without the products with a constant side, which only scale.  ``nf_pow``
-# refuses a power whose multinomial bound on the result's terms is larger,
-# so ``(x1 + x2)^8000`` is refused at once; each of its squarings is a
+# rule: a sum of products taking more term products than this, counted
+# over all its products except those with a constant side, which only
+# scale, is refused before anything is multiplied.  ``nf_pow`` refuses a
+# power whose multinomial bound on the result's terms is larger, so
+# ``(x1 + x2 + x3)^200`` is refused at once; each of its squarings is a
 # product under the rule.  The bundled systems and the benchmark ladders
-# reach at most 4 term pairs in a product of two non-constant forms, 18 in
-# a sum of products (96 before the cancelling) and 14 terms in a form.
+# reach at most 4 term pairs in a product of two non-constant forms, 12 in
+# a sum of products and 14 terms in a form.
 MAX_TERMS = 10000
 
 # Coefficient budget: ``nf_pow`` refuses to raise a one-term base when the
@@ -337,52 +337,14 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     return nf_sum_of_products((1, a, b))
 
 
-def _cancel_commuted(products):
-    """``products`` with like products grouped before any is multiplied.
-
-    A product with a zero factor is dropped.  A factor whose leading
-    coefficient is negative is negated and its sign moved into the
-    product's sign, so ``a`` and ``-a`` are one factor.  Products over the
-    same unordered pair of factors (``a * b``, ``b * a``, ``b * (-a)``)
-    are one product whose sign is the sum of theirs, and the ones whose
-    signs sum to 0 are dropped.  This is a ring identity, and the
-    accumulator's result is canonical, so the sum is unchanged.  When no
-    pair repeats, ``products`` itself is returned.
-
-    The term order ignores coefficients, so a negated factor's terms are
-    still in canonical order.  Products are keyed by their factors' terms:
-    a negated factor is a tuple and not a new normal form, whose hash
-    would be computed anew.
-    """
-    grouped: dict = {}
-    for sign, a, b in products:
-        ta, tb = a.terms, b.terms
-        if not ta or not tb:
-            continue
-        if ta[0][1] < 0:
-            ta, sign = tuple([(m, -c) for m, c in ta]), -sign
-        if tb[0][1] < 0:
-            tb, sign = tuple([(m, -c) for m, c in tb]), -sign
-        key = frozenset((ta, tb))
-        prev = grouped.get(key)
-        if prev is None:
-            grouped[key] = [sign, ta, tb]
-        else:
-            prev[0] += sign
-    if len(grouped) == len(products):
-        return products
-    return [(sign, NormalForm(ta), NormalForm(tb)) for sign, ta, tb in grouped.values() if sign]
-
-
 def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalForm:
     """Sum of ``sign * a * b`` over ``(sign, a, b)`` triples, sign +1 or -1.
 
     A single product with a zero side is zero, and one with a side equal
-    to 1 or -1 returns the other side or its negation.  Several products
-    are grouped first (see ``_cancel_commuted``): the commuted and negated
-    copies of a product add their signs, and those that cancel are never
-    multiplied.  The ``MAX_TERMS`` rule is checked before anything is
-    multiplied; the rest go into one integer accumulator, sorted once.
+    to 1 or -1 returns the other side or its negation.  Otherwise the
+    ``MAX_TERMS`` rule is checked on the term pairs of all the products
+    before anything is multiplied, and the products go into one integer
+    accumulator, sorted once.
     """
     if len(products) == 1:
         sign, a, b = products[0]
@@ -394,8 +356,6 @@ def nf_sum_of_products(*products: tuple[int, NormalForm, NormalForm]) -> NormalF
         unit = _unit_sign(b)
         if unit:
             return a if sign * unit > 0 else nf_neg(a)
-    else:
-        products = _cancel_commuted(products)
     pairs = sum(len(a.terms) * len(b.terms) for _s, a, b in products
                 if not (a.is_constant() or b.is_constant()))
     if pairs > MAX_TERMS:

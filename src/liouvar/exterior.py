@@ -419,17 +419,6 @@ def flux_field(alpha: DiffForm) -> VectorField:
     return VectorField(space, tuple(comps))
 
 
-def lie_derivative(v: VectorField, a: DiffForm) -> DiffForm:
-    """Cartan formula; for top-degree forms only the d(v ⌟ a) term remains."""
-    if v.space != a.space:
-        raise SpaceMismatchError("Lie derivative across different spaces")
-    if a.degree == 0:
-        return interior_product(v, exterior_derivative(a))
-    if a.degree == a.space.dim:
-        return exterior_derivative(interior_product(v, a))
-    return interior_product(v, exterior_derivative(a)) + exterior_derivative(interior_product(v, a))
-
-
 @dataclass(frozen=True)
 class CoordMap:
     """Smooth map between spaces given per-target-coordinate expressions,

@@ -336,7 +336,9 @@ class Trajectory:
 
     ``volume[k]`` is det M_k, the product of the determinants of the RK4
     step Jacobians R_0 ... R_{k-1}; it holds steps + 1 floats, and no
-    tangent map is kept.
+    tangent map is kept.  It is None without ``with_tangent``.  The
+    integration checked every value finite, and the volume diagnostic and
+    the CSV read this one array.
     """
 
     coordinates: tuple[str, ...]
@@ -345,16 +347,6 @@ class Trajectory:
     volume: np.ndarray | None
     step: float
     duration: float
-
-    def determinants(self) -> np.ndarray:
-        """det M_k of every row, the running product of the det R_j, j < k.
-
-        The integration checked every value finite, so this is the array
-        it wrote, shared by the volume diagnostic and the CSV.
-        """
-        if self.volume is None:
-            raise FlowError("trajectory has no tangent maps; integrate with with_tangent=True")
-        return self.volume
 
 
 def _grid(h: float, T: float) -> tuple[int, float]:
@@ -412,7 +404,9 @@ def volume_diagnostic(traj: Trajectory) -> float:
     """Max over k of |det M_k - 1| = |prod_{j<k} det R_j - 1| along the trajectory."""
     import numpy as np
 
-    return float(np.max(np.abs(traj.determinants() - 1.0)))
+    if traj.volume is None:
+        raise FlowError("trajectory has no volume; integrate with with_tangent=True")
+    return float(np.max(np.abs(traj.volume - 1.0)))
 
 
 def invariant_drift(traj: Trajectory,
@@ -511,13 +505,13 @@ def section_sweep(dec: CharacteristicDecomposition, starts: Sequence[Sequence[fl
 def write_trajectory_csv(traj: Trajectory, path) -> int:
     """CSV with header s,x0,...,x{n-1}[,det]; 17 significant digits.
 
-    ``det`` is the tangent-map determinant ``traj.determinants()``.
+    ``det`` is the tangent-map determinant ``traj.volume``.
     """
     columns = ["s"] + [f"x{i}" for i in range(traj.states.shape[1])]
     rows = traj.states.tolist()
     if traj.volume is not None:
         columns.append("det")
-        rows = [row + [det] for row, det in zip(rows, traj.determinants().tolist())]
+        rows = [row + [det] for row, det in zip(rows, traj.volume.tolist())]
     row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns)]
     lines += [row_format % (s, *row) for s, row in zip(traj.grid.tolist(), rows)]

@@ -119,19 +119,6 @@ def symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
     return _symplectic_gradient(symplectic_powers(omega), hamiltonian)
 
 
-def curl3(space: Space, components: Iterable[NormalForm]) -> tuple[NormalForm, ...]:
-    """Curl of a 3-component field over the first three coordinates."""
-    if space.dim != 3:
-        raise GeometryError("curl is defined here for three-dimensional spaces only")
-    a1, a2, a3 = (normal_form(a) for a in components)
-    x1, x2, x3 = space.coordinates
-
-    def rot(a, x, b, y):
-        return nf_add(differentiate(a, x), nf_neg(differentiate(b, y)))
-
-    return rot(a3, x2, a2, x3), rot(a1, x3, a3, x1), rot(a2, x1, a1, x2)
-
-
 # --------------------------------------------------------------------------
 # Parameter plumbing shared by builders
 

@@ -321,10 +321,10 @@ def test_verify_over_the_term_budget_of_a_contraction_exit_2_within_a_second(tmp
 def test_contraction_products_that_cancel_pairwise_are_not_refused(tmp_path, capsys, argv):
     """Each X^i is free of x_i, so the field is Liouville.  The products of
     Z ⌟ d(theta) are X^i·X^j − X^j·X^i, each far over the term budget, and
-    they cancel before they are multiplied (the equivalence tests of
-    ``kernel_residual`` take that contraction).  ``verify`` decides the
-    residual instead: with rho = 1 its products rho·Z^i hold one factor 1,
-    and the psi rows are stated, not computed."""
+    neither command forms them.  ``verify`` decides the residual: with
+    rho = 1 its products rho·Z^i hold one factor 1, and the psi rows are
+    stated, not computed.  ``characteristic`` divides W by its constant
+    W^t and compares it with Z."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps(_WIDE_FIELD), encoding="utf-8")
     t0 = time.perf_counter()
@@ -773,7 +773,7 @@ def test_integrate_tangent_csv_takes_the_determinants_once(example_dir, capsys, 
     # the report and the CSV hold the one volume array of the trajectory
     system = load_system(path)
     traj = integrate_rk4(system.bound_copy.field, x0, h, T, with_tangent=True)
-    dets = traj.determinants()
+    dets = traj.volume
     assert out["diagnostics"]["det_deviation"] == float(np.max(np.abs(dets - 1.0)))
     rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % (s, *x, d)
             for s, x, d in zip(traj.grid.tolist(), traj.states.tolist(), dets.tolist())]

@@ -661,6 +661,15 @@ def test_power_beyond_the_term_budget_is_refused_before_multiplying(monkeypatch,
         nf_pow(base, exponent)
 
 
+def test_power_within_its_bound_is_refused_by_the_product_rule():
+    """``(x1 + x2)^8000`` has at most 8001 terms, so ``nf_pow`` starts
+    multiplying; the squaring of the 129-term power is the product refused."""
+    assert _power_terms_bound(2, 8000) == 8001 <= MAX_TERMS
+    with pytest.raises(ExprError, match="^product of 16641 term products exceeds the budget "
+                                        "of 10000 term products$"):
+        nf_pow(q("x1 + x2"), 8000)
+
+
 def test_power_within_the_budget_and_one_term_powers():
     assert nf_pow(q("x1 + 1"), 3) == q("x1^3 + 3*x1^2 + 3*x1 + 1")
     assert nf_pow(q("-2/3*x1*sin(x2)"), 3) == q("-8/27*x1^3*sin(x2)^3")
@@ -1018,30 +1027,20 @@ def test_commuted_and_negated_copies_equal_the_fraction_reference(products, copi
     _assert_same_terms(nf_sum_of_products(*products), _reference_sum_of_products(*products))
 
 
-def test_sum_of_products_that_cancels_completely_multiplies_nothing(monkeypatch):
-    a = q("2/3*x1*sin(x2) - x3 + 1")
-    b = q("-1/7*x2^2*cos(x1 + x3) + x1")
-
-    def fail(m1, m2):
-        raise AssertionError("multiplied a product that cancels")
-
-    monkeypatch.setattr(expr_module, "_mono_mul", fail)
-    assert nf_sum_of_products((1, a, b), (-1, b, a)) == NF_ZERO
-    assert nf_sum_of_products((1, a, b), (1, nf_neg(b), a), (-1, a, NF_ZERO)) == NF_ZERO
-    assert nf_sum_of_products((1, a, b), (1, b, nf_neg(a)), (1, nf_neg(b), nf_neg(a)),
-                              (-1, b, a)) == NF_ZERO
-
-
-def test_sum_of_products_counts_the_budget_after_cancelling():
+def test_sum_of_products_is_refused_on_its_raw_term_pairs(monkeypatch):
+    """Commuted products are counted like any others, so a sum whose
+    products would cancel is refused before anything is multiplied."""
     wide = q(" + ".join(f"x1^{k}" for k in range(1, 101)))
     other = q(" + ".join(f"x2^{k}" for k in range(1, 101)))
     assert len(wide.terms) * len(other.terms) == MAX_TERMS
-    # 30000 raw term products, of which 10000 survive
-    got = nf_sum_of_products((1, wide, other), (-1, other, wide), (1, nf_neg(other), nf_neg(wide)))
-    assert got == nf_mul(wide, other)
-    # a product counted twice is one product of sign 2
-    doubled = nf_sum_of_products((1, wide, other), (1, other, wide))
-    assert doubled == nf_scale(nf_mul(wide, other), 2)
+
+    def fail(m1, m2):
+        raise AssertionError("multiplied a sum over the budget")
+
+    monkeypatch.setattr(expr_module, "_mono_mul", fail)
+    with pytest.raises(ExprError, match="sum of 2 products of 20000 term products exceeds "
+                                        "the budget"):
+        nf_sum_of_products((1, wide, other), (-1, other, wide))
 
 
 def test_int_view_scales_coefficients_to_their_lcm():

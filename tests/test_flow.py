@@ -223,7 +223,7 @@ def test_integrate_rk4_equals_the_array_formula(system, x0, with_tangent, oscill
         # the product of the step-Jacobian determinants rounds differently
         # from the LU determinant of the co-integrated map
         dets = np.linalg.det(tangents)
-        assert np.all(np.abs(traj.determinants() - dets) <= 1e-12 * np.abs(dets))
+        assert np.all(np.abs(traj.volume - dets) <= 1e-12 * np.abs(dets))
     else:
         assert traj.volume is None
 
@@ -278,7 +278,7 @@ def test_tangent_maps_are_products_of_the_rk4_step_jacobians(system, x0, oscilla
     states, step_jacobians = _step_jacobian_rk4(field, x0, 1e-3, 2.5)
     assert np.array_equal(traj.states, states)
     volume = np.cumprod(np.concatenate(([1.0], [np.linalg.det(r) for r in step_jacobians])))
-    assert np.all(np.abs(traj.determinants() - volume) <= 1e-13 * np.abs(volume))
+    assert np.all(np.abs(traj.volume - volume) <= 1e-13 * np.abs(volume))
 
 
 @pytest.mark.parametrize("with_tangent", [False, True])
@@ -342,7 +342,7 @@ def test_tangent_trajectory_holds_no_matrix_per_step():
     arrays = [value for value in vars(traj).values() if isinstance(value, np.ndarray)]
     assert n == 6 and len(arrays) == 3
     assert all(array.size <= rows * n for array in arrays)
-    assert traj.determinants().shape == (rows,)
+    assert traj.volume.shape == (rows,)
 
 
 def test_stage_raising_one_step_after_the_state_overflowed_reports_the_overflow():
@@ -491,7 +491,7 @@ def test_volume_growth_linear_field():
     sp = Space("g", ("x1", "x2", "x3"))
     field = VectorField(sp, (sp.parse("x1"), 0, 0))
     traj = integrate_rk4(field, (1.0, 1.0, 1.0), 1e-3, 1.0, with_tangent=True)
-    final_det = float(traj.determinants()[-1])
+    final_det = float(traj.volume[-1])
     assert abs(final_det - math.e) <= 1e-6
 
 

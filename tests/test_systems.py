@@ -43,12 +43,12 @@ from liouvar.systems import (
     build_nambu,
     build_pauli_spin,
     bundled_systems,
-    curl3,
     load_system,
     save_system,
     symplectic_field,
     system_to_dict,
 )
+from oracles import curl3
 
 
 @pytest.fixture(scope="module")
