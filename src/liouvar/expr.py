@@ -11,6 +11,7 @@ Fraction into a constant one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -597,9 +598,27 @@ def atom_source(atom: tuple, symbols: Mapping[str, str], names: dict | None = No
     return ("sin(" if kind == _SIN else "cos(") + nf_source(payload, symbols, names) + ")"
 
 
+@functools.lru_cache(maxsize=128)
+def compile_source(source: str, mode: str):
+    """``compile(source, "<string>", mode)``, once per distinct source.
+
+    The one compiler of generated code: ``compile_lambda``,
+    ``flow.compile_columns`` and ``flow._compile_rk4`` compile through it,
+    and each ``exec``s or ``eval``s the code object into a namespace of its
+    own, so the names the code calls (``sin``, ``cos``, ``pow``,
+    ``BlowupError``) are bound per caller.  The source text is a sound key:
+    ``nf_source`` writes every coefficient, bound parameters included, into
+    it, and states, steps and ranges are arguments of the compiled
+    functions.  A process keeps the code of at most the 128 sources it
+    compiled last.
+    """
+    return compile(source, "<string>", mode)
+
+
 def compile_lambda(body: str):
-    """``lambda s: <body>`` with ``sin`` and ``cos`` in scope."""
-    return eval(f"lambda s: {body}", {"sin": math.sin, "cos": math.cos})
+    """``lambda s: <body>`` with ``sin`` and ``cos`` in scope, compiled by
+    ``compile_source`` and evaluated into a fresh namespace."""
+    return eval(compile_source(f"lambda s: {body}", "eval"), {"sin": math.sin, "cos": math.cos})
 
 
 # --------------------------------------------------------------------------

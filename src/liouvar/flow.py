@@ -10,7 +10,10 @@ are monitored through their drift along the trajectory, and swept
 sections through finite-difference residuals of the quasilinear system.
 The step loop is generated Python over floats; the step Jacobians and
 the diagnostics evaluate normal forms column-wise over the state array
-(``compile_columns``).
+(``compile_columns``).  Generated source is compiled by
+``expr.compile_source``, once per distinct source text in a process:
+initial states, steps and durations are arguments of the compiled
+functions, so integrating an equal field again compiles nothing.
 
 Every normal form given to this module is closed: its parameters were
 bound exactly beforehand (``LiouvilleSystem.bound()``), so generated code
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .expr import DEFAULT_SEED, NormalForm, compile_lambda, differentiate, nf_source, normal_form
+from .expr import (DEFAULT_SEED, NormalForm, compile_lambda, compile_source, differentiate,
+                   nf_source, normal_form)
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -124,7 +128,9 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
     and each distinct power once, by ``_column_power`` bound to ``pow``;
     every value equals ``compile_scalar``'s on its state bit for bit.  A
     value that overflows or leaves the domain of sin/cos is written as inf
-    or nan, without a warning; callers check the values.
+    or nan, without a warning; callers check the values.  The source is
+    compiled by ``compile_source``, so equal forms compile once per
+    process, and each call binds the names in a namespace of its own.
     """
     import numpy as np
 
@@ -135,7 +141,7 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
     lines = ["def columns(s):", *(f"    {local} = {source}" for local, source in names.values()),
              f"    return [{rows}]"]
     namespace = {"sin": np.sin, "cos": np.cos, "pow": _column_power}
-    exec("\n".join(lines) + "\n", namespace)
+    exec(compile_source("\n".join(lines) + "\n", "exec"), namespace)
     values = namespace["columns"]
 
     def columns(s: np.ndarray) -> np.ndarray:
@@ -284,12 +290,15 @@ def _compile_rk4(field: VectorField, with_tangent: bool):
     is checked as a whole.  A non-finite state or determinant stays
     non-finite, so the first bad row of a block is the step at which the
     values first stopped being finite, and a blow-up costs at most one
-    block of extra steps.
+    block of extra steps.  The loop and the tangent transport are
+    compiled by ``compile_source``, once per distinct source in a process,
+    and bound in namespaces of their own; ``x0``, ``steps`` and ``h`` are
+    arguments of ``run``, so they never enter the source.
     """
     import numpy as np
 
     namespace = {"sin": math.sin, "cos": math.cos, "BlowupError": BlowupError}
-    exec(_rk4_source(field), namespace)
+    exec(compile_source(_rk4_source(field), "exec"), namespace)
     loop = namespace["rk4"]
     transport = _tangent_transport(field) if with_tangent else None
     n = field.space.dim

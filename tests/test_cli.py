@@ -25,6 +25,7 @@ import liouvar
 import liouvar.cli as cli
 import liouvar.liouville as liouville
 from liouvar.cli import main
+from liouvar.expr import compile_source
 from liouvar.flow import integrate_rk4, write_trajectory_csv
 from liouvar.systems import build_hamiltonian, load_system, save_system
 
@@ -1121,6 +1122,26 @@ def test_integrate_sweep(example_dir, capsys):
     sweep = out["diagnostics"]["sweep"]
     assert sweep["seeds"] == 5
     assert sweep["max_residual"] <= 1e-6
+
+
+def test_integrate_twice_in_one_process_gives_the_cold_bytes(tmp_path, capsys):
+    csv = tmp_path / "F.csv"
+    abc = ["integrate", str(BENCH_BUNDLED / "abc_flow.json"), "--param", "A=1", "B=1", "C=1",
+           "--x0=0.1,0.2,0.3", "--h", "1e-2", "--T", "1", "--tangent", "--csv", str(csv)]
+    sweep = ["integrate", str(BENCH_BUNDLED / "harmonic_oscillator_m1.json"),
+             "--x0", "1,0", "--h", "1e-2", "--T", "1", "--sweep"]
+    compile_source.cache_clear()
+    for argv in (abc, sweep):
+        runs, misses = [], []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append((capsys.readouterr().out, csv.read_bytes() if csv.exists() else None))
+            csv.unlink(missing_ok=True)
+            misses.append(compile_source.cache_info().misses)
+        # the first run compiled its code, the second compiled nothing
+        assert runs[1] == runs[0]
+        assert misses[0] > 0 and misses[1] == misses[0]
+        compile_source.cache_clear()
 
 
 def test_integrate_sweep_seeds_the_split_chart_by_coordinate_name(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from liouvar.expr import (
     _monomial_sort_key,
     _power_terms_bound,
     _trig_nf,
+    compile_source,
     is_zero,
     nf_add,
     nf_antiderivative,
@@ -394,6 +395,21 @@ def test_evaluate_rigid_body_component():
 def test_evaluate_unbound():
     with pytest.raises(UnboundSymbolError):
         compile_scalar(q("x1 + x2"), ("x1",))
+
+
+def test_compile_source_keeps_the_codes_of_the_last_maxsize_sources():
+    maxsize = compile_source.cache_info().maxsize
+    compile_source.cache_clear()
+    for i in range(maxsize + 1):
+        code = compile_source(f"lambda s: s[0] + {i}", "eval")
+    assert code.co_filename == "<string>"
+    info = compile_source.cache_info()
+    assert info.currsize == maxsize and info.misses == maxsize + 1
+    # the least recently compiled source was dropped, the latest is kept
+    compile_source(f"lambda s: s[0] + {maxsize}", "eval")
+    assert compile_source.cache_info().misses == maxsize + 1
+    compile_source("lambda s: s[0] + 0", "eval")
+    assert compile_source.cache_info().misses == maxsize + 2
 
 
 # --------------------------------------------------------------------------

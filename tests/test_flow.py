@@ -5,11 +5,13 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouvar.expr import compile_source
 from liouvar.exterior import Space, VectorField, basis_form
 from liouvar.liouville import LiouvilleSystem, build_extended, decompose_beta
 from liouvar import flow
@@ -32,7 +34,10 @@ from liouvar.systems import (
     build_charged_particle,
     build_euler_top,
     build_hamiltonian,
+    load_system,
 )
+
+EULER_TOP_FILE = Path(__file__).resolve().parents[1] / "bench" / "bundled" / "euler_top.json"
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +403,67 @@ def test_rk4_source_names_each_power_and_atom_once_per_stage():
                                               ("p2", "pow({s}1, 2)"), ("p3", "pow({s}0, 2)"),
                                               ("a4", "sin(p3)"))]
     assert "**" not in loop
+
+
+# --------------------------------------------------------------------------
+# Compiled code is kept per source text
+
+
+def _euler_top_file(**overrides):
+    """euler_top loaded afresh from its file and bound, as ``integrate``
+    binds it with ``--param`` overrides."""
+    system = load_system(EULER_TOP_FILE)
+    return replace(system, params={**system.params, **overrides}).bound()
+
+
+def _trajectory_bytes(traj):
+    return traj.states.tobytes(), None if traj.volume is None else traj.volume.tobytes()
+
+
+@pytest.mark.parametrize("with_tangent", [False, True])
+def test_an_equal_field_loaded_again_reuses_the_compiled_code(with_tangent):
+    first, second = _euler_top_file().field, _euler_top_file().field
+    assert first is not second and first.nfs is not second.nfs
+    cold = integrate_rk4(first, (1, 1, 1), 1e-2, 1.0, with_tangent)
+    misses = compile_source.cache_info().misses
+    warm = integrate_rk4(second, (1, 1, 1), 1e-2, 1.0, with_tangent)
+    assert compile_source.cache_info().misses == misses
+    assert _trajectory_bytes(warm) == _trajectory_bytes(cold)
+    # the initial state, the step and the duration are arguments, not source
+    other = integrate_rk4(second, (0.5, -1, 2), 2e-2, 3.0, with_tangent)
+    assert compile_source.cache_info().misses == misses
+    assert other.states.shape == (151, 3)
+
+
+def test_bindings_compiled_one_after_the_other_do_not_leak():
+    def run(mu3):
+        system = _euler_top_file(mu3=mu3)
+        traj = integrate_rk4(system.field, (1, 1, 1), 1e-2, 1.0, with_tangent=True)
+        return _trajectory_bytes(traj), invariant_drift(traj, system.invariants)
+
+    bindings = (Fraction(-1, 3), Fraction(-1, 2))
+    warm = [run(mu3) for mu3 in bindings]
+    assert warm[0] != warm[1]
+    for mu3, want in zip(bindings, warm):
+        compile_source.cache_clear()
+        assert run(mu3) == want
+
+
+def test_a_blowup_of_cached_code_is_raised_at_the_same_step():
+    sp = Space("grow", ("x1", "x2"))
+    field = VectorField(sp, (sp.parse("100*x1"), sp.parse("100*x2")))
+
+    def blowup():
+        with pytest.raises(BlowupError) as err:
+            integrate_rk4(field, (1, 1), 1e-3, 5.0, with_tangent=True)
+        return err.value.step, str(err.value)
+
+    compile_source.cache_clear()
+    cold = blowup()
+    misses = compile_source.cache_info().misses
+    assert misses > 0
+    assert blowup() == cold == (3549, "non-finite tangent-map determinant encountered at step 3549")
+    assert compile_source.cache_info().misses == misses
 
 
 _COLUMN_SPACE = Space("c", ("x1", "x2"), ("a",))
