@@ -860,37 +860,13 @@ def _position(text: str, index: int) -> int:
     return next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
 
 
-def _product(factors: list[NormalForm]) -> NormalForm:
-    """Product of parsed factors.  The one-term factors fold into one
-    monomial (exponents added, atoms sorted once, coefficients multiplied);
-    only the factors with several terms go through ``nf_mul``."""
-    coeff = 1
-    exps: dict = {}
-    wide = []
-    for f in factors:
-        terms = f.terms
-        if len(terms) != 1:
-            if not terms:
-                return NF_ZERO
-            wide.append(f)
-            continue
-        (m, c), = terms
-        if c != 1:
-            coeff = c if coeff == 1 else coeff * c
-        for atom, e in m:
-            prev = exps.get(atom)
-            exps[atom] = e if prev is None else prev + e
-    result = nf_term(tuple(sorted(exps.items())), coeff)
-    for f in wide:
-        result = nf_mul(result, f)
-    return result
-
-
 class _Parser:
     """Recursive descent over ``_tokens``; every rule returns a normal form.
 
-    ``atoms`` maps each sin/cos argument to the first equal normal form
-    parsed with the same table, so that equal atoms are one object.
+    ``symbols`` holds the declared names, none of them reserved; a product
+    folds its factors into one monomial as ``_term`` reads them.  ``atoms``
+    maps each sin/cos argument to the first equal normal form parsed with
+    the same table, so that equal atoms are one object.
     """
 
     def __init__(self, text: str, symbols: frozenset, atoms: dict | None):
@@ -951,14 +927,70 @@ class _Parser:
         return nf
 
     def _term(self) -> NormalForm:
-        factor = self._factor()
-        if self.tokens[self.index] != "*":
-            return factor
-        factors = [factor]
-        while self.tokens[self.index] == "*":
+        """A product of factors, folded into one monomial as it is read.
+
+        A declared symbol, with its ``^`` power, adds its exponent to the
+        monomial and makes no normal form of its own.  Every other factor
+        comes from ``_factor``: a one-term factor multiplies the coefficient
+        and adds its exponents, a zero factor makes the product zero once
+        the term is read, and only factors with several terms go through
+        ``nf_mul``.  A lone symbol is built as its one-term form, and any
+        other lone factor is returned as ``_factor`` built it.
+        """
+        tokens = self.tokens
+        symbols = self.symbols
+        tok = tokens[self.index]
+        if tok in symbols:
+            follow = tokens[self.index + 1]
+            if follow != "*" and follow != "^":
+                self.index += 1
+                return NormalForm((((((_SYM, tok), 1),), 1),))
+            factor = None
+        else:
+            factor = self._factor()
+            if tokens[self.index] != "*":
+                return factor
+        coeff = 1
+        exps: dict = {}
+        wide = []
+        zero = False
+        while True:
+            if factor is None:
+                index = self.index
+                exponent = 1
+                if tokens[index + 1] == "^":
+                    self.index = index + 3
+                    exponent = self._number(index + 2)
+                    if exponent < 1:
+                        raise self._error("exponent must be a positive integer", index + 2)
+                else:
+                    self.index = index + 1
+                atom = (_SYM, tokens[index])
+                prev = exps.get(atom)
+                exps[atom] = exponent if prev is None else prev + exponent
+            else:
+                terms = factor.terms
+                if len(terms) == 1:
+                    (m, c), = terms
+                    if c != 1:
+                        coeff = c if coeff == 1 else coeff * c
+                    for atom, e in m:
+                        prev = exps.get(atom)
+                        exps[atom] = e if prev is None else prev + e
+                elif terms:
+                    wide.append(factor)
+                else:
+                    zero = True
+            if tokens[self.index] != "*":
+                break
             self.index += 1
-            factors.append(self._factor())
-        return _product(factors)
+            factor = None if tokens[self.index] in symbols else self._factor()
+        if zero:
+            return NF_ZERO
+        result = nf_term(tuple(sorted(exps.items())), coeff)
+        for f in wide:
+            result = nf_mul(result, f)
+        return result
 
     def _factor(self) -> NormalForm:
         base = self._atom()
@@ -1006,7 +1038,10 @@ class _Parser:
 
 def parse_expr(text: str, symbols: Iterable[str], atoms: dict | None = None) -> NormalForm:
     """Parse ``text`` against a symbol table of declared identifiers into its
-    normal form.
+    normal form, built during the descent: a sum adds the terms of all its
+    summands once, and a product folds its factors into one monomial (see
+    ``_Parser._term``).  A reserved name (``sin``, ``cos``) is read as its
+    function even when it is in ``symbols``.
 
     ``atoms``, when given, is a table shared by the parses of one input:
     each sin/cos argument becomes the first equal normal form parsed with
@@ -1014,6 +1049,8 @@ def parse_expr(text: str, symbols: Iterable[str], atoms: dict | None = None) -> 
     """
     if not isinstance(symbols, frozenset):
         symbols = frozenset(symbols)
+    if not _RESERVED.isdisjoint(symbols):
+        symbols = symbols - _RESERVED
     nf = _Parser(text, symbols, atoms).parse()
     _check_coeff_bits(nf)
     return nf

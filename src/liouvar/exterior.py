@@ -6,6 +6,11 @@ to that canonical order with explicit permutation signs.  Coefficients
 are normal forms (zero ones are never stored) and every operation maps
 normal forms to normal forms; a constructor also takes an int or a
 Fraction, which ``normal_form`` makes a constant.
+
+The public constructors check what a caller gives them: the degree, each
+multi-index and the symbols of each coefficient.  An operation combines
+forms and fields that passed those checks on one space, so it builds its
+result with ``_form`` or ``_field``, which check nothing again.
 """
 
 from __future__ import annotations
@@ -148,6 +153,27 @@ def _mask(idx, degree: int, dim: int) -> int:
     return sum(1 << i for i in idx)
 
 
+def _form(space: Space, degree: int, nfs: Mapping[int, NormalForm]) -> "DiffForm":
+    """The form of an operation on checked forms: ``nfs`` maps masks of
+    ``degree`` to normal forms over ``space``'s symbols.  Its entries are
+    sorted by mask and its zeros dropped; nothing else is checked."""
+    out = object.__new__(DiffForm)
+    out.space = space
+    out.degree = degree
+    out.nfs = {K: nf for K, nf in sorted(nfs.items()) if nf.terms}
+    return out
+
+
+def _field(space: Space, nfs: tuple[NormalForm, ...]) -> "VectorField":
+    """The field of an operation on checked forms and fields: ``nfs`` holds
+    one normal form over ``space``'s symbols per coordinate.  Nothing is
+    checked."""
+    out = object.__new__(VectorField)
+    out.space = space
+    out.nfs = nfs
+    return out
+
+
 def index_positions(K: int) -> list[int]:
     """The increasing coordinate positions of the mask ``K``."""
     out = []
@@ -170,7 +196,9 @@ class DiffForm:
     Keys are masks (bit i set for coordinate i); the constructor and
     ``get_nf`` also take a multi-index as a sequence of increasing
     positions.  Coefficients (normal forms or rationals) are stored as
-    normal forms in ``nfs``, in increasing mask order.
+    normal forms in ``nfs``, in increasing mask order.  The constructor
+    checks every key and coefficient; the results of ``+``, ``-``, ``*``
+    and the calculus operations are built by ``_form`` without checks.
     """
 
     __slots__ = ("space", "degree", "nfs")
@@ -228,17 +256,17 @@ class DiffForm:
         acc = dict(self.nfs)
         for idx, c in other.nfs.items():
             acc[idx] = nf_add(acc[idx], c) if idx in acc else c
-        return DiffForm(self.space, self.degree, acc)
+        return _form(self.space, self.degree, acc)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.space, self.degree, {i: nf_neg(c) for i, c in self.nfs.items()})
+        return _form(self.space, self.degree, {i: nf_neg(c) for i, c in self.nfs.items()})
 
     def __mul__(self, scalar) -> "DiffForm":
         s = _checked_nf(scalar, self.space, "coefficient")
-        return DiffForm(self.space, self.degree, {i: nf_mul(s, c) for i, c in self.nfs.items()})
+        return _form(self.space, self.degree, {i: nf_mul(s, c) for i, c in self.nfs.items()})
 
     __rmul__ = __mul__
 
@@ -247,7 +275,8 @@ class VectorField:
     """Component array over a space's coordinates.
 
     Components (normal forms or rationals) are stored as normal forms in
-    ``nfs``.
+    ``nfs``.  The constructor checks their count and symbols; ``+`` and
+    ``*`` build their results by ``_field`` without checks.
     """
 
     __slots__ = ("space", "nfs")
@@ -283,11 +312,11 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.space != other.space:
             raise SpaceMismatchError("fields live on different spaces")
-        return VectorField(self.space, tuple(nf_add(a, b) for a, b in zip(self.nfs, other.nfs)))
+        return _field(self.space, tuple(nf_add(a, b) for a, b in zip(self.nfs, other.nfs)))
 
     def __mul__(self, scalar) -> "VectorField":
         s = _checked_nf(scalar, self.space, "component")
-        return VectorField(self.space, tuple(nf_mul(s, c) for c in self.nfs))
+        return _field(self.space, tuple(nf_mul(s, c) for c in self.nfs))
 
     __rmul__ = __mul__
 
@@ -357,7 +386,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
         for J, cb in b.nfs.items():
             if not I & J:
                 acc.setdefault(I | J, []).append((_merge_sign(I, J), ca, cb))
-    return DiffForm(a.space, degree, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
+    return _form(a.space, degree, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
 
 
 def wedge_power(a: DiffForm, power: int) -> DiffForm:
@@ -381,7 +410,7 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
                 continue
             # dx^pos moves past the entries of I below it
             acc.setdefault(I | bit, []).append(nf_neg(dc) if (I & (bit - 1)).bit_count() & 1 else dc)
-    return DiffForm(a.space, a.degree + 1, {K: nf_add(*terms) for K, terms in acc.items()})
+    return _form(a.space, a.degree + 1, {K: nf_add(*terms) for K, terms in acc.items()})
 
 
 def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
@@ -397,7 +426,7 @@ def interior_product(v: VectorField, a: DiffForm) -> DiffForm:
                 # the contracted entry moves to the front past the entries below it
                 acc.setdefault(I ^ bit, []).append(
                     (-1 if (I & (bit - 1)).bit_count() & 1 else 1, comp, c))
-    return DiffForm(a.space, a.degree - 1, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
+    return _form(a.space, a.degree - 1, {K: nf_sum_of_products(*ps) for K, ps in acc.items()})
 
 
 def flux_field(alpha: DiffForm) -> VectorField:

@@ -35,6 +35,8 @@ from .exterior import (
     GeometryError,
     Space,
     VectorField,
+    _field,
+    _form,
     basis_form,
     coordinate_vector,
     diagonal_metric,
@@ -176,7 +178,9 @@ class LiouvilleSystem:
         """Copy with bound parameter values substituted everywhere.
 
         The copy has no pending bindings (its ``params`` are all None), so
-        binding it again returns it unchanged.
+        binding it again returns it unchanged.  The bindings are rationals,
+        so each coefficient keeps to the declared symbols, and the forms and
+        the field are rebuilt without checks.
         """
         mapping = {name: normal_form(value)
                    for name, value in self.params.items() if value is not None}
@@ -186,11 +190,11 @@ class LiouvilleSystem:
         def form(a: DiffForm | None) -> DiffForm | None:
             if a is None:
                 return None
-            return DiffForm(a.space, a.degree, {i: substitute(c, mapping) for i, c in a.nfs.items()})
+            return _form(a.space, a.degree, {i: substitute(c, mapping) for i, c in a.nfs.items()})
 
         return replace(
             self,
-            field=VectorField(self.field.space, tuple(substitute(c, mapping) for c in self.field.nfs)),
+            field=_field(self.field.space, tuple(substitute(c, mapping) for c in self.field.nfs)),
             omega=form(self.omega),
             gamma=form(self.gamma),
             sigma=form(self.sigma),
@@ -227,13 +231,14 @@ def extended_space(space: Space) -> Space:
 
 
 def promote_form(a: DiffForm, ext: Space) -> DiffForm:
-    """Reinterpret a form on P as a form on R x P (indices shift by one)."""
-    return DiffForm(ext, a.degree, {K << 1: c for K, c in a.nfs.items()})
+    """Reinterpret a form on P as a form on R x P (indices shift by one);
+    ``ext`` is ``extended_space(a.space)``, which declares every symbol of P."""
+    return _form(ext, a.degree, {K << 1: c for K, c in a.nfs.items()})
 
 
 def promote_field(v: VectorField, ext: Space) -> VectorField:
-    """d_t + v on R x P."""
-    return VectorField(ext, (NF_ONE,) + v.nfs)
+    """d_t + v on R x P; ``ext`` is ``extended_space(v.space)``."""
+    return _field(ext, (NF_ONE,) + v.nfs)
 
 
 def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Certificate]:
@@ -331,7 +336,7 @@ def solve_gamma(chi: DiffForm, seed: int = DEFAULT_SEED) -> DiffForm:
         cur = rest
         if not cur:
             break
-    return DiffForm(space, k - 1, {K: nf_add(*forms) for K, forms in parts.items()})
+    return _form(space, k - 1, {K: nf_add(*forms) for K, forms in parts.items()})
 
 
 # --------------------------------------------------------------------------

@@ -219,6 +219,17 @@ _MALFORMED = [
     ("\u216b", ParseError, "unexpected character '\u216b' (at position 0)"),
     ("\uff581", UndeclaredSymbolError, "undeclared identifier '\uff581' (at position 0)"),
     ("x1 \u00b2", ParseError, "unexpected trailing input (at position 3)"),
+    # products of declared symbols, which the parser folds into one
+    # monomial: each error is the one of parsing every factor on its own
+    ("x1*x2^0", ParseError, "exponent must be a positive integer (at position 6)"),
+    ("x1*y", UndeclaredSymbolError, "undeclared identifier 'y' (at position 3)"),
+    ("x1*x2^", ParseError, "exponent must be a positive integer (at position 6)"),
+    ("x1^2*x3^-1", ParseError, "exponent must be a positive integer (at position 8)"),
+    ("x1*x2^x3", ParseError, "exponent must be a positive integer (at position 6)"),
+    ("x1*x2*", ParseError, "unexpected end of input (at position 6)"),
+    ("x1*x2 x3", ParseError, "unexpected trailing input (at position 6)"),
+    ("x1*x2^2^3", ParseError, "unexpected trailing input (at position 7)"),
+    ("x1*0*y", UndeclaredSymbolError, "undeclared identifier 'y' (at position 5)"),
 ]
 
 
@@ -249,6 +260,40 @@ def test_parse_refuses_number_tokens_int_cannot_read(text, message):
     with pytest.raises(ParseError) as err:
         q(text)
     assert str(err.value) == message
+
+
+def test_a_reserved_name_among_the_symbols_is_still_read_as_its_function():
+    assert parse_expr("x1*cos(x1)", ["cos", "x1"]) == parse_expr("x1*cos(x1)", ["x1"])
+    with pytest.raises(ParseError) as err:
+        parse_expr("x1*cos", ["cos", "x1"])
+    assert str(err.value) == "expected '(' after cos (at position 6)"
+
+
+_PRODUCT_SYMBOLS = st.sampled_from(("x1", "x2", "mu1"))
+_SMALL_SUMS = st.lists(_PRODUCT_SYMBOLS | st.integers(1, 3).map(str) | st.just("-1*x2"),
+                       min_size=1, max_size=3).map(" + ".join)
+_PRODUCT_FACTORS = st.one_of(
+    _PRODUCT_SYMBOLS,
+    st.builds("{}^{}".format, _PRODUCT_SYMBOLS, st.integers(1, 4)),
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9)),
+    st.builds("{}({})".format, st.sampled_from(("sin", "cos")), _SMALL_SUMS),
+    _SMALL_SUMS.map("({})".format),
+    st.builds("({})^{}".format, _SMALL_SUMS, st.integers(1, 3)),
+    _PRODUCT_SYMBOLS.map("-{}".format),
+    st.just("(x1 - x1)"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PRODUCT_FACTORS, min_size=1, max_size=6), st.sampled_from(("*", " * ")))
+def test_parsed_product_equals_the_product_of_its_factors_parsed_alone(factors, sep):
+    """Symbols, symbol powers, integers, p/q, sin/cos of small sums,
+    parenthesised sums and their powers, negated symbols and a zero factor:
+    the product's normal form is the ``nf_mul`` fold of its factors'."""
+    got = q(sep.join(factors))
+    assert got == functools.reduce(nf_mul, [q(f) for f in factors])
+    _assert_canonical(got)
 
 
 def test_parse_rational_strings():

@@ -54,6 +54,13 @@ from liouvar.exterior import (
     wedge,
 )
 from liouvar.flow import compile_scalar
+from liouvar.liouville import (
+    LiouvilleSystem,
+    extended_space,
+    promote_field,
+    promote_form,
+    solve_gamma,
+)
 from oracles import lie_derivative
 
 R3 = Space("R3", ("x1", "x2", "x3"))
@@ -830,3 +837,98 @@ def test_a_trig_free_witness_compiles_nothing(monkeypatch):
     assert fields_equal(VectorField(R3, (trig, 0, 0)),
                         VectorField(R3, (0, 0, 0))) == ZeroResult(False, "probabilistic")
     assert len(compiled) == 2
+
+
+# --------------------------------------------------------------------------
+# Operation results are built without checks: each must be what the checked
+# constructors make of its own entries
+
+
+_P = Space("P", ("x1", "x2", "x3"), ("a",))
+_P_EXT = extended_space(_P)
+_P_TEXTS = ("1", "-1", "x1", "-1*x1", "a*x2", "-2/3*x2*x3", "x3^2 + 1/5", "sin(x1)",
+            "-1*sin(x1)", "3/7*cos(x2 - a)*x3")
+
+
+def _p_coefficients(polynomial=False):
+    texts = [t for t in _P_TEXTS if "(" not in t] if polynomial else _P_TEXTS
+    return st.lists(st.sampled_from(texts), min_size=1, max_size=3).map(
+        lambda chosen: _P.parse(" + ".join(chosen)))
+
+
+@st.composite
+def _p_forms(draw, degree=None, polynomial=False):
+    if degree is None:
+        degree = draw(st.integers(0, _P.dim))
+    masks = [K for K in range(1 << _P.dim) if K.bit_count() == degree]
+    chosen = draw(st.lists(st.sampled_from(masks), unique=True, max_size=len(masks)))
+    return DiffForm(_P, degree, {K: draw(_p_coefficients(polynomial)) for K in chosen})
+
+
+def _p_fields():
+    return st.lists(_p_coefficients() | st.just(0), min_size=3, max_size=3).map(
+        lambda comps: VectorField(_P, tuple(comps)))
+
+
+def _assert_as_checked(result):
+    """``result`` equals its own entries rebuilt by the checked constructor:
+    declared symbols only, masks of the right degree, keys in increasing
+    mask order and no zero coefficient."""
+    if isinstance(result, VectorField):
+        assert type(result.nfs) is tuple
+        assert all(isinstance(c, NormalForm) for c in result.nfs)
+        assert VectorField(result.space, result.nfs) == result
+        return
+    rebuilt = DiffForm(result.space, result.degree, result.nfs)
+    assert rebuilt == result and list(result.nfs) == list(rebuilt.nfs)
+    assert all(isinstance(c, NormalForm) and not c.is_zero() for c in result.nfs.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_form_operation_results_equal_their_checked_rebuild(data):
+    a = data.draw(_p_forms())
+    b = data.draw(_p_forms(degree=a.degree))
+    scalar = data.draw(_p_coefficients() | st.sampled_from((0, 1, -1, Fraction(-2, 3))))
+    V = data.draw(_p_fields())
+    results = [a + b, a - b, a - a, -a, a * scalar, scalar * a]
+    c = data.draw(_p_forms())
+    if a.degree + c.degree <= _P.dim:
+        results.append(wedge(a, c))
+    if a.degree < _P.dim:
+        results.append(exterior_derivative(a))
+    if a.degree >= 1:
+        results.append(interior_product(V, a))
+    for result in results:
+        _assert_as_checked(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_p_fields(), _p_fields(), _p_coefficients() | st.sampled_from((0, 1, Fraction(1, 2))))
+def test_field_operation_results_equal_their_checked_rebuild(V, W, scalar):
+    for result in (V + W, V * scalar, scalar * V, promote_field(V, _P_EXT)):
+        _assert_as_checked(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_liouville_builder_results_equal_their_checked_rebuild(data):
+    omega = data.draw(_p_forms(degree=_P.dim))
+    gamma = data.draw(_p_forms(degree=_P.dim - 1))
+    sigma = data.draw(_p_forms(degree=_P.dim - 1))
+    binding = data.draw(st.sampled_from((0, 1, -1, Fraction(7, 10))))
+    system = LiouvilleSystem("drawn", _P, data.draw(_p_fields()), omega=omega, gamma=gamma,
+                             sigma=sigma, params={"a": binding})
+    bound = system.bound()
+    assert bound.params == {"a": None}
+    for result in (bound.field, bound.omega, bound.gamma, bound.sigma,
+                   promote_form(gamma, _P_EXT), promote_form(omega, _P_EXT)):
+        _assert_as_checked(result)
+    # the homotopy potential of closed polynomial forms: d of a form, and
+    # a top-degree form
+    below = data.draw(_p_forms(degree=data.draw(st.integers(0, _P.dim - 2)), polynomial=True))
+    for chi in (exterior_derivative(below), data.draw(_p_forms(degree=_P.dim, polynomial=True))):
+        if chi.degree >= 1:
+            gamma_of_chi = solve_gamma(chi)
+            _assert_as_checked(gamma_of_chi)
+            assert exterior_derivative(gamma_of_chi) == chi
