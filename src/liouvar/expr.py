@@ -530,23 +530,20 @@ def substitute(nf: NormalForm, mapping: Mapping[str, NormalForm]) -> NormalForm:
 # Numeric code generation: the one evaluator of normal forms
 
 
-def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str],
-                    names: dict | None = None) -> list[str]:
-    """Python source of each term of ``nf``, evaluated in IEEE doubles.
+def nf_source(nf: NormalForm, symbols: Mapping[str, str], names: dict) -> str:
+    """Python source of ``nf`` in IEEE doubles, written into the table of
+    locals ``names`` of one program (``nf_program``).
 
-    A term reads ``c * atom * (atom)**e * ...`` left to right, without the
-    factor ``c`` when it is 1.  ``symbols`` maps each free symbol to the
-    source of its value.  A raised atom is parenthesised, so a negative
-    literal such as ``-1.0`` is raised as a whole.
-
-    ``names``, when given, is the table of locals shared by the forms of
-    one program: each distinct sin/cos atom and each distinct power
-    ``(base, e)`` becomes a local that the terms read, and the table maps
-    it to ``(local, source)`` in assignment order, an atom after the locals
-    of its argument.  A power is then written ``pow(base, e)``, which calls
-    the name ``pow``.
+    A term reads ``c * f1 * f2 * ...`` left to right, without ``c`` when
+    it is 1, and the terms are summed ``(t1 + t2 + ...)`` from the first
+    term rather than from 0, which keeps the sign of a lone ``-0.0``.
+    ``symbols`` maps each free symbol to the source of its value.  Each
+    distinct sin/cos atom, ``sin(<argument>)`` or ``cos(...)``, and each
+    distinct power ``pow(base, e)`` becomes a local that the terms read;
+    ``names`` maps it to ``(local, source)`` in assignment order, an atom
+    after the locals of its argument.
     """
-    out = []
+    terms = []
     for m, c in nf.terms:
         try:
             factors = [repr(float(c))] if c != 1 or not m else []
@@ -560,65 +557,67 @@ def nf_term_sources(nf: NormalForm, symbols: Mapping[str, str],
                     base = symbols[payload]
                 except KeyError:
                     raise UnboundSymbolError(f"unbound symbol '{payload}'") from None
-            elif names is None:
-                base = atom_source(atom, symbols)
             else:
                 if atom not in names:
-                    source = atom_source(atom, symbols, names)
-                    names[atom] = (f"a{len(names)}", source)
+                    call = "sin(" if kind == _SIN else "cos("
+                    argument = nf_source(payload, symbols, names)
+                    names[atom] = (f"a{len(names)}", f"{call}{argument})")
                 base = names[atom][0]
             if e != 1:
-                if names is None:
-                    base = f"({base})**{e}"
-                else:
-                    if (base, e) not in names:
-                        names[base, e] = (f"p{len(names)}", f"pow({base}, {e})")
-                    base = names[base, e][0]
+                if (base, e) not in names:
+                    names[base, e] = (f"p{len(names)}", f"pow({base}, {e})")
+                base = names[base, e][0]
             factors.append(base)
-        out.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
-    return out
-
-
-def nf_source(nf: NormalForm, symbols: Mapping[str, str], names: dict | None = None) -> str:
-    """Python source of ``nf``: its terms summed left to right.
-
-    The sum is written ``(t1 + t2 + ...)``; starting it from the first term
-    rather than from 0 keeps the sign of a lone ``-0.0``.
-    """
-    terms = nf_term_sources(nf, symbols, names)
+        terms.append(factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")")
     if not terms:
         return "0.0"
     return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
 
 
-def atom_source(atom: tuple, symbols: Mapping[str, str], names: dict | None = None) -> str:
-    """Python source of a sin/cos atom: ``sin(<argument>)`` or ``cos(...)``,
-    which call the names ``sin`` and ``cos``."""
-    kind, payload = atom
-    return ("sin(" if kind == _SIN else "cos(") + nf_source(payload, symbols, names) + ")"
+def nf_program(nfs: Iterable[NormalForm], symbols: Mapping[str, str]) -> tuple[list, list]:
+    """``(assignments, sources)``: the one writer of numeric code.
+
+    Each distinct sin/cos atom and power of ``nfs`` is written once, as a
+    ``local = source`` line of ``assignments``, and ``sources`` holds one
+    source per form, reading those locals (see ``nf_source``).  A local
+    evaluates the same float as its text written in place would, and the
+    builtin ``pow`` is Python's float ``**``.
+    """
+    names: dict = {}
+    sources = [nf_source(nf, symbols, names) for nf in nfs]
+    return [f"{local} = {source}" for local, source in names.values()], sources
 
 
 @functools.lru_cache(maxsize=128)
-def compile_source(source: str, mode: str):
-    """``compile(source, "<string>", mode)``, once per distinct source.
+def compile_source(source: str):
+    """``compile(source, "<string>", "exec")``, once per distinct source.
 
-    The one compiler of generated code: ``compile_lambda``,
-    ``flow.compile_columns`` and ``flow._compile_rk4`` compile through it,
-    and each ``exec``s or ``eval``s the code object into a namespace of its
-    own, so the names the code calls (``sin``, ``cos``, ``pow``,
-    ``BlowupError``) are bound per caller.  The source text is a sound key:
-    ``nf_source`` writes every coefficient, bound parameters included, into
-    it, and states, steps and ranges are arguments of the compiled
-    functions.  A process keeps the code of at most the 128 sources it
-    compiled last.
+    The one compiler of generated code: ``compile_rows`` and
+    ``flow._compile_rk4`` compile through it, and each ``exec``s the code
+    object into a namespace of its own, so the names the code calls
+    (``sin``, ``cos``, ``pow``, ``BlowupError``) are bound per caller.  The
+    source text is a sound key: ``nf_program`` writes every coefficient,
+    bound parameters included, into it, and states, steps and ranges are
+    arguments of the compiled functions.  A process keeps the code of at
+    most the 128 sources it compiled last.
     """
-    return compile(source, "<string>", mode)
+    return compile(source, "<string>", "exec")
 
 
-def compile_lambda(body: str):
-    """``lambda s: <body>`` with ``sin`` and ``cos`` in scope, compiled by
-    ``compile_source`` and evaluated into a fresh namespace."""
-    return eval(compile_source(f"lambda s: {body}", "eval"), {"sin": math.sin, "cos": math.cos})
+def compile_rows(nfs: Iterable[NormalForm], symbols: Mapping[str, str], **bindings):
+    """``rows(s)``, the list of the values of ``nfs`` at ``s``.
+
+    Its code is ``nf_program``'s: the assignments, then ``return [<sources>]``,
+    compiled by ``compile_source`` and run in a fresh namespace made from
+    ``bindings``, which bind the names ``sin`` and ``cos`` (and ``pow``,
+    else the builtin).
+    """
+    assignments, sources = nf_program(nfs, symbols)
+    lines = ["def rows(s):", *(f"    {line}" for line in assignments),
+             f"    return [{', '.join(sources)}]"]
+    namespace = dict(bindings)
+    exec(compile_source("\n".join(lines) + "\n"), namespace)
+    return namespace["rows"]
 
 
 # --------------------------------------------------------------------------
@@ -655,12 +654,14 @@ def is_zero(e: NormalForm, seed: int = DEFAULT_SEED) -> ZeroResult:
     contain trigonometric atoms are sampled at ``SAMPLE_POINTS`` points
     with every free symbol drawn uniformly from ``SAMPLE_RANGE`` by a
     generator seeded with ``seed``; the verdict is then tagged
-    probabilistic.  At each point the value must stay within ``REL_TOL``
-    times the sum of the absolute term values there, so a small nonzero
-    expression is not mistaken for rounding error.  A point at which a term leaves the float range (an
-    overflowing power, sin or cos of an infinity, a non-finite sum of
-    absolute values) decides nothing and raises ``ExprError``, unless an
-    earlier point has already shown the expression nonzero.
+    probabilistic.  The term values are the rows of ``compile_rows`` over
+    the one-term forms of ``e``, with ``math.sin`` and ``math.cos``.  At
+    each point the value must stay within ``REL_TOL`` times the sum of the
+    absolute term values there, so a small nonzero expression is not
+    mistaken for rounding error.  A point at which a term leaves the float
+    range (an overflowing power, sin or cos of an infinity, a non-finite
+    sum of absolute values) decides nothing and raises ``ExprError``,
+    unless an earlier point has already shown the expression nonzero.
     """
     nf = normal_form(e)
     if nf.is_zero():
@@ -669,8 +670,9 @@ def is_zero(e: NormalForm, seed: int = DEFAULT_SEED) -> ZeroResult:
         return ZeroResult(False, EXACT)
     rng = random.Random(seed)
     symbols = sorted(nf.free_symbols())
-    sources = nf_term_sources(nf, {v: f"s[{i}]" for i, v in enumerate(symbols)})
-    term_values = compile_lambda("(" + "".join(t + ", " for t in sources) + ")")
+    term_values = compile_rows([NormalForm((term,)) for term in nf.terms],
+                               {v: f"s[{i}]" for i, v in enumerate(symbols)},
+                               sin=math.sin, cos=math.cos)
     low, high = SAMPLE_RANGE
     for point in range(1, SAMPLE_POINTS + 1):
         try:

@@ -445,7 +445,7 @@ def flux_field(alpha: DiffForm) -> VectorField:
     for i in range(n):
         c = alpha.nfs.get(everything ^ (1 << i), NF_ZERO)
         comps.append(nf_neg(c) if i % 2 else c)
-    return VectorField(space, tuple(comps))
+    return _field(space, tuple(comps))
 
 
 @dataclass(frozen=True)

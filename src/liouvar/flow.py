@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .expr import (DEFAULT_SEED, NormalForm, compile_lambda, compile_source, differentiate,
-                   nf_source, normal_form)
+from .expr import (DEFAULT_SEED, NormalForm, compile_rows, compile_source, differentiate,
+                   nf_program, normal_form)
 from .exterior import VectorField
 from .liouville import CharacteristicDecomposition, characteristic_field
 
@@ -74,21 +74,30 @@ def _symbol_sources(coordinates: Sequence[str],
     return dict(zip(coordinates, state))
 
 
+def _float_rows(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
+    """``compile_rows`` of ``nfs`` at one state, with ``math.sin`` and ``math.cos``."""
+    return compile_rows(nfs, _symbol_sources(coordinates), sin=math.sin, cos=math.cos)
+
+
 def compile_scalar(e: NormalForm, coordinates: Sequence[str]):
-    return compile_lambda(nf_source(normal_form(e), _symbol_sources(coordinates)))
+    rows = _float_rows([normal_form(e)], coordinates)
+    return lambda s: rows(s)[0]
 
 
 def compile_field(field: VectorField):
-    sources = _symbol_sources(field.space.coordinates)
-    return compile_lambda("[" + ", ".join(nf_source(c, sources) for c in field.nfs) + "]")
+    return _float_rows(field.nfs, field.space.coordinates)
 
 
 def compile_jacobian(field: VectorField):
     coordinates = field.space.coordinates
-    sources = _symbol_sources(coordinates)
-    rows = ("[" + ", ".join(nf_source(differentiate(c, x), sources) for x in coordinates) + "]"
-            for c in field.nfs)
-    return compile_lambda("[" + ", ".join(rows) + "]")
+    n = len(coordinates)
+    rows = _float_rows([differentiate(c, x) for c in field.nfs for x in coordinates], coordinates)
+
+    def jacobian(s):
+        entries = rows(s)
+        return [entries[i:i + n] for i in range(0, len(entries), n)]
+
+    return jacobian
 
 
 def _float_power(v: float, e: int) -> float:
@@ -122,27 +131,20 @@ def compile_columns(nfs: Sequence[NormalForm], coordinates: Sequence[str]):
 
     The result maps ``s``, whose row i holds coordinate i's values along
     the states, to the array whose row j holds the values of ``nfs[j]``;
-    a form free of coordinates fills its row with one value.  It runs
-    ``nf_source``'s code with one table of locals for all of ``nfs``, so
-    each distinct sin/cos atom is evaluated once, by ``np.sin``/``np.cos``,
-    and each distinct power once, by ``_column_power`` bound to ``pow``;
-    every value equals ``compile_scalar``'s on its state bit for bit.  A
-    value that overflows or leaves the domain of sin/cos is written as inf
-    or nan, without a warning; callers check the values.  The source is
-    compiled by ``compile_source``, so equal forms compile once per
-    process, and each call binds the names in a namespace of its own.
+    a form free of coordinates fills its row with one value.  It runs the
+    rows of ``compile_rows`` on whole rows of states, with ``np.sin``,
+    ``np.cos`` and ``_column_power`` bound to ``pow``, so each distinct
+    sin/cos atom and each distinct power of ``nfs`` is evaluated once per
+    call, and every value equals ``compile_scalar``'s on its state bit for
+    bit.  A value that overflows or leaves the domain of sin/cos is written
+    as inf or nan, without a warning; callers check the values.  Equal
+    forms compile once per process (``compile_source``).
     """
     import numpy as np
 
     nfs = [normal_form(e) for e in nfs]
-    symbols = _symbol_sources(coordinates)
-    names: dict = {}
-    rows = ", ".join(nf_source(nf, symbols, names) for nf in nfs)
-    lines = ["def columns(s):", *(f"    {local} = {source}" for local, source in names.values()),
-             f"    return [{rows}]"]
-    namespace = {"sin": np.sin, "cos": np.cos, "pow": _column_power}
-    exec(compile_source("\n".join(lines) + "\n", "exec"), namespace)
-    values = namespace["columns"]
+    values = compile_rows(nfs, _symbol_sources(coordinates),
+                          sin=np.sin, cos=np.cos, pow=_column_power)
 
     def columns(s: np.ndarray) -> np.ndarray:
         out = np.empty((len(nfs), s.shape[1]))
@@ -168,14 +170,14 @@ def _rk4_source(field: VectorField) -> str:
     carries states only; ``_tangent_transport`` derives the step Jacobians
     and the tangent-map determinants from them.
 
-    Each stage's slopes are written by ``nf_source`` with a fresh table
-    of locals, so each distinct sin/cos atom and each distinct power of the
-    stage is evaluated once per stage, inner atoms first; an atom free of
-    the coordinates, such as ``sin(0.7)`` of a bound parameter, too.  A
-    power is the builtin ``pow``, Python's float ``**``.  The loop writes
-    every row unchecked; the caller checks the rows for finite values, and
-    a stage that overflows or leaves the domain of sin/cos raises
-    ``BlowupError(step)``.
+    Each stage is one ``nf_program`` of the field's components, its
+    assignments followed by the slopes, so each distinct sin/cos atom and
+    each distinct power of the stage is evaluated once per stage, inner
+    atoms first; an atom free of the coordinates, such as ``sin(0.7)`` of
+    a bound parameter, too.  A power is the builtin ``pow``, Python's
+    float ``**``.  The loop writes every row unchecked; the caller checks
+    the rows for finite values, and a stage that overflows or leaves the
+    domain of sin/cos raises ``BlowupError(step)``.
     """
     coords = field.space.coordinates
     n = len(coords)
@@ -194,9 +196,8 @@ def _rk4_source(field: VectorField) -> str:
         if factor is not None:
             lines += [f"            y{i} = x{i} + {factor} * k{stage - 1}_{i}" for i in range(n)]
         symbols = _symbol_sources(coords, [f"{state}{i}" for i in range(n)])
-        names: dict = {}
-        slopes = [nf_source(c, symbols, names) for c in field.nfs]
-        lines += [f"            {local} = {source}" for local, source in names.values()]
+        assignments, slopes = nf_program(field.nfs, symbols)
+        lines += [f"            {line}" for line in assignments]
         lines += [f"            k{stage}_{i} = {slope}" for i, slope in enumerate(slopes)]
     lines += [
         "        except (OverflowError, ValueError):",
@@ -298,7 +299,7 @@ def _compile_rk4(field: VectorField, with_tangent: bool):
     import numpy as np
 
     namespace = {"sin": math.sin, "cos": math.cos, "BlowupError": BlowupError}
-    exec(compile_source(_rk4_source(field), "exec"), namespace)
+    exec(compile_source(_rk4_source(field)), namespace)
     loop = namespace["rk4"]
     transport = _tangent_transport(field) if with_tangent else None
     n = field.space.dim
@@ -431,14 +432,10 @@ def invariant_drift(traj: Trajectory,
     drifts = []
     columns = compile_columns(list(invariants), traj.coordinates)
     for values in columns(traj.states.T):
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise BlowupError(int(np.argmin(finite)), "invariant value")
+        _check_rows(0, {"invariant value": values})
         with np.errstate(over="ignore"):    # finite values an overflow apart
             drift = np.abs(values - values[0])
-        finite = np.isfinite(drift)
-        if not finite.all():
-            raise BlowupError(int(np.argmin(finite)), "invariant drift")
+        _check_rows(0, {"invariant drift": drift})
         drifts.append(float(np.max(drift)))
     return tuple(drifts)
 

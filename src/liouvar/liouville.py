@@ -422,7 +422,7 @@ def normalize_by_dt(Y: VectorField) -> VectorField:
         if quotient is None:
             raise NormalizationError(f"component {render(c)} is not divisible by {render(a0)}")
         comps.append(quotient)
-    return VectorField(Y.space, tuple(comps))
+    return _field(Y.space, tuple(comps))
 
 
 # --------------------------------------------------------------------------
@@ -481,8 +481,9 @@ class CharacteristicDecomposition:
 
     @property
     def field(self) -> VectorField:
-        """W = sum_mu A^mu d_mu + f d_z + g d_w in the split chart."""
-        return VectorField(self.space, self.coefficients + (self.f, self.g))
+        """W = sum_mu A^mu d_mu + f d_z + g d_w in the split chart, built
+        without checks: the components come from the checked ``beta``."""
+        return _field(self.space, self.coefficients + (self.f, self.g))
 
     def recompose(self) -> DiffForm:
         """W ⌟ vol in the split chart: the decomposed form."""

@@ -508,14 +508,11 @@ def build_hyperham_generic() -> ExtendedSystem:
 # System files
 
 
-_RAT = lambda v: str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def system_to_dict(sys: LiouvilleSystem) -> dict:
     data: dict = {
         "name": sys.name,
         "coordinates": list(sys.space.coordinates),
-        "parameters": {p: (None if sys.params.get(p) is None else _RAT(sys.params[p]))
+        "parameters": {p: (None if sys.params.get(p) is None else render(sys.params[p]))
                        for p in sys.space.parameters},
         "vector_field": serialize_field(sys.field),
     }
@@ -528,7 +525,7 @@ def system_to_dict(sys: LiouvilleSystem) -> dict:
     if sys.theta is not None:
         data["theta"] = serialize_form(sys.theta)
     if sys.space.metric is not None:
-        data["metric"] = [_RAT(g) for g in sys.space.metric]
+        data["metric"] = [render(g) for g in sys.space.metric]
     data["invariants"] = [render(e) for e in sys.invariants]
     if sys.base_split is not None:
         k, verts = sys.base_split

@@ -1,11 +1,13 @@
 """Unit tests for the exact scalar-expression kernel."""
 
+import ast
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +34,7 @@ from liouvar.expr import (
     _monomial_sort_key,
     _power_terms_bound,
     _trig_nf,
+    compile_rows,
     compile_source,
     is_zero,
     nf_add,
@@ -42,8 +45,8 @@ from liouvar.expr import (
     nf_pow,
     nf_scale,
     nf_sum_of_products,
+    nf_program,
     nf_term,
-    nf_term_sources,
     normal_form,
     parse_expr,
     parse_rational,
@@ -442,18 +445,81 @@ def test_evaluate_unbound():
         compile_scalar(q("x1 + x2"), ("x1",))
 
 
+def test_a_program_writes_each_shared_atom_and_power_once():
+    assignments, sources = nf_program([q("sin(x1)^2 + x2"), q("x1*sin(x1)^2 - cos(sin(x1))")],
+                                      {"x1": "s[0]", "x2": "s[1]"})
+    assert assignments == ["a0 = sin(s[0])", "p1 = pow(a0, 2)", "a2 = cos(a0)"]
+    assert sources == ["(p1 + s[1])", "((s[0] * p1) + (-1.0 * a2))"]
+
+
+_SHARED_FACTORS = ("x1", "x2", "sin(x1)", "cos(x2 - 1/3)", "sin(x1*x2 + cos(x2 - 1/3))")
+
+
+@st.composite
+def _sharing_forms(draw):
+    """Sums of rational multiples of products of powers 1-4 of a few
+    symbols and sin/cos atoms, so that forms drawn together share atoms
+    and powers; a term may be a constant."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        term = [f"{draw(st.integers(-9, 9))}/{draw(st.integers(1, 7))}"]
+        for _ in range(draw(st.integers(0, 3))):
+            term.append(f"{draw(st.sampled_from(_SHARED_FACTORS))}^{draw(st.integers(1, 4))}")
+        terms.append("*".join(term))
+    return q(" + ".join(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_sharing_forms(), min_size=2, max_size=4), st.floats(-2, 2), st.floats(-2, 2))
+def test_compiled_rows_match_tree_evaluation_of_each_row(nfs, a, b):
+    # bit for bit up to the sign of zero, as in the test above
+    rows = compile_rows(nfs, {"x1": "s[0]", "x2": "s[1]"}, sin=math.sin, cos=math.cos)
+    assert rows([a, b]) == [_evaluate(nf, {"x1": a, "x2": b}) for nf in nfs]
+
+
+def _calls_by_function(tree, names):
+    """``(name, enclosing function, first argument)`` of each call of one of
+    ``names`` in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in names:
+            found.append((node.func.id, function, node.args[0]))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_generated_code_runs_only_through_compile_source():
+    package = Path(expr_module.__file__).parent
+    calls = [call for path in sorted(package.glob("*.py"))
+             for call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                            {"exec", "eval", "compile"})]
+    assert sorted((name, function) for name, function, _arg in calls) == [
+        ("compile", "compile_source"), ("exec", "_compile_rk4"), ("exec", "compile_rows")]
+    for name, _function, arg in calls:
+        if name == "exec":
+            assert isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+            assert arg.func.id == "compile_source"
+
+
 def test_compile_source_keeps_the_codes_of_the_last_maxsize_sources():
     maxsize = compile_source.cache_info().maxsize
     compile_source.cache_clear()
     for i in range(maxsize + 1):
-        code = compile_source(f"lambda s: s[0] + {i}", "eval")
+        code = compile_source(f"x = {i}\n")
     assert code.co_filename == "<string>"
     info = compile_source.cache_info()
     assert info.currsize == maxsize and info.misses == maxsize + 1
     # the least recently compiled source was dropped, the latest is kept
-    compile_source(f"lambda s: s[0] + {maxsize}", "eval")
+    compile_source(f"x = {maxsize}\n")
     assert compile_source.cache_info().misses == maxsize + 1
-    compile_source("lambda s: s[0] + 0", "eval")
+    compile_source("x = 0\n")
     assert compile_source.cache_info().misses == maxsize + 2
 
 
@@ -1200,8 +1266,11 @@ def test_power_of_a_one_term_base_beyond_the_coefficient_budget_is_refused():
 
 def test_coefficient_too_large_for_a_float_is_refused_by_the_emitter():
     with pytest.raises(ExprError, match="too large for a float"):
-        nf_term_sources(q("7" * 401 + "*x2"), {"x2": "s[0]"})
+        nf_program([q("7" * 401 + "*x2")], {"x2": "s[0]"})
     with pytest.raises(ExprError, match="too large for a float"):
-        nf_term_sources(q("7" * 401 + "/3"), {})
+        nf_program([q("7" * 401 + "/3")], {})
+    # in a sin/cos argument, written as a local
+    with pytest.raises(ExprError, match="too large for a float"):
+        nf_program([q("x2"), q("sin(7" + "7" * 400 + "/3)")], {"x2": "s[0]"})
     # a large numerator over a large denominator is a representable float
-    assert nf_term_sources(q("7" * 401 + "/" + "3" * 401), {}) == [repr(float(Fraction(7, 3)))]
+    assert nf_program([q("7" * 401 + "/" + "3" * 401)], {}) == ([], [repr(float(Fraction(7, 3)))])

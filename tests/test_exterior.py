@@ -56,7 +56,9 @@ from liouvar.exterior import (
 from liouvar.flow import compile_scalar
 from liouvar.liouville import (
     LiouvilleSystem,
+    decompose_beta,
     extended_space,
+    normalize_by_dt,
     promote_field,
     promote_form,
     solve_gamma,
@@ -823,9 +825,10 @@ def test_fields_equal_agrees_with_is_zero_and_is_exact_on_a_trig_free_witness(ba
 
 def test_a_trig_free_witness_compiles_nothing(monkeypatch):
     compiled = []
-    original = expr_module.compile_lambda
-    monkeypatch.setattr(expr_module, "compile_lambda",
-                        lambda body: compiled.append(body) or original(body))
+    original = expr_module.compile_rows
+    monkeypatch.setattr(expr_module, "compile_rows",
+                        lambda nfs, symbols, **bindings:
+                        compiled.append(nfs) or original(nfs, symbols, **bindings))
     trig, poly = R3.parse("sin(x3)"), R3.parse("x1*x2")
     # the trig coefficient comes first in index order
     assert form_is_zero(DiffForm(R3, 1, {(0,): trig, (1,): poly})) == ZeroResult(False, "exact")
@@ -921,8 +924,15 @@ def test_liouville_builder_results_equal_their_checked_rebuild(data):
                              sigma=sigma, params={"a": binding})
     bound = system.bound()
     assert bound.params == {"a": None}
+    # a field whose components are multiples of its first, which is not zero
+    factor = data.draw(_p_coefficients().filter(lambda c: not c.is_zero()))
+    unit = VectorField(_P, (1,) + tuple(data.draw(_p_fields()).nfs[1:]))
+    normalized = normalize_by_dt(factor * unit)
+    assert normalized == unit
+    verticals = data.draw(st.sampled_from((None, ("x1", "x2"), ("x3", "x1"))))
     for result in (bound.field, bound.omega, bound.gamma, bound.sigma,
-                   promote_form(gamma, _P_EXT), promote_form(omega, _P_EXT)):
+                   promote_form(gamma, _P_EXT), promote_form(omega, _P_EXT),
+                   flux_field(gamma), normalized, decompose_beta(sigma, verticals).field):
         _assert_as_checked(result)
     # the homotopy potential of closed polynomial forms: d of a form, and
     # a top-degree form

@@ -24,6 +24,7 @@ from liouvar.exterior import (
 )
 from liouvar.liouville import (
     LiouvilleError,
+    LiouvilleSystem,
     SystemInvariantError,
     build_extended,
     is_liouville,
@@ -419,6 +420,21 @@ def test_save_load_round_trip(bundle, tmp_path):
         loaded = load_system(path)
         save_system(loaded, path)
         assert path.read_text(encoding="utf-8") == first, name
+
+
+def test_system_files_write_rationals_as_the_renderer_does(tmp_path):
+    # ints, negatives, p/q and 0, in the parameters and in the metric
+    sys = build_euler_top((2, 2, -3))
+    space = Space("m", sys.space.coordinates, sys.space.parameters, (1, Fraction(-1, 4), 9))
+    sys = LiouvilleSystem(sys.name, space, VectorField(space, sys.field.nfs), params=sys.params)
+    data = system_to_dict(sys)
+    assert data["parameters"] == {"I1": "2", "I2": "2", "I3": "-3",
+                                  "mu1": "5/2", "mu2": "-5/2", "mu3": "0"}
+    assert data["metric"] == ["1", "-1/4", "9"]
+    path = tmp_path / "rationals.json"
+    save_system(sys, path)
+    loaded = load_system(path)
+    assert loaded.params == sys.params and loaded.space.metric == space.metric
 
 
 def test_load_rejects_bad_gamma(bundle, tmp_path):
