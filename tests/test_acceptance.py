@@ -240,7 +240,8 @@ def test_criterion_10_numerics(oscillator, bundle):
     traj = integrate_rk4(euler.field, (1, 1, 1), 1e-3, 10.0, with_tangent=True)
     drifts = invariant_drift(traj, euler.invariants)
     assert all(d <= 1e-8 for d in drifts)
-    assert volume_diagnostic(traj) <= 1e-6
+    density, = euler.omega.nfs.values()
+    assert volume_diagnostic(traj, density) <= 1e-6
 
     ho_traj = integrate_rk4(oscillator.field, (1.0, 0.0), 1e-3, 2 * math.pi)
     assert np.max(np.abs(ho_traj.states[-1] - np.array([1.0, 0.0]))) <= 1e-9

@@ -965,6 +965,97 @@ def test_integrate_long_tangent_runs_keep_volume(example_dir, capsys, path, flag
     assert rc == 0 and out["diagnostics"]["det_deviation"] <= bound
 
 
+_PLANE = {"coordinates": ["x1", "x2"]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, verdict, low, high", [
+    # preserves x1 dx1 dx2: det M_s = e^-s and rho(x_s)/rho(x_0) = e^s
+    (["x1", "-2*x2"], "PASS", 0.0, 1e-10),
+    # preserves dx1 dx2 but not x1 dx1 dx2: det M_s = 1, rho grows as 1 + s
+    (["1", "0"], "FAIL", 0.5, math.inf),
+])
+def test_integrate_tangent_measures_the_files_volume(tmp_path, capsys, field, verdict, low, high):
+    path = _volume_system(tmp_path, {**_PLANE, "vector_field": field}, "x1")
+    main(["verify", path])
+    flux = read_json(capsys)["certificates"][0]
+    assert flux["name"] == "liouville_flux_closed"
+    assert (flux["verdict"], flux["certainty"]) == (verdict, "exact")
+    csv = tmp_path / "traj.csv"
+    rc = main(["integrate", path, "--x0", "1,1", "--h", "1e-3", "--T", "1", "--tangent",
+               "--csv", str(csv)])
+    deviation = read_json(capsys)["diagnostics"]["det_deviation"]
+    assert rc == 0 and low <= deviation <= high
+    # the CSV keeps det M_k; weighted by rho = x1 it gives the reading
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert deviation == float(np.max(np.abs(rows[:, 1] / rows[0, 1] * rows[:, 3] - 1.0)))
+
+
+def test_integrate_tangent_with_a_constant_density_reads_the_determinants(example_dir, capsys,
+                                                                          tmp_path):
+    # free_particle's volume is -1 dx dv: the density cancels
+    path, csv = example_dir / "free_particle.json", tmp_path / "traj.csv"
+    assert load_system(path).omega.nfs == {63: liouvar.expr.normal_form(-1)}
+    rc = main(["integrate", str(path), "--param", "k=1", "--x0", "1,0,0,0,1,1", "--h", "1e-2",
+               "--T", "1", "--tangent", "--csv", str(csv)])
+    deviation = read_json(capsys)["diagnostics"]["det_deviation"]
+    dets = np.loadtxt(csv, delimiter=",", skiprows=1)[:, -1]
+    assert rc == 0 and deviation == float(np.max(np.abs(dets - 1.0)))
+
+
+def test_integrate_tangent_from_a_zero_volume_density_exit_2(tmp_path, capsys):
+    path = _volume_system(tmp_path, {**_PLANE, "vector_field": ["x1", "-2*x2"]}, "x1")
+    argv = ["integrate", path, "--x0", "0,1", "--h", "1e-2", "--T", "1"]
+    rc = main(argv + ["--tangent"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: volume density is zero at the initial state; "
+                            "the volume diagnostic divides by it\n")
+    # without --tangent the density is not read
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_tangent_volume_density_beyond_the_float_range_exit_1(tmp_path, capsys):
+    # x1 = 1 + s, and (1 + s)^400 overflows from s = 4.897 on
+    path = _volume_system(tmp_path, {**_PLANE, "vector_field": ["1", "0"]}, "x1^400")
+    rc = main(["integrate", path, "--x0", "1,1", "--h", "1e-2", "--T", "6", "--tangent"])
+    captured = capsys.readouterr()
+    def overflows(x):
+        try:
+            x ** 400
+        except OverflowError:
+            return True
+        return False
+
+    states = integrate_rk4(load_system(path).field, (1, 1), 1e-2, 6.0).states
+    step = next(k for k, x in enumerate(states[:, 0].tolist()) if overflows(x))
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: non-finite volume density encountered at step {step}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_tangent_density_ratio_beyond_the_float_range_exit_1(tmp_path, capsys):
+    # rho(x_0) = 5e-324 and rho(x_1) = 1e-2: their ratio overflows
+    path = _volume_system(tmp_path, {**_PLANE, "vector_field": ["1", "0"]}, "x1")
+    rc = main(["integrate", path, "--x0", "5e-324,1", "--h", "1e-2", "--T", "1", "--tangent"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("error: non-finite density-weighted determinant encountered "
+                            "at step 1\n")
+
+
+def test_integrate_tangent_needs_the_volume_density_bound(tmp_path, capsys):
+    path = _volume_system(tmp_path, {**_PLANE, "vector_field": ["x2", "-1*x1"]}, "a",
+                          parameters={"a": None})
+    rc = main(["integrate", path, "--x0", "1,1", "--h", "1e-2", "--T", "1", "--tangent"])
+    assert rc == 2 and capsys.readouterr().err == "error: unbound parameters: a\n"
+    rc = main(["integrate", path, "--param", "a=2", "--x0", "1,1", "--h", "1e-2", "--T", "1",
+               "--tangent"])
+    assert rc == 0 and read_json(capsys)["diagnostics"]["det_deviation"] <= 1e-10
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1e400"])
 def test_integrate_non_finite_param_exit_2(example_dir, capsys, value):
     rc = main(["integrate", str(example_dir / "euler_top.json"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouvar.expr import compile_source
+from liouvar.expr import NF_ONE, compile_source, normal_form
 from liouvar.exterior import Space, VectorField, basis_form
 from liouvar.liouville import LiouvilleSystem, build_extended, decompose_beta
 from liouvar import flow
@@ -48,6 +48,11 @@ def oscillator():
 @pytest.fixture(scope="module")
 def euler_numeric():
     return build_euler_top((1, 2, 3)).bound()
+
+
+def _abc_bound():
+    """abc_flow with A = B = C = 1 bound through ``params``."""
+    return replace(build_abc_flow(), params=dict.fromkeys("ABC", Fraction(1))).bound()
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def _reference_case(system, oscillator, euler_numeric):
                  "parameter_atom": ("sin(a)*x1 + x2", "cos(a + 1)*x2 - sin(a)^2")}[system]
         field = VectorField(sp, tuple(sp.parse(c) for c in field))
         return LiouvilleSystem(system, sp, field, params={"a": Fraction(0.7)}).bound().field
-    return {"euler": euler_numeric.field, "abc": build_abc_flow(1, 1, 1).bound().field,
+    return {"euler": euler_numeric.field, "abc": _abc_bound().field,
             "oscillator": oscillator.field}[system]
 
 
@@ -375,7 +380,7 @@ def test_early_tangent_blowup_in_a_grid_of_max_steps_stops_within_a_block():
 
 
 def test_rk4_source_evaluates_each_atom_once_per_stage():
-    field = build_abc_flow(1, 1, 1).bound().field
+    field = _abc_bound().field
     source = flow._rk4_source(field)
     loop = source.split("    for step in range(start, stop):\n")[1]
     # six distinct atoms sin(x_i), cos(x_i) in each of the four stages
@@ -544,13 +549,13 @@ def test_compile_jacobian_makes_no_normal_form_call(monkeypatch, euler_numeric):
 
 def test_volume_preserved_euler(euler_numeric):
     traj = integrate_rk4(euler_numeric.field, (1, 1, 1), 1e-3, 10.0, with_tangent=True)
-    assert volume_diagnostic(traj) <= 1e-6
+    assert volume_diagnostic(traj, NF_ONE) <= 1e-6
 
 
 def test_volume_preserved_abc():
-    sys = build_abc_flow(1, 1, 1).bound()
+    sys = _abc_bound()
     traj = integrate_rk4(sys.field, (0.1, 0.2, 0.3), 1e-3, 10.0, with_tangent=True)
-    assert volume_diagnostic(traj) <= 1e-6
+    assert volume_diagnostic(traj, NF_ONE) <= 1e-6
 
 
 def test_volume_growth_linear_field():
@@ -561,10 +566,18 @@ def test_volume_growth_linear_field():
     assert abs(final_det - math.e) <= 1e-6
 
 
+@pytest.mark.parametrize("density", [Fraction(-1), Fraction(2), Fraction(1, 3)])
+def test_a_constant_volume_density_takes_no_density_pass(euler_numeric, monkeypatch, density):
+    traj = integrate_rk4(euler_numeric.field, (1, 1, 1), 1e-2, 1.0, with_tangent=True)
+    monkeypatch.setattr(flow, "compile_columns", None)
+    deviation = volume_diagnostic(traj, normal_form(density))
+    assert deviation == float(np.max(np.abs(traj.volume - 1.0)))
+
+
 def test_volume_requires_tangent(oscillator):
     traj = integrate_rk4(oscillator.field, (1.0, 0.0), 1e-2, 1.0)
     with pytest.raises(FlowError):
-        volume_diagnostic(traj)
+        volume_diagnostic(traj, NF_ONE)
 
 
 # --------------------------------------------------------------------------
@@ -675,7 +688,7 @@ def _reference_csv(traj):
 
 @pytest.mark.parametrize("with_tangent", [True, False])
 def test_trajectory_csv_bytes_match_row_by_row_writer(tmp_path, with_tangent):
-    sys_ = build_abc_flow(1, 1, 1).bound()
+    sys_ = _abc_bound()
     traj = integrate_rk4(sys_.field, (0.3, 1.2, 2.5), 1e-2, 1.0, with_tangent=with_tangent)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)

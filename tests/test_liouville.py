@@ -68,8 +68,9 @@ from liouvar.liouville import (
     verify_characteristic,
     vertical_pair,
 )
-from liouvar.systems import (bundled_systems, build_euler_top, build_hamiltonian, load_system,
-                             system_from_dict, system_to_dict)
+import liouvar.systems as systems_module
+from liouvar.systems import (bundled_systems, build_abc_flow, build_euler_top, build_hamiltonian,
+                             build_pauli_spin, load_system, system_from_dict, system_to_dict)
 from test_cli import _ROTATION_R3, _WIDE_FIELD
 from test_exterior import dense_interior, dense_tensor, value as dense_value
 
@@ -124,6 +125,24 @@ def test_binding_a_bound_copy_makes_no_substitution(monkeypatch, bundle):
     assert b.bound() is b
     cert = is_liouville(b)
     assert cert.passed and calls == []
+
+
+def test_the_checks_take_a_system_with_pending_values_as_given(monkeypatch):
+    # a system whose params still hold values is checked as it stands:
+    # only the entry points (files, builders, integrate) bind
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "substitute", None) if name.startswith("liouvar") else None
+        if original is not None:
+            monkeypatch.setattr(module, "substitute",
+                                lambda *args, _f=original: calls.append(args) or _f(*args))
+    abc = replace(build_abc_flow(), params=dict.fromkeys("ABC", Fraction(1)))
+    spin = build_pauli_spin().base
+    spin = replace(spin, params=dict.fromkeys(spin.params, Fraction(1, 2)))
+    assert is_liouville(abc).passed
+    assert [c.name for c in validate_system(abc)] == ["gamma_flux_match"]
+    systems_module._check_invariants(spin)
+    assert calls == []
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +448,7 @@ def test_kernel_residual_is_dtheta_minus_rho_times_the_flux_of_Z():
     rho = sp.parse("1 + x1^2")
     Z = VectorField(sp, (1, sp.parse("x2"), sp.parse("-1*x1")))
     dtheta = interior_product(Z, volume_form(sp)) * rho
-    ext = ExtendedSystem("d", sp, Z, dtheta, dtheta)
+    ext = ExtendedSystem(sp, Z, dtheta, dtheta)
     assert kernel_residual(ext).is_zero_form
     bad = dtheta + DiffForm(sp, 2, {(0, 2): sp.parse("x1")})
     residual = kernel_residual(replace(ext, dtheta=bad))

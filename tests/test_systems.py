@@ -1,7 +1,9 @@
 """Tests for the system builders and the JSON file format."""
 
+import inspect
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -281,8 +283,20 @@ def test_abc_flux_matches_expected_expansion():
     assert exterior_derivative(sys.gamma) == flux
 
 
+def test_builders_take_no_parameter_values():
+    # parameter values enter a system through its params, and nowhere else
+    def names(builder):
+        return list(inspect.signature(builder).parameters)
+
+    assert names(build_abc_flow) == names(build_abc_flow_variant) == names(build_pauli_spin) == []
+    assert names(build_charged_particle) == ["B", "parameters", "name"]
+    assert names(build_hamiltonian) == ["hamiltonian", "m", "name"]
+    assert names(build_nambu) == ["hamiltonians", "name"]
+    assert not hasattr(systems_module, "_bind")
+
+
 def test_abc_zero_parameters_zero_field():
-    sys = build_abc_flow(0, 0, 0).bound()
+    sys = replace(build_abc_flow(), params=dict.fromkeys("ABC", Fraction(0))).bound()
     assert sys.field.is_zero
 
 
@@ -359,14 +373,16 @@ def test_charged_particle_volume_is_product_form():
 
 
 def test_pauli_axis_field_pattern():
-    ext = build_pauli_spin(0, 0, 1, 1)
-    b = ext.base.bound()
+    ext = build_pauli_spin()
+    values = {"Bx": 0, "By": 0, "Bz": 1, "kappa": 1}
+    b = replace(ext.base, params={p: Fraction(v) for p, v in values.items()}).bound()
     assert [render(c) for c in b.field.nfs] == ["-1*x2", "x1", "x4", "-1*x3"]
 
 
 def test_pauli_zero_field():
-    ext = build_pauli_spin(0, 0, 0, 1)
-    assert ext.base.bound().field.is_zero
+    ext = build_pauli_spin()
+    values = {"Bx": 0, "By": 0, "Bz": 0, "kappa": 1}
+    assert replace(ext.base, params={p: Fraction(v) for p, v in values.items()}).bound().field.is_zero
 
 
 def test_pauli_symbolic_matches_linear_system(bundle):
