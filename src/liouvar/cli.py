@@ -57,6 +57,7 @@ from .exterior import exterior_derivative, interior_product
 from .flow import (
     BlowupError,
     FlowError,
+    compile_columns,
     integrate_rk4,
     invariant_drift,
     section_sweep,
@@ -260,6 +261,12 @@ def cmd_integrate(args) -> int:
         raise SystemFileError(f"bad --x0 {args.x0!r}")
     if len(x0) != sys.space.dim:
         raise SystemFileError(f"--x0 needs {sys.space.dim} components")
+    if args.tangent:
+        import numpy as np
+
+        if compile_columns([density], sys.space.coordinates)(np.array(x0)[:, None])[0, 0] == 0:
+            raise FlowError("volume density is zero at the initial state; "
+                            "the volume diagnostic divides by it")
     traj = integrate_rk4(b.field, x0, args.h, args.T, with_tangent=args.tangent)
     diagnostics = {
         "step": traj.step,

@@ -416,23 +416,19 @@ def volume_diagnostic(traj: Trajectory, density: NormalForm) -> float:
 
     ``density`` is rho, the one coefficient of the volume form rho dx the
     field preserves (bound, as the field is), and det M_k the tangent-map
-    determinant ``traj.volume``.  A constant rho cancels, so the reading is
-    max |det M_k - 1| with no density pass; otherwise rho along the states
-    takes one ``compile_columns`` pass.  A non-finite rho(x_k) raises
-    ``BlowupError`` at step k, and rho(x_0) = 0 a ``FlowError``.
+    determinant ``traj.volume``.  rho along the states takes one
+    ``compile_columns`` pass; a constant rho gives rho/rho(x_0) = 1.0
+    exactly, so the reading is then max |det M_k - 1|.  A non-finite
+    rho(x_k) raises ``BlowupError`` at step k, and so does a non-finite
+    ratio, as rho(x_0) = 0 gives at step 0.
     """
     import numpy as np
 
     if traj.volume is None:
         raise FlowError("trajectory has no volume; integrate with with_tangent=True")
-    if density.is_constant():
-        return float(np.max(np.abs(traj.volume - 1.0)))
     rho = compile_columns([density], traj.coordinates)(traj.states.T)[0]
     _check_rows(0, {"volume density": rho})
-    if rho[0] == 0:
-        raise FlowError("volume density is zero at the initial state; "
-                        "the volume diagnostic divides by it")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         weighted = rho / rho[0] * traj.volume
     _check_rows(0, {"density-weighted determinant": weighted})
     return float(np.max(np.abs(weighted - 1.0)))

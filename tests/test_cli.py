@@ -1003,16 +1003,21 @@ def test_integrate_tangent_with_a_constant_density_reads_the_determinants(exampl
     assert rc == 0 and deviation == float(np.max(np.abs(dets - 1.0)))
 
 
-def test_integrate_tangent_from_a_zero_volume_density_exit_2(tmp_path, capsys):
+def test_integrate_tangent_from_a_zero_volume_density_exit_2(tmp_path, capsys, monkeypatch):
     path = _volume_system(tmp_path, {**_PLANE, "vector_field": ["x1", "-2*x2"]}, "x1")
     argv = ["integrate", path, "--x0", "0,1", "--h", "1e-2", "--T", "1"]
+    integrations = []
+    monkeypatch.setattr(cli, "integrate_rk4",
+                        lambda *a, **k: integrations.append(a) or integrate_rk4(*a, **k))
     rc = main(argv + ["--tangent"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == ("error: volume density is zero at the initial state; "
                             "the volume diagnostic divides by it\n")
+    # refused before the trajectory is integrated
+    assert integrations == []
     # without --tangent the density is not read
-    assert main(argv) == 0
+    assert main(argv) == 0 and len(integrations) == 1
     capsys.readouterr()
 
 

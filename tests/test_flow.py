@@ -567,11 +567,20 @@ def test_volume_growth_linear_field():
 
 
 @pytest.mark.parametrize("density", [Fraction(-1), Fraction(2), Fraction(1, 3)])
-def test_a_constant_volume_density_takes_no_density_pass(euler_numeric, monkeypatch, density):
+def test_a_constant_volume_density_reads_the_determinants(euler_numeric, density):
     traj = integrate_rk4(euler_numeric.field, (1, 1, 1), 1e-2, 1.0, with_tangent=True)
-    monkeypatch.setattr(flow, "compile_columns", None)
     deviation = volume_diagnostic(traj, normal_form(density))
     assert deviation == float(np.max(np.abs(traj.volume - 1.0)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_volume_density_zero_at_the_initial_state_blows_up_at_step_0():
+    sp = Space("g", ("x1", "x2"))
+    field = VectorField(sp, (sp.parse("x1"), sp.parse("-2*x2")))
+    traj = integrate_rk4(field, (0.0, 1.0), 1e-2, 1.0, with_tangent=True)
+    with pytest.raises(BlowupError) as err:
+        volume_diagnostic(traj, sp.parse("x1"))
+    assert str(err.value) == "non-finite density-weighted determinant encountered at step 0"
 
 
 def test_volume_requires_tangent(oscillator):
